@@ -3,9 +3,9 @@
 Builds desk-scale 1D/2D discretizations of cascade-coupled evolution systems
 (wave-like and heat/Schroedinger-like), certifies the structural hypotheses
 behind indirect controllability (coercivity, admissibility, coupling bounds,
-geometric control condition), and synthesizes null controls by conjugate
-gradient iteration on a matrix-free HUM Gramian over spectrally filtered
-adjoint seeds.
+geometric control condition), and synthesizes null controls from a dense HUM
+Gramian over spectrally filtered adjoint seeds, assembled by one batched
+adjoint march and solved through its eigendecomposition.
 """
 
 __version__ = "0.1.0"
@@ -62,14 +62,12 @@ from .dynamics import (
     zero_state,
 )
 from .hum import (
-    CgResult,
     GramianOperator,
     HumResult,
     SeedSpace,
     SweepResult,
-    conjugate_gradient,
+    assemble_dense_gramian,
     epsilon_sweep,
-    gramian_apply,
     synthesize_control,
 )
 from .analysis import (

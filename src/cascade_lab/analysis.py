@@ -26,7 +26,7 @@ from .dynamics import (
     solve_hyperbolic,
 )
 from .geometry import Region, build_grid, indicator_vector
-from .hum import GramianOperator, SeedSpace
+from .hum import GramianOperator, SeedSpace, assemble_dense_gramian
 from .operators import (
     BoundaryEnd,
     ControlSpec,
@@ -35,7 +35,6 @@ from .operators import (
     assemble_operator,
     spectral_basis,
 )
-from .util import thread_map
 
 DENSE_SEED_LIMIT = 400
 
@@ -61,7 +60,7 @@ class ObservabilityReport:
     eigenvalues: list
     c1_est: float | None = None
     c2_est: float | None = None
-    assembly: str = "dense-column-probes"
+    assembly: str = "batched-adjoint-march"
 
     def to_dict(self):
         return {
@@ -74,46 +73,6 @@ class ObservabilityReport:
             "c2_est": self.c2_est,
             "assembly": self.assembly,
         }
-
-
-def _seed_basis(seeds):
-    """Orthonormal (in the real seed inner product) coordinate basis.
-
-    Complex seed spaces are treated as real vector spaces of twice the
-    dimension, so the assembled matrix captures the full operator and not just
-    its real part.
-    """
-    out = []
-    if seeds.hyperbolic:
-        lam = seeds.eigenvalues
-        for i in range(seeds.sys.N):
-            for j in range(seeds.K):
-                for slot in range(2):
-                    X = seeds.zeros()
-                    X[i, j, slot] = 1.0 / math.sqrt(lam[j]) if slot == 0 else 1.0
-                    out.append(X)
-        return out
-    units = (1.0,) if seeds.zeros().dtype != np.complex128 else (1.0, 1.0j)
-    for i in range(seeds.sys.N):
-        for j in range(seeds.K):
-            for unit in units:
-                X = seeds.zeros()
-                X[i, j] = unit
-                out.append(X)
-    return out
-
-
-def assemble_dense_gramian(gram):
-    """Dense Gramian in an orthonormal seed basis, via one apply per column."""
-    seeds = gram.seeds
-    basis = _seed_basis(seeds)
-    dim = len(basis)
-    cols = thread_map(gram.apply, basis)
-    mat = np.zeros((dim, dim))
-    for p, col in enumerate(cols):
-        for q, Eq in enumerate(basis):
-            mat[q, p] = np.real(seeds.inner(col, Eq))
-    return 0.5 * (mat + mat.T)
 
 
 def _single_equation_variant(sys, region):
@@ -147,7 +106,7 @@ def observability_constants(sys, T, dt, K_filter, which="control", pi_region=Non
     seeds = SeedSpace(target, K_filter)
     if seeds.dim > dense_limit:
         raise ValueError(f"seed dimension {seeds.dim} exceeds the dense limit {dense_limit}")
-    gram = GramianOperator(target, adjoint_system(target), seeds, T, dt, eps=0.0)
+    gram = GramianOperator(target, adjoint_system(target), seeds, T, dt)
     mat = assemble_dense_gramian(gram)
     eigs = np.linalg.eigvalsh(mat)
     report = ObservabilityReport(

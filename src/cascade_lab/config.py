@@ -140,7 +140,7 @@ def validate_config(cfg):
             _require(v is None or float(v) > 0, f"time.{key} must be positive or null")
 
     hum = cfg.get("hum", {})
-    _check_keys(hum, {"K_filter", "eps", "cg_tol", "max_iter", "eps_list", "stall_window"}, "hum")
+    _check_keys(hum, {"K_filter", "eps", "cg_tol", "max_iter", "eps_list"}, "hum")
     if "K_filter" in hum:
         _require(int(hum["K_filter"]) >= 1, "hum.K_filter must be >= 1")
     for key in ("eps", "cg_tol"):
@@ -148,6 +148,9 @@ def validate_config(cfg):
             _require(float(hum[key]) >= 0, f"hum.{key} must be nonnegative")
     if "cg_tol" in hum:
         _require(float(hum["cg_tol"]) > 0, "hum.cg_tol must be positive")
+    if hum.get("max_iter") is not None:
+        _require(isinstance(hum["max_iter"], int) and hum["max_iter"] >= 0,
+                 "hum.max_iter must be a nonnegative integer")
     if "eps_list" in hum:
         lst = hum["eps_list"]
         _require(isinstance(lst, list) and len(lst) >= 3, "hum.eps_list needs >= 3 entries")

@@ -134,41 +134,60 @@ class CascadeSystem:
 
     # -- operator application ------------------------------------------------
 
+    def _check_fields(self, Y):
+        if Y.shape[-2:] != (self.N, self.grid.n_total):
+            raise ValueError(f"fields of shape {Y.shape} do not end in "
+                             f"(N, n_total) = {(self.N, self.grid.n_total)}")
+
     def apply_system(self, Y):
-        """(A + C) Y for the current orientation, Y of shape (N, n_total)."""
+        """(A + C) Y for the current orientation; Y is (..., N, n_total)."""
+        Y = np.asarray(Y)
+        self._check_fields(Y)
         out = self.op.matvec(Y)
         for (i, j), ind in self._coupling_fields:
             if self.transposed:
-                out[j - 1] += ind * Y[i - 1]
+                out[..., j - 1, :] += ind * Y[..., i - 1, :]
             else:
-                out[i - 1] += ind * Y[j - 1]
+                out[..., i - 1, :] += ind * Y[..., j - 1, :]
         return out
 
     # -- control injection / observation -------------------------------------
 
-    def inject(self, out, k, value, scale=1.0):
-        """Add scale * B_k(value) to the forcing array ``out`` (N, n_total)."""
+    def _control_op(self, k):
         for comp, kind, data in self._control_ops:
-            if comp != k:
-                continue
-            if kind == "distributed":
-                out[k - 1] += scale * data * value
-            else:
-                idx, gain = data
-                out[k - 1, idx] += scale * (-gain) * value / self.grid.h[0] ** 2
-            return
+            if comp == k:
+                return kind, data
         raise ValueError(f"component {k} carries no control")
 
-    def extract(self, k, fld):
-        """Exact discrete adjoint of ``inject``: observation of one field."""
-        for comp, kind, data in self._control_ops:
-            if comp != k:
-                continue
-            if kind == "distributed":
-                return data * fld
+    def inject(self, out, k, value, scale=1.0):
+        """Add scale * B_k(value) to the forcing array ``out`` (..., N, n_total).
+
+        ``value`` is (..., n_total) for a distributed control and (...) for an
+        end control, with the same leading axes as ``out`` (or broadcastable).
+        """
+        self._check_fields(out)
+        kind, data = self._control_op(k)
+        if kind == "distributed":
+            out[..., k - 1, :] += scale * data * value
+        else:
             idx, gain = data
-            return -gain * fld[..., idx] / self.grid.h[0]
-        raise ValueError(f"component {k} carries no control")
+            out[..., k - 1, idx] += scale * (-gain) * value / self.grid.h[0] ** 2
+
+    def extract(self, k, Y, velocity=None):
+        """Observation of component k of the fields Y (..., N, n_total).
+
+        The exact discrete adjoint of ``inject``: (..., n_total) for a
+        distributed control, (...) for an end control. A distributed control
+        observes ``velocity`` instead of Y when one is given (the forward
+        second-order readout); an end control always observes Y.
+        """
+        self._check_fields(Y)
+        kind, data = self._control_op(k)
+        if kind == "distributed":
+            fld = Y if velocity is None else velocity
+            return data * fld[..., k - 1, :]
+        idx, gain = data
+        return -gain * Y[..., k - 1, idx] / self.grid.h[0]
 
     def controlled_components(self):
         return tuple(k for k, _, _ in self._control_ops)
@@ -346,10 +365,6 @@ def _check_signal(sys, control, M, dt):
         raise ValueError("control signal grid does not match the solver grid")
 
 
-def _value_at(arr, n):
-    return arr[n]
-
-
 # ---------------------------------------------------------------------------
 # leapfrog (second-order family)
 # ---------------------------------------------------------------------------
@@ -363,41 +378,43 @@ def _forcing_into(sys, out, control, forcing, n):
         out += forcing[n]
 
 
+def _observation_arrays(sys, n_samples, batch, dtype):
+    """Zeroed sample arrays per controlled component: (n_samples, *batch[, n_total])."""
+    obs = {}
+    for k, kind, _ in sys._control_ops:
+        tail = (sys.grid.n_total,) if kind == "distributed" else ()
+        obs[k] = np.zeros((n_samples,) + batch + tail, dtype=dtype)
+    return obs
+
+
 def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, collect=()):
     """Forward leapfrog over M steps; returns the last two levels and extras.
 
-    ``collect`` may contain "observations" (node-sampled adjoint observations
-    of the running trajectory), "energies" (natural energy at each node) and
-    "snapshots" (dict idx -> (w, w') readouts, requested via collect_snapshots).
+    States may carry leading batch axes, (..., N, n_total); controls and
+    forcing act on every batch member alike. ``collect`` may contain
+    "observations" (node-sampled adjoint observations of the running
+    trajectory), "energies" (natural energy at each node) and "snapshots"
+    (dict idx -> (w, w') readouts, requested via collect_snapshots).
     """
-    n_nodes = sys.grid.n_total
     dt2 = dt * dt
+    batch = w0.shape[:-2]
     want_obs = "observations" in collect
     want_energy = "energies" in collect
     snap_idx = collect["snapshots"] if isinstance(collect, dict) else {}
 
-    obs = None
-    if want_obs:
-        obs = {}
-        for k, kind, data in sys._control_ops:
-            shape = (M + 1, n_nodes) if kind == "distributed" else (M + 1,)
-            obs[k] = np.zeros(shape)
-    energies = np.zeros(M + 1) if want_energy else None
+    obs = _observation_arrays(sys, M + 1, batch, np.float64) if want_obs else None
+    energies = np.zeros((M + 1,) + batch) if want_energy else None
     snapshots = {}
 
     hvol = sys.grid.hvol
 
     def record(n, y_cur, vel):
         if want_obs:
-            for k, kind, data in sys._control_ops:
-                if kind == "distributed":
-                    obs[k][n] = data * vel[k - 1]
-                else:
-                    idx, gain = data
-                    obs[k][n] = -gain * y_cur[k - 1, idx] / sys.grid.h[0]
+            for k in obs:
+                obs[k][n] = sys.extract(k, y_cur, velocity=vel)
         if want_energy:
-            stiff = float(np.sum(sys.op.matvec(y_cur) * y_cur)) * hvol
-            kin = float(np.sum(vel * vel)) * hvol
+            stiff = np.sum(sys.op.matvec(y_cur) * y_cur, axis=(-2, -1)) * hvol
+            kin = np.sum(vel * vel, axis=(-2, -1)) * hvol
             energies[n] = 0.5 * (stiff + kin)
         if n in snap_idx:
             snapshots[n] = (y_cur.copy(), vel.copy())
@@ -434,35 +451,30 @@ def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, collect=()):
     }
 
 
-def _hyp_adjoint(sys, phi_M, phi_M1, M, dt, collect=("observations",)):
+def _hyp_adjoint(sys, phi_M, phi_M1, M, dt, collect=("observations",), visit=None):
     """Backward leapfrog of the homogeneous (transposed) system.
 
-    Starts from the two levels (phi^M, phi^{M-1}) and recurses down to phi^0,
-    recording the requested data. Observations are node-sampled values of the
-    extraction operator applied to the running field.
+    Starts from the two levels (phi^M, phi^{M-1}), each (..., N, n_total), and
+    recurses down to phi^0, recording the requested data. Observations are
+    node-sampled values of the extraction operator applied to the running
+    field. ``visit(n, phi_n)``, when given, sees every level as it is made, so
+    a caller can reduce the trajectory on the fly instead of storing it.
     """
     dt2 = dt * dt
     want_obs = "observations" in collect
     want_traj = "trajectory" in collect
 
-    obs = None
-    if want_obs:
-        obs = {}
-        for k, kind, data in sys._control_ops:
-            shape = (M + 1, sys.grid.n_total) if kind == "distributed" else (M + 1,)
-            obs[k] = np.zeros(shape)
-    traj = np.zeros((M + 1, sys.N, sys.grid.n_total)) if want_traj else None
+    obs = _observation_arrays(sys, M + 1, phi_M.shape[:-2], np.float64) if want_obs else None
+    traj = np.zeros((M + 1,) + phi_M.shape) if want_traj else None
 
     def record(n, fld):
         if want_obs:
-            for k, kind, data in sys._control_ops:
-                if kind == "distributed":
-                    obs[k][n] = data * fld[k - 1]
-                else:
-                    idx, gain = data
-                    obs[k][n] = -gain * fld[k - 1, idx] / sys.grid.h[0]
+            for k in obs:
+                obs[k][n] = sys.extract(k, fld)
         if want_traj:
             traj[n] = fld
+        if visit is not None:
+            visit(n, fld)
 
     record(M, phi_M)
     record(M - 1, phi_M1)
@@ -516,9 +528,13 @@ class _ComponentSolver:
             self._ab = None
 
     def solve(self, rhs):
+        """Solve for fields (..., n_total); a batch goes as many right-hand sides in one call."""
+        cols = rhs.reshape(-1, rhs.shape[-1]).T
         if self._lu is not None:
-            return self._lu.solve(rhs)
-        return scipy.linalg.solve_banded((1, 1), self._ab, rhs)
+            out = self._lu.solve(cols)
+        else:
+            out = scipy.linalg.solve_banded((1, 1), self._ab, cols)
+        return out.T.reshape(rhs.shape)
 
 
 def _cn_solve_plus(sys, solver, kappa, rhs):
@@ -526,13 +542,13 @@ def _cn_solve_plus(sys, solver, kappa, rhs):
     y = np.empty_like(rhs)
     order = range(sys.N, 0, -1) if not sys.transposed else range(1, sys.N + 1)
     for comp in order:
-        r = rhs[comp - 1].copy()
+        r = rhs[..., comp - 1, :].copy()
         for (i, j), ind in sys._coupling_fields:
             if not sys.transposed and i == comp:
-                r -= kappa * ind * y[j - 1]
+                r -= kappa * ind * y[..., j - 1, :]
             elif sys.transposed and j == comp:
-                r -= kappa * ind * y[i - 1]
-        y[comp - 1] = solver.solve(r)
+                r -= kappa * ind * y[..., i - 1, :]
+        y[..., comp - 1, :] = solver.solve(r)
     return y
 
 
@@ -540,7 +556,8 @@ def _cn_forward(sys, w0, control, forcing, M, dt, collect=()):
     """Crank-Nicolson march of e^{i theta} y_t = -(A + C) y + B v + f.
 
     Control samples and raw forcing are interval values (entry n acts on
-    [t_n, t_{n+1})). Returns the terminal field plus requested extras.
+    [t_n, t_{n+1})). The state may carry leading batch axes, (..., N,
+    n_total). Returns the terminal field plus requested extras.
     """
     theta = sys.theta
     phase = np.exp(-1j * theta) if theta != 0.0 else 1.0
@@ -552,41 +569,36 @@ def _cn_forward(sys, w0, control, forcing, M, dt, collect=()):
 
     y = w0.astype(dtype).copy()
     snapshots = {}
-    norms = np.zeros(M + 1) if want_norms else None
+    norms = np.zeros((M + 1,) + y.shape[:-2]) if want_norms else None
     hvol = sys.grid.hvol
 
     def record(n):
         if want_norms:
-            norms[n] = math.sqrt(float(np.real(np.vdot(y, y))) * hvol)
+            norms[n] = np.sqrt(np.sum(np.real(np.conj(y) * y), axis=(-2, -1)) * hvol)
         if n in snap_idx:
             snapshots[n] = y.copy()
 
     record(0)
     for n in range(M):
         rhs = y - kappa * sys.apply_system(y)
-        extra = np.zeros_like(y)
-        got = False
-        if control is not None:
-            for k, arr in control.values.items():
-                sys.inject(extra, k, arr[n])
-                got = True
-        if forcing is not None:
-            extra += forcing[n]
-            got = True
-        if got:
+        if control is not None or forcing is not None:
+            extra = np.zeros_like(y)
+            _forcing_into(sys, extra, control, forcing, n)
             rhs = rhs + (dt * phase) * extra
         y = _cn_solve_plus(sys, solver, kappa, rhs)
         record(n + 1)
     return {"terminal": SystemState(M * dt, y), "snapshots": snapshots, "norms": norms}
 
 
-def _cn_adjoint(sys, phi_T, M, dt, collect=("observations",)):
+def _cn_adjoint(sys, phi_T, M, dt, collect=("observations",), visit=None):
     """Backward dual Crank-Nicolson recursion with midpoint observations.
 
     With M+- = I +- kappa (A + C) of the forward march, the dual recursion is
     phi^n = M-^* (M+^*)^{-1} phi^{n+1}; the midpoint value
     psi^{n+1/2} = (M+^*)^{-1} phi^{n+1} equals (phi^n + phi^{n+1})/2 exactly and
     carries the observation for interval n (times the phase e^{i theta}).
+    ``phi_T`` may carry leading batch axes; ``visit(n, psi)``, when given, sees
+    every midpoint value as it is made.
     """
     theta = sys.theta
     phase_bar = np.exp(1j * theta) if theta != 0.0 else 1.0
@@ -596,26 +608,19 @@ def _cn_adjoint(sys, phi_T, M, dt, collect=("observations",)):
 
     want_obs = "observations" in collect
     want_traj = "trajectory" in collect
-    obs = None
-    if want_obs:
-        obs = {}
-        for k, kind, data in sys._control_ops:
-            shape = (M + 1, sys.grid.n_total) if kind == "distributed" else (M + 1,)
-            obs[k] = np.zeros(shape, dtype=dtype)
-    traj = np.zeros((M, sys.N, sys.grid.n_total), dtype=dtype) if want_traj else None
+    obs = _observation_arrays(sys, M + 1, phi_T.shape[:-2], dtype) if want_obs else None
+    traj = np.zeros((M,) + phi_T.shape, dtype=dtype) if want_traj else None
 
     phi = phi_T.astype(dtype).copy()
     for n in range(M - 1, -1, -1):
         psi = _cn_solve_plus(sys, solver, kappa_bar, phi)
         if want_obs:
-            for k, kind, data in sys._control_ops:
-                if kind == "distributed":
-                    obs[k][n] = phase_bar * data * psi[k - 1]
-                else:
-                    idx, gain = data
-                    obs[k][n] = phase_bar * (-gain) * psi[k - 1, idx] / sys.grid.h[0]
+            for k in obs:
+                obs[k][n] = phase_bar * sys.extract(k, psi)
         if want_traj:
             traj[n] = psi
+        if visit is not None:
+            visit(n, psi)
         phi = 2.0 * psi - phi
     return {"observations": obs, "trajectory": traj, "initial": SystemState(0.0, phi)}
 

@@ -16,13 +16,17 @@ this readout is the exact discrete adjoint of the control injection, so
     <G X, Y>_seed  =  sum_n w_n <obs_n(X), obs_n(Y)>_G
 
 holds to round-off, the Gramian is symmetric positive semidefinite by
-construction, and a converged conjugate-gradient solve drives the measured
-filtered terminal energy to the residual level rather than to O(dt^2).
+construction, and an accurate solve drives the measured filtered terminal
+energy to the residual level rather than to O(dt^2).
 
-Second-order synthesis solves G X = b exactly (eps = 0 allowed); the
-first-order family uses the penalized form (G + eps I) X = b, whose terminal
-norm scales like sqrt(eps) under null controllability; ``epsilon_sweep`` fits
-that exponent.
+The seed space has at most a few hundred real coordinates, so the Gramian is
+assembled densely by one batched adjoint march over an orthonormal seed basis
+and solved through one symmetric eigendecomposition; the matrix-free
+``GramianOperator.apply`` stays as the independent cross-check. Second-order
+synthesis solves G X = b exactly (eps = 0 allowed); the first-order family
+uses the penalized form (G + eps I) X = b, whose terminal norm scales like
+sqrt(eps) under null controllability; ``epsilon_sweep`` fits that exponent
+from one eigendecomposition shared by every eps.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .dynamics import (
     CascadeSystem,
     ControlSignal,
     SystemState,
-    _adjoint_levels_from_seed,
     _cn_adjoint,
     _cn_forward,
     _hyp_adjoint,
@@ -89,6 +92,39 @@ class SeedSpace:
     @property
     def dim(self):
         return self.sys.N * self.K * (2 if self.hyperbolic else 1)
+
+    @property
+    def coord_dim(self):
+        """Real dimension: complex seed spaces count twice."""
+        return self.dim * (2 if self.sys.state_dtype == np.complex128 else 1)
+
+    def to_coords(self, X):
+        """Real coordinates of X in the orthonormal basis ``from_coords(I)``.
+
+        Entry p is Re <X, E_p> in the seed inner product; X may carry leading
+        batch axes.
+        """
+        batch = X.shape[: X.ndim - (3 if self.hyperbolic else 2)]
+        if self.hyperbolic:
+            root = np.sqrt(self.eigenvalues)
+            c = np.stack([root * X[..., 0], X[..., 1]], axis=-1)
+        elif self.sys.state_dtype == np.complex128:
+            c = np.stack([np.real(X), np.imag(X)], axis=-1)
+        else:
+            c = X
+        return c.reshape(batch + (self.coord_dim,))
+
+    def from_coords(self, x):
+        """Seed with real coordinates x (..., coord_dim); inverse of to_coords."""
+        x = np.asarray(x, dtype=np.float64)
+        batch = x.shape[:-1]
+        if self.hyperbolic:
+            c = x.reshape(batch + (self.sys.N, self.K, 2))
+            return np.stack([c[..., 0] / np.sqrt(self.eigenvalues), c[..., 1]], axis=-1)
+        if self.sys.state_dtype == np.complex128:
+            c = x.reshape(batch + (self.sys.N, self.K, 2))
+            return c[..., 0] + 1j * c[..., 1]
+        return x.reshape(batch + (self.sys.N, self.K)).copy()
 
     def zeros(self):
         if self.hyperbolic:
@@ -182,7 +218,9 @@ class GramianOperator:
 
     apply(X) runs the backward adjoint solve seeded by X, feeds the recorded
     observations back as the control of a forward solve from rest, and returns
-    the seed-space readout of the terminal state (plus eps * X when eps > 0).
+    the seed-space readout of the terminal state. Synthesis solves with the
+    dense matrix of ``assemble_dense_gramian``; apply stays as its independent
+    matrix-free cross-check.
     """
 
     sys: CascadeSystem
@@ -190,8 +228,6 @@ class GramianOperator:
     seeds: SeedSpace
     T: float
     dt: float
-    eps: float = 0.0
-    apply_count: int = 0
 
     def __post_init__(self):
         self.M = step_count(self.T, self.dt)
@@ -205,18 +241,32 @@ class GramianOperator:
                 "the exact discrete pairing exists per observation kind only"
             )
 
-    def observations_of(self, X):
-        """Adjoint observations seeded by X, as quadrature-ready sample arrays."""
+    def observations_of(self, X, visit=None):
+        """Adjoint observations seeded by X, as quadrature-ready sample arrays.
+
+        X may carry leading batch axes. With ``visit`` nothing is stored and
+        None is returned: visit(n, field) sees the adjoint field behind sample
+        n (a leapfrog level, or a Crank-Nicolson midpoint value) as it is made.
+        """
+        collect = ("observations",) if visit is None else ()
         if self.seeds.hyperbolic:
             phi_M, phi_M1 = self.seeds.adjoint_terminal_levels(X, self.dt)
-            out = _hyp_adjoint(self.sys_adj, phi_M, phi_M1, self.M, self.dt)
+            out = _hyp_adjoint(self.sys_adj, phi_M, phi_M1, self.M, self.dt, collect, visit)
             obs = out["observations"]
-            for arr in obs.values():  # end samples carry no weight; keep them zero
+            for arr in (obs or {}).values():  # end samples carry no weight; keep them zero
                 arr[0] = 0.0
                 arr[-1] = 0.0
             return obs
         phi_T = self.seeds.adjoint_terminal_levels(X, self.dt)
-        return _cn_adjoint(self.sys_adj, phi_T, self.M, self.dt)["observations"]
+        return _cn_adjoint(self.sys_adj, phi_T, self.M, self.dt, collect, visit)["observations"]
+
+    def sample_weights(self):
+        """Quadrature weight of each observation sample (0 where none is taken)."""
+        if self.seeds.hyperbolic:
+            weights = trapezoid_weights(self.M, self.dt)
+            weights[0] = weights[-1] = 0.0
+            return weights
+        return interval_weights(self.M, self.dt)
 
     def signal_from_observations(self, obs):
         t = self.dt * np.arange(self.M + 1)
@@ -242,22 +292,14 @@ class GramianOperator:
         return self.seeds.readout(out["terminal"].w, self.dt)
 
     def apply(self, X):
-        self.apply_count += 1
         obs = self.observations_of(X)
         signal = self.signal_from_observations(obs)
-        out = self.forward_with_control(signal)
-        GX = self.readout_of_forward(out)
-        if self.eps > 0.0:
-            GX = GX + self.eps * X
-        return GX
+        return self.readout_of_forward(self.forward_with_control(signal))
 
     def observation_quadrature(self, obs_a, obs_b):
         """sum_n w_n <obs_a_n, obs_b_n>_G, the defining bilinear form of G."""
         hvol = self.sys.grid.hvol
-        if self.seeds.hyperbolic:
-            weights = trapezoid_weights(self.M, self.dt)
-        else:
-            weights = interval_weights(self.M, self.dt)
+        weights = self.sample_weights()
         total = 0.0
         for k in obs_a:
             a, b = obs_a[k], obs_b[k]
@@ -267,91 +309,145 @@ class GramianOperator:
         return total
 
 
-def gramian_apply(gram, X):
-    """Apply the HUM Gramian to a seed (module-level convenience)."""
-    return gram.apply(X)
+# observation columns gathered per rank-k update of G; small, to bound peak memory
+_GRAMIAN_BLOCK_COLUMNS = 512
+
+
+def assemble_dense_gramian(gram):
+    """Dense Gramian in the orthonormal seed basis ``from_coords(I)``.
+
+    One batched adjoint march seeded by every basis vector at once; each
+    sample's observations O_n are reduced on the fly into
+    G += w_n O_n O_n^T (with the grid volume for distributed observations),
+    the quadrature ``observation_quadrature`` defines, so no trajectory is
+    kept. Complex seed spaces count as real spaces of twice the dimension,
+    with observations split into real and imaginary parts; the unimodular
+    Crank-Nicolson phase factor drops out of Re <a, b>.
+    """
+    seeds, sys_adj = gram.seeds, gram.sys_adj
+    basis = seeds.from_coords(np.eye(seeds.coord_dim))
+    dim = basis.shape[0]
+    weights = gram.sample_weights()
+    # distributed observations vanish off the control support
+    parts = [(k, np.flatnonzero(data), sys_adj.grid.hvol) if kind == "distributed"
+             else (k, slice(None), 1.0)
+             for k, kind, data in sys_adj._control_ops]
+    mat = np.zeros((dim, dim))
+    block, width = [], 0
+
+    def flush():
+        nonlocal mat, width
+        if block:
+            obs = np.concatenate(block, axis=1)
+            mat += obs @ obs.T
+            block.clear()
+            width = 0
+
+    def visit(n, fld):
+        nonlocal width
+        if weights[n] == 0.0:
+            return
+        for k, cols, scale in parts:
+            o = sys_adj.extract(k, fld).reshape(dim, -1)[:, cols] * math.sqrt(weights[n] * scale)
+            pieces = (o.real, o.imag) if np.iscomplexobj(o) else (o,)
+            block.extend(pieces)
+            width += o.shape[1] * len(pieces)
+        if width >= _GRAMIAN_BLOCK_COLUMNS:
+            flush()
+
+    gram.observations_of(basis, visit=visit)
+    flush()
+    return 0.5 * (mat + mat.T)
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradient
+# direct solve
 # ---------------------------------------------------------------------------
+
+# eigenvalues at or below RANK_RTOL * lambda_max count as numerically zero
+RANK_RTOL = 1e-12
+DEFAULT_REFINEMENT_PASSES = 10
 
 
 @dataclass
-class CgResult:
+class DirectSolve:
+    """Coordinates x of a solve, with its residual trace and failure reason."""
+
     x: np.ndarray
-    converged: bool
-    stagnated: bool
-    iterations: int
+    singular: bool
+    passes: int
     residual_history: list
     all_residuals: list
+    failure_reason: str | None
 
 
-def conjugate_gradient(apply_op, b, inner, tol, max_iter, stall_window=20):
-    """CG for a self-adjoint PSD operator in the given inner product.
+class GramianSpectrum:
+    """Eigendecomposition of a dense Gramian, shared by every penalty eps."""
 
-    ``residual_history`` records the strictly decreasing accepted residuals;
-    the raw per-iteration trace is kept separately. The solve stops and flags
-    stagnation when the residual sits on a flat plateau (constant within
-    1e-6 relative) for ``stall_window`` consecutive iterations, or when the
-    search direction loses positivity; a hard residual floor is the expected
-    outcome for uncontrollable configurations, whereas the oscillating but
-    progressing residuals of a merely ill-conditioned solve never plateau.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    rz = np.real(inner(r, r))
-    norm_b = math.sqrt(max(rz, 0.0))
-    if norm_b == 0.0:
-        return CgResult(x, True, False, 0, [0.0], [0.0])
-    p = r.copy()
-    best = math.inf
-    x_best = x.copy()
-    max_rayleigh = 0.0
-    history, raw = [], []
-    converged = stagnated = False
-    it = 0
-    while it < max_iter:
-        Ap = apply_op(p)
-        pAp = np.real(inner(p, Ap))
-        pp = np.real(inner(p, p))
-        if pAp <= 0.0 or not np.isfinite(pAp):
-            stagnated = True
-            break
-        rayleigh = pAp / pp if pp > 0.0 else 0.0
-        max_rayleigh = max(max_rayleigh, rayleigh)
-        if rayleigh < 1e-13 * max_rayleigh:
-            # the search direction reached the operator's numerical kernel
-            stagnated = True
-            break
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rz_new = np.real(inner(r, r))
-        res = math.sqrt(max(rz_new, 0.0)) / norm_b
-        raw.append(res)
-        it += 1
-        if not np.isfinite(res):
-            stagnated = True
-            break
-        if res < best * (1.0 - 1e-12):
-            best = res
-            x_best = x.copy()
-            history.append(res)
-        if res <= tol:
-            converged = True
-            break
-        if len(raw) >= stall_window:
-            window = raw[-stall_window:]
-            lo, hi = min(window), max(window)
-            if lo > 0.0 and hi / lo < 1.0 + 1e-6:
-                stagnated = True
+    def __init__(self, mat):
+        self.mat = mat
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(mat)
+
+    def summary(self):
+        lam = self.eigenvalues
+        lam_min, lam_max = float(lam[0]), float(lam[-1])
+        threshold = RANK_RTOL * max(lam_max, 0.0)
+        return {
+            "dim": int(lam.size),
+            "lambda_min": lam_min,
+            "lambda_max": lam_max,
+            "cond": lam_max / lam_min if lam_min > 0.0 else None,
+            "rank": int(np.count_nonzero(lam > threshold)),
+            "rank_threshold": threshold,
+        }
+
+    def solve(self, b, eps, tol, max_iter):
+        """Solve (G + eps I) x = b directly, then refine toward ``tol``.
+
+        Eigen-directions of G + eps I at or below RANK_RTOL times its largest
+        eigenvalue are dropped (pseudo-inverse). Each refinement pass adds
+        the pseudo-inverse of the current residual; at most ``max_iter``
+        passes run, and refinement stops early once a pass no longer lowers
+        the relative residual ||(G + eps I) x - b|| / ||b||.
+        """
+        shifted = self.eigenvalues + eps
+        keep = shifted > RANK_RTOL * max(shifted[-1], 0.0)
+        singular = not keep.all()
+        norm_b = float(np.linalg.norm(b))
+        if norm_b == 0.0:
+            return DirectSolve(np.zeros_like(b), singular, 0, [0.0], [0.0], None)
+        inv = np.where(keep, 1.0 / np.where(keep, shifted, 1.0), 0.0)
+        V = self.eigenvectors
+
+        def pinv(r):
+            return V @ (inv * (V.T @ r))
+
+        def residual(x):
+            r = b - (self.mat @ x + eps * x)
+            return r, float(np.linalg.norm(r)) / norm_b
+
+        x = pinv(b)
+        r, res = residual(x)
+        history, raw = [res], [res]
+        passes, stalled, reason = 0, False, None
+        while res > tol:
+            if singular:
+                reason = "rank-deficient"
+            elif passes >= max_iter:
+                reason = "out of budget"
+            elif stalled:
+                reason = "residual above cg_tol"
+            if reason is not None:
                 break
-        beta = rz_new / rz
-        rz = rz_new
-        p = r + beta * p
-    # a failed solve reports the best iterate seen, not the last direction
-    return CgResult(x if converged else x_best, converged, stagnated, it, history, raw)
+            x_new = x + pinv(r)
+            passes += 1
+            r_new, res_new = residual(x_new)
+            raw.append(res_new)
+            stalled = not res_new < res
+            if not stalled:
+                x, r, res = x_new, r_new, res_new
+                history.append(res)
+        return DirectSolve(x, singular, passes, history, raw, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +457,17 @@ def conjugate_gradient(apply_op, b, inner, tol, max_iter, stall_window=20):
 
 @dataclass
 class HumResult:
-    """Outcome of one control synthesis, with everything a replay needs."""
+    """Outcome of one control synthesis, with everything a replay needs.
+
+    ``stagnated`` flags a numerically singular G + eps I (some eigenvalue at
+    or below RANK_RTOL times the largest); ``failure_reason`` says why a
+    failed synthesis failed and is None on success.
+    """
 
     success: bool
     stagnated: bool
     control: ControlSignal | None
-    cg_iterations: int
+    refinement_passes: int
     residual_history: list
     all_residuals: list
     eps: float
@@ -388,13 +489,17 @@ class HumResult:
     terminal_state: SystemState | None = None
     initial_state: SystemState | None = None
     notes: list = field(default_factory=list)
+    failure_reason: str | None = None
+    gramian: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
             "success": self.success,
             "stagnated": self.stagnated,
-            "cg_iterations": self.cg_iterations,
+            "failure_reason": self.failure_reason,
+            "refinement_passes": self.refinement_passes,
             "residual_history": self.residual_history,
+            "gramian": self.gramian,
             "eps": self.eps,
             "T": self.T,
             "dt": self.dt,
@@ -415,90 +520,102 @@ class HumResult:
         }
 
 
-def _filtered_energy_of_readout(seeds, X):
-    per, total = seeds.energy_of(X)
-    return per, total
-
-
-def synthesize_control(sys, Y0, T, dt, K_filter, eps=0.0, cg_tol=1e-8, max_iter=None,
-                       stall_window=20):
-    """Synthesize the minimal-norm null control for initial data Y0.
-
-    Second-order family: exact HUM (eps = 0 allowed). First-order family:
-    penalized HUM, eps > 0 required. Y0 is projected onto the filter space
-    (the discarded residual is reported); the right-hand side is minus the
-    seed-space representation of the free terminal state, so a converged solve
-    cancels the filtered terminal state of the re-simulated controlled system.
-    """
-    t0 = time.perf_counter()
-    if sys.transposed:
-        raise ValueError("pass the forward system")
-    if not sys.control.entries:
-        raise ValueError("system carries no control")
+def _check_eps(sys, eps):
     if not sys.is_hyperbolic and eps <= 0.0:
         raise ValueError("the first-order family needs eps > 0 (penalized HUM)")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
 
-    seeds = SeedSpace(sys, K_filter)
-    gram = GramianOperator(sys, adjoint_system(sys), seeds, T, dt, eps=eps)
-    if max_iter is None:
-        max_iter = max(100, 4 * seeds.dim)
 
-    notes = []
-    if not sys.is_hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:
-        notes.append("theta at +-pi/2: outside the stated dissipative range, run as-is")
+class _Synthesis:
+    """The eps-independent part of a synthesis: filtered data, free solution,
+    right-hand side and Gramian spectrum; ``run`` solves and verifies one eps.
+    """
 
-    X0, proj_res = seeds.project_state(Y0)
-    Y0f = seeds.state_from_seed(X0, t=0.0)
-    init_energy = energy(sys, Y0f).total
+    def __init__(self, sys, Y0, T, dt, K_filter):
+        t0 = time.perf_counter()
+        if sys.transposed:
+            raise ValueError("pass the forward system")
+        if not sys.control.entries:
+            raise ValueError("system carries no control")
+        self.sys = sys
+        self.seeds = SeedSpace(sys, K_filter)
+        self.gram = GramianOperator(sys, adjoint_system(sys), self.seeds, T, dt)
+        self.notes = []
+        if not sys.is_hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:
+            self.notes.append("theta at +-pi/2: outside the stated dissipative range, run as-is")
 
-    free_out = gram.forward_with_control(None, initial=Y0f)
-    b = -gram.readout_of_forward(free_out)
-    free_norm = state_l2_norm(sys, free_out["terminal"])
-    free_energy = energy(sys, free_out["terminal"]).total
+        X0, self.projection_residual = self.seeds.project_state(Y0)
+        self.Y0f = self.seeds.state_from_seed(X0, t=0.0)
+        self.initial_energy = energy(sys, self.Y0f).total
+        free_out = self.gram.forward_with_control(None, initial=self.Y0f)
+        # minus the free terminal readout: a solved system cancels it
+        self.b = self.seeds.to_coords(-self.gram.readout_of_forward(free_out))
+        self.free_norm = state_l2_norm(sys, free_out["terminal"])
+        self.free_energy = energy(sys, free_out["terminal"]).total
+        self.spectrum = GramianSpectrum(assemble_dense_gramian(self.gram))
+        self.setup_time = time.perf_counter() - t0
 
-    cg = conjugate_gradient(gram.apply, b, seeds.inner, cg_tol, max_iter, stall_window)
+    def run(self, eps, cg_tol, max_iter):
+        t0 = time.perf_counter()
+        sys, gram, seeds = self.sys, self.gram, self.seeds
+        if max_iter is None:
+            max_iter = DEFAULT_REFINEMENT_PASSES
+        sol = self.spectrum.solve(self.b, eps, cg_tol, max_iter)
 
-    obs = gram.observations_of(cg.x)
-    signal = gram.signal_from_observations(obs)
-    ctrl_out = gram.forward_with_control(signal, initial=Y0f)
-    X_term = gram.readout_of_forward(ctrl_out)
-    filt_per, filt_total = _filtered_energy_of_readout(seeds, X_term)
-    full = energy(sys, ctrl_out["terminal"])
-    gram_quad = gram.observation_quadrature(obs, obs)
-    ctrl_norm = signal.norm_sq(sys.grid)
+        obs = gram.observations_of(seeds.from_coords(sol.x))
+        signal = gram.signal_from_observations(obs)
+        ctrl_out = gram.forward_with_control(signal, initial=self.Y0f)
+        filt_per, filt_total = seeds.energy_of(gram.readout_of_forward(ctrl_out))
+        full = energy(sys, ctrl_out["terminal"])
 
-    success = cg.converged and filt_total <= init_energy * (1.0 + 1e-9)
-    if not cg.converged:
-        notes.append("cg did not reach tolerance" + (" (stagnation)" if cg.stagnated else ""))
-    return HumResult(
-        success=success,
-        stagnated=cg.stagnated,
-        control=signal,
-        cg_iterations=cg.iterations,
-        residual_history=cg.residual_history,
-        all_residuals=cg.all_residuals,
-        eps=eps,
-        T=T,
-        dt=dt,
-        K_filter=K_filter,
-        initial_energy=init_energy,
-        terminal_energy_filtered=filt_total,
-        terminal_energy_full=full.total,
-        terminal_energy_filtered_per_component=filt_per,
-        terminal_energy_full_per_component=full.per_component,
-        terminal_state_norm=state_l2_norm(sys, ctrl_out["terminal"]),
-        free_terminal_norm=free_norm,
-        free_terminal_energy=free_energy,
-        projection_residual=proj_res,
-        control_norm_sq=ctrl_norm,
-        gram_quadratic=gram_quad,
-        wall_time=time.perf_counter() - t0,
-        terminal_state=ctrl_out["terminal"],
-        initial_state=Y0f,
-        notes=notes,
-    )
+        reason = sol.failure_reason
+        if reason is None and filt_total > self.initial_energy * (1.0 + 1e-9):
+            reason = "terminal energy above initial"
+        return HumResult(
+            success=reason is None,
+            stagnated=sol.singular,
+            control=signal,
+            refinement_passes=sol.passes,
+            residual_history=sol.residual_history,
+            all_residuals=sol.all_residuals,
+            eps=eps,
+            T=gram.T,
+            dt=gram.dt,
+            K_filter=seeds.K,
+            initial_energy=self.initial_energy,
+            terminal_energy_filtered=filt_total,
+            terminal_energy_full=full.total,
+            terminal_energy_filtered_per_component=filt_per,
+            terminal_energy_full_per_component=full.per_component,
+            terminal_state_norm=state_l2_norm(sys, ctrl_out["terminal"]),
+            free_terminal_norm=self.free_norm,
+            free_terminal_energy=self.free_energy,
+            projection_residual=self.projection_residual,
+            control_norm_sq=signal.norm_sq(sys.grid),
+            gram_quadratic=gram.observation_quadrature(obs, obs),
+            wall_time=self.setup_time + time.perf_counter() - t0,
+            terminal_state=ctrl_out["terminal"],
+            initial_state=self.Y0f,
+            notes=list(self.notes),
+            failure_reason=reason,
+            gramian=self.spectrum.summary(),
+        )
+
+
+def synthesize_control(sys, Y0, T, dt, K_filter, eps=0.0, cg_tol=1e-8, max_iter=None):
+    """Synthesize the minimal-norm null control for initial data Y0.
+
+    Second-order family: exact HUM (eps = 0 allowed). First-order family:
+    penalized HUM, eps > 0 required. Y0 is projected onto the filter space
+    (the discarded residual is reported); the right-hand side is minus the
+    seed-space representation of the free terminal state, so an accurate
+    solve cancels the filtered terminal state of the re-simulated controlled
+    system. ``cg_tol`` gates the relative residual of the direct solve and
+    ``max_iter`` caps the refinement passes allowed to reach it.
+    """
+    _check_eps(sys, eps)
+    return _Synthesis(sys, Y0, T, dt, K_filter).run(eps, cg_tol, max_iter)
 
 
 @dataclass
@@ -519,6 +636,7 @@ class SweepResult:
             "intercept": self.intercept,
             "free_terminal_norm": self.free_terminal_norm,
             "partial": self.partial,
+            "gramian": self.results[0].gramian,
             "runs": [r.to_dict() for r in self.results],
         }
 
@@ -526,18 +644,20 @@ class SweepResult:
 def epsilon_sweep(sys, Y0, T, dt, K_filter, eps_list, cg_tol=1e-8, max_iter=None):
     """Penalized-HUM sweep: fit log ||Y(T)|| against log eps by least squares.
 
-    Requires at least 3 strictly decreasing eps values. Any individual run
-    failure marks the sweep partial; the fit then uses the successful runs.
+    Requires at least 3 strictly decreasing eps values. One Gramian and one
+    eigendecomposition serve every eps; each eps gets its own verifying
+    re-simulation. Any individual run failure marks the sweep partial; the
+    fit then uses the successful runs.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
         raise ValueError("eps sweep needs at least 3 values")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    results = []
     for eps in eps_list:
-        results.append(synthesize_control(sys, Y0, T, dt, K_filter, eps=eps,
-                                          cg_tol=cg_tol, max_iter=max_iter))
+        _check_eps(sys, eps)
+    synthesis = _Synthesis(sys, Y0, T, dt, K_filter)
+    results = [synthesis.run(eps, cg_tol, max_iter) for eps in eps_list]
     norms = [r.terminal_state_norm for r in results]
     ok = [i for i, r in enumerate(results) if r.success and norms[i] > 0.0]
     partial = len(ok) < len(results)

@@ -176,7 +176,7 @@ def test_criterion_5_three_chain_single_control():
     elapsed = time.perf_counter() - t0
     _verdict("criterion 5 (three-chain, one control, T=12)",
              res.success and ratio <= 1e-6 and elapsed < 600.0,
-             f"filtered/initial {ratio:.3e}, {res.cg_iterations} cg iterations, {elapsed:.1f}s")
+             f"filtered/initial {ratio:.3e}, {res.refinement_passes} refinement passes, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,8 @@ def test_replay_empty_directory_fails(tmp_path):
 def test_gcc_pass_and_fail_exit_codes(demo_dir, tmp_path):
     path, _ = _small_wave(demo_dir, tmp_path)
     assert main(["gcc", "--config", str(path)]) == 0
-    assert main(["gcc", "--config", str(demo_dir / "strip_square.json")]) == 2
+    assert main(["gcc", "--config", str(demo_dir / "strip_square.json"),
+                 "--out", str(tmp_path / "strip")]) == 2
 
 
 def test_zero_coupling_control_fails(demo_dir, tmp_path):
@@ -89,6 +90,30 @@ def test_zero_coupling_control_fails(demo_dir, tmp_path):
         code = main(["control", "--config", str(demo_dir / "zero_coupling.json"),
                      "--out", str(tmp_path / "zc")])
     assert code == 2
+
+
+def test_control_report_says_why_synthesis_failed(demo_dir, tmp_path):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        main(["control", "--config", str(demo_dir / "zero_coupling.json"),
+              "--out", str(tmp_path / "zc")])
+    with open(tmp_path / "zc" / "report.json") as fh:
+        hum = json.load(fh)["hum"]
+    assert hum["failure_reason"] == "rank-deficient" and hum["stagnated"]
+    gram = hum["gramian"]
+    assert set(gram) == {"dim", "lambda_min", "lambda_max", "cond", "rank", "rank_threshold"}
+    assert gram["rank"] < gram["dim"] == 48
+    assert gram["rank_threshold"] == pytest.approx(1e-12 * gram["lambda_max"])
+
+
+@pytest.mark.parametrize("key,value", [("stall_window", 20), ("max_iter", -1), ("max_iter", "ten")])
+def test_config_rejects_bad_hum_entries(key, value):
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    cfg["hum"][key] = value
+    with pytest.raises(cl.ConfigError):
+        validate_config(cfg)
 
 
 def test_check_subcommand(demo_dir, tmp_path):

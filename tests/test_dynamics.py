@@ -374,3 +374,84 @@ def test_solve_records_snapshots_and_observations():
     assert rec.snapshots[0][1].w.shape == (2, 40)
     assert rec.observations is not None
     assert rec.energies.shape[0] == step_count(1.0, dt) + 1
+
+
+# ---------------------------------------------------------------------------
+# batch axis
+# ---------------------------------------------------------------------------
+
+
+def _batch_cases():
+    wave = make_wave_cascade(n=30, K=4)
+    grid = cl.build_grid([1.0], [30])
+    op = cl.assemble_operator(grid)
+    end = cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 2, 1,
+                           cl.CouplingSpec.from_dict(2, {(1, 2): cl.region_from_bounds([[0.2, 0.4]], 1.0)}),
+                           cl.ControlSpec(2, 1, ((2, cl.BoundaryEnd("left", 0.8)),)))
+    grid2 = cl.build_grid([1.0, 1.0], [7, 6])
+    op2 = cl.assemble_operator(grid2)
+    O = cl.region_from_bounds([[[0.1, 0.5], [0.1, 0.9]]], 2.0)
+    omega = cl.region_from_bounds([[[0.6, 0.95], [0.1, 0.9]]], 1.0)
+    square = cl.CascadeSystem(cl.Dissipative(0.4), op2, cl.spectral_basis(op2, 4), 2, 1,
+                              cl.CouplingSpec.from_dict(2, {(1, 2): O}),
+                              cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    return [wave, cl.adjoint_system(wave), end, square, cl.adjoint_system(square)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_batched_system_operators_match_stacked_calls(case):
+    sys = _batch_cases()[case]
+    rng = np.random.default_rng(40 + case)
+    n = sys.grid.n_total
+    Y = rng.standard_normal((3, 2, sys.N, n))
+    (k,) = sys.controlled_components()
+    stacked = lambda f: np.array([[f(Y[a, b], a, b) for b in range(2)] for a in range(3)])
+
+    assert np.array_equal(sys.apply_system(Y), stacked(lambda y, a, b: sys.apply_system(y)))
+    assert np.array_equal(sys.extract(k, Y), stacked(lambda y, a, b: sys.extract(k, y)))
+
+    value = sys.extract(k, rng.standard_normal((3, 2, sys.N, n)))
+    out = np.zeros_like(Y)
+    sys.inject(out, k, value, scale=0.3)
+
+    def one(y, a, b):
+        single = np.zeros_like(y)
+        sys.inject(single, k, value[a, b], scale=0.3)
+        return single
+
+    assert np.array_equal(out, stacked(one))
+
+
+def test_misshaped_fields_raise():
+    sys = make_wave_cascade(n=30, K=4)
+    for bad in (np.zeros((3, 30)), np.zeros((30, 2)), np.zeros((2, 29)), np.zeros(60)):
+        with pytest.raises(ValueError):
+            sys.apply_system(bad)
+        with pytest.raises(ValueError):
+            sys.extract(2, bad)
+        with pytest.raises(ValueError):
+            sys.inject(bad, 2, np.zeros(30))
+
+
+def test_batched_adjoint_marches_match_single_marches():
+    from cascade_lab.dynamics import _cn_adjoint, _hyp_adjoint
+
+    rng = np.random.default_rng(41)
+    wave = cl.adjoint_system(make_wave_cascade(n=30, K=4))
+    heat = cl.adjoint_system(make_heat_cascade(n=30, K=4, theta=0.3))
+    dt = chained_dt(wave, 0.5)
+    M = step_count(0.5, dt)
+    a, b = rng.standard_normal((2, 3, 2, 30))
+    batch = _hyp_adjoint(wave, a, b, M, dt)
+    for i in range(3):
+        single = _hyp_adjoint(wave, a[i], b[i], M, dt)
+        assert np.array_equal(batch["observations"][2][:, i], single["observations"][2])
+        assert np.array_equal(batch["initial"].w[i], single["initial"].w)
+    phi = a + 1j * b
+    batch = _cn_adjoint(heat, phi, 20, 0.005)
+    for i in range(3):
+        single = _cn_adjoint(heat, phi[i], 20, 0.005)
+        np.testing.assert_allclose(batch["observations"][2][:, i], single["observations"][2],
+                                   rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(batch["initial"].w[i], single["initial"].w,
+                                   rtol=1e-13, atol=1e-15)

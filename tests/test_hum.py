@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cascade_lab as cl
-from cascade_lab.hum import GramianOperator, SeedSpace, conjugate_gradient
+from cascade_lab.hum import GramianOperator, SeedSpace
 
 from conftest import chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
 
@@ -145,6 +145,61 @@ def test_gramian_smallest_eigenvalue_monotone_in_T():
     assert lows[1] <= lows[2] + 1e-12
 
 
+def _probe_matrix(gram):
+    """Dense Gramian from one matrix-free apply per orthonormal basis seed."""
+    seeds = gram.seeds
+    basis = seeds.from_coords(np.eye(seeds.coord_dim))
+    cols = np.array([seeds.to_coords(gram.apply(E)) for E in basis]).T
+    return 0.5 * (cols + cols.T)
+
+
+def _square_system(family):
+    grid = cl.build_grid([1.0, 1.0], [10, 10])
+    op = cl.assemble_operator(grid)
+    O = cl.region_from_bounds([[[0.1, 0.45], [0.1, 0.45]]], 4.0, "O")
+    omega = cl.region_from_bounds([[[0.55, 0.9], [0.55, 0.9]]], 1.0, "omega")
+    return cl.CascadeSystem(family, op, cl.spectral_basis(op, 6), 2, 1,
+                            cl.CouplingSpec.from_dict(2, {(1, 2): O}),
+                            cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+
+
+def _end_control_wave():
+    grid = cl.build_grid([1.0], [40])
+    op = cl.assemble_operator(grid)
+    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 6), 1, 0,
+                            cl.CouplingSpec(1, ()),
+                            cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 0.7)),)))
+
+
+@pytest.mark.parametrize("name,make,T,dt,K", [
+    ("1d hyperbolic distributed", lambda: make_wave_cascade(n=40, K=6), 1.5, None, 5),
+    ("1d hyperbolic end", _end_control_wave, 1.5, None, 6),
+    ("cn theta 0", lambda: make_heat_cascade(n=40, K=6), 0.2, 0.002, 5),
+    ("cn theta pi/3", lambda: make_heat_cascade(n=40, K=6, theta=math.pi / 3), 0.2, 0.002, 5),
+    ("2d cn", lambda: _square_system(cl.Dissipative(0.0)), 0.1, 0.002, 4),
+    ("2d hyperbolic", lambda: _square_system(cl.Hyperbolic()), 1.0, None, 4),
+])
+def test_dense_gramian_matches_column_probes(name, make, T, dt, K):
+    from cascade_lab.hum import assemble_dense_gramian
+
+    sys = make()
+    gram, seeds = _gramian(sys, T, K=K, dt=dt)
+    mat = assemble_dense_gramian(gram)
+    assert mat.shape == (seeds.coord_dim,) * 2
+    probes = _probe_matrix(gram)
+    assert np.linalg.norm(mat - probes) <= 1e-12 * np.linalg.norm(probes), name
+
+
+def test_seed_coordinates_roundtrip_orthonormal():
+    rng = np.random.default_rng(8)
+    for sys in (make_wave_cascade(n=30, K=5), make_heat_cascade(n=30, K=5, theta=0.7)):
+        seeds = SeedSpace(sys, 4)
+        X, Y = seeds.random(rng), seeds.random(rng)
+        x, y = seeds.to_coords(X), seeds.to_coords(Y)
+        assert np.allclose(seeds.from_coords(x), X, rtol=1e-14, atol=1e-14)
+        assert abs(x @ y - np.real(seeds.inner(X, Y))) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+
+
 def test_mixed_control_kinds_rejected():
     grid = cl.build_grid([1.0], [40])
     op = cl.assemble_operator(grid)
@@ -156,34 +211,6 @@ def test_mixed_control_kinds_rejected():
     sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, 1, coup, ctl)
     with pytest.raises(ValueError):
         _gramian(sys, 1.0, K=4)
-
-
-# ---------------------------------------------------------------------------
-# conjugate gradient
-# ---------------------------------------------------------------------------
-
-
-def test_cg_solves_spd_system():
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((12, 12))
-    A = A @ A.T + 0.5 * np.eye(12)
-    b = rng.standard_normal(12)
-    res = conjugate_gradient(lambda v: A @ v, b, lambda x, y: float(x @ y), 1e-12, 200)
-    assert res.converged
-    assert np.linalg.norm(A @ res.x - b) <= 1e-10 * np.linalg.norm(b)
-    assert all(a > b2 for a, b2 in zip(res.residual_history, res.residual_history[1:]))
-
-
-def test_cg_zero_rhs_returns_zero():
-    res = conjugate_gradient(lambda v: v, np.zeros(5), lambda x, y: float(x @ y), 1e-10, 50)
-    assert res.converged and np.all(res.x == 0.0)
-
-
-def test_cg_flags_singular_direction():
-    A = np.diag([1.0, 1.0, 0.0])
-    b = np.array([1.0, 1.0, 1.0])
-    res = conjugate_gradient(lambda v: A @ v, b, lambda x, y: float(x @ y), 1e-14, 500)
-    assert res.stagnated and not res.converged
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +287,33 @@ def test_zero_rhs_returns_zero_control():
     Y0 = cl.zero_state(sys)
     dt = chained_dt(sys, 1.0)
     res = cl.synthesize_control(sys, Y0, 1.0, dt, 6, eps=0.0, cg_tol=1e-10)
-    assert res.success and res.cg_iterations == 0
+    assert res.success and res.refinement_passes == 0
     assert res.control.norm_sq(sys.grid) == 0.0
+
+
+def test_unreachable_tolerance_runs_out_of_budget():
+    sys = make_wave_cascade(n=40, K=6)
+    Y0 = cl.zero_state(sys)
+    Y0.w[0] = sys.basis.modes[0]
+    dt = chained_dt(sys, 3.0)
+    res = cl.synthesize_control(sys, Y0, 3.0, dt, 6, eps=0.0, cg_tol=1e-30, max_iter=1)
+    assert not res.success and not res.stagnated
+    assert res.failure_reason == "out of budget"
+    assert res.refinement_passes == 1
+    assert res.gramian["rank"] == res.gramian["dim"] == 24
+
+
+def test_rank_deficiency_is_the_failure_reason():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cl.EmptySupportWarning)
+        sys = make_wave_cascade(n=40, K=6, c=0.0)
+    Y0 = cl.zero_state(sys)
+    Y0.w[0] = sys.basis.modes[0]
+    dt = chained_dt(sys, 3.0)
+    res = cl.synthesize_control(sys, Y0, 3.0, dt, 6, eps=0.0, cg_tol=1e-10)
+    assert res.stagnated and res.failure_reason == "rank-deficient"
+    # the uncoupled first component is invisible: half the seed space
+    assert res.gramian["rank"] == res.gramian["dim"] // 2
 
 
 def test_dissipative_requires_positive_eps():
@@ -307,6 +359,19 @@ def test_epsilon_sweep_square_root_law_small():
     assert 0.35 <= sweep.slope <= 0.65
     diffs = np.diff(np.log(sweep.terminal_norms))
     assert np.all(diffs < 0)
+
+
+def test_sweep_shared_spectrum_matches_independent_runs():
+    sys = make_heat_cascade(n=40, K=6, c=16.0)
+    Y0 = cl.zero_state(sys)
+    Y0.w[0] = sys.basis.modes[0]
+    Y0.w[1] = sys.basis.modes[0]
+    eps_list = [1e-2, 1e-4, 1e-6]
+    sweep = cl.epsilon_sweep(sys, Y0, 0.3, 0.003, 6, eps_list, cg_tol=1e-9)
+    for eps, norm in zip(eps_list, sweep.terminal_norms):
+        alone = cl.synthesize_control(sys, Y0, 0.3, 0.003, 6, eps=eps, cg_tol=1e-9)
+        assert abs(norm - alone.terminal_state_norm) <= 1e-10 * alone.terminal_state_norm
+    assert sweep.to_dict()["gramian"]["dim"] == 12
 
 
 def test_2d_dissipative_synthesis_and_pairing():
