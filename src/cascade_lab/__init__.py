@@ -36,7 +36,6 @@ from .operators import (
     TruncationWarning,
     assemble_operator,
     fractional_norm,
-    observe,
     spectral_basis,
     verify_coupling_bounds,
     verify_operator_coercivity,
@@ -83,7 +82,6 @@ from .errors import (
     CascadeLabError,
     CflViolationError,
     ConfigError,
-    EigensolverError,
     HypothesisViolatedError,
     NotApplicableError,
     StepTooCoarseError,

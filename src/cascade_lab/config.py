@@ -45,6 +45,14 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _num(value, where, kind=float):
+    """kind(value), or a ConfigError naming the entry when it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
 def _check_keys(obj, allowed, where):
     _require(isinstance(obj, dict), f"{where} must be an object")
     unknown = set(obj) - set(allowed)
@@ -77,20 +85,21 @@ def validate_config(cfg):
              "domain.extents and domain.n must be lists")
     dim = len(dom["extents"])
     _require(dim in (1, 2) and len(dom["n"]) == dim, "domain must be 1D or 2D, consistent")
-    _require(all(float(L) > 0 for L in dom["extents"]), "domain lengths must be positive")
-    _require(all(int(m) >= 2 for m in dom["n"]), "domain needs n >= 2 per axis")
+    _require(all(_num(L, "domain.extents") > 0 for L in dom["extents"]),
+             "domain lengths must be positive")
+    _require(all(_num(m, "domain.n", int) >= 2 for m in dom["n"]), "domain needs n >= 2 per axis")
 
     fam = cfg["family"]
     _check_keys(fam, {"kind", "theta"}, "family")
     _require(fam.get("kind") in ("hyperbolic", "dissipative"), "family.kind invalid")
     if fam["kind"] == "dissipative":
-        theta = float(fam.get("theta", 0.0))
+        theta = _num(fam.get("theta", 0.0), "family.theta")
         _require(abs(theta) <= math.pi / 2 + 1e-12, "family.theta outside [-pi/2, pi/2]")
     else:
         _require("theta" not in fam, "theta is only meaningful for the dissipative family")
 
-    N = int(cfg["N"])
-    p = int(cfg["p"])
+    N = _num(cfg["N"], "N", int)
+    p = _num(cfg["p"], "p", int)
     _require(N >= 1, "N must be >= 1")
     _require(0 <= p <= N, "p must satisfy 0 <= p <= N")
 
@@ -101,23 +110,24 @@ def validate_config(cfg):
                      f"{where}: each part needs one [lo, hi] per axis")
             for pair in part:
                 _require(isinstance(pair, list) and len(pair) == 2, f"{where}: bad [lo, hi] pair")
-                _require(float(pair[0]) < float(pair[1]), f"{where}: lo must be < hi")
+                _require(_num(pair[0], where) < _num(pair[1], where), f"{where}: lo must be < hi")
 
     for entry in cfg.get("coupling", []):
         _check_keys(entry, {"pair", "boxes", "amplitude", "label"}, "coupling entry")
         pair = entry.get("pair")
         _require(isinstance(pair, list) and len(pair) == 2, "coupling.pair must be [i, j]")
-        i, j = int(pair[0]), int(pair[1])
+        i, j = _num(pair[0], "coupling.pair", int), _num(pair[1], "coupling.pair", int)
         _require(1 <= i < j <= N, f"coupling pair ({i},{j}) must satisfy 1 <= i < j <= N")
         check_boxes(entry.get("boxes"), f"coupling ({i},{j})")
         amp = entry.get("amplitude", 1.0)
         amps = amp if isinstance(amp, list) else [amp]
-        _require(all(float(a) >= 0 for a in amps), "coupling amplitudes must be nonnegative")
+        _require(all(_num(a, "coupling.amplitude") >= 0 for a in amps),
+                 "coupling amplitudes must be nonnegative")
 
     for entry in cfg.get("control", []):
         _check_keys(entry, {"component", "kind", "boxes", "amplitude", "end", "gain", "label"},
                     "control entry")
-        k = int(entry.get("component", 0))
+        k = _num(entry.get("component", 0), "control.component", int)
         _require(1 <= k <= N, f"controlled component {k} outside 1..{N}")
         _require(k > p, f"controlled component {k} lies in the free block 1..{p}")
         kind = entry.get("kind")
@@ -129,7 +139,8 @@ def validate_config(cfg):
         else:
             _require(dim == 1, "boundary control is 1D only")
             _require(entry.get("end") in ("left", "right"), "boundary control needs end left|right")
-            _require(float(entry.get("gain", 1.0)) >= 0, "boundary gain must be nonnegative")
+            _require(_num(entry.get("gain", 1.0), "control.gain") >= 0,
+                     "boundary gain must be nonnegative")
             _require("boxes" not in entry and "amplitude" not in entry,
                      "boundary control takes end/gain only")
 
@@ -137,24 +148,25 @@ def validate_config(cfg):
         _check_keys(cfg["time"], {"T", "dt"}, "time")
         for key in ("T", "dt"):
             v = cfg["time"].get(key)
-            _require(v is None or float(v) > 0, f"time.{key} must be positive or null")
+            _require(v is None or _num(v, f"time.{key}") > 0, f"time.{key} must be positive or null")
 
     hum = cfg.get("hum", {})
     _check_keys(hum, {"K_filter", "eps", "cg_tol", "max_iter", "eps_list"}, "hum")
     if "K_filter" in hum:
-        _require(int(hum["K_filter"]) >= 1, "hum.K_filter must be >= 1")
+        _require(_num(hum["K_filter"], "hum.K_filter", int) >= 1, "hum.K_filter must be >= 1")
     for key in ("eps", "cg_tol"):
         if key in hum:
-            _require(float(hum[key]) >= 0, f"hum.{key} must be nonnegative")
+            _require(_num(hum[key], f"hum.{key}") >= 0, f"hum.{key} must be nonnegative")
     if "cg_tol" in hum:
-        _require(float(hum["cg_tol"]) > 0, "hum.cg_tol must be positive")
+        _require(_num(hum["cg_tol"], "hum.cg_tol") > 0, "hum.cg_tol must be positive")
     if hum.get("max_iter") is not None:
         _require(isinstance(hum["max_iter"], int) and hum["max_iter"] >= 0,
                  "hum.max_iter must be a nonnegative integer")
     if "eps_list" in hum:
         lst = hum["eps_list"]
         _require(isinstance(lst, list) and len(lst) >= 3, "hum.eps_list needs >= 3 entries")
-        _require(all(float(b) < float(a) for a, b in zip(lst, lst[1:])),
+        _require(all(_num(b, "hum.eps_list") < _num(a, "hum.eps_list")
+                     for a, b in zip(lst, lst[1:])),
                  "hum.eps_list must be strictly decreasing")
 
     _require(isinstance(cfg["initial"], list) and cfg["initial"], "initial must be a nonempty list")
@@ -162,7 +174,7 @@ def validate_config(cfg):
     for entry in cfg["initial"]:
         _check_keys(entry, {"component", "position_modes", "velocity_modes", "modes", "random"},
                     "initial entry")
-        k = int(entry.get("component", 0))
+        k = _num(entry.get("component", 0), "initial.component", int)
         _require(1 <= k <= N, f"initial component {k} outside 1..{N}")
         _require(k not in seen, f"initial data for component {k} given twice")
         seen.add(k)
@@ -171,21 +183,28 @@ def validate_config(cfg):
                  "initial entry needs mode lists or random, not both")
         if "random" in entry:
             _check_keys(entry["random"], {"norm", "seed"}, "initial.random")
-            _require(float(entry["random"].get("norm", 1.0)) >= 0, "random norm must be >= 0")
+            _require(_num(entry["random"].get("norm", 1.0), "initial.random.norm") >= 0,
+                     "random norm must be >= 0")
+            _num(entry["random"].get("seed", 0), "initial.random.seed", int)
         if fam["kind"] == "hyperbolic":
             _require("modes" not in entry, "hyperbolic initial data uses position/velocity_modes")
         else:
             _require("position_modes" not in entry and "velocity_modes" not in entry,
                      "dissipative initial data uses modes")
 
-    if "gcc" in cfg:
-        _check_keys(cfg["gcc"], {"n_rays", "dt_ray", "T"}, "gcc")
-    if "analysis" in cfg:
-        _check_keys(cfg["analysis"], {"n_samples", "levels", "t_grid", "K"}, "analysis")
+    for where, allowed in (("gcc", {"n_rays", "dt_ray", "T"}),
+                           ("analysis", {"n_samples", "levels", "t_grid", "K"})):
+        if where in cfg:
+            _check_keys(cfg[where], allowed, where)
+            for key, value in cfg[where].items():
+                for v in value if isinstance(value, list) else [value]:
+                    if v is not None:
+                        _num(v, f"{where}.{key}")
     if "seed" in cfg:
         _require(isinstance(cfg["seed"], int), "seed must be an integer")
     if "indicator_taper" in cfg:
-        _require(float(cfg["indicator_taper"]) >= 0, "indicator_taper must be >= 0")
+        _require(_num(cfg["indicator_taper"], "indicator_taper") >= 0,
+                 "indicator_taper must be >= 0")
     return cfg
 
 

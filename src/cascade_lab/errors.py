@@ -33,14 +33,6 @@ class HypothesisViolatedError(CascadeLabError, ArithmeticError):
     """A structural hypothesis failed on the assembled problem."""
 
 
-class EigensolverError(CascadeLabError, RuntimeError):
-    """Eigenpair computation failed or did not meet the residual target."""
-
-    def __init__(self, message, residuals=None):
-        self.residuals = residuals
-        super().__init__(message)
-
-
 class NotApplicableError(CascadeLabError, ValueError):
     """Requested diagnostic is undefined for this configuration."""
 

@@ -249,11 +249,10 @@ def indicator_vector(region, grid, taper=0.0, warn=True):
 
 @dataclass(frozen=True)
 class RayState:
-    """Speed-one billiard ray sample: position, unit direction, elapsed time."""
+    """Speed-one billiard ray sample: position and unit direction."""
 
     position: tuple
     direction: tuple
-    elapsed: float
 
     def __post_init__(self):
         speed = math.sqrt(sum(d * d for d in self.direction))
@@ -434,7 +433,7 @@ def gcc_check(region, extents, T, n_rays, dt_ray):
     worst = None
     if rays_hit < len(rays):
         miss = int(np.argmin(any_hit))
-        worst = RayState(tuple(pos_arr[miss]), tuple(dir_arr[miss]), 0.0)
+        worst = RayState(tuple(pos_arr[miss]), tuple(dir_arr[miss]))
     return GccReport(
         region_label=region.label or "region",
         horizon=float(T),

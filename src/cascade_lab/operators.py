@@ -19,11 +19,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import EigensolverError, HypothesisViolatedError
+from .errors import HypothesisViolatedError
 from .geometry import Grid, Region, indicator_vector
 
 
@@ -115,9 +113,8 @@ def assemble_operator(grid):
 class SpectralBasis:
     """Lowest K eigenpairs of the operator, orthonormal in the discrete L2 IP.
 
-    ``modes`` has shape (K, n_total); rows are sign-normalized so their first
-    entry of nontrivial magnitude is positive, which keeps every downstream
-    artifact byte-reproducible.
+    ``modes`` has shape (K, n_total); rows are tensor sines ordered by
+    (eigenvalue, j, k), so every downstream artifact is byte-reproducible.
     """
 
     grid: Grid
@@ -142,53 +139,29 @@ class SpectralBasis:
         return float(np.sqrt(np.real(np.vdot(w - rec, w - rec)) * self.grid.hvol))
 
 
-def spectral_basis(op, K, dense_limit=2600):
-    """Lowest-K eigenpairs of the operator.
+def spectral_basis(op, K):
+    """Lowest-K eigenpairs of the operator, in closed form.
 
-    Uses a dense (tridiagonal in 1D) solver up to ``dense_limit`` unknowns and
-    shift-invert Lanczos above it. Raises EigensolverError with the offending
-    residuals when the computed pairs miss the accuracy target.
+    On an interval or rectangle with the Dirichlet stencil the eigenvectors
+    are the sampled sines sqrt(2/L) sin(j pi x / L) per axis (tensor products
+    in 2D), orthonormal in hvol * sum as they stand. Modes are ordered by
+    (eigenvalue, j, k), so a degenerate eigenspace always lists its members
+    in the same order, independent of any numerical eigensolver.
     """
     grid = op.grid
     n_total = grid.n_total
     if not 1 <= K <= n_total:
         raise ValueError(f"K must be in 1..{n_total}, got {K}")
-    if grid.dim == 1 and n_total <= dense_limit:
-        h = grid.h[0]
-        main = np.full(n_total, 2.0 / h**2)
-        off = np.full(n_total - 1, -1.0 / h**2)
-        vals, vecs = scipy.linalg.eigh_tridiagonal(main, off, select="i", select_range=(0, K - 1))
-    elif n_total <= dense_limit:
-        dense = op.to_sparse().toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:K], vecs[:, :K]
-    else:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                op.to_sparse(), k=K, sigma=0.0, which="LM", v0=np.ones(n_total)
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigensolverError(f"Lanczos iteration did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-
-    modes = (vecs / np.sqrt(grid.hvol)).T.copy()
-    # deterministic sign: first entry carrying real mass is positive
-    for row in modes:
-        nz = np.flatnonzero(np.abs(row) > 1e-8 * np.abs(row).max())
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
-
-    residuals = np.array([
-        np.linalg.norm(op.matvec(modes[j]) - vals[j] * modes[j]) * np.sqrt(grid.hvol)
-        for j in range(K)
-    ])
-    bad = residuals > 1e-8 * np.maximum(vals, 1.0)
-    if np.any(bad):
-        raise EigensolverError(
-            f"{int(bad.sum())} eigenpairs exceed the residual target", residuals=residuals
-        )
-    return SpectralBasis(grid, np.asarray(vals, dtype=float), modes)
+    idx = np.indices(grid.n).reshape(grid.dim, -1)
+    lam = sum(op.axis_eigenvalues(a)[idx[a]] for a in range(grid.dim))
+    order = np.lexsort((*idx[::-1], lam))[:K]
+    modes = np.ones((K, 1))
+    for a in range(grid.dim):
+        L = grid.extents[a]
+        j = idx[a][order] + 1
+        factor = np.sqrt(2.0 / L) * np.sin(np.outer(j, grid.axis_nodes(a)) * (np.pi / L))
+        modes = (modes[:, :, None] * factor[:, None, :]).reshape(K, -1)
+    return SpectralBasis(grid, lam[order], modes)
 
 
 def fractional_norm(basis, w, k):
@@ -295,31 +268,6 @@ class ControlSpec:
             if comp == k:
                 return kind
         return None
-
-
-def observe(control, k, state, grid):
-    """Adjoint observation of one component of a state.
-
-    ``state`` is (w, w') for the second-order family or a single field for the
-    first-order one. Distributed controls observe the multiplier applied to the
-    last state entry (the velocity when a pair is given); the 1D end control
-    observes the discrete outward normal derivative of the first entry (the
-    position), scaled by the gain.
-    """
-    kind = control.kind_of(k)
-    if kind is None:
-        raise ValueError(f"component {k} carries no control")
-    if isinstance(state, tuple):
-        w, wlast = state[0], state[-1]
-    else:
-        w = wlast = state
-    if isinstance(kind, Distributed):
-        b = indicator_vector(kind.region, grid, warn=False)
-        return b * np.asarray(wlast)
-    if grid.dim != 1:
-        raise ValueError("end control is 1D only")
-    idx = 0 if kind.end == "left" else grid.n[0] - 1
-    return -kind.gain * np.asarray(w)[..., idx] / grid.h[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,16 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import configuration
 
 import cascade_lab as cl
+
+
+def pytest_configure(config):
+    # Hypothesis caches under ./.hypothesis by default; keep the working tree clean
+    configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cascade-lab-hypothesis"))
 
 
 @pytest.fixture

@@ -116,6 +116,20 @@ def test_config_rejects_bad_hum_entries(key, value):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("hum", "K_filter", "ten"), ("time", "T", "six"), ("domain", "n", ["x"]),
+    ("gcc", "n_rays", "many"),
+])
+def test_non_numeric_config_value_exits_1(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    cfg[section][key] = value
+    cfg["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path)]) == 1
+    assert f"{section}.{key} must be a number" in capsys.readouterr().err
+
+
 def test_check_subcommand(demo_dir, tmp_path):
     path, cfg = _small_wave(demo_dir, tmp_path)
     assert main(["check", "--config", str(path)]) == 0

@@ -153,8 +153,8 @@ def test_fold_preserves_speed_and_reverses():
 
 def test_ray_state_requires_unit_direction():
     with pytest.raises(ValueError):
-        cl.RayState((0.5, 0.5), (0.5, 0.5), 0.0)
-    cl.RayState((0.5, 0.5), (math.sqrt(0.5), math.sqrt(0.5)), 0.0)
+        cl.RayState((0.5, 0.5), (0.5, 0.5))
+    cl.RayState((0.5, 0.5), (math.sqrt(0.5), math.sqrt(0.5)))
 
 
 def test_interval_entry_time_union_uses_outer_gaps():

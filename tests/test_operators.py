@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascade_lab as cl
 
@@ -94,6 +96,62 @@ def test_basis_residuals_small(basis1d, grid1d):
         assert res * math.sqrt(grid1d.hvol) <= 1e-8 * basis1d.eigenvalues[j]
     gram = basis1d.modes @ basis1d.modes.T * grid1d.hvol
     assert np.max(np.abs(gram - np.eye(basis1d.K))) < 1e-10
+
+
+def _tensor_sine(g, j, k):
+    x, y = g.axis_nodes(0), g.axis_nodes(1)
+    Lx, Ly = g.extents
+    ex = math.sqrt(2.0 / Lx) * np.sin(j * np.pi * x / Lx)
+    ey = math.sqrt(2.0 / Ly) * np.sin(k * np.pi * y / Ly)
+    return np.outer(ex, ey).ravel()
+
+
+def test_degenerate_square_modes_are_fixed_tensor_sines():
+    # on a square (1,2) and (2,1) share an eigenvalue; the basis must list
+    # them in (lambda, j, k) order, not in whatever rotation a solver returns
+    g = cl.build_grid([1.0, 1.0], [20, 20])
+    basis = cl.spectral_basis(cl.assemble_operator(g), 10)
+    assert basis.eigenvalues[1] == basis.eigenvalues[2]
+    assert np.max(np.abs(basis.modes[1] - _tensor_sine(g, 1, 2))) < 1e-12
+    assert np.max(np.abs(basis.modes[2] - _tensor_sine(g, 2, 1))) < 1e-12
+
+
+def test_K_cutting_a_degenerate_pair_keeps_the_ordered_member():
+    g = cl.build_grid([1.0, 1.0], [12, 12])
+    op = cl.assemble_operator(g)
+    basis = cl.spectral_basis(op, 12)
+    expected = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1),
+                (2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (2, 4)]
+    for row, (j, k) in zip(basis.modes, expected):
+        assert np.max(np.abs(row - _tensor_sine(g, j, k))) < 1e-12
+    brute = np.sort(np.linalg.eigvalsh(op.to_sparse().toarray()))
+    assert np.allclose(basis.eigenvalues, brute[:12], rtol=1e-10)
+    # the pair partner (4, 2) is the next mode once K grows
+    assert np.array_equal(cl.spectral_basis(op, 13).modes[:12], basis.modes)
+
+
+@st.composite
+def _grids(draw):
+    dim = draw(st.integers(1, 2))
+    extents = [draw(st.floats(0.2, 5.0)) for _ in range(dim)]
+    n = [draw(st.integers(2, 30)) for _ in range(dim)]
+    g = cl.build_grid(extents, n)
+    return g, draw(st.integers(1, g.n_total))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_grids())
+def test_closed_form_basis_is_an_exact_eigenbasis(case):
+    g, K = case
+    op = cl.assemble_operator(g)
+    basis = cl.spectral_basis(op, K)
+    brute = np.sort(np.linalg.eigvalsh(op.to_sparse().toarray()))[:K]
+    assert np.allclose(basis.eigenvalues, brute, rtol=1e-10, atol=0.0)
+    gram = basis.modes @ basis.modes.T * g.hvol
+    assert np.max(np.abs(gram - np.eye(K))) < 1e-12
+    residual = op.matvec(basis.modes) - basis.eigenvalues[:, None] * basis.modes
+    assert np.all(np.linalg.norm(residual, axis=1) * math.sqrt(g.hvol)
+                  <= 1e-10 * basis.eigenvalues)
 
 
 def test_operator_symmetry_random_pairs(grid1d):
@@ -211,41 +269,43 @@ def test_multiplier_self_adjoint(grid1d):
 
 
 # ---------------------------------------------------------------------------
-# observation operator
+# observation through CascadeSystem.extract
 # ---------------------------------------------------------------------------
 
 
+def _observed_system(n, N, p, control):
+    g = cl.build_grid([1.0], [n])
+    op = cl.assemble_operator(g)
+    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 1), N, p,
+                            cl.CouplingSpec(N, ()), control)
+
+
 def test_observe_distributed_velocity():
-    g = cl.build_grid([1.0], [3])
     omega = cl.region_from_bounds([[0.4, 0.6]], 1.0)
-    spec = cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),))
-    out = cl.observe(spec, 1, (np.zeros(3), np.ones(3)), g)
+    sys = _observed_system(3, 1, 0, cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    out = sys.extract(1, np.zeros((1, 3)), velocity=np.ones((1, 3)))
     assert np.array_equal(out, [0.0, 1.0, 0.0])
 
 
 def test_observe_zero_velocity_gives_zero():
-    g = cl.build_grid([1.0], [3])
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    spec = cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),))
-    out = cl.observe(spec, 1, (np.ones(3), np.zeros(3)), g)
+    sys = _observed_system(3, 1, 0, cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    out = sys.extract(1, np.ones((1, 3)), velocity=np.zeros((1, 3)))
     assert np.array_equal(out, [0.0, 0.0, 0.0])
 
 
 def test_observe_boundary_normal_derivative_of_first_mode():
     # continuum value of the outward normal derivative of sqrt(2) sin(pi x)
     # at x = 1 is -sqrt(2) pi; the discrete quotient converges at O(h^2)
-    g = cl.build_grid([1.0], [200])
-    basis = cl.spectral_basis(cl.assemble_operator(g), 1)
-    spec = cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 1.0)),))
-    out = cl.observe(spec, 1, (basis.modes[0], np.zeros(g.n_total)), g)
+    sys = _observed_system(200, 1, 0, cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 1.0)),)))
+    out = sys.extract(1, sys.basis.modes[:1], velocity=np.zeros((1, 200)))
     assert out == pytest.approx(-math.sqrt(2.0) * math.pi, rel=0.01)
 
 
 def test_observe_uncontrolled_component_raises():
-    g = cl.build_grid([1.0], [3])
-    spec = cl.ControlSpec(2, 1, ((2, cl.BoundaryEnd("left", 1.0)),))
+    sys = _observed_system(3, 2, 1, cl.ControlSpec(2, 1, ((2, cl.BoundaryEnd("left", 1.0)),)))
     with pytest.raises(ValueError):
-        cl.observe(spec, 1, (np.zeros(3), np.zeros(3)), g)
+        sys.extract(1, np.zeros((2, 3)), velocity=np.zeros((2, 3)))
 
 
 def test_control_spec_validation():
