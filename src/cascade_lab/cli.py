@@ -3,18 +3,21 @@
 Every subcommand reads a JSON config, writes ``report.json`` plus CSV artifacts
 to the output directory, prints a one-line summary and exits with 0 (verdict
 pass / success), 2 (verdict fail: GCC miss, failed synthesis, replay mismatch) or
-1 (usage or config errors). CSV floats carry 17 significant digits with LF
-endings, so identical configs and seeds reproduce byte-identical artifacts.
+1 (usage or config errors, malformed replay artifacts). CSV floats carry 17
+significant digits with LF endings, so identical configs and seeds reproduce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys as _sys
+import warnings
 
 import numpy as np
 
@@ -71,49 +74,53 @@ def write_spectra_csv(out_dir, eigenvalues, name="spectra.csv"):
     return path
 
 
-def _rows_of(arr, component, t):
-    if arr.ndim == 0 or np.isscalar(arr):
-        vals = [arr]
-    else:
-        vals = arr
-    for idx, v in enumerate(np.atleast_1d(vals)):
-        yield (fmt_float(t), component, idx, fmt_float(np.real(v)), fmt_float(np.imag(v)))
+SERIES_HEADER = "t,component,index,value_re,value_im"
+STATE_HEADER = "component,kind,index,value_re,value_im"
+
+
+def _write_rows(fh, head, tails, row):
+    """One line per entry of ``row``: ``head``, its tail, then the real and
+    imaginary parts with 17 significant digits. The row is listed on its own,
+    so a whole array never becomes one Python list."""
+    fh.write("".join([f"{head}{tail}{re:.17g},{im:.17g}\n"
+                      for tail, re, im in zip(tails, row.real.tolist(), row.imag.tolist())]))
 
 
 def write_control_csv(out_dir, signal):
+    """``control.csv``: component, then time node, then index; a boundary
+    control is one column with index 0."""
     path = os.path.join(out_dir, "control.csv")
+    times = [fmt_float(t) for t in signal.t.tolist()]
     with _open_w(path) as fh:
-        fh.write("t,component,index,value_re,value_im\n")
+        fh.write(SERIES_HEADER + "\n")
         for k in sorted(signal.values):
-            arr = signal.values[k]
-            for n, t in enumerate(signal.t):
-                sample = arr[n] if arr.ndim > 1 else arr[n : n + 1]
-                for row in _rows_of(np.atleast_1d(sample), k, t):
-                    fh.write(",".join(str(c) for c in row) + "\n")
+            rows = signal.values[k].reshape(len(times), -1)
+            tails = [f",{k},{i}," for i in range(rows.shape[1])]
+            for ts, row in zip(times, rows):
+                _write_rows(fh, ts, tails, row)
     return path
 
 
 def write_state_csv(out_dir, state, name="initial_state.csv"):
     path = os.path.join(out_dir, name)
+    tails = [f",{idx}," for idx in range(state.w.shape[1])]
     with _open_w(path) as fh:
-        fh.write("component,kind,index,value_re,value_im\n")
+        fh.write(STATE_HEADER + "\n")
         for i in range(state.w.shape[0]):
-            for idx, v in enumerate(state.w[i]):
-                fh.write(f"{i + 1},w,{idx},{fmt_float(np.real(v))},{fmt_float(np.imag(v))}\n")
+            _write_rows(fh, f"{i + 1},w", tails, state.w[i])
             if state.wp is not None:
-                for idx, v in enumerate(state.wp[i]):
-                    fh.write(f"{i + 1},wp,{idx},{fmt_float(np.real(v))},{fmt_float(np.imag(v))}\n")
+                _write_rows(fh, f"{i + 1},wp", tails, state.wp[i])
     return path
 
 
 def write_trajectory_csv(out_dir, snapshots):
     path = os.path.join(out_dir, "trajectory.csv")
     with _open_w(path) as fh:
-        fh.write("t,component,index,value_re,value_im\n")
+        fh.write(SERIES_HEADER + "\n")
         for t, state in snapshots:
-            for i in range(state.w.shape[0]):
-                for row in _rows_of(state.w[i], i + 1, t):
-                    fh.write(",".join(str(c) for c in row) + "\n")
+            ts = fmt_float(t)
+            for i, row in enumerate(state.w):
+                _write_rows(fh, ts, [f",{i + 1},{idx}," for idx in range(row.shape[0])], row)
     return path
 
 
@@ -344,43 +351,144 @@ def _cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
+# control.csv is parsed this many lines at a time, so replay's peak memory
+# does not grow with the file (a whole-file parse of the wave demo's 8.7 MB
+# control.csv raises replay's peak RSS by about a third)
+REPLAY_BLOCK_LINES = 4096
+
+
+def _malformed(path, line, what):
+    return ConfigError(f"malformed {path}, line {line}: {what}")
+
+
+def _parse_block(lines, path, first_line):
+    """The lines as a (len(lines), 5) float array; ConfigError at the first
+    line that is not five comma-separated numbers (blank lines included)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an all-blank block warns "no data"
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if block.shape == (len(lines), 5):
+            return block
+    except (ValueError, UserWarning):
+        pass
+
+    def parses(line):
+        try:
+            return np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape == (1, 5)
+        except ValueError:
+            return False
+
+    j = next((j for j, line in enumerate(lines) if not line.strip() or not parses(line)), 0)
+    raise _malformed(path, first_line + j,
+                     f"expected five comma-separated numbers, got {lines[j].rstrip()!r}")
+
+
 def _read_control_csv(path, exp, sampling):
+    """Read control.csv block by block into the replay's ControlSignal.
+
+    Every (component, time node, index) of the controlled components must
+    appear exactly once, in any order; anything else raises ConfigError naming
+    the first offending line.
+    """
     M = step_count(exp.T, exp.dt)
-    t = exp.dt * np.arange(M + 1)
-    dtype = exp.sys.state_dtype
-    vals = {}
-    for k, kind, data in exp.sys._control_ops:
-        shape = (M + 1, exp.grid.n_total) if kind == "distributed" else (M + 1,)
-        vals[k] = np.zeros(shape, dtype=dtype)
+    ops = sorted((k, kind == "distributed") for k, kind, _ in exp.sys._control_ops)
+    # a trailing NaN entry absorbs components outside the controlled set
+    ks = np.array([k for k, _ in ops] + [np.nan])
+    widths = np.array([exp.grid.n_total if dist else 1 for _, dist in ops] + [0])
+    offsets = np.concatenate([[0], np.cumsum((M + 1) * widths)])
+    buf = np.zeros(offsets[-1], dtype=exp.sys.state_dtype)
+    seen = np.zeros(buf.shape, dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            k = int(row["component"])
-            n = int(round(float(row["t"]) / exp.dt))
-            v = float(row["value_re"]) + 1j * float(row["value_im"])
-            v = v if dtype == np.complex128 else float(np.real(v))
-            if vals[k].ndim == 2:
-                vals[k][n, int(row["index"])] = v
+        header = fh.readline().rstrip("\r\n")
+        if header != SERIES_HEADER:
+            raise _malformed(path, 1, f"header {header!r}, expected {SERIES_HEADER!r}")
+        line = 2
+        while lines := list(itertools.islice(fh, REPLAY_BLOCK_LINES)):
+            t, comp, idx, re, im = _parse_block(lines, path, line).T
+            slot = np.minimum(np.searchsorted(ks, comp), len(ops))
+            width = widths[slot]
+            steps = t / exp.dt
+            n = np.rint(steps)
+            checks = (
+                (ks[slot] == comp, lambda j: f"component {comp[j]:g} is not controlled"),
+                ((np.abs(steps - n) <= 1e-9) & (n >= 0) & (n <= M),
+                 lambda j: f"t={t[j]:.17g} is not a time node n*dt, n in 0..{M}"),
+                ((idx >= 0) & (idx < width) & (idx == np.floor(idx)),
+                 lambda j: f"index {idx[j]:g} outside 0..{width[j] - 1}"),
+                (np.isfinite(re) & np.isfinite(im), lambda j: "value is not finite"),
+            )
+            valid = np.logical_and.reduce([ok for ok, _ in checks])
+            rows = np.flatnonzero(valid)
+            flat = (offsets[slot] + n * width + idx)[rows].astype(np.intp)
+            repeat = np.ones(flat.shape, dtype=bool)
+            repeat[np.unique(flat, return_index=True)[1]] = False
+            bad = ~valid
+            bad[rows[repeat | seen[flat]]] = True
+            if bad.any():
+                j = int(np.argmax(bad))
+                what = next((why(j) for ok, why in checks if not ok[j]),
+                            "repeats an earlier (component, t, index)")
+                raise _malformed(path, line + j, what)
+            seen[flat] = True
+            if np.iscomplexobj(buf):
+                buf.real[flat] = re
+                buf.imag[flat] = im
             else:
-                vals[k][n] = v
+                buf[flat] = re
+            line += len(lines)
+    if not seen.all():
+        first = int(np.argmin(seen))
+        s = int(np.searchsorted(offsets, first, side="right")) - 1
+        n, i = divmod(first - int(offsets[s]), int(widths[s]))
+        raise ConfigError(f"malformed {path}: no row for component {ops[s][0]}, "
+                          f"t={fmt_float(n * exp.dt)}, index {i}")
+    vals = {k: buf[offsets[s]:offsets[s + 1]].reshape((M + 1, -1) if dist else (M + 1,))
+            for s, (k, dist) in enumerate(ops)}
     weights = trapezoid_weights(M, exp.dt) if sampling == "node" else interval_weights(M, exp.dt)
-    return ControlSignal(t, vals, weights, sampling)
+    return ControlSignal(exp.dt * np.arange(M + 1), vals, weights, sampling)
 
 
 def _read_state_csv(path, exp):
-    state = SystemState(0.0,
-                        np.zeros((exp.sys.N, exp.grid.n_total), dtype=exp.sys.state_dtype),
-                        np.zeros((exp.sys.N, exp.grid.n_total)) if exp.sys.is_hyperbolic else None)
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    """Read initial_state.csv; every (component, kind, index) must appear
+    exactly once, with kind ``wp`` only in the hyperbolic family."""
+    N, n_total = exp.sys.N, exp.grid.n_total
+    kinds = ("w", "wp") if exp.sys.is_hyperbolic else ("w",)
+    state = SystemState(0.0, np.zeros((N, n_total), dtype=exp.sys.state_dtype),
+                        np.zeros((N, n_total)) if exp.sys.is_hyperbolic else None)
+    seen = np.zeros((len(kinds), N, n_total), dtype=bool)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = ",".join(next(reader, []))
+        if header != STATE_HEADER:
+            raise _malformed(path, 1, f"header {header!r}, expected {STATE_HEADER!r}")
         for row in reader:
-            i = int(row["component"]) - 1
-            idx = int(row["index"])
-            v = float(row["value_re"]) + 1j * float(row["value_im"])
-            if row["kind"] == "w":
-                state.w[i, idx] = v if exp.sys.state_dtype == np.complex128 else float(np.real(v))
+            try:
+                comp, kind, idx, re, im = row
+                i, idx, v = int(comp) - 1, int(idx), complex(float(re), float(im))
+            except ValueError:
+                raise _malformed(path, reader.line_num,
+                                 f"expected {STATE_HEADER}, got {','.join(row)!r}") from None
+            if not 0 <= i < N:
+                what = f"component {comp} outside 1..{N}"
+            elif kind not in kinds:
+                what = f"kind {kind!r} is not one of {', '.join(kinds)}"
+            elif not 0 <= idx < n_total:
+                what = f"index {idx} outside 0..{n_total - 1}"
+            elif not np.isfinite(v):
+                what = "value is not finite"
+            elif seen[kinds.index(kind), i, idx]:
+                what = "repeats an earlier (component, kind, index)"
             else:
-                state.wp[i, idx] = float(np.real(v))
+                seen[kinds.index(kind), i, idx] = True
+                target = state.w if kind == "w" else state.wp
+                target[i, idx] = v if np.iscomplexobj(target) else v.real
+                continue
+            raise _malformed(path, reader.line_num, what)
+    if not seen.all():
+        s, i, idx = np.unravel_index(int(np.argmin(seen)), seen.shape)
+        raise ConfigError(f"malformed {path}: no row for component {i + 1}, "
+                          f"kind {kinds[s]}, index {idx}")
     return state
 
 
@@ -394,12 +502,18 @@ def _cmd_replay(args):
             print(f"replay: missing {os.path.basename(path)} in {run_dir}", file=_sys.stderr)
             return 1
     with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed {report_path}: {exc}") from None
     if "hum" not in report:
         print("replay: report carries no control synthesis", file=_sys.stderr)
         return 1
-    exp = build_experiment(report["config"])
     stored = report["hum"]
+    needed = ("terminal_energy_full", "terminal_energy_filtered")
+    if "config" not in report or not all(key in stored for key in needed):
+        raise ConfigError(f"malformed {report_path}: needs config and hum.{', hum.'.join(needed)}")
+    exp = build_experiment(report["config"])
     signal = _read_control_csv(control_path, exp, stored.get("control_sampling", "node"))
     initial = _read_state_csv(state_path, exp)
     seeds = SeedSpace(exp.sys, exp.K_filter)

@@ -40,17 +40,27 @@ _TOP_KEYS = {
 }
 
 
+# gcc/analysis entries that the subcommands use as counts
+_INT_KEYS = {"n_rays", "n_samples", "K", "levels"}
+
+
 def _require(cond, message):
     if not cond:
         raise ConfigError(message)
 
 
 def _num(value, where, kind=float):
-    """kind(value), or a ConfigError naming the entry when it is not a number."""
+    """kind(value), or a ConfigError naming the entry when it is not a number
+    (or, for ``kind=int``, not an integral one: 10.9 is refused, 10.0 is 10)."""
     try:
-        return kind(value)
+        x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if kind is not int:
+        return x
+    if not x.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value if isinstance(value, int) else int(x)
 
 
 def _check_keys(obj, allowed, where):
@@ -186,6 +196,14 @@ def validate_config(cfg):
             _require(_num(entry["random"].get("norm", 1.0), "initial.random.norm") >= 0,
                      "random norm must be >= 0")
             _num(entry["random"].get("seed", 0), "initial.random.seed", int)
+        for key in ("position_modes", "velocity_modes", "modes"):
+            pairs = entry.get(key) or []
+            _require(isinstance(pairs, list) and all(isinstance(q, list) and len(q) == 2
+                                                     for q in pairs),
+                     f"initial.{key} must be a list of [mode, coefficient] pairs")
+            for mode, coef in pairs:
+                _num(mode, f"initial.{key}", int)
+                _num(coef, f"initial.{key}")
         if fam["kind"] == "hyperbolic":
             _require("modes" not in entry, "hyperbolic initial data uses position/velocity_modes")
         else:
@@ -197,9 +215,10 @@ def validate_config(cfg):
         if where in cfg:
             _check_keys(cfg[where], allowed, where)
             for key, value in cfg[where].items():
+                kind = int if key in _INT_KEYS else float
                 for v in value if isinstance(value, list) else [value]:
                     if v is not None:
-                        _num(v, f"{where}.{key}")
+                        _num(v, f"{where}.{key}", kind)
     if "seed" in cfg:
         _require(isinstance(cfg["seed"], int), "seed must be an integer")
     if "indicator_taper" in cfg:

@@ -58,7 +58,8 @@ def test_replay_detects_perturbed_control(demo_dir, tmp_path):
     assert main(["control", "--config", str(path)]) == 0
     out = cfg["output_dir"]
     csv_path = os.path.join(out, "control.csv")
-    lines = open(csv_path).read().split("\n")
+    with open(csv_path) as fh:
+        lines = fh.read().split("\n")
     for i, line in enumerate(lines):
         parts = line.split(",")
         if len(parts) == 5 and parts[0] != "t":
@@ -67,7 +68,8 @@ def test_replay_detects_perturbed_control(demo_dir, tmp_path):
                 parts[3] = repr(v * 1.01)
                 lines[i] = ",".join(parts)
                 break
-    open(csv_path, "w").write("\n".join(lines))
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines))
     assert main(["replay", out]) == 2
 
 
@@ -128,6 +130,31 @@ def test_non_numeric_config_value_exits_1(tmp_path, capsys, section, key, value)
     path.write_text(json.dumps(cfg))
     assert main(["check", "--config", str(path)]) == 1
     assert f"{section}.{key} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("hum", "K_filter", 10.9), ("domain", "n", [60.7]), ("gcc", "n_rays", 402.5),
+    ("analysis", "K", 2.5), ("analysis", "n_samples", 5.5), ("analysis", "levels", [40.5]),
+    ("initial", "position_modes", [[1.5, 1.0]]),
+])
+def test_non_integral_config_value_exits_1(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    if section == "initial":
+        cfg["initial"][0][key] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
+    cfg["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path)]) == 1
+    assert f"{section}.{key} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_config_value_is_accepted():
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    cfg["hum"]["K_filter"] = 30.0
+    cfg["analysis"] = {"K": 3.0, "levels": [200.0]}
+    validate_config(cfg)
 
 
 def test_check_subcommand(demo_dir, tmp_path):
@@ -226,9 +253,7 @@ def test_outputs_bitwise_deterministic(demo_dir, tmp_path):
     assert main(["control", "--config", str(p1)]) == 0
     assert main(["control", "--config", str(p2)]) == 0
     for name in ("control.csv", "initial_state.csv", "spectra.csv"):
-        b1 = open(tmp_path / "d1" / name, "rb").read()
-        b2 = open(tmp_path / "d2" / name, "rb").read()
-        assert b1 == b2
+        assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
 
 
 def test_dissipative_control_and_replay(demo_dir, tmp_path):
@@ -263,7 +288,8 @@ def test_control_snapshots_write_trajectory(demo_dir, tmp_path):
     assert main(["control", "--config", str(path), "--snapshots", "4"]) == 0
     traj = os.path.join(cfg["output_dir"], "trajectory.csv")
     assert os.path.exists(traj)
-    header = open(traj).readline().strip()
+    with open(traj) as fh:
+        header = fh.readline().strip()
     assert header == "t,component,index,value_re,value_im"
 
 
