@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,18 @@ def _require(cond, message):
 
 
 def _num(value, where, kind=float):
-    """kind(value), or a ConfigError naming the entry when it is not a number
-    (or, for ``kind=int``, not an integral one: 10.9 is refused, 10.0 is 10)."""
+    """kind(value), or a ConfigError naming the entry when it is not a finite
+    number (or, for ``kind=int``, not an integral one: 10.9 is refused, 10.0
+    is 10). Strings and booleans are refused even where float() would take
+    them, so one experiment has one spelling and one config hash."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     if kind is not int:
         return x
     if not x.is_integer():
@@ -170,7 +177,7 @@ def validate_config(cfg):
     if "cg_tol" in hum:
         _require(_num(hum["cg_tol"], "hum.cg_tol") > 0, "hum.cg_tol must be positive")
     if hum.get("max_iter") is not None:
-        _require(isinstance(hum["max_iter"], int) and hum["max_iter"] >= 0,
+        _require(_num(hum["max_iter"], "hum.max_iter", int) >= 0,
                  "hum.max_iter must be a nonnegative integer")
     if "eps_list" in hum:
         lst = hum["eps_list"]
@@ -195,7 +202,8 @@ def validate_config(cfg):
             _check_keys(entry["random"], {"norm", "seed"}, "initial.random")
             _require(_num(entry["random"].get("norm", 1.0), "initial.random.norm") >= 0,
                      "random norm must be >= 0")
-            _num(entry["random"].get("seed", 0), "initial.random.seed", int)
+            _require(_num(entry["random"].get("seed", 0), "initial.random.seed", int) >= 0,
+                     "initial.random.seed must be a nonnegative integer")
         for key in ("position_modes", "velocity_modes", "modes"):
             pairs = entry.get(key) or []
             _require(isinstance(pairs, list) and all(isinstance(q, list) and len(q) == 2
@@ -220,7 +228,7 @@ def validate_config(cfg):
                     if v is not None:
                         _num(v, f"{where}.{key}", kind)
     if "seed" in cfg:
-        _require(isinstance(cfg["seed"], int), "seed must be an integer")
+        _require(_num(cfg["seed"], "seed", int) >= 0, "seed must be a nonnegative integer")
     if "indicator_taper" in cfg:
         _require(_num(cfg["indicator_taper"], "indicator_taper") >= 0,
                  "indicator_taper must be >= 0")

@@ -32,9 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import CflViolationError
 from .operators import (
@@ -506,34 +503,64 @@ def leapfrog_energy(sys, y_a, y_b, dt):
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
 class _ComponentSolver:
-    """Factored solve of (I + kappa A) on one component field."""
+    """Factored solve of (I + kappa A) on one component field.
+
+    In 1D the tridiagonal matrix is LU-factored once (LAPACK ?gttrf) and every
+    solve is a ?gttrs back-substitution, which returns the same bits as
+    ``scipy.linalg.solve_banded`` (?gtsv) on the same matrix. scipy is imported
+    here rather than at module level, so second-order runs never load it.
+    """
 
     def __init__(self, op, kappa):
-        self.kappa = kappa
         grid = op.grid
         dtype = np.complex128 if isinstance(kappa, complex) else np.float64
+        self._lu = None
         if grid.dim == 1:
+            from scipy.linalg import get_lapack_funcs
+
             n = grid.n[0]
             h2 = grid.h[0] ** 2
-            ab = np.zeros((3, n), dtype=dtype)
-            ab[0, 1:] = -kappa / h2
-            ab[1, :] = 1.0 + 2.0 * kappa / h2
-            ab[2, :-1] = -kappa / h2
-            self._ab = ab
-            self._lu = None
+            off = np.full(n - 1, -kappa / h2, dtype=dtype)
+            diag = np.full(n, 1.0 + 2.0 * kappa / h2, dtype=dtype)
+            _require_finite(diag)  # finite diag means finite kappa / h2, so finite off
+            self._dtype = diag.dtype
+            self._gtsv = None
+            if n >= 3:
+                gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+                *self._factors, info = gttrf(off, diag, off)
+                if info > 0:
+                    raise np.linalg.LinAlgError("singular matrix")
+            else:
+                # scipy's ?gttrf/?gttrs wrappers refuse n = 2; ?gtsv solves it directly
+                self._gtsv, = get_lapack_funcs(("gtsv",), (diag,))
+                self._factors = (off, diag, off)
         else:
+            import scipy.sparse
+            import scipy.sparse.linalg
+
             mat = scipy.sparse.identity(grid.n_total, dtype=dtype, format="csc") + kappa * op.to_sparse().astype(dtype)
             self._lu = scipy.sparse.linalg.splu(mat.tocsc())
-            self._ab = None
 
     def solve(self, rhs):
         """Solve for fields (..., n_total); a batch goes as many right-hand sides in one call."""
         cols = rhs.reshape(-1, rhs.shape[-1]).T
         if self._lu is not None:
-            out = self._lu.solve(cols)
+            return self._lu.solve(cols).T.reshape(rhs.shape)
+        if not np.can_cast(cols.dtype, self._dtype):
+            raise ValueError(f"{cols.dtype} right-hand side for a {self._dtype} factorization")
+        _require_finite(cols)
+        if self._gtsv is None:
+            out, info = self._gttrs(*self._factors, cols)
         else:
-            out = scipy.linalg.solve_banded((1, 1), self._ab, cols)
+            *_, out, info = self._gtsv(*self._factors, cols)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular matrix")
         return out.T.reshape(rhs.shape)
 
 

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import HypothesisViolatedError
 from .geometry import Grid, Region, indicator_vector
@@ -85,6 +84,9 @@ class EllipticOperator:
         return float(lo), float(hi)
 
     def to_sparse(self):
+        """The stencil as a scipy CSR matrix (scipy is loaded on first call)."""
+        import scipy.sparse
+
         g = self.grid
         def lap1d(m, h):
             main = np.full(m, 2.0 / h**2)

@@ -132,6 +132,43 @@ def test_non_numeric_config_value_exits_1(tmp_path, capsys, section, key, value)
     assert f"{section}.{key} must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    # numeric strings: float() takes them, but the config hash would differ
+    ("hum", "K_filter", "10", "hum.K_filter must be a number"),
+    ("time", "T", "3", "time.T must be a number"),
+    ("domain", "n", ["60"], "domain.n must be a number"),
+    # JSON true is not the integer 1
+    ("hum", "K_filter", True, "hum.K_filter must be a number"),
+    ("hum", "max_iter", True, "hum.max_iter must be a number"),
+    ("domain", "n", [False], "domain.n must be a number"),
+    # Python's json parses NaN and Infinity
+    ("domain", "extents", [math.inf], "domain.extents must be a finite number"),
+    ("time", "T", math.nan, "time.T must be a finite number"),
+    ("hum", "eps", -math.inf, "hum.eps must be a finite number"),
+    ("gcc", "dt_ray", math.inf, "gcc.dt_ray must be a finite number"),
+])
+def test_string_bool_and_non_finite_config_values_exit_1(tmp_path, capsys, section, key, value,
+                                                         message):
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    cfg[section][key] = value
+    cfg["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,value", [("seed", True), ("seed", -1), ("random", -1)])
+def test_config_rejects_bool_and_negative_seeds(where, value):
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    if where == "seed":
+        cfg["seed"] = value
+    else:
+        cfg["initial"][0] = {"component": 1, "random": {"seed": value}}
+    with pytest.raises(cl.ConfigError, match="seed must be a"):
+        validate_config(cfg)
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("hum", "K_filter", 10.9), ("domain", "n", [60.7]), ("gcc", "n_rays", 402.5),
     ("analysis", "K", 2.5), ("analysis", "n_samples", 5.5), ("analysis", "levels", [40.5]),

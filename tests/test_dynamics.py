@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascade_lab as cl
-from cascade_lab.dynamics import step_count
+from cascade_lab.dynamics import _ComponentSolver, step_count
 
 from conftest import chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
 
@@ -231,6 +233,67 @@ def test_control_signal_grid_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
+# Crank-Nicolson component solve
+# ---------------------------------------------------------------------------
+
+
+def _solve_banded_reference(op, kappa, rhs):
+    """The solve the factor-once path replaced: scipy.linalg.solve_banded on I + kappa A."""
+    from scipy.linalg import solve_banded
+
+    n, h2 = op.grid.n[0], op.grid.h[0] ** 2
+    ab = np.zeros((3, n), dtype=np.complex128 if isinstance(kappa, complex) else np.float64)
+    ab[0, 1:] = -kappa / h2
+    ab[1, :] = 1.0 + 2.0 * kappa / h2
+    ab[2, :-1] = -kappa / h2
+    return solve_banded((1, 1), ab, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("kappa", [0.5 * 0.0016, 0.5 * 0.004 * np.exp(-0.6j),
+                                   0.5 * 0.004 * np.exp(-0.5j * math.pi)])
+@pytest.mark.parametrize("n_rhs", [1, 24])
+@pytest.mark.parametrize("n", [2, 3, 100])
+def test_component_solver_matches_solve_banded_bitwise(kappa, n_rhs, n):
+    op = cl.assemble_operator(cl.build_grid([1.0], [n]))
+    solver = _ComponentSolver(op, kappa)
+    rng = np.random.default_rng(n * n_rhs)
+    shape = (n,) if n_rhs == 1 else (n_rhs, n)
+    rhs = rng.standard_normal(shape)
+    if isinstance(kappa, complex):
+        rhs = rhs + 1j * rng.standard_normal(shape)
+    for _ in range(3):  # the factorization is reused across solves
+        out = solver.solve(rhs)
+        assert np.array_equal(out, _solve_banded_reference(op, kappa, rhs))
+        rhs = out
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [2, 50])
+def test_component_solver_rejects_non_finite_rhs(bad, n):
+    solver = _ComponentSolver(cl.assemble_operator(cl.build_grid([1.0], [n])), 0.001)
+    rhs = np.ones((4, n))
+    rhs[2, n // 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.solve(rhs)
+
+
+def test_component_solver_rejects_non_finite_matrix_and_complex_rhs():
+    op = cl.assemble_operator(cl.build_grid([1.0], [20]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _ComponentSolver(op, math.inf)
+    with pytest.raises(ValueError, match="complex128 right-hand side"):
+        _ComponentSolver(op, 0.001).solve(np.ones(20) + 1j)
+
+
+@pytest.mark.parametrize("extent,n,kappa", [(4.0, 3, -0.5), (3.0, 2, -1.0)])
+def test_component_solver_singular_matrix_raises(extent, n, kappa):
+    # h = 1: zero diagonal with off-diagonals 1/2 (n = 3), or [[-1, 1], [1, -1]] (n = 2)
+    op = cl.assemble_operator(cl.build_grid([extent], [n]))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _ComponentSolver(op, kappa).solve(np.ones(n))
+
+
+# ---------------------------------------------------------------------------
 # adjoint solve and duality
 # ---------------------------------------------------------------------------
 
@@ -360,6 +423,75 @@ def test_2d_duality_both_families():
         lhs = cl.forward_duality_pairing(sys, f, seed, T, dt)
         rhs = cl.adjoint_duality_quadrature(cl.adjoint_system(sys), f, seed, T, dt)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+@st.composite
+def _duality_cases(draw, dim, N):
+    """A random N-component system on a dim-D box with random couplings and
+    controls, a time grid, and a seed for the numpy draws."""
+    extents = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
+    n = [draw(st.integers(4, 40) if dim == 1 else st.integers(3, 8)) for _ in range(dim)]
+    grid = cl.build_grid(extents, n)
+    op = cl.assemble_operator(grid)
+    basis = cl.spectral_basis(op, 2)
+
+    def box():
+        # at least 0.3 of each side, so every box holds grid nodes
+        parts = []
+        for L in extents:
+            width = draw(st.floats(0.3, 0.7))
+            lo = draw(st.floats(0.0, 1.0 - width))
+            parts.append([lo * L, (lo + width) * L])
+        return cl.region_from_bounds([parts], draw(st.floats(0.1, 5.0)))
+
+    p = draw(st.integers(0, N - 1))
+    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
+    coupled = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coupling = cl.CouplingSpec.from_dict(N, {pair: box() for pair in coupled})
+    controls = []
+    for k in range(p + 1, N + 1):
+        if dim == 1 and draw(st.booleans()):
+            controls.append((k, cl.BoundaryEnd(draw(st.sampled_from(["left", "right"])),
+                                               draw(st.floats(0.1, 2.0)))))
+        else:
+            controls.append((k, cl.Distributed(box())))
+    if draw(st.booleans()):
+        family = cl.Hyperbolic()
+    else:
+        family = cl.Dissipative(draw(st.floats(-math.pi / 2, math.pi / 2)))
+    sys = cl.CascadeSystem(family, op, basis, N, p, coupling, cl.ControlSpec(N, p, tuple(controls)))
+    T = draw(st.floats(0.1, 1.0))
+    dt = chained_dt(sys, T) if sys.is_hyperbolic else T / draw(st.integers(2, 40))
+    return sys, T, dt, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_discrete_duality_property(dim, N, data):
+    """<F(f + B v), seed> equals the adjoint quadrature to criterion 1's 1e-10."""
+    sys, T, dt, seed_bits = data.draw(_duality_cases(dim, N))
+    rng = np.random.default_rng(seed_bits)
+    dtype = sys.state_dtype
+
+    def draw_array(shape):
+        a = rng.standard_normal(shape).astype(dtype)
+        return a + 1j * rng.standard_normal(shape) if dtype == np.complex128 else a
+
+    M = step_count(T, dt)
+    n = sys.grid.n_total
+    steps = M + 1 if sys.is_hyperbolic else M
+    forcing = draw_array((steps, sys.N, n))
+    for k, kind, _ in sys._control_ops:
+        sys.inject(forcing, k, draw_array((steps, n) if kind == "distributed" else (steps,)))
+    if sys.is_hyperbolic:
+        seed = cl.SystemState(T, rng.standard_normal((sys.N, n)), rng.standard_normal((sys.N, n)))
+    else:
+        seed = cl.SystemState(T, draw_array((sys.N, n)))
+    lhs = cl.forward_duality_pairing(sys, forcing, seed, T, dt)
+    rhs = cl.adjoint_duality_quadrature(cl.adjoint_system(sys), forcing, seed, T, dt)
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
 def test_solve_records_snapshots_and_observations():
