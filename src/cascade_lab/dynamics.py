@@ -511,10 +511,10 @@ def _require_finite(a):
 class _ComponentSolver:
     """Factored solve of (I + kappa A) on one component field.
 
-    In 1D the tridiagonal matrix is LU-factored once (LAPACK ?gttrf) and every
-    solve is a ?gttrs back-substitution, which returns the same bits as
-    ``scipy.linalg.solve_banded`` (?gtsv) on the same matrix. scipy is imported
-    here rather than at module level, so second-order runs never load it.
+    In 1D each solve is one LAPACK ?gtsv call on the tridiagonal matrix, the
+    routine ``scipy.linalg.solve_banded`` calls, without its per-call
+    validation. scipy is imported here rather than at module level, so
+    second-order runs never load it.
     """
 
     def __init__(self, op, kappa):
@@ -529,17 +529,8 @@ class _ComponentSolver:
             off = np.full(n - 1, -kappa / h2, dtype=dtype)
             diag = np.full(n, 1.0 + 2.0 * kappa / h2, dtype=dtype)
             _require_finite(diag)  # finite diag means finite kappa / h2, so finite off
-            self._dtype = diag.dtype
-            self._gtsv = None
-            if n >= 3:
-                gttrf, self._gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-                *self._factors, info = gttrf(off, diag, off)
-                if info > 0:
-                    raise np.linalg.LinAlgError("singular matrix")
-            else:
-                # scipy's ?gttrf/?gttrs wrappers refuse n = 2; ?gtsv solves it directly
-                self._gtsv, = get_lapack_funcs(("gtsv",), (diag,))
-                self._factors = (off, diag, off)
+            self._gtsv, = get_lapack_funcs(("gtsv",), (diag,))
+            self._bands = (off, diag, off)
         else:
             import scipy.sparse
             import scipy.sparse.linalg
@@ -552,15 +543,13 @@ class _ComponentSolver:
         cols = rhs.reshape(-1, rhs.shape[-1]).T
         if self._lu is not None:
             return self._lu.solve(cols).T.reshape(rhs.shape)
-        if not np.can_cast(cols.dtype, self._dtype):
-            raise ValueError(f"{cols.dtype} right-hand side for a {self._dtype} factorization")
+        dtype = self._bands[1].dtype
+        if not np.can_cast(cols.dtype, dtype):
+            raise ValueError(f"{cols.dtype} right-hand side for a {dtype} matrix")
         _require_finite(cols)
-        if self._gtsv is None:
-            out, info = self._gttrs(*self._factors, cols)
-        else:
-            *_, out, info = self._gtsv(*self._factors, cols)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular matrix")
+        *_, out, info = self._gtsv(*self._bands, cols)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         return out.T.reshape(rhs.shape)
 
 

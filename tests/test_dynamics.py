@@ -238,7 +238,7 @@ def test_control_signal_grid_mismatch_rejected():
 
 
 def _solve_banded_reference(op, kappa, rhs):
-    """The solve the factor-once path replaced: scipy.linalg.solve_banded on I + kappa A."""
+    """The solve the direct ?gtsv path replaced: scipy.linalg.solve_banded on I + kappa A."""
     from scipy.linalg import solve_banded
 
     n, h2 = op.grid.n[0], op.grid.h[0] ** 2
@@ -261,7 +261,7 @@ def test_component_solver_matches_solve_banded_bitwise(kappa, n_rhs, n):
     rhs = rng.standard_normal(shape)
     if isinstance(kappa, complex):
         rhs = rhs + 1j * rng.standard_normal(shape)
-    for _ in range(3):  # the factorization is reused across solves
+    for _ in range(3):  # one solver serves every step of a march
         out = solver.solve(rhs)
         assert np.array_equal(out, _solve_banded_reference(op, kappa, rhs))
         rhs = out

@@ -28,9 +28,13 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in
 
 def _scipy_modules_after(tmp_path, runs):
     """Run CLI invocations (name, subcommand, config, exit code) in one fresh
-    interpreter and return the scipy.linalg / scipy.sparse modules it loaded."""
+    interpreter and return the scipy.linalg / scipy.sparse modules it loaded.
+    A ``replay`` run takes no config; its name is the run directory it replays."""
     argvs = []
     for name, command, cfg, code in runs:
+        if command == "replay":
+            argvs.append([[command, str(tmp_path / name)], code])
+            continue
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         argvs.append([[command, "--config", str(path), "--out", str(tmp_path / name)], code])
@@ -58,6 +62,7 @@ def test_wave_and_2d_runs_never_load_scipy_linalg_or_sparse(tmp_path):
                           "boxes": [[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]]}]
     loaded = _scipy_modules_after(tmp_path, [("wave_check", "check", wave, 0),
                                              ("wave_control", "control", wave, 0),
+                                             ("wave_control", "replay", None, 0),
                                              ("square_gcc", "gcc", square, 0),
                                              ("square_check", "check", square, 0),
                                              ("square_obs", "observability", square, 0)])
