@@ -53,8 +53,6 @@ from .dynamics import (
     cfl_time_step,
     energy,
     forward_duality_pairing,
-    leapfrog_energy,
-    solve_adjoint,
     solve_dissipative,
     solve_hyperbolic,
     state_l2_norm,

@@ -99,6 +99,9 @@ def observability_constants(sys, T, dt, K_filter, which="control", pi_region=Non
             pi_region = sys.coupling.entries[0][1]
         target = _single_equation_variant(sys, pi_region)
     elif which == "control":
+        if not sys.control.entries:
+            raise NotApplicableError("system carries no control; the control observability "
+                                     "constant is undefined")
         target = sys
     else:
         raise ValueError("which must be 'control' or 'coupling'")
@@ -166,7 +169,8 @@ def kalman_mode_test(coupling, control, basis, K):
         C[i - 1, j - 1] = amp
     controlled = control.controlled
     if not controlled:
-        raise ValueError("control spec has no controlled component")
+        raise NotApplicableError("system carries no control; the Kalman test needs a "
+                                 "controlled component")
     B = np.zeros((N, len(controlled)))
     for col, k in enumerate(controlled):
         B[k - 1, col] = 1.0
@@ -214,7 +218,8 @@ class AdmissibilityReport:
 def _control_template(control):
     for _, kind in control.entries:
         return kind
-    raise ValueError("control spec has no controlled component")
+    raise NotApplicableError("system carries no control; the admissibility check observes "
+                             "through the first control")
 
 
 def _ratio_or_none(lhs, rhs):

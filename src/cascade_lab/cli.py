@@ -22,7 +22,12 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .analysis import admissibility_ratio, kalman_mode_test, observability_constants
+from .analysis import (
+    ObservabilityReport,
+    admissibility_ratio,
+    kalman_mode_test,
+    observability_constants,
+)
 from .config import build_experiment, config_hash, load_config
 from .dynamics import (
     ControlSignal,
@@ -31,11 +36,10 @@ from .dynamics import (
     interval_weights,
     solve_dissipative,
     solve_hyperbolic,
-    state_l2_norm,
     step_count,
     trapezoid_weights,
 )
-from .errors import CascadeLabError, ConfigError
+from .errors import CascadeLabError, ConfigError, NotApplicableError
 from .geometry import gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
 from .operators import HypothesisReport, verify_coupling_bounds, verify_operator_coercivity
@@ -291,10 +295,15 @@ def _cmd_observability(args):
     ana = exp.cfg.get("analysis", {})
     t_grid = [float(t) for t in ana.get("t_grid", [exp.T])]
     K = int(ana.get("K", min(exp.K_filter, 5)))
-    reports = []
+    reports, notes = [], []
     for T in t_grid:
-        rep = observability_constants(exp.sys, T, exp.dt, K, which="control")
-        entry = rep.to_dict()
+        try:
+            entry = observability_constants(exp.sys, T, exp.dt, K, which="control").to_dict()
+        except NotApplicableError as exc:
+            if not exp.coupling_regions:
+                raise
+            entry = ObservabilityReport(T, exp.dt, K, "control", []).to_dict()
+            notes = [f"c1_est is null: {exc}"]
         if exp.coupling_regions:
             rep2 = observability_constants(exp.sys, T, exp.dt, K, which="coupling")
             entry["c2_est"] = rep2.c2_est
@@ -303,10 +312,13 @@ def _cmd_observability(args):
     out = _out_dir(exp, args)
     payload = _base_report(exp, "observability")
     payload["observability"] = reports
+    payload["notes"] += notes
     payload["verdict"] = "pass"
     write_report(out, payload)
     write_spectra_csv(out, reports[-1]["eigenvalues"])
-    print(f"observability: c1_est {reports[-1]['c1_est']:.6g} at T={t_grid[-1]:g} -> {out}")
+    c1 = reports[-1]["c1_est"]
+    print(f"observability: c1_est {'null' if c1 is None else f'{c1:.6g}'} "
+          f"at T={t_grid[-1]:g} -> {out}")
     return 0
 
 

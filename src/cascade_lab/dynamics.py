@@ -11,9 +11,12 @@ Two evolution families share one state layout:
   cascade pattern is block-triangular, so the implicit solve is one banded (or
   factored sparse) solve per component per step, in cascade order.
 
-Adjoint solves run the transposed-cascade homogeneous system backward with the
-same stencils and step rules. Sampling conventions are chosen so that the
-discrete duality identity
+Each family has one forward and one backward march; the backward march runs
+the transposed-cascade homogeneous system with the same stencils and step
+rules. A march returns only its terminal data and takes one optional ``visit``
+hook that sees each time level as it is made: snapshots, observations,
+energies and duality sums are visitors. Sampling conventions are chosen so
+that the discrete duality identity
 
     pairing(terminal state, seed) = time-quadrature of <forcing, adjoint>
 
@@ -29,13 +32,12 @@ and first-order-family signals are piecewise constant per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CflViolationError
 from .operators import (
-    BoundaryEnd,
     ControlSpec,
     CouplingSpec,
     Distributed,
@@ -280,20 +282,6 @@ def interval_weights(M, dt):
     return w
 
 
-def zero_signal(sys, T, dt, sampling="node"):
-    M = step_count(T, dt)
-    t = dt * np.arange(M + 1)
-    dtype = sys.state_dtype
-    vals = {}
-    for k, kind, data in sys._control_ops:
-        if kind == "distributed":
-            vals[k] = np.zeros((M + 1, sys.grid.n_total), dtype=dtype)
-        else:
-            vals[k] = np.zeros(M + 1, dtype=dtype)
-    weights = trapezoid_weights(M, dt) if sampling == "node" else interval_weights(M, dt)
-    return ControlSignal(t, vals, weights, sampling)
-
-
 @dataclass
 class EnergyReport:
     """Natural energy per component and its sum.
@@ -375,53 +363,36 @@ def _forcing_into(sys, out, control, forcing, n):
         out += forcing[n]
 
 
-def _observation_arrays(sys, n_samples, batch, dtype):
-    """Zeroed sample arrays per controlled component: (n_samples, *batch[, n_total])."""
-    obs = {}
+def _observation_recorder(sys, n_samples, batch, factor=1.0):
+    """(arrays, visit): zeroed arrays[k] of shape (n_samples, *batch[, n_total])
+    per controlled component, and the march hook visit(n, field, velocity=None)
+    that stores factor * sys.extract(k, field, velocity) as sample n. For
+    Crank-Nicolson midpoints the factor is the phase e^{i theta}."""
+    arrays = {}
     for k, kind, _ in sys._control_ops:
         tail = (sys.grid.n_total,) if kind == "distributed" else ()
-        obs[k] = np.zeros((n_samples,) + batch + tail, dtype=dtype)
-    return obs
+        arrays[k] = np.zeros((n_samples,) + batch + tail, dtype=sys.state_dtype)
+
+    def visit(n, fld, velocity=None):
+        for k, arr in arrays.items():
+            arr[n] = factor * sys.extract(k, fld, velocity)
+
+    return arrays, visit
 
 
-def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, collect=()):
-    """Forward leapfrog over M steps; returns the last two levels and extras.
+def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit=None):
+    """Forward leapfrog over M steps; returns (y^{M-1}, y^M, velocity at T).
 
     States may carry leading batch axes, (..., N, n_total); controls and
-    forcing act on every batch member alike. ``collect`` may contain
-    "observations" (node-sampled adjoint observations of the running
-    trajectory), "energies" (natural energy at each node) and "snapshots"
-    (dict idx -> (w, w') readouts, requested via collect_snapshots).
+    forcing act on every batch member alike. ``visit(n, y, velocity)``, when
+    given, sees every node with its second-order velocity readout as it is
+    made; without it no per-step velocity is computed.
     """
     dt2 = dt * dt
-    batch = w0.shape[:-2]
-    want_obs = "observations" in collect
-    want_energy = "energies" in collect
-    snap_idx = collect["snapshots"] if isinstance(collect, dict) else {}
-
-    obs = _observation_arrays(sys, M + 1, batch, np.float64) if want_obs else None
-    energies = np.zeros((M + 1,) + batch) if want_energy else None
-    snapshots = {}
-
-    hvol = sys.grid.hvol
-
-    def record(n, y_cur, vel):
-        if want_obs:
-            for k in obs:
-                obs[k][n] = sys.extract(k, y_cur, velocity=vel)
-        if want_energy:
-            stiff = np.sum(sys.op.matvec(y_cur) * y_cur, axis=(-2, -1)) * hvol
-            kin = np.sum(vel * vel, axis=(-2, -1)) * hvol
-            energies[n] = 0.5 * (stiff + kin)
-        if n in snap_idx:
-            snapshots[n] = (y_cur.copy(), vel.copy())
-
-    need_side = want_obs or want_energy or bool(snap_idx)
-
     acc = -sys.apply_system(w0)
     _forcing_into(sys, acc, control, forcing, 0)
-    if need_side:
-        record(0, w0, wp0)
+    if visit is not None:
+        visit(0, w0, wp0)
     y_prev = w0.copy()
     y_cur = w0 + dt * wp0 + 0.5 * dt2 * acc
 
@@ -429,73 +400,40 @@ def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, collect=()):
         acc = -sys.apply_system(y_cur)
         _forcing_into(sys, acc, control, forcing, n)
         y_next = 2.0 * y_cur - y_prev + dt2 * acc
-        if need_side:
+        if visit is not None:
             # second-order central velocity at the interior node
-            record(n, y_cur, (y_next - y_prev) / (2.0 * dt))
+            visit(n, y_cur, (y_next - y_prev) / (2.0 * dt))
         y_prev, y_cur = y_cur, y_next
 
     acc = -sys.apply_system(y_cur)
     _forcing_into(sys, acc, control, forcing, M)
     vel_T = (y_cur - y_prev) / dt + 0.5 * dt * acc
-    if need_side:
-        record(M, y_cur, vel_T)
-    return {
-        "levels": (y_prev, y_cur),
-        "terminal": SystemState(M * dt, y_cur.copy(), vel_T),
-        "observations": obs,
-        "energies": energies,
-        "snapshots": snapshots,
-    }
+    if visit is not None:
+        visit(M, y_cur, vel_T)
+    return y_prev, y_cur, vel_T
 
 
-def _hyp_adjoint(sys, phi_M, phi_M1, M, dt, collect=("observations",), visit=None):
+def _hyp_adjoint(sys, phi_M, phi_M1, M, dt, visit=None):
     """Backward leapfrog of the homogeneous (transposed) system.
 
     Starts from the two levels (phi^M, phi^{M-1}), each (..., N, n_total), and
-    recurses down to phi^0, recording the requested data. Observations are
-    node-sampled values of the extraction operator applied to the running
-    field. ``visit(n, phi_n)``, when given, sees every level as it is made, so
-    a caller can reduce the trajectory on the fly instead of storing it.
+    recurses down to phi^0; returns the adjoint SystemState at t = 0.
+    ``visit(n, phi_n)``, when given, sees every level as it is made, so a
+    caller can reduce the trajectory on the fly instead of storing it.
     """
     dt2 = dt * dt
-    want_obs = "observations" in collect
-    want_traj = "trajectory" in collect
-
-    obs = _observation_arrays(sys, M + 1, phi_M.shape[:-2], np.float64) if want_obs else None
-    traj = np.zeros((M + 1,) + phi_M.shape) if want_traj else None
-
-    def record(n, fld):
-        if want_obs:
-            for k in obs:
-                obs[k][n] = sys.extract(k, fld)
-        if want_traj:
-            traj[n] = fld
-        if visit is not None:
-            visit(n, fld)
-
-    record(M, phi_M)
-    record(M - 1, phi_M1)
+    if visit is not None:
+        visit(M, phi_M)
+        visit(M - 1, phi_M1)
     phi_next, phi_cur = phi_M, phi_M1
     for n in range(M - 1, 0, -1):
         phi_prevl = 2.0 * phi_cur - phi_next - dt2 * sys.apply_system(phi_cur)
-        record(n - 1, phi_prevl)
+        if visit is not None:
+            visit(n - 1, phi_prevl)
         phi_next, phi_cur = phi_cur, phi_prevl
     # phi_cur = phi^0, phi_next = phi^1
     vel0 = (phi_next - phi_cur) / dt + 0.5 * dt * sys.apply_system(phi_cur)
-    initial = SystemState(0.0, phi_cur.copy(), vel0)
-    return {"observations": obs, "trajectory": traj, "initial": initial}
-
-
-def leapfrog_energy(sys, y_a, y_b, dt):
-    """Discrete energy conserved exactly by the free leapfrog step.
-
-    E = |y_b - y_a|^2 / (2 dt^2) + <A_sys y_a, y_b> / 2 for consecutive levels.
-    """
-    hvol = sys.grid.hvol
-    diff = (y_b - y_a) / dt
-    kin = 0.5 * hvol * float(np.sum(diff * diff))
-    pot = 0.5 * hvol * float(np.sum(sys.apply_system(y_a) * y_b))
-    return kin + pot
+    return SystemState(0.0, phi_cur, vel0)
 
 
 # ---------------------------------------------------------------------------
@@ -568,33 +506,22 @@ def _cn_solve_plus(sys, solver, kappa, rhs):
     return y
 
 
-def _cn_forward(sys, w0, control, forcing, M, dt, collect=()):
+def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
     """Crank-Nicolson march of e^{i theta} y_t = -(A + C) y + B v + f.
 
     Control samples and raw forcing are interval values (entry n acts on
     [t_n, t_{n+1})). The state may carry leading batch axes, (..., N,
-    n_total). Returns the terminal field plus requested extras.
+    n_total). Returns the terminal field y^M; ``visit(n, y_n)``, when given,
+    sees every node as it is made.
     """
     theta = sys.theta
     phase = np.exp(-1j * theta) if theta != 0.0 else 1.0
     kappa = 0.5 * dt * phase
     solver = _ComponentSolver(sys.op, kappa if theta != 0.0 else float(np.real(kappa)))
-    dtype = sys.state_dtype
-    snap_idx = collect["snapshots"] if isinstance(collect, dict) else {}
-    want_norms = "norms" in collect
 
-    y = w0.astype(dtype).copy()
-    snapshots = {}
-    norms = np.zeros((M + 1,) + y.shape[:-2]) if want_norms else None
-    hvol = sys.grid.hvol
-
-    def record(n):
-        if want_norms:
-            norms[n] = np.sqrt(np.sum(np.real(np.conj(y) * y), axis=(-2, -1)) * hvol)
-        if n in snap_idx:
-            snapshots[n] = y.copy()
-
-    record(0)
+    y = w0.astype(sys.state_dtype)
+    if visit is not None:
+        visit(0, y)
     for n in range(M):
         rhs = y - kappa * sys.apply_system(y)
         if control is not None or forcing is not None:
@@ -602,12 +529,18 @@ def _cn_forward(sys, w0, control, forcing, M, dt, collect=()):
             _forcing_into(sys, extra, control, forcing, n)
             rhs = rhs + (dt * phase) * extra
         y = _cn_solve_plus(sys, solver, kappa, rhs)
-        record(n + 1)
-    return {"terminal": SystemState(M * dt, y), "snapshots": snapshots, "norms": norms}
+        if visit is not None:
+            visit(n + 1, y)
+    return y
 
 
-def _cn_adjoint(sys, phi_T, M, dt, collect=("observations",), visit=None):
-    """Backward dual Crank-Nicolson recursion with midpoint observations.
+def _adjoint_phase(sys):
+    """e^{i theta}, the factor of every first-order adjoint observation (1 at theta = 0)."""
+    return np.exp(1j * sys.theta) if sys.theta != 0.0 else 1.0
+
+
+def _cn_adjoint(sys, phi_T, M, dt, visit=None):
+    """Backward dual Crank-Nicolson recursion; returns phi^0.
 
     With M+- = I +- kappa (A + C) of the forward march, the dual recursion is
     phi^n = M-^* (M+^*)^{-1} phi^{n+1}; the midpoint value
@@ -616,29 +549,15 @@ def _cn_adjoint(sys, phi_T, M, dt, collect=("observations",), visit=None):
     ``phi_T`` may carry leading batch axes; ``visit(n, psi)``, when given, sees
     every midpoint value as it is made.
     """
-    theta = sys.theta
-    phase_bar = np.exp(1j * theta) if theta != 0.0 else 1.0
-    kappa_bar = 0.5 * dt * phase_bar
-    solver = _ComponentSolver(sys.op, kappa_bar if theta != 0.0 else float(np.real(kappa_bar)))
-    dtype = sys.state_dtype
-
-    want_obs = "observations" in collect
-    want_traj = "trajectory" in collect
-    obs = _observation_arrays(sys, M + 1, phi_T.shape[:-2], dtype) if want_obs else None
-    traj = np.zeros((M,) + phi_T.shape, dtype=dtype) if want_traj else None
-
-    phi = phi_T.astype(dtype).copy()
+    kappa_bar = 0.5 * dt * _adjoint_phase(sys)
+    solver = _ComponentSolver(sys.op, kappa_bar if sys.theta != 0.0 else float(np.real(kappa_bar)))
+    phi = phi_T.astype(sys.state_dtype)
     for n in range(M - 1, -1, -1):
         psi = _cn_solve_plus(sys, solver, kappa_bar, phi)
-        if want_obs:
-            for k in obs:
-                obs[k][n] = phase_bar * sys.extract(k, psi)
-        if want_traj:
-            traj[n] = psi
         if visit is not None:
             visit(n, psi)
         phi = 2.0 * psi - phi
-    return {"observations": obs, "trajectory": traj, "initial": SystemState(0.0, phi)}
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -659,23 +578,22 @@ class SolveRecord:
     snapshots: list
     observations: ControlSignal | None = None
     energies: np.ndarray | None = None
-    norms: np.ndarray | None = None
     terminal_levels: tuple | None = None
 
 
 def _snapshot_indices(snapshot_times, M, dt):
-    idx = {}
+    idx = set()
     for t in snapshot_times:
         n = int(round(t / dt))
         if not 0 <= n <= M:
             raise ValueError(f"snapshot time {t} outside [0, T]")
-        idx[n] = None
+        idx.add(n)
     return idx
 
 
 def solve_hyperbolic(sys, initial, control, T, dt, snapshot_times=(), record_observations=False,
                      record_energies=False, forcing=None):
-    """march the second-order cascade system from ``initial`` over [0, T].
+    """March the second-order cascade system from ``initial`` over [0, T].
 
     Refuses time steps above the stability bound (see cfl_time_step). Returns
     (SolveRecord, terminal SystemState); the record holds (t, SystemState)
@@ -688,72 +606,53 @@ def solve_hyperbolic(sys, initial, control, T, dt, snapshot_times=(), record_obs
     _check_cfl(sys, dt)
     M = step_count(T, dt)
     _check_signal(sys, control, M, dt)
-    collect = {"snapshots": _snapshot_indices(snapshot_times, M, dt)}
-    wants = []
-    if record_observations:
-        wants.append("observations")
-    if record_energies:
-        wants.append("energies")
-    for w in wants:
-        collect[w] = None
-    out = _hyp_forward(sys, initial.w, initial.wp, control, forcing, M, dt, collect=collect)
+    snap_idx = _snapshot_indices(snapshot_times, M, dt)
+    snaps = []
+    obs, record_obs = _observation_recorder(sys, M + 1, ()) if record_observations else (None, None)
+    energies = np.zeros(M + 1) if record_energies else None
+    hvol = sys.grid.hvol
+
+    def visit(n, y, vel):
+        if n in snap_idx:
+            snaps.append((n * dt, SystemState(n * dt, y.copy(), vel.copy())))
+        if obs is not None:
+            record_obs(n, y, vel)
+        if energies is not None:
+            stiff = np.sum(sys.op.matvec(y) * y, axis=(-2, -1)) * hvol
+            kin = np.sum(vel * vel, axis=(-2, -1)) * hvol
+            energies[n] = 0.5 * (stiff + kin)
+
+    wanted = snap_idx or record_observations or record_energies
+    y_m1, y_m, vel_T = _hyp_forward(sys, initial.w, initial.wp, control, forcing, M, dt,
+                                    visit if wanted else None)
     t_nodes = dt * np.arange(M + 1)
-    snaps = [(n * dt, SystemState(n * dt, w.copy(), v.copy())) for n, (w, v) in sorted(out["snapshots"].items())]
     obs_signal = None
     if record_observations:
-        obs_signal = ControlSignal(t_nodes, out["observations"], trapezoid_weights(M, dt), "node")
-    rec = SolveRecord(t_nodes, snaps, obs_signal, out["energies"],
-                      terminal_levels=out["levels"])
-    return rec, out["terminal"]
+        obs_signal = ControlSignal(t_nodes, obs, trapezoid_weights(M, dt), "node")
+    rec = SolveRecord(t_nodes, snaps, obs_signal, energies, terminal_levels=(y_m1, y_m))
+    return rec, SystemState(M * dt, y_m.copy(), vel_T)
 
 
-def solve_dissipative(sys, initial, control, T, dt, theta=None, snapshot_times=(),
-                      record_norms=False, forcing=None):
+def solve_dissipative(sys, initial, control, T, dt, snapshot_times=(), forcing=None):
     """March the first-order family over [0, T] with Crank-Nicolson steps.
 
-    ``theta`` may restate the system angle (it must then match). Control and
-    forcing samples are interval values. Unconditionally stable; one banded or
-    factored solve per component per step.
+    Control and forcing samples are interval values. Unconditionally stable;
+    one banded or factored solve per component per step.
     """
     if sys.is_hyperbolic:
         raise ValueError("system family is not first-order")
-    if theta is not None and abs(theta - sys.family.theta) > 1e-12:
-        raise ValueError("theta disagrees with the system family")
     _check_state(sys, initial)
     M = step_count(T, dt)
     _check_signal(sys, control, M, dt)
-    collect = {"snapshots": _snapshot_indices(snapshot_times, M, dt)}
-    if record_norms:
-        collect["norms"] = None
-    out = _cn_forward(sys, initial.w, control, forcing, M, dt, collect=collect)
-    t_nodes = dt * np.arange(M + 1)
-    snaps = [(n * dt, SystemState(n * dt, w.copy())) for n, w in sorted(out["snapshots"].items())]
-    rec = SolveRecord(t_nodes, snaps, None, None, out["norms"])
-    return rec, out["terminal"]
+    snap_idx = _snapshot_indices(snapshot_times, M, dt)
+    snaps = []
 
+    def visit(n, y):
+        if n in snap_idx:
+            snaps.append((n * dt, SystemState(n * dt, y.copy())))
 
-def solve_adjoint(sys, seed, T, dt):
-    """Backward homogeneous solve of the transposed system from terminal data.
-
-    Records the observation of every controlled component along the way and
-    returns (observations as ControlSignal, adjoint state at t = 0). The seed
-    is terminal data at t = T: (w, w') for the second-order family, a single
-    field for the first-order one.
-    """
-    if not sys.transposed:
-        raise ValueError("adjoint solves need the transposed system (adjoint_system)")
-    _check_state(sys, seed)
-    M = step_count(T, dt)
-    t_nodes = dt * np.arange(M + 1)
-    if sys.is_hyperbolic:
-        _check_cfl(sys, dt)
-        phi_M, phi_M1 = _adjoint_levels_from_seed(sys, seed, dt)
-        out = _hyp_adjoint(sys, phi_M, phi_M1, M, dt, collect=("observations",))
-        signal = ControlSignal(t_nodes, out["observations"], trapezoid_weights(M, dt), "node")
-        return signal, out["initial"]
-    out = _cn_adjoint(sys, seed.w, M, dt, collect=("observations",))
-    signal = ControlSignal(t_nodes, out["observations"], interval_weights(M, dt), "interval")
-    return signal, out["initial"]
+    y_m = _cn_forward(sys, initial.w, control, forcing, M, dt, visit if snap_idx else None)
+    return SolveRecord(dt * np.arange(M + 1), snaps), SystemState(M * dt, y_m)
 
 
 def _adjoint_levels_from_seed(sys, seed, dt):
@@ -782,14 +681,13 @@ def forward_duality_pairing(sys, forcing, seed, T, dt):
     """
     M = step_count(T, dt)
     hvol = sys.grid.hvol
+    rest = zero_state(sys)
     if sys.is_hyperbolic:
-        rest = zero_state(sys)
-        out = _hyp_forward(sys, rest.w, rest.wp, None, forcing, M, dt)
-        y_m1, y_m = out["levels"]
+        y_m1, y_m, _ = _hyp_forward(sys, rest.w, rest.wp, None, forcing, M, dt)
         phi_M, phi_M1 = _adjoint_levels_from_seed(sys, seed, dt)
         return hvol * float(np.sum(y_m * phi_M1) - np.sum(y_m1 * phi_M)) / dt
-    out = _cn_forward(sys, zero_state(sys).w, None, forcing, M, dt)
-    return hvol * float(np.real(np.vdot(seed.w, out["terminal"].w)))
+    y_m = _cn_forward(sys, rest.w, None, forcing, M, dt)
+    return hvol * float(np.real(np.vdot(seed.w, y_m)))
 
 
 def adjoint_duality_quadrature(sys_adj, forcing, seed, T, dt):
@@ -797,26 +695,32 @@ def adjoint_duality_quadrature(sys_adj, forcing, seed, T, dt):
 
     Uses the quadrature exactly dual to the forward scheme: interior rectangle
     weights plus a dt/2-weighted first sample for leapfrog, and midpoint values
-    for Crank-Nicolson.
+    for Crank-Nicolson. Each sample's pairing is reduced as the backward march
+    makes it, so only one scalar per step is kept, and the scalars are summed
+    forward in time.
     """
     if not sys_adj.transposed:
         raise ValueError("pass the transposed system")
     M = step_count(T, dt)
-    hvol = sys_adj.grid.hvol
+    terms = np.zeros(M + 1)
     if sys_adj.is_hyperbolic:
-        phi_M, phi_M1 = _adjoint_levels_from_seed(sys_adj, seed, dt)
-        out = _hyp_adjoint(sys_adj, phi_M, phi_M1, M, dt, collect=("trajectory",))
-        traj = out["trajectory"]
-        total = 0.0
-        for n in range(1, M):
-            total += float(np.sum(forcing[n] * traj[n]))
-        total += 0.5 * float(np.sum(forcing[0] * traj[0]))
-        return dt * hvol * total
-    theta = sys_adj.theta
-    phase_bar = np.exp(1j * theta) if theta != 0.0 else 1.0
-    out = _cn_adjoint(sys_adj, seed.w, M, dt, collect=("trajectory",))
-    traj = out["trajectory"]
+        def visit(n, phi):
+            if n < M:
+                terms[n] = np.sum(forcing[n] * phi)
+
+        _hyp_adjoint(sys_adj, *_adjoint_levels_from_seed(sys_adj, seed, dt), M, dt, visit)
+        # interior samples forward in time, then the half-weighted first one
+        terms[0] *= 0.5
+        order = [*range(1, M), 0]
+    else:
+        phase_bar = _adjoint_phase(sys_adj)
+
+        def visit(n, psi):
+            terms[n] = np.real(np.sum(forcing[n] * np.conj(phase_bar * psi)))
+
+        _cn_adjoint(sys_adj, seed.w, M, dt, visit)
+        order = range(M)
     total = 0.0
-    for n in range(M):
-        total += float(np.real(np.sum(forcing[n] * np.conj(phase_bar * traj[n]))))
-    return dt * hvol * total
+    for n in order:
+        total += float(terms[n])
+    return dt * sys_adj.grid.hvol * total

@@ -21,6 +21,7 @@ energy to the residual level rather than to O(dt^2).
 
 The seed space has at most a few hundred real coordinates, so the Gramian is
 assembled densely by one batched adjoint march over an orthonormal seed basis
+(``GramianOperator.march_adjoint``, whose visitor reduces each sample into G)
 and solved through one symmetric eigendecomposition; the matrix-free
 ``GramianOperator.apply`` stays as the independent cross-check. Second-order
 synthesis solves G X = b exactly (eps = 0 allowed); the first-order family
@@ -41,10 +42,12 @@ from .dynamics import (
     CascadeSystem,
     ControlSignal,
     SystemState,
+    _adjoint_phase,
     _cn_adjoint,
     _cn_forward,
     _hyp_adjoint,
     _hyp_forward,
+    _observation_recorder,
     adjoint_system,
     energy,
     interval_weights,
@@ -54,6 +57,7 @@ from .dynamics import (
     zero_state,
     _check_cfl,
 )
+from .errors import NotApplicableError
 
 # ---------------------------------------------------------------------------
 # seed space
@@ -241,24 +245,33 @@ class GramianOperator:
                 "the exact discrete pairing exists per observation kind only"
             )
 
-    def observations_of(self, X, visit=None):
+    def march_adjoint(self, X, visit):
+        """Seed the adjoint march with X (leading batch axes allowed) and run it.
+
+        visit(n, field) sees the adjoint field behind sample n (a leapfrog
+        level, or a Crank-Nicolson midpoint value) as it is made.
+        """
+        start = self.seeds.adjoint_terminal_levels(X, self.dt)
+        if self.seeds.hyperbolic:
+            _hyp_adjoint(self.sys_adj, *start, self.M, self.dt, visit)
+        else:
+            _cn_adjoint(self.sys_adj, start, self.M, self.dt, visit)
+
+    def observations_of(self, X):
         """Adjoint observations seeded by X, as quadrature-ready sample arrays.
 
-        X may carry leading batch axes. With ``visit`` nothing is stored and
-        None is returned: visit(n, field) sees the adjoint field behind sample
-        n (a leapfrog level, or a Crank-Nicolson midpoint value) as it is made.
+        X may carry leading batch axes; arrays[k] is (M + 1, *batch[, n_total]).
         """
-        collect = ("observations",) if visit is None else ()
-        if self.seeds.hyperbolic:
-            phi_M, phi_M1 = self.seeds.adjoint_terminal_levels(X, self.dt)
-            out = _hyp_adjoint(self.sys_adj, phi_M, phi_M1, self.M, self.dt, collect, visit)
-            obs = out["observations"]
-            for arr in (obs or {}).values():  # end samples carry no weight; keep them zero
+        hyp = self.seeds.hyperbolic
+        batch = X.shape[: X.ndim - (3 if hyp else 2)]
+        obs, visit = _observation_recorder(self.sys_adj, self.M + 1, batch,
+                                           _adjoint_phase(self.sys_adj))
+        self.march_adjoint(X, visit)
+        if hyp:
+            for arr in obs.values():  # end samples carry no weight; keep them zero
                 arr[0] = 0.0
                 arr[-1] = 0.0
-            return obs
-        phi_T = self.seeds.adjoint_terminal_levels(X, self.dt)
-        return _cn_adjoint(self.sys_adj, phi_T, self.M, self.dt, collect, visit)["observations"]
+        return obs
 
     def sample_weights(self):
         """Quadrature weight of each observation sample (0 where none is taken)."""
@@ -281,20 +294,19 @@ class GramianOperator:
         return ControlSignal(t, vals, interval_weights(self.M, self.dt), "interval")
 
     def forward_with_control(self, signal, initial=None):
+        """(seed-space readout, terminal SystemState) of the forward march from
+        ``initial`` (rest by default) under ``signal``."""
         init = initial if initial is not None else zero_state(self.sys)
+        T = self.M * self.dt
         if self.seeds.hyperbolic:
-            return _hyp_forward(self.sys, init.w, init.wp, signal, None, self.M, self.dt)
-        return _cn_forward(self.sys, init.w, signal, None, self.M, self.dt)
-
-    def readout_of_forward(self, out):
-        if self.seeds.hyperbolic:
-            return self.seeds.readout(out["levels"], self.dt)
-        return self.seeds.readout(out["terminal"].w, self.dt)
+            y_m1, y_m, vel = _hyp_forward(self.sys, init.w, init.wp, signal, None, self.M, self.dt)
+            return self.seeds.readout((y_m1, y_m), self.dt), SystemState(T, y_m, vel)
+        y_m = _cn_forward(self.sys, init.w, signal, None, self.M, self.dt)
+        return self.seeds.readout(y_m, self.dt), SystemState(T, y_m)
 
     def apply(self, X):
-        obs = self.observations_of(X)
-        signal = self.signal_from_observations(obs)
-        return self.readout_of_forward(self.forward_with_control(signal))
+        signal = self.signal_from_observations(self.observations_of(X))
+        return self.forward_with_control(signal)[0]
 
     def observation_quadrature(self, obs_a, obs_b):
         """sum_n w_n <obs_a_n, obs_b_n>_G, the defining bilinear form of G."""
@@ -355,7 +367,7 @@ def assemble_dense_gramian(gram):
         if width >= _GRAMIAN_BLOCK_COLUMNS:
             flush()
 
-    gram.observations_of(basis, visit=visit)
+    gram.march_adjoint(basis, visit)
     flush()
     return 0.5 * (mat + mat.T)
 
@@ -537,7 +549,8 @@ class _Synthesis:
         if sys.transposed:
             raise ValueError("pass the forward system")
         if not sys.control.entries:
-            raise ValueError("system carries no control")
+            raise NotApplicableError("system carries no control; synthesis needs a "
+                                     "controlled component")
         self.sys = sys
         self.seeds = SeedSpace(sys, K_filter)
         self.gram = GramianOperator(sys, adjoint_system(sys), self.seeds, T, dt)
@@ -548,11 +561,11 @@ class _Synthesis:
         X0, self.projection_residual = self.seeds.project_state(Y0)
         self.Y0f = self.seeds.state_from_seed(X0, t=0.0)
         self.initial_energy = energy(sys, self.Y0f).total
-        free_out = self.gram.forward_with_control(None, initial=self.Y0f)
+        free_readout, free = self.gram.forward_with_control(None, initial=self.Y0f)
         # minus the free terminal readout: a solved system cancels it
-        self.b = self.seeds.to_coords(-self.gram.readout_of_forward(free_out))
-        self.free_norm = state_l2_norm(sys, free_out["terminal"])
-        self.free_energy = energy(sys, free_out["terminal"]).total
+        self.b = self.seeds.to_coords(-free_readout)
+        self.free_norm = state_l2_norm(sys, free)
+        self.free_energy = energy(sys, free).total
         self.spectrum = GramianSpectrum(assemble_dense_gramian(self.gram))
         self.setup_time = time.perf_counter() - t0
 
@@ -565,9 +578,9 @@ class _Synthesis:
 
         obs = gram.observations_of(seeds.from_coords(sol.x))
         signal = gram.signal_from_observations(obs)
-        ctrl_out = gram.forward_with_control(signal, initial=self.Y0f)
-        filt_per, filt_total = seeds.energy_of(gram.readout_of_forward(ctrl_out))
-        full = energy(sys, ctrl_out["terminal"])
+        readout, terminal = gram.forward_with_control(signal, initial=self.Y0f)
+        filt_per, filt_total = seeds.energy_of(readout)
+        full = energy(sys, terminal)
 
         reason = sol.failure_reason
         if reason is None and filt_total > self.initial_energy * (1.0 + 1e-9):
@@ -588,14 +601,14 @@ class _Synthesis:
             terminal_energy_full=full.total,
             terminal_energy_filtered_per_component=filt_per,
             terminal_energy_full_per_component=full.per_component,
-            terminal_state_norm=state_l2_norm(sys, ctrl_out["terminal"]),
+            terminal_state_norm=state_l2_norm(sys, terminal),
             free_terminal_norm=self.free_norm,
             free_terminal_energy=self.free_energy,
             projection_residual=self.projection_residual,
             control_norm_sq=signal.norm_sq(sys.grid),
             gram_quadratic=gram.observation_quadrature(obs, obs),
             wall_time=self.setup_time + time.perf_counter() - t0,
-            terminal_state=ctrl_out["terminal"],
+            terminal_state=terminal,
             initial_state=self.Y0f,
             notes=list(self.notes),
             failure_reason=reason,

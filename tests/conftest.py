@@ -1,9 +1,11 @@
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import configuration
+from hypothesis import strategies as st
 
 import cascade_lab as cl
 
@@ -58,3 +60,47 @@ def chained_dt(sys, T):
     """Largest stable step that divides T exactly."""
     M = int(np.ceil(T / cl.cfl_time_step(sys)))
     return T / max(M, 2)
+
+
+@st.composite
+def cascade_cases(draw, dim, N, one_control_kind=False):
+    """A random N-component system on a dim-D box with random couplings and
+    controls, a time grid, and a seed for the numpy draws. With
+    ``one_control_kind`` every control is distributed, or (1D only) every
+    control is an end control, as one synthesis requires."""
+    extents = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
+    n = [draw(st.integers(4, 40) if dim == 1 else st.integers(3, 8)) for _ in range(dim)]
+    grid = cl.build_grid(extents, n)
+    op = cl.assemble_operator(grid)
+    basis = cl.spectral_basis(op, 2)
+
+    def box():
+        # at least 0.3 of each side, so every box holds grid nodes
+        parts = []
+        for L in extents:
+            width = draw(st.floats(0.3, 0.7))
+            lo = draw(st.floats(0.0, 1.0 - width))
+            parts.append([lo * L, (lo + width) * L])
+        return cl.region_from_bounds([parts], draw(st.floats(0.1, 5.0)))
+
+    p = draw(st.integers(0, N - 1))
+    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
+    coupled = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    coupling = cl.CouplingSpec.from_dict(N, {pair: box() for pair in coupled})
+    controls = []
+    all_end = one_control_kind and dim == 1 and draw(st.booleans())
+    for k in range(p + 1, N + 1):
+        end = all_end if one_control_kind else dim == 1 and draw(st.booleans())
+        if end:
+            controls.append((k, cl.BoundaryEnd(draw(st.sampled_from(["left", "right"])),
+                                               draw(st.floats(0.1, 2.0)))))
+        else:
+            controls.append((k, cl.Distributed(box())))
+    if draw(st.booleans()):
+        family = cl.Hyperbolic()
+    else:
+        family = cl.Dissipative(draw(st.floats(-math.pi / 2, math.pi / 2)))
+    sys = cl.CascadeSystem(family, op, basis, N, p, coupling, cl.ControlSpec(N, p, tuple(controls)))
+    T = draw(st.floats(0.1, 1.0))
+    dt = chained_dt(sys, T) if sys.is_hyperbolic else T / draw(st.integers(2, 40))
+    return sys, T, dt, draw(st.integers(0, 2**32 - 1))

@@ -247,6 +247,61 @@ def test_observability_subcommand(demo_dir, tmp_path):
     assert ests[1] >= ests[0] - 1e-12
 
 
+def test_observability_without_control_reports_null_c1(demo_dir, tmp_path, capsys):
+    out = tmp_path / "strip"
+    assert main(["observability", "--config", str(demo_dir / "strip_square.json"),
+                 "--out", str(out)]) == 0
+    assert "c1_est null" in capsys.readouterr().out
+    with open(out / "report.json") as fh:
+        report = json.load(fh)
+    (entry,) = report["observability"]
+    assert entry["c1_est"] is None and entry["eigenvalues"] == []
+    assert entry["c2_est"] is not None
+    assert any("carries no control" in note for note in report["notes"])
+
+
+@pytest.mark.parametrize("command", ["check", "control"])
+def test_subcommands_needing_a_control_exit_1_without_one(demo_dir, tmp_path, capsys, command):
+    code = main([command, "--config", str(demo_dir / "strip_square.json"),
+                 "--out", str(tmp_path / "strip")])
+    assert code == 1
+    assert "carries no control" in capsys.readouterr().err
+
+
+def test_analyses_refuse_a_system_without_control():
+    exp = cl.build_experiment(demo_configs()["strip_square.json"])
+    with pytest.raises(cl.NotApplicableError, match="no control"):
+        cl.observability_constants(exp.sys, 1.0, exp.dt, 2, which="control")
+    with pytest.raises(cl.NotApplicableError, match="no control"):
+        cl.admissibility_ratio(exp.sys, 1, 1.0, exp.dt, [10])
+    with pytest.raises(cl.NotApplicableError, match="no control"):
+        cl.synthesize_control(exp.sys, exp.Y0, 1.0, exp.dt, 2)
+    grid = cl.build_grid([1.0], [20])
+    basis = cl.spectral_basis(cl.assemble_operator(grid), 4)
+    with pytest.raises(cl.NotApplicableError, match="no control"):
+        cl.kalman_mode_test(cl.CouplingSpec(2, ()), cl.ControlSpec(2, 1, ()), basis, 4)
+
+
+SUBCOMMANDS = ["gcc", "check", "control", "observability", "kalman", "sweep-eps"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("name", sorted(demo_configs()))
+def test_every_subcommand_on_every_demo_exits_cleanly(tmp_path, name, command):
+    """Exit 0, 1 or 2 with no exception escaping, on the demos as shipped."""
+    import warnings
+
+    config = tmp_path / name
+    config.write_text(json.dumps(demo_configs()[name]))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # the zero-coupling demo has an empty coupling support on purpose
+        warnings.simplefilter("ignore", cl.EmptySupportWarning)
+        assert main([command, "--config", str(config), "--out", str(out)]) in (0, 1, 2)
+        if command == "control":
+            assert main(["replay", str(out)]) in (0, 1, 2)
+
+
 def test_unknown_subcommand_usage_error():
     assert main(["frobnicate"]) == 1
 

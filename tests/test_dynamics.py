@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_lab as cl
-from cascade_lab.dynamics import _ComponentSolver, step_count
+from cascade_lab.dynamics import (
+    _adjoint_levels_from_seed,
+    _cn_adjoint,
+    _cn_forward,
+    _ComponentSolver,
+    _hyp_adjoint,
+    _observation_recorder,
+    step_count,
+    trapezoid_weights,
+)
+from cascade_lab.hum import GramianOperator, SeedSpace
 
-from conftest import chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
+from conftest import cascade_cases, chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +131,16 @@ def test_zero_coupling_isolates_bitwise():
     assert np.array_equal(t2.w[1], t1.w[0])
 
 
+def _leapfrog_energy(sys, y_a, y_b, dt):
+    """Discrete energy the free leapfrog step conserves exactly, for consecutive
+    levels: |y_b - y_a|^2 / (2 dt^2) + <A_sys y_a, y_b> / 2."""
+    hvol = sys.grid.hvol
+    diff = (y_b - y_a) / dt
+    kin = 0.5 * hvol * float(np.sum(diff * diff))
+    pot = 0.5 * hvol * float(np.sum(sys.apply_system(y_a) * y_b))
+    return kin + pot
+
+
 def test_leapfrog_energy_conserved_1e4_steps():
     sys = make_single_free(n=30, K=5)
     dt = 0.9 * cl.cfl_time_step(sys)
@@ -132,8 +153,8 @@ def test_leapfrog_energy_conserved_1e4_steps():
     y_m1, y_m = rec.terminal_levels
     # the conserved quadratic form is evaluated on consecutive level pairs
     first_level = st.w + dt * st.wp + 0.5 * dt * dt * (-sys.apply_system(st.w))
-    e_start = cl.leapfrog_energy(sys, st.w, first_level, dt)
-    e_end = cl.leapfrog_energy(sys, y_m1, y_m, dt)
+    e_start = _leapfrog_energy(sys, st.w, first_level, dt)
+    e_end = _leapfrog_energy(sys, y_m1, y_m, dt)
     assert abs(e_end - e_start) <= 1e-10 * abs(e_start)
 
 
@@ -190,9 +211,11 @@ def test_heat_single_component_norm_monotone():
     rng = np.random.default_rng(12)
     st = cl.zero_state(sys)
     st.w[0] = sys.basis.synthesize(rng.standard_normal(6))
-    rec, _ = cl.solve_dissipative(sys, st, None, 0.5, 0.005, record_norms=True)
-    diffs = np.diff(rec.norms)
-    assert np.all(diffs <= 1e-12)
+    norms = []
+    _cn_forward(sys, st.w, None, None, step_count(0.5, 0.005), 0.005,
+                lambda n, y: norms.append(math.sqrt(float(np.sum(y * y)) * sys.grid.hvol)))
+    assert len(norms) == step_count(0.5, 0.005) + 1
+    assert np.all(np.diff(norms) <= 1e-12)
 
 
 def test_heat_cascade_free_component_growth_bounded_by_forcing():
@@ -214,10 +237,7 @@ def test_heat_cascade_free_component_growth_bounded_by_forcing():
         assert n1 <= 0.0 + t * forcing_max + 1e-12
 
 
-def test_theta_mismatch_rejected():
-    sys = make_single_free(family=cl.Dissipative(0.0))
-    with pytest.raises(ValueError):
-        cl.solve_dissipative(sys, cl.zero_state(sys), None, 0.1, 0.001, theta=0.3)
+def test_theta_outside_range_rejected():
     with pytest.raises(ValueError):
         cl.Dissipative(2.0)
 
@@ -225,9 +245,8 @@ def test_theta_mismatch_rejected():
 def test_control_signal_grid_mismatch_rejected():
     sys = make_wave_cascade(n=40, K=6)
     dt = chained_dt(sys, 1.0)
-    from cascade_lab.dynamics import zero_signal
-
-    sig = zero_signal(sys, 0.5, dt)
+    M = step_count(0.5, dt)
+    sig = cl.ControlSignal(dt * np.arange(M + 1), {2: np.zeros((M + 1, 40))}, trapezoid_weights(M, dt))
     with pytest.raises(ValueError):
         cl.solve_hyperbolic(sys, cl.zero_state(sys), sig, 1.0, dt)
 
@@ -298,19 +317,35 @@ def test_component_solver_singular_matrix_raises(extent, n, kappa):
 # ---------------------------------------------------------------------------
 
 
-def test_adjoint_requires_transposed():
+def test_adjoint_orientation_errors():
     sys = make_wave_cascade(n=40, K=6)
-    seed = cl.zero_state(sys)
-    with pytest.raises(ValueError):
-        cl.solve_adjoint(sys, seed, 1.0, chained_dt(sys, 1.0))
+    adj = cl.adjoint_system(sys)
+    dt = chained_dt(sys, 1.0)
+    forcing = np.zeros((step_count(1.0, dt) + 1, 2, 40))
+    with pytest.raises(ValueError, match="transposed"):
+        cl.adjoint_duality_quadrature(sys, forcing, cl.zero_state(sys), 1.0, dt)
+    for pair in ((adj, adj), (sys, sys), (adj, sys)):
+        with pytest.raises(ValueError, match="in that order"):
+            GramianOperator(*pair, SeedSpace(sys, 4), 1.0, dt)
 
 
 def test_adjoint_zero_seed_zero_observations():
     sys = cl.adjoint_system(make_wave_cascade(n=40, K=6))
     dt = chained_dt(sys, 1.0)
-    sig, initial = cl.solve_adjoint(sys, cl.zero_state(sys), 1.0, dt)
-    assert sig.norm_sq(sys.grid) == 0.0
-    assert np.all(initial.w == 0.0)
+    M = step_count(1.0, dt)
+    obs, record = _observation_recorder(sys, M + 1, ())
+    visited = []
+
+    def visit(n, phi):
+        visited.append(n)
+        assert np.all(phi == 0.0)
+        record(n, phi)
+
+    zero = np.zeros((2, 40))
+    initial = _hyp_adjoint(sys, zero, zero.copy(), M, dt, visit)
+    assert visited == list(range(M, -1, -1))
+    assert all(np.all(arr == 0.0) for arr in obs.values())
+    assert np.all(initial.w == 0.0) and np.all(initial.wp == 0.0)
 
 
 def test_adjoint_observation_single_mode_time_average():
@@ -327,7 +362,10 @@ def test_adjoint_observation_single_mode_time_average():
     dt = period / M
     seed = cl.zero_state(sys)
     seed.w[0] = sys.basis.modes[0]
-    sig, _ = cl.solve_adjoint(cl.adjoint_system(sys), seed, period, dt)
+    adj = cl.adjoint_system(sys)
+    obs, visit = _observation_recorder(adj, M + 1, ())
+    _hyp_adjoint(adj, *_adjoint_levels_from_seed(adj, seed, dt), M, dt, visit)
+    sig = cl.ControlSignal(dt * np.arange(M + 1), obs, trapezoid_weights(M, dt))
     assert sig.norm_sq(sys.grid) == pytest.approx(math.pi * math.sqrt(lam), rel=2e-3)
 
 
@@ -364,6 +402,27 @@ def test_discrete_duality_random_pairs(family, cplx):
         lhs = cl.forward_duality_pairing(sys, f, seed, T, dt)
         rhs = cl.adjoint_duality_quadrature(cl.adjoint_system(sys), f, seed, T, dt)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+
+
+def test_adjoint_duality_quadrature_keeps_no_trajectory():
+    # wave demo size: the (M + 1) x N x n adjoint trajectory would take 4.3 MB
+    sys = make_wave_cascade(n=200, K=4)
+    T = 6.0
+    dt = chained_dt(sys, T)
+    M = step_count(T, dt)
+    assert M >= 1300
+    rng = np.random.default_rng(5)
+    forcing = rng.standard_normal((M + 1, 2, 200))
+    seed = cl.SystemState(T, rng.standard_normal((2, 200)), rng.standard_normal((2, 200)))
+    adj = cl.adjoint_system(sys)
+    tracemalloc.start()
+    try:
+        cl.adjoint_duality_quadrature(adj, forcing, seed, T, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trajectory = (M + 1) * forcing[0].nbytes
+    assert peak < trajectory / 10, f"peak {peak} B against a {trajectory} B trajectory"
 
 
 def test_2d_heat_single_mode_decay():
@@ -425,53 +484,13 @@ def test_2d_duality_both_families():
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
-@st.composite
-def _duality_cases(draw, dim, N):
-    """A random N-component system on a dim-D box with random couplings and
-    controls, a time grid, and a seed for the numpy draws."""
-    extents = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
-    n = [draw(st.integers(4, 40) if dim == 1 else st.integers(3, 8)) for _ in range(dim)]
-    grid = cl.build_grid(extents, n)
-    op = cl.assemble_operator(grid)
-    basis = cl.spectral_basis(op, 2)
-
-    def box():
-        # at least 0.3 of each side, so every box holds grid nodes
-        parts = []
-        for L in extents:
-            width = draw(st.floats(0.3, 0.7))
-            lo = draw(st.floats(0.0, 1.0 - width))
-            parts.append([lo * L, (lo + width) * L])
-        return cl.region_from_bounds([parts], draw(st.floats(0.1, 5.0)))
-
-    p = draw(st.integers(0, N - 1))
-    pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
-    coupled = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    coupling = cl.CouplingSpec.from_dict(N, {pair: box() for pair in coupled})
-    controls = []
-    for k in range(p + 1, N + 1):
-        if dim == 1 and draw(st.booleans()):
-            controls.append((k, cl.BoundaryEnd(draw(st.sampled_from(["left", "right"])),
-                                               draw(st.floats(0.1, 2.0)))))
-        else:
-            controls.append((k, cl.Distributed(box())))
-    if draw(st.booleans()):
-        family = cl.Hyperbolic()
-    else:
-        family = cl.Dissipative(draw(st.floats(-math.pi / 2, math.pi / 2)))
-    sys = cl.CascadeSystem(family, op, basis, N, p, coupling, cl.ControlSpec(N, p, tuple(controls)))
-    T = draw(st.floats(0.1, 1.0))
-    dt = chained_dt(sys, T) if sys.is_hyperbolic else T / draw(st.integers(2, 40))
-    return sys, T, dt, draw(st.integers(0, 2**32 - 1))
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("N", [1, 2, 3])
 @settings(derandomize=True, database=None, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_discrete_duality_property(dim, N, data):
     """<F(f + B v), seed> equals the adjoint quadrature to criterion 1's 1e-10."""
-    sys, T, dt, seed_bits = data.draw(_duality_cases(dim, N))
+    sys, T, dt, seed_bits = data.draw(cascade_cases(dim, N))
     rng = np.random.default_rng(seed_bits)
     dtype = sys.state_dtype
 
@@ -566,24 +585,26 @@ def test_misshaped_fields_raise():
 
 
 def test_batched_adjoint_marches_match_single_marches():
-    from cascade_lab.dynamics import _cn_adjoint, _hyp_adjoint
-
     rng = np.random.default_rng(41)
     wave = cl.adjoint_system(make_wave_cascade(n=30, K=4))
     heat = cl.adjoint_system(make_heat_cascade(n=30, K=4, theta=0.3))
     dt = chained_dt(wave, 0.5)
     M = step_count(0.5, dt)
     a, b = rng.standard_normal((2, 3, 2, 30))
-    batch = _hyp_adjoint(wave, a, b, M, dt)
+
+    def march(fn, sys, start, steps, step):
+        """Observations of component 2 and the t = 0 data of one (batched) march."""
+        obs, visit = _observation_recorder(sys, steps + 1, start[0].shape[:-2])
+        return obs[2], fn(sys, *start, steps, step, visit)
+
+    obs, initial = march(_hyp_adjoint, wave, (a, b), M, dt)
     for i in range(3):
-        single = _hyp_adjoint(wave, a[i], b[i], M, dt)
-        assert np.array_equal(batch["observations"][2][:, i], single["observations"][2])
-        assert np.array_equal(batch["initial"].w[i], single["initial"].w)
+        single_obs, single = march(_hyp_adjoint, wave, (a[i], b[i]), M, dt)
+        assert np.array_equal(obs[:, i], single_obs)
+        assert np.array_equal(initial.w[i], single.w)
     phi = a + 1j * b
-    batch = _cn_adjoint(heat, phi, 20, 0.005)
+    obs, initial = march(_cn_adjoint, heat, (phi,), 20, 0.005)
     for i in range(3):
-        single = _cn_adjoint(heat, phi[i], 20, 0.005)
-        np.testing.assert_allclose(batch["observations"][2][:, i], single["observations"][2],
-                                   rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(batch["initial"].w[i], single["initial"].w,
-                                   rtol=1e-13, atol=1e-15)
+        single_obs, single = march(_cn_adjoint, heat, (phi[i],), 20, 0.005)
+        np.testing.assert_allclose(obs[:, i], single_obs, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(initial[i], single, rtol=1e-13, atol=1e-15)

@@ -3,11 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascade_lab as cl
 from cascade_lab.hum import GramianOperator, SeedSpace
 
-from conftest import chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
+from conftest import cascade_cases, chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +190,24 @@ def test_dense_gramian_matches_column_probes(name, make, T, dt, K):
     assert mat.shape == (seeds.coord_dim,) * 2
     probes = _probe_matrix(gram)
     assert np.linalg.norm(mat - probes) <= 1e-12 * np.linalg.norm(probes), name
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_dense_gramian_property(dim, N, data):
+    """The dense Gramian is symmetric PSD and matches the apply column probes."""
+    from cascade_lab.hum import assemble_dense_gramian
+
+    sys, T, dt, _ = data.draw(cascade_cases(dim, N, one_control_kind=True))
+    gram, seeds = _gramian(sys, T, K=data.draw(st.integers(1, sys.basis.K)), dt=dt)
+    mat = assemble_dense_gramian(gram)
+    assert np.array_equal(mat, mat.T)
+    lam = np.linalg.eigvalsh(mat)
+    assert lam[0] >= -1e-12 * lam[-1]
+    probes = _probe_matrix(gram)
+    assert np.linalg.norm(mat - probes) <= 1e-12 * np.linalg.norm(probes)
 
 
 def test_seed_coordinates_roundtrip_orthonormal():
