@@ -40,7 +40,7 @@ from .dynamics import (
     trapezoid_weights,
 )
 from .errors import CascadeLabError, ConfigError, NotApplicableError
-from .geometry import gcc_check, interval_entry_time
+from .geometry import default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
 from .operators import HypothesisReport, verify_coupling_bounds, verify_operator_coercivity
 from .util import fmt_float
@@ -156,14 +156,28 @@ def _out_dir(exp, args):
 # ---------------------------------------------------------------------------
 
 
+def _gcc_horizon(exp, regions):
+    """Horizon of a GCC sweep over ``regions``: ``gcc.T`` when set, else T.
+
+    The first-order family is controllable in any positive time, so its sweep
+    runs to max(T, default_horizon) instead of the parabolic T.
+    """
+    horizon = exp.cfg.get("gcc", {}).get("T")
+    if horizon:
+        return float(horizon)
+    if exp.sys.is_hyperbolic:
+        return exp.T
+    return max(exp.T, default_horizon(regions, exp.grid.extents))
+
+
 def _cmd_gcc(args):
     exp = build_experiment(load_config(args.config))
     gcc_cfg = exp.cfg.get("gcc", {})
-    horizon = float(gcc_cfg.get("T") or exp.T)
     n_rays = int(gcc_cfg.get("n_rays", 402 if exp.grid.dim == 1 else 648))
     regions = exp.coupling_regions + exp.control_regions
     if not regions:
         raise ConfigError("gcc needs at least one coupling or distributed control region")
+    horizon = _gcc_horizon(exp, regions)
     reports = []
     for region in regions:
         dt_ray = gcc_cfg.get("dt_ray") or region.min_part_width() / 5.0
@@ -241,14 +255,10 @@ def _quick_hypotheses(exp):
 
 
 def _quick_gcc(exp):
-    from .geometry import default_horizon
-
     regions = exp.coupling_regions + exp.control_regions
     if not regions:
         return []
-    # the heat/phase family is controllable in any positive time; report the
-    # geometric sweep against an adequate horizon instead of the parabolic T
-    horizon = exp.T if exp.sys.is_hyperbolic else max(exp.T, default_horizon(regions, exp.grid.extents))
+    horizon = _gcc_horizon(exp, regions)
     reports = []
     for region in regions:
         dt_ray = region.min_part_width() / 5.0

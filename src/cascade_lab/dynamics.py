@@ -15,7 +15,11 @@ Each family has one forward and one backward march; the backward march runs
 the transposed-cascade homogeneous system with the same stencils and step
 rules. A march returns only its terminal data and takes one optional ``visit``
 hook that sees each time level as it is made: snapshots, observations,
-energies and duality sums are visitors. Sampling conventions are chosen so
+energies and duality sums are visitors. The field passed to ``visit`` may be
+a buffer the march reuses for a later level, valid only during the call, so a
+visitor copies what it keeps. The leapfrog marches step in preallocated
+buffers with a fixed operation order, so their results are bitwise those of
+the textbook recurrences. Sampling conventions are chosen so
 that the discrete duality identity
 
     pairing(terminal state, seed) = time-quadrature of <forcing, adjoint>
@@ -138,11 +142,15 @@ class CascadeSystem:
             raise ValueError(f"fields of shape {Y.shape} do not end in "
                              f"(N, n_total) = {(self.N, self.grid.n_total)}")
 
-    def apply_system(self, Y):
-        """(A + C) Y for the current orientation; Y is (..., N, n_total)."""
+    def apply_system(self, Y, out=None):
+        """(A + C) Y for the current orientation; Y is (..., N, n_total).
+
+        Written into ``out`` when given, under the rules of
+        ``EllipticOperator.matvec``.
+        """
         Y = np.asarray(Y)
         self._check_fields(Y)
-        out = self.op.matvec(Y)
+        out = self.op.matvec(Y, out)
         for (i, j), ind in self._coupling_fields:
             if self.transposed:
                 out[..., j - 1, :] += ind * Y[..., i - 1, :]
@@ -386,26 +394,35 @@ def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit=None):
     States may carry leading batch axes, (..., N, n_total); controls and
     forcing act on every batch member alike. ``visit(n, y, velocity)``, when
     given, sees every node with its second-order velocity readout as it is
-    made; without it no per-step velocity is computed.
+    made; without it no per-step velocity is computed. The levels live in
+    three buffers that the steps rotate, so ``y`` is valid only during the
+    call: a visitor copies what it keeps. ``w0`` and ``wp0`` are not written.
     """
     dt2 = dt * dt
     acc = -sys.apply_system(w0)
     _forcing_into(sys, acc, control, forcing, 0)
     if visit is not None:
         visit(0, w0, wp0)
-    y_prev = w0.copy()
     y_cur = w0 + dt * wp0 + 0.5 * dt2 * acc
+    y_prev, y_next, acc = (np.empty_like(y_cur) for _ in range(3))
+    np.copyto(y_prev, w0)
 
     for n in range(1, M):
-        acc = -sys.apply_system(y_cur)
+        sys.apply_system(y_cur, acc)
+        np.negative(acc, out=acc)
         _forcing_into(sys, acc, control, forcing, n)
-        y_next = 2.0 * y_cur - y_prev + dt2 * acc
+        # y^{n+1} = (2 y^n - y^{n-1}) + dt^2 acc
+        np.multiply(2.0, y_cur, out=y_next)
+        y_next -= y_prev
+        acc *= dt2
+        y_next += acc
         if visit is not None:
             # second-order central velocity at the interior node
             visit(n, y_cur, (y_next - y_prev) / (2.0 * dt))
-        y_prev, y_cur = y_cur, y_next
+        y_prev, y_cur, y_next = y_cur, y_next, y_prev
 
-    acc = -sys.apply_system(y_cur)
+    sys.apply_system(y_cur, acc)
+    np.negative(acc, out=acc)
     _forcing_into(sys, acc, control, forcing, M)
     vel_T = (y_cur - y_prev) / dt + 0.5 * dt * acc
     if visit is not None:
@@ -419,18 +436,27 @@ def _hyp_adjoint(sys, phi_M, phi_M1, M, dt, visit=None):
     Starts from the two levels (phi^M, phi^{M-1}), each (..., N, n_total), and
     recurses down to phi^0; returns the adjoint SystemState at t = 0.
     ``visit(n, phi_n)``, when given, sees every level as it is made, so a
-    caller can reduce the trajectory on the fly instead of storing it.
+    caller can reduce the trajectory on the fly instead of storing it. The
+    levels live in three buffers that the steps rotate, so ``phi_n`` is valid
+    only during the call: a visitor copies what it keeps. The start levels
+    are copied, never written.
     """
     dt2 = dt * dt
+    phi_next, phi_cur = np.array(phi_M, dtype=float), np.array(phi_M1, dtype=float)
+    phi_new, acc = np.empty_like(phi_cur), np.empty_like(phi_cur)
     if visit is not None:
-        visit(M, phi_M)
-        visit(M - 1, phi_M1)
-    phi_next, phi_cur = phi_M, phi_M1
+        visit(M, phi_next)
+        visit(M - 1, phi_cur)
     for n in range(M - 1, 0, -1):
-        phi_prevl = 2.0 * phi_cur - phi_next - dt2 * sys.apply_system(phi_cur)
+        # phi^{n-1} = (2 phi^n - phi^{n+1}) - dt^2 (A + C) phi^n
+        np.multiply(2.0, phi_cur, out=phi_new)
+        phi_new -= phi_next
+        sys.apply_system(phi_cur, acc)
+        acc *= dt2
+        phi_new -= acc
         if visit is not None:
-            visit(n - 1, phi_prevl)
-        phi_next, phi_cur = phi_cur, phi_prevl
+            visit(n - 1, phi_new)
+        phi_next, phi_cur, phi_new = phi_cur, phi_new, phi_next
     # phi_cur = phi^0, phi_next = phi^1
     vel0 = (phi_next - phi_cur) / dt + 0.5 * dt * sys.apply_system(phi_cur)
     return SystemState(0.0, phi_cur, vel0)

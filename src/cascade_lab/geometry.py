@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,18 +53,20 @@ class Grid:
     def dim(self):
         return len(self.extents)
 
-    @property
+    # cached per instance (in __dict__, which the frozen dataclass leaves
+    # writable); equality and hashing still see only extents and n
+    @cached_property
     def h(self):
         return tuple(L / (m + 1) for L, m in zip(self.extents, self.n))
 
-    @property
+    @cached_property
     def n_total(self):
         out = 1
         for m in self.n:
             out *= m
         return out
 
-    @property
+    @cached_property
     def hvol(self):
         """Quadrature weight of one node, prod(h); discrete L2 is hvol * sum."""
         out = 1.0

@@ -249,7 +249,8 @@ class GramianOperator:
         """Seed the adjoint march with X (leading batch axes allowed) and run it.
 
         visit(n, field) sees the adjoint field behind sample n (a leapfrog
-        level, or a Crank-Nicolson midpoint value) as it is made.
+        level, or a Crank-Nicolson midpoint value) as it is made. The field
+        is a reused buffer, valid only during the call: copy what is kept.
         """
         start = self.seeds.adjoint_terminal_levels(X, self.dt)
         if self.seeds.hyperbolic:
@@ -332,38 +333,61 @@ def assemble_dense_gramian(gram):
     sample's observations O_n are reduced on the fly into
     G += w_n O_n O_n^T (with the grid volume for distributed observations),
     the quadrature ``observation_quadrature`` defines, so no trajectory is
-    kept. Complex seed spaces count as real spaces of twice the dimension,
-    with observations split into real and imaginary parts; the unimodular
+    kept. Each sample writes only its observation columns (a distributed
+    control's support), scaled by sqrt(w_n * scale), straight into one
+    preallocated block; a full block is reduced into G by one product.
+    Complex seed spaces count as real spaces of twice the dimension, with
+    observations split into real and imaginary parts; the unimodular
     Crank-Nicolson phase factor drops out of Re <a, b>.
     """
     seeds, sys_adj = gram.seeds, gram.sys_adj
     basis = seeds.from_coords(np.eye(seeds.coord_dim))
     dim = basis.shape[0]
     weights = gram.sample_weights()
-    # distributed observations vanish off the control support
-    parts = [(k, np.flatnonzero(data), sys_adj.grid.hvol) if kind == "distributed"
-             else (k, slice(None), 1.0)
-             for k, kind, data in sys_adj._control_ops]
+    is_complex = sys_adj.state_dtype == np.complex128
+    # (k, columns, amplitudes there, scale, column count); distributed
+    # observations vanish off the control support
+    parts = []
+    for k, kind, data in sys_adj._control_ops:
+        if kind == "distributed":
+            cols = np.flatnonzero(data)
+            parts.append((k, cols, data[cols], sys_adj.grid.hvol, cols.size))
+        else:
+            parts.append((k, None, None, 1.0, 1))
+    # complex observations are formed as complex products first and split
+    # after, so their parts carry the bits of the complex arithmetic
+    scratch = {k: np.empty((dim, n_cols), dtype=np.complex128)
+               for k, *_, n_cols in parts} if is_complex else None
+    per_sample = (2 if is_complex else 1) * sum(p[-1] for p in parts)
+    # the block holds exactly the samples of one flush, so a full block is
+    # reduced as it stands
+    block = np.empty((dim, per_sample * -(-_GRAMIAN_BLOCK_COLUMNS // max(per_sample, 1))))
     mat = np.zeros((dim, dim))
-    block, width = [], 0
+    width = 0
 
     def flush():
         nonlocal mat, width
-        if block:
-            obs = np.concatenate(block, axis=1)
+        if width:
+            obs = block if width == block.shape[1] else np.ascontiguousarray(block[:, :width])
             mat += obs @ obs.T
-            block.clear()
             width = 0
 
     def visit(n, fld):
         nonlocal width
         if weights[n] == 0.0:
             return
-        for k, cols, scale in parts:
-            o = sys_adj.extract(k, fld).reshape(dim, -1)[:, cols] * math.sqrt(weights[n] * scale)
-            pieces = (o.real, o.imag) if np.iscomplexobj(o) else (o,)
-            block.extend(pieces)
-            width += o.shape[1] * len(pieces)
+        for k, cols, amp, scale, n_cols in parts:
+            o = scratch[k] if is_complex else block[:, width:width + n_cols]
+            if cols is None:
+                o[:, 0] = sys_adj.extract(k, fld)
+            else:
+                np.multiply(amp, fld[:, k - 1, cols], out=o)
+            o *= math.sqrt(weights[n] * scale)
+            if is_complex:
+                block[:, width:width + n_cols] = o.real
+                width += n_cols
+                block[:, width:width + n_cols] = o.imag
+            width += n_cols
         if width >= _GRAMIAN_BLOCK_COLUMNS:
             flush()
 

@@ -33,6 +33,24 @@ class TruncationWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
+def _subtract_neighbours(out, src):
+    """out[..., i] -= src[..., i - 1], then out[..., i] -= src[..., i + 1],
+    along the last axis wherever that neighbour exists.
+
+    Each subtraction is one flat shifted pass over the C-contiguous arrays.
+    The column a pass would wrongly update from the adjacent row is saved
+    before it and written back after, so every element sees the same
+    operations in the same order as the row-sliced form.
+    """
+    flat_out, flat_src = out.reshape(-1), src.reshape(-1)
+    first = out[..., 0].copy()
+    flat_out[1:] -= flat_src[:-1]
+    out[..., 0] = first
+    last = out[..., -1].copy()
+    flat_out[:-1] -= flat_src[1:]
+    out[..., -1] = last
+
+
 @dataclass(frozen=True)
 class EllipticOperator:
     """Matrix-free Dirichlet Laplacian on a Grid.
@@ -44,24 +62,33 @@ class EllipticOperator:
 
     grid: Grid
 
-    def matvec(self, w):
+    def matvec(self, w, out=None):
+        """A w, written into ``out`` when given.
+
+        ``out`` must be a C-contiguous array of w's shape that shares no
+        memory with w. Results are bitwise those of the row-sliced stencil.
+        """
         g = self.grid
-        w = np.asarray(w)
+        if out is not None:
+            if np.may_share_memory(out, w):
+                raise ValueError("matvec output must not share memory with its input")
+            if out.shape != np.shape(w) or not out.flags.c_contiguous:
+                raise ValueError(f"matvec output must be a C-contiguous array of shape {np.shape(w)}")
+        w = np.ascontiguousarray(w)
         if g.dim == 1:
-            h2 = g.h[0] ** 2
-            out = 2.0 * w
-            out[..., 1:] -= w[..., :-1]
-            out[..., :-1] -= w[..., 1:]
-            out /= h2
+            out = np.multiply(2.0, w, out=out)
+            _subtract_neighbours(out, w)
+            out /= g.h[0] ** 2
             return out
         nx, ny = g.n
         hx2, hy2 = g.h[0] ** 2, g.h[1] ** 2
         v = w.reshape(w.shape[:-1] + (nx, ny))
-        out = (2.0 / hx2 + 2.0 / hy2) * v
-        out[..., 1:, :] -= v[..., :-1, :] / hx2
-        out[..., :-1, :] -= v[..., 1:, :] / hx2
-        out[..., :, 1:] -= v[..., :, :-1] / hy2
-        out[..., :, :-1] -= v[..., :, 1:] / hy2
+        out = np.multiply(2.0 / hx2 + 2.0 / hy2, v, out=None if out is None else out.reshape(v.shape))
+        scaled = v / hx2
+        out[..., 1:, :] -= scaled[..., :-1, :]
+        out[..., :-1, :] -= scaled[..., 1:, :]
+        np.divide(v, hy2, out=scaled)
+        _subtract_neighbours(out, scaled)
         return out.reshape(w.shape)
 
     def quad_form(self, w):

@@ -104,3 +104,50 @@ def cascade_cases(draw, dim, N, one_control_kind=False):
     T = draw(st.floats(0.1, 1.0))
     dt = chained_dt(sys, T) if sys.is_hyperbolic else T / draw(st.integers(2, 40))
     return sys, T, dt, draw(st.integers(0, 2**32 - 1))
+
+
+def sliced_stencil(grid, w):
+    """The Dirichlet stencil with every neighbour subtraction as a row slice:
+    the reference that ``EllipticOperator.matvec`` must match bit for bit."""
+    if grid.dim == 1:
+        out = 2.0 * w
+        out[..., 1:] -= w[..., :-1]
+        out[..., :-1] -= w[..., 1:]
+        out /= grid.h[0] ** 2
+        return out
+    nx, ny = grid.n
+    hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
+    v = w.reshape(w.shape[:-1] + (nx, ny))
+    out = (2.0 / hx2 + 2.0 / hy2) * v
+    out[..., 1:, :] -= v[..., :-1, :] / hx2
+    out[..., :-1, :] -= v[..., 1:, :] / hx2
+    out[..., :, 1:] -= v[..., :, :-1] / hy2
+    out[..., :, :-1] -= v[..., :, 1:] / hy2
+    return out.reshape(w.shape)
+
+
+def sliced_apply_system(sys, Y):
+    """(A + C) Y from ``sliced_stencil`` and the coupling multipliers."""
+    out = sliced_stencil(sys.grid, Y)
+    for (i, j), ind in sys._coupling_fields:
+        if sys.transposed:
+            out[..., j - 1, :] += ind * Y[..., i - 1, :]
+        else:
+            out[..., i - 1, :] += ind * Y[..., j - 1, :]
+    return out
+
+
+def signed_zero_fields(shape, rng, complex_=False):
+    """Random fields whose second half (in flat order) is all zeros: -0.0 at
+    every third entry and +0.0 elsewhere, so that the stencil yields zeros of
+    both signs. Imaginary parts are random, then +0.0 over the same half."""
+    n = shape[-1]
+    w = rng.standard_normal(shape)
+    w[..., n // 2:] = np.where(np.arange(n // 2, n) % 3 == 1, -0.0, 0.0)
+    if not complex_:
+        return w
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = w
+    out.imag = rng.standard_normal(shape)
+    out.imag[..., n // 2:] = 0.0
+    return out

@@ -84,6 +84,33 @@ def test_gcc_pass_and_fail_exit_codes(demo_dir, tmp_path):
                  "--out", str(tmp_path / "strip")]) == 2
 
 
+def test_gcc_and_control_report_one_horizon_on_the_heat_demo(demo_dir, tmp_path):
+    """A dissipative config is swept to max(T, default horizon) by both
+    `gcc` and the `control` report, with the same verdicts."""
+    config = str(demo_dir / "demo_heat_cascade.json")
+    assert main(["gcc", "--config", config, "--out", str(tmp_path / "gcc")]) == 0
+    assert main(["control", "--config", config, "--out", str(tmp_path / "control")]) == 0
+    reports = []
+    for name in ("gcc", "control"):
+        with open(tmp_path / name / "report.json") as fh:
+            reports.append(json.load(fh)["gcc"])
+    gcc, control = reports
+    assert len(gcc) == len(control) == 2
+    for a, b in zip(gcc, control):
+        assert a["horizon"] == b["horizon"] > demo_configs()["demo_heat_cascade.json"]["time"]["T"]
+        assert a["verdict"] == b["verdict"] == "pass"
+        assert a["rays_hit"] == b["rays_hit"] == a["rays_total"]
+
+    # gcc.T still sets the horizon
+    cfg = demo_configs()["demo_heat_cascade.json"]
+    cfg["gcc"] = {"T": cfg["time"]["T"]}
+    path = tmp_path / "heat_gcc_T.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["gcc", "--config", str(path), "--out", str(tmp_path / "gcc_T")]) == 2
+    with open(tmp_path / "gcc_T" / "report.json") as fh:
+        assert {r["horizon"] for r in json.load(fh)["gcc"]} == {cfg["time"]["T"]}
+
+
 def test_zero_coupling_control_fails(demo_dir, tmp_path):
     import warnings
 

@@ -12,14 +12,24 @@ from cascade_lab.dynamics import (
     _cn_adjoint,
     _cn_forward,
     _ComponentSolver,
+    _forcing_into,
     _hyp_adjoint,
+    _hyp_forward,
     _observation_recorder,
     step_count,
     trapezoid_weights,
 )
 from cascade_lab.hum import GramianOperator, SeedSpace
 
-from conftest import cascade_cases, chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
+from conftest import (
+    cascade_cases,
+    chained_dt,
+    make_heat_cascade,
+    make_single_free,
+    make_wave_cascade,
+    signed_zero_fields,
+    sliced_apply_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -608,3 +618,121 @@ def test_batched_adjoint_marches_match_single_marches():
         single_obs, single = march(_cn_adjoint, heat, (phi[i],), 20, 0.005)
         np.testing.assert_allclose(obs[:, i], single_obs, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(initial[i], single, rtol=1e-13, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# buffered stencil and marches against the fresh-array reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _square_cascade(family, n=(5, 4), K=4):
+    grid = cl.build_grid([1.0, 0.7], list(n))
+    op = cl.assemble_operator(grid)
+    O = cl.region_from_bounds([[[0.1, 0.5], [0.1, 0.6]]], 2.0)
+    omega = cl.region_from_bounds([[[0.5, 0.9], [0.1, 0.6]]], 1.0)
+    return cl.CascadeSystem(family, op, cl.spectral_basis(op, K), 2, 1,
+                            cl.CouplingSpec.from_dict(2, {(1, 2): O}),
+                            cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+
+
+def _stencil_system(name):
+    sys = make_wave_cascade(n=9, K=4) if name.startswith("1d") else _square_cascade(cl.Dissipative(0.6))
+    return cl.adjoint_system(sys) if name.endswith("adjoint") else sys
+
+
+@pytest.mark.parametrize("name", ["1d", "1d adjoint", "2d", "2d adjoint"])
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("batch", [(), (3,), (4, 2)])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_apply_system_matches_sliced_reference_bitwise(name, complex_, batch, contiguous):
+    sys = _stencil_system(name)
+    shape = batch + (sys.N, sys.grid.n_total)
+    Y = signed_zero_fields(shape, np.random.default_rng(9), complex_)
+    if not contiguous:
+        wide = np.full(shape[:-1] + (2 * shape[-1],), np.nan, dtype=Y.dtype)
+        wide[..., ::2] = Y
+        Y = wide[..., ::2]
+    before = Y.copy()
+    expected = sliced_apply_system(sys, Y)
+    assert sys.apply_system(Y).tobytes() == expected.tobytes()
+    out = np.full_like(expected, np.nan)
+    sys.apply_system(Y, out)
+    assert out.tobytes() == expected.tobytes()
+    assert Y.tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="share memory"):
+        sys.apply_system(Y, Y)
+
+
+def _reference_forward(sys, w0, wp0, control, forcing, M, dt):
+    """The leapfrog recurrence with fresh arrays every step: the visited
+    (n, y, velocity) triples and the returned (y^{M-1}, y^M, velocity)."""
+    dt2 = dt * dt
+    acc = -sliced_apply_system(sys, w0)
+    _forcing_into(sys, acc, control, forcing, 0)
+    seen = [(0, w0.copy(), wp0.copy())]
+    y_prev = w0.copy()
+    y_cur = w0 + dt * wp0 + 0.5 * dt2 * acc
+    for n in range(1, M):
+        acc = -sliced_apply_system(sys, y_cur)
+        _forcing_into(sys, acc, control, forcing, n)
+        y_next = 2.0 * y_cur - y_prev + dt2 * acc
+        seen.append((n, y_cur, (y_next - y_prev) / (2.0 * dt)))
+        y_prev, y_cur = y_cur, y_next
+    acc = -sliced_apply_system(sys, y_cur)
+    _forcing_into(sys, acc, control, forcing, M)
+    vel_T = (y_cur - y_prev) / dt + 0.5 * dt * acc
+    seen.append((M, y_cur, vel_T))
+    return seen, (y_prev, y_cur, vel_T)
+
+
+def _reference_adjoint(sys, phi_M, phi_M1, M, dt):
+    """The backward recurrence with fresh arrays every step: the visited
+    (n, phi^n) pairs and the returned (phi^0, velocity)."""
+    dt2 = dt * dt
+    seen = [(M, phi_M.copy()), (M - 1, phi_M1.copy())]
+    phi_next, phi_cur = phi_M, phi_M1
+    for n in range(M - 1, 0, -1):
+        phi_prevl = 2.0 * phi_cur - phi_next - dt2 * sliced_apply_system(sys, phi_cur)
+        seen.append((n - 1, phi_prevl))
+        phi_next, phi_cur = phi_cur, phi_prevl
+    vel0 = (phi_next - phi_cur) / dt + 0.5 * dt * sliced_apply_system(sys, phi_cur)
+    return seen, (phi_cur, vel0)
+
+
+def _bitwise_equal(a, b):
+    return len(a) == len(b) and all(
+        np.asarray(x).dtype == np.asarray(y).dtype and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("name,batch", [("1d", (3,)), ("2d", ())])
+def test_leapfrog_marches_match_fresh_array_reference_bitwise(name, batch):
+    sys = make_wave_cascade(n=30, K=4) if name == "1d" else _square_cascade(cl.Hyperbolic(), (7, 6))
+    sys_adj = cl.adjoint_system(sys)
+    T = 0.5
+    dt = chained_dt(sys, T)
+    M = step_count(T, dt)
+    n = sys.grid.n_total
+    rng = np.random.default_rng(42)
+    w0, wp0, phi_M, phi_M1 = rng.standard_normal((4,) + batch + (sys.N, n))
+    control = cl.ControlSignal(dt * np.arange(M + 1), {2: rng.standard_normal((M + 1, n))},
+                               trapezoid_weights(M, dt))
+    forcing = rng.standard_normal((M + 1, sys.N, n))
+    starts = [a.copy() for a in (w0, wp0, phi_M, phi_M1)]
+
+    seen = []
+    got = _hyp_forward(sys, w0, wp0, control, forcing, M, dt,
+                       lambda k, y, vel: seen.append((k, y.copy(), vel.copy())))
+    ref_seen, ref = _reference_forward(sys, w0, wp0, control, forcing, M, dt)
+    assert [k for k, *_ in seen] == list(range(M + 1))
+    assert all(_bitwise_equal(a[1:], b[1:]) for a, b in zip(seen, ref_seen))
+    assert _bitwise_equal(got, ref)
+
+    seen = []
+    got = _hyp_adjoint(sys_adj, phi_M, phi_M1, M, dt, lambda k, phi: seen.append((k, phi.copy())))
+    ref_seen, ref = _reference_adjoint(sys_adj, phi_M, phi_M1, M, dt)
+    assert [k for k, _ in seen] == list(range(M, -1, -1))
+    assert all(_bitwise_equal(a[1:], b[1:]) for a, b in zip(seen, ref_seen))
+    assert _bitwise_equal((got.w, got.wp), ref)
+
+    assert _bitwise_equal((w0, wp0, phi_M, phi_M1), starts)

@@ -24,6 +24,13 @@ def test_build_grid_2d_counts():
     assert g.h == (0.2, 0.2)
 
 
+def test_grid_spacing_is_cached_and_equality_ignores_the_cache():
+    a, b = cl.build_grid([1.0, 0.7], [5, 4]), cl.build_grid([1.0, 0.7], [5, 4])
+    assert a.h is a.h and a.hvol == a.h[0] * a.h[1] and a.n_total == 20
+    assert a == b and hash(a) == hash(b)
+    assert a != cl.build_grid([1.0, 0.7], [5, 5])
+
+
 @pytest.mark.parametrize("extents,n", [([1.0], [1]), ([0.0], [3]), ([-1.0], [5]), ([1.0, 1.0], [4])])
 def test_build_grid_rejects_bad_input(extents, n):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -190,6 +191,67 @@ def test_dense_gramian_matches_column_probes(name, make, T, dt, K):
     assert mat.shape == (seeds.coord_dim,) * 2
     probes = _probe_matrix(gram)
     assert np.linalg.norm(mat - probes) <= 1e-12 * np.linalg.norm(probes), name
+
+
+def _concatenated_gramian(gram):
+    """Dense Gramian the list-based way: extract each sample's observations
+    whole, keep the support columns, concatenate the pieces and reduce them
+    with one product whenever 512 or more columns are gathered."""
+    seeds, sys_adj = gram.seeds, gram.sys_adj
+    basis = seeds.from_coords(np.eye(seeds.coord_dim))
+    dim = basis.shape[0]
+    weights = gram.sample_weights()
+    parts = [(k, np.flatnonzero(data), sys_adj.grid.hvol) if kind == "distributed"
+             else (k, slice(None), 1.0)
+             for k, kind, data in sys_adj._control_ops]
+    mat = np.zeros((dim, dim))
+    block, flushes = [], []
+
+    def flush():
+        if block:
+            obs = np.concatenate(block, axis=1)
+            flushes.append(obs.shape[1])
+            mat[...] += obs @ obs.T
+            block.clear()
+
+    def visit(n, fld):
+        if weights[n] == 0.0:
+            return
+        for k, cols, scale in parts:
+            o = sys_adj.extract(k, fld).reshape(dim, -1)[:, cols] * math.sqrt(weights[n] * scale)
+            block.extend((o.real, o.imag) if np.iscomplexobj(o) else (o,))
+        if sum(piece.shape[1] for piece in block) >= 512:
+            flush()
+
+    gram.march_adjoint(basis, visit)
+    flush()
+    return 0.5 * (mat + mat.T), flushes
+
+
+def _control_amplitude(sys, amplitude):
+    """sys with every distributed control at the given amplitude."""
+    entries = tuple(
+        (k, cl.Distributed(cl.Region(kind.region.parts, (amplitude,) * len(kind.region.parts))))
+        if isinstance(kind, cl.Distributed) else (k, kind)
+        for k, kind in sys.control.entries)
+    return dataclasses.replace(sys, control=cl.ControlSpec(sys.N, sys.p, entries))
+
+
+@pytest.mark.parametrize("name,make,T,dt,K", [
+    ("1d distributed", lambda: make_wave_cascade(n=40, K=6), 3.0, None, 5),
+    ("1d end", _end_control_wave, 15.0, None, 6),
+    ("cn theta 0.6", lambda: make_heat_cascade(n=40, K=6, theta=0.6), 0.2, 0.002, 5),
+    ("2d", lambda: _square_system(cl.Hyperbolic()), 6.0, None, 4),
+])
+def test_dense_gramian_matches_concatenated_assembly_bitwise(name, make, T, dt, K):
+    from cascade_lab.hum import assemble_dense_gramian
+
+    # an amplitude other than 1 makes the order of the two scalings show
+    gram, _ = _gramian(_control_amplitude(make(), 1.7), T, K=K, dt=dt)
+    expected, flushes = _concatenated_gramian(gram)
+    # a full block and a partial last one
+    assert len(flushes) >= 2 and flushes[-1] < flushes[0], name
+    assert assemble_dense_gramian(gram).tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("dim", [1, 2])

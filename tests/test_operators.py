@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import cascade_lab as cl
 
+from conftest import signed_zero_fields, sliced_stencil
+
 
 # ---------------------------------------------------------------------------
 # stencil and eigenstructure
@@ -31,6 +33,47 @@ def test_matvec_matches_dense():
         for _ in range(5):
             w = rng.standard_normal(g.n_total)
             assert np.allclose(op.matvec(w.copy()), dense @ w, atol=1e-12)
+
+
+@pytest.mark.parametrize("extents,n", [([1.0], [9]), ([1.0, 0.7], [5, 4])])
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("batch", [(), (3,), (4, 2)])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_matvec_matches_sliced_stencil_bitwise(extents, n, complex_, batch, contiguous):
+    """Flat shifted passes give the row-sliced stencil's bits, signed zeros included."""
+    grid = cl.build_grid(extents, n)
+    op = cl.assemble_operator(grid)
+    rng = np.random.default_rng(7)
+    w = signed_zero_fields(batch + (grid.n_total,), rng, complex_)
+    if not contiguous:
+        wide = np.full(batch + (2 * grid.n_total,), np.nan, dtype=w.dtype)
+        wide[..., ::2] = w
+        w = wide[..., ::2]
+    before = w.copy()
+    expected = sliced_stencil(grid, w)
+    if not complex_:  # complex division by h^2 drops the sign of a zero
+        zeros = expected[expected == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    got = op.matvec(w)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    out = np.full_like(expected, np.nan)
+    op.matvec(w, out)
+    assert out.tobytes() == expected.tobytes()
+    assert w.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("extents,n", [([1.0], [9]), ([1.0, 0.7], [5, 4])])
+def test_matvec_refuses_aliased_or_unfit_out(extents, n):
+    grid = cl.build_grid(extents, n)
+    op = cl.assemble_operator(grid)
+    w = np.random.default_rng(8).standard_normal((2, grid.n_total))
+    for alias in (w, w[::-1]):
+        with pytest.raises(ValueError, match="share memory"):
+            op.matvec(w, alias)
+    for unfit in (np.empty((3, grid.n_total)), np.empty((grid.n_total, 2)).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            op.matvec(w, unfit)
 
 
 def test_eigenvalues_match_bruteforce_1d():
