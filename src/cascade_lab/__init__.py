@@ -82,5 +82,4 @@ from .errors import (
     ConfigError,
     HypothesisViolatedError,
     NotApplicableError,
-    StepTooCoarseError,
 )

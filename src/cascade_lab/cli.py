@@ -170,22 +170,27 @@ def _gcc_horizon(exp, regions):
     return max(exp.T, default_horizon(regions, exp.grid.extents))
 
 
-def _cmd_gcc(args):
-    exp = build_experiment(load_config(args.config))
-    gcc_cfg = exp.cfg.get("gcc", {})
-    n_rays = int(gcc_cfg.get("n_rays", 402 if exp.grid.dim == 1 else 648))
+def _gcc_entries(exp):
+    """Exact GCC report entries, one per coupling and distributed control
+    region, over ``gcc.n_rays`` lattice rays at the ``_gcc_horizon``; in 1D
+    each entry also carries the closed-form worst entry time."""
     regions = exp.coupling_regions + exp.control_regions
-    if not regions:
-        raise ConfigError("gcc needs at least one coupling or distributed control region")
+    n_rays = int(exp.cfg.get("gcc", {}).get("n_rays", 402 if exp.grid.dim == 1 else 648))
     horizon = _gcc_horizon(exp, regions)
-    reports = []
+    entries = []
     for region in regions:
-        dt_ray = gcc_cfg.get("dt_ray") or region.min_part_width() / 5.0
-        rep = gcc_check(region, exp.grid.extents, horizon, n_rays, float(dt_ray))
-        entry = rep.to_dict()
+        entry = gcc_check(region, exp.grid.extents, horizon, n_rays).to_dict()
         if exp.grid.dim == 1:
             entry["worst_entry_time_exact"] = interval_entry_time(region, exp.grid.extents[0])
-        reports.append(entry)
+        entries.append(entry)
+    return entries
+
+
+def _cmd_gcc(args):
+    exp = build_experiment(load_config(args.config))
+    if not exp.coupling_regions + exp.control_regions:
+        raise ConfigError("gcc needs at least one coupling or distributed control region")
+    reports = _gcc_entries(exp)
     verdict = all(r["verdict"] == "pass" for r in reports)
     out = _out_dir(exp, args)
     payload = _base_report(exp, "gcc")
@@ -254,19 +259,6 @@ def _quick_hypotheses(exp):
     }
 
 
-def _quick_gcc(exp):
-    regions = exp.coupling_regions + exp.control_regions
-    if not regions:
-        return []
-    horizon = _gcc_horizon(exp, regions)
-    reports = []
-    for region in regions:
-        dt_ray = region.min_part_width() / 5.0
-        rep = gcc_check(region, exp.grid.extents, horizon, 402 if exp.grid.dim == 1 else 648, dt_ray)
-        reports.append(rep.to_dict())
-    return reports
-
-
 def _cmd_control(args):
     exp = build_experiment(load_config(args.config))
     result = _run_control(exp, args)
@@ -275,7 +267,7 @@ def _cmd_control(args):
     payload["hum"] = result.to_dict()
     payload["hum"]["control_sampling"] = result.control.sampling
     payload["hypotheses"] = _quick_hypotheses(exp)
-    payload["gcc"] = _quick_gcc(exp)
+    payload["gcc"] = _gcc_entries(exp)
     payload["verdict"] = "pass" if result.success else "fail"
     paths = {"control": write_control_csv(out, result.control),
              "initial_state": write_state_csv(out, result.initial_state),
@@ -579,7 +571,7 @@ def demo_configs():
             {"component": 1, "position_modes": [[1, 1.0]], "velocity_modes": []},
             {"component": 2, "position_modes": [[2, 0.5]], "velocity_modes": []},
         ],
-        "gcc": {"n_rays": 402, "dt_ray": 0.005, "T": None},
+        "gcc": {"n_rays": 402, "T": None},
         "output_dir": "runs/demo_wave_cascade",
         "seed": 20240501,
     }
@@ -614,7 +606,7 @@ def demo_configs():
         "time": {"T": 10.0, "dt": None},
         "hum": {"K_filter": 5},
         "initial": [{"component": 1, "position_modes": [[1, 1.0]], "velocity_modes": []}],
-        "gcc": {"n_rays": 648, "dt_ray": 0.02, "T": 10.0},
+        "gcc": {"n_rays": 648, "T": 10.0},
         "output_dir": "runs/strip_square",
         "seed": 20240503,
     }
@@ -695,7 +687,7 @@ def _parser():
         p.add_argument("--out", default=None, help="output directory override")
 
     for name, fn, helptext in (
-        ("gcc", _cmd_gcc, "ray-sampled geometric control condition per region"),
+        ("gcc", _cmd_gcc, "exact billiard-ray geometric control condition per region"),
         ("check", _cmd_check, "coercivity, coupling-bound and admissibility checks"),
         ("control", _cmd_control, "synthesize a null control and verify by re-simulation"),
         ("observability", _cmd_observability, "filtered observability constants"),

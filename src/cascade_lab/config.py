@@ -41,7 +41,11 @@ _TOP_KEYS = {
 }
 
 
-# gcc/analysis entries that the subcommands use as counts
+# sections read only by the subcommands that use them, with their keys;
+# gcc.dt_ray is accepted for older configs and ignored (the GCC check is exact)
+_SECTION_KEYS = {"gcc": {"n_rays", "dt_ray", "T"},
+                 "analysis": {"n_samples", "levels", "t_grid", "K"}}
+# entries of those sections that the subcommands use as counts
 _INT_KEYS = {"n_rays", "n_samples", "K", "levels"}
 
 
@@ -218,8 +222,7 @@ def validate_config(cfg):
             _require("position_modes" not in entry and "velocity_modes" not in entry,
                      "dissipative initial data uses modes")
 
-    for where, allowed in (("gcc", {"n_rays", "dt_ray", "T"}),
-                           ("analysis", {"n_samples", "levels", "t_grid", "K"})):
+    for where, allowed in _SECTION_KEYS.items():
         if where in cfg:
             _check_keys(cfg[where], allowed, where)
             for key, value in cfg[where].items():
@@ -380,6 +383,8 @@ def build_experiment(cfg):
     Y0 = _initial_state(cfg, sys, K_filter)
 
     notes = []
+    if "dt_ray" in cfg.get("gcc", {}):
+        notes.append("gcc.dt_ray is ignored: the GCC check is exact")
     if not sys.is_hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:
         notes.append("theta at +-pi/2: outside the stated dissipative range, run as-is")
 

@@ -17,18 +17,6 @@ class CflViolationError(CascadeLabError, ValueError):
         )
 
 
-class StepTooCoarseError(CascadeLabError, ValueError):
-    """Ray sampling step is too large relative to the target region."""
-
-    def __init__(self, dt_ray, min_width):
-        self.dt_ray = float(dt_ray)
-        self.min_width = float(min_width)
-        super().__init__(
-            f"dt_ray={dt_ray:.6g} >= smallest region part width {min_width:.6g}; "
-            "rays could cross the region between samples"
-        )
-
-
 class HypothesisViolatedError(CascadeLabError, ArithmeticError):
     """A structural hypothesis failed on the assembled problem."""
 

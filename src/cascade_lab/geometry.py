@@ -1,32 +1,34 @@
-"""Grids, box regions and a billiard-ray check of the geometric control condition.
+"""Grids, box regions and an exact billiard-ray check of the geometric control condition.
 
 Domains are open intervals (0, L) or axis-aligned rectangles (0, Lx) x (0, Ly).
 Regions are finite unions of open boxes with a constant amplitude per box; that
 covers every coupling / control geometry used here (disjoint interior patches,
 boundary bands, full domain) while keeping indicator evaluation exact.
 
-The geometric control condition (GCC) is tested by sampling: speed-one rays with
-specular wall reflection are launched from a deterministic lattice of starting
-positions and directions, and a region passes at horizon T when every ray enters
-it at some sampled time <= T. Axis-parallel directions are always part of the
-lattice because they are the canonical counterexamples (strips). Ray positions
-are evaluated in closed form by unfolding the billiard (a tent map per axis), so
-reflections introduce no drift.
+The geometric control condition (GCC) is tested on a deterministic lattice of
+speed-one rays with specular wall reflection: a region passes at horizon T when
+every lattice ray enters it before T. Axis-parallel directions are always part
+of the lattice because they are the canonical counterexamples (strips). First
+entry times are computed in closed form by unfolding the billiard: each
+coordinate moves as x0 + v*t on the unfolded line, the folded coordinate lies
+in an open interval during a periodic set of open time windows, and a ray
+first enters a box at the earliest instant where its per-axis windows
+intersect. Nothing is sampled, so entry times hold to round-off and a ray that
+clips a box corner for an instant is still a hit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import StepTooCoarseError
-from .util import thread_map
-
 _MEASURE_EPS = 1e-12
+# rays per vectorized block of the GCC check; bounds its work arrays
+_RAY_BLOCK = 256
 
 
 class EmptySupportWarning(UserWarning):
@@ -129,9 +131,6 @@ class Box:
             return None
         return Box(lo, hi)
 
-    def min_side(self):
-        return min(b - a for a, b in zip(self.lo, self.hi))
-
 
 @dataclass(frozen=True)
 class Region:
@@ -172,9 +171,6 @@ class Region:
             amps.append(amp)
         return Region(tuple(parts), tuple(amps), self.label)
 
-    def min_part_width(self):
-        return min(p.min_side() for p in self.parts)
-
     def amplitude_at(self, coords):
         """Amplitude field at points, shape (m, dim) -> (m,); 0 outside."""
         coords = np.asarray(coords, dtype=float)
@@ -184,17 +180,6 @@ class Region:
             for a in range(self.dim):
                 inside &= (coords[:, a] > box.lo[a]) & (coords[:, a] < box.hi[a])
             np.maximum(out, np.where(inside, amp, 0.0), out=out)
-        return out
-
-    def contains_tracks(self, axes_positions):
-        """Membership for per-axis position arrays of a common shape."""
-        shape = axes_positions[0].shape
-        out = np.zeros(shape, dtype=bool)
-        for box in self.parts:
-            inside = np.ones(shape, dtype=bool)
-            for a in range(self.dim):
-                inside &= (axes_positions[a] > box.lo[a]) & (axes_positions[a] < box.hi[a])
-            out |= inside
         return out
 
 
@@ -265,11 +250,10 @@ class RayState:
 
 @dataclass
 class GccReport:
-    """Outcome of a sampled GCC check for one region."""
+    """Outcome of an exact GCC check for one region."""
 
     region_label: str
     horizon: float
-    dt_ray: float
     rays_total: int
     rays_hit: int
     rays_resampled: int
@@ -282,7 +266,6 @@ class GccReport:
         return {
             "region": self.region_label,
             "horizon": self.horizon,
-            "dt_ray": self.dt_ray,
             "rays_total": self.rays_total,
             "rays_hit": self.rays_hit,
             "rays_resampled": self.rays_resampled,
@@ -292,12 +275,6 @@ class GccReport:
             "worst_ray_direction": list(self.worst_ray.direction) if self.worst_ray else None,
             "verdict": "pass" if self.verdict else "fail",
         }
-
-
-def fold_positions(start, velocity, times, length):
-    """Exact billiard positions on [0, L]: tent map of the free flight."""
-    q = np.mod(start + velocity * times, 2.0 * length)
-    return np.where(q <= length, q, 2.0 * length - q)
 
 
 def _axis_directions(dim):
@@ -374,31 +351,86 @@ def _rotate(direction, angle):
     return (c * dx - s * dy, s * dx + c * dy)
 
 
-def gcc_check(region, extents, T, n_rays, dt_ray):
-    """Sampled geometric-control-condition check for one region.
+def _axis_windows(x0, v, lo, hi, length, n_windows):
+    """Open time windows in which a folded coordinate lies in (lo, hi).
 
-    Traces the deterministic ray lattice over [0, T] with sampling step
-    ``dt_ray`` and reports first-entry times. Requires dt_ray smaller than the
-    thinnest region part so a transversal crossing cannot be skipped. Rays that
-    would strike a corner exactly are replaced by slightly rotated ones (they
-    are counted in ``rays_resampled``); corner dynamics is out of scope.
+    On the unfolded line the coordinate is x0 + v*t, and its fold lies in
+    (lo, hi) exactly on the images (jL + lo, jL + hi) for even j and
+    (jL + L - hi, jL + L - lo) for odd j. A coordinate moving up meets the
+    images j = 0, 1, 2, ... in time order, one moving down j = 0, -1, -2, ...;
+    ``n_windows`` >= T/L + 2 of them cover [0, T). Returns (start, end), each
+    of shape (rays, n_windows). A still coordinate (v = 0) is in (lo, hi) for
+    all time or never.
+    """
+    still = v == 0.0
+    j = np.arange(n_windows) * np.where(v < 0.0, -1, 1)[:, None]
+    odd = j % 2 == 1
+    speed = np.where(still, 1.0, v)[:, None]
+    # distance to the wall image jL first: it is exact for nearby walls
+    offset = j * length - x0[:, None]
+    t_lo = (offset + np.where(odd, length - hi, lo)) / speed
+    t_hi = (offset + np.where(odd, length - lo, hi)) / speed
+    start = np.minimum(t_lo, t_hi)
+    end = np.maximum(t_lo, t_hi)
+    start[still] = 0.0
+    end[still] = 0.0
+    end[still, 0] = np.where((lo < x0[still]) & (x0[still] < hi), np.inf, 0.0)
+    return start, end
+
+
+def _box_entry_times(box, positions, directions, extents, T):
+    """First-entry time of each ray into one open box; inf when none before T.
+
+    Every combination of one window per axis is intersected with [0, inf), so
+    a block of rays holds rays x windows**dim candidate times.
+    """
+    start = np.zeros((len(positions), 1))
+    end = np.full((len(positions), 1), np.inf)
+    for a, L in enumerate(extents):
+        s, e = _axis_windows(positions[:, a], directions[:, a], box.lo[a], box.hi[a], L,
+                             int(T / L) + 2)
+        start = np.maximum(start[:, :, None], s[:, None, :]).reshape(len(positions), -1)
+        end = np.minimum(end[:, :, None], e[:, None, :]).reshape(len(positions), -1)
+    entry = np.where(start < end, start, np.inf).min(axis=1)
+    return np.where(entry < T, entry, np.inf)
+
+
+def ray_entry_times(region, extents, positions, directions, T):
+    """Exact first-entry times of billiard rays into an open region.
+
+    ``positions`` and ``directions`` have shape (rays, dim); a ray starting
+    inside the region enters at 0. Returns one time per ray, inf for a ray
+    that does not enter before T.
+    """
+    extents = tuple(float(L) for L in np.atleast_1d(extents))
+    region = region.clipped(extents)
+    positions = np.asarray(positions, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    out = np.empty(len(positions))
+    for lo in range(0, len(positions), _RAY_BLOCK):
+        block = slice(lo, lo + _RAY_BLOCK)
+        out[block] = np.min([_box_entry_times(box, positions[block], directions[block], extents, T)
+                             for box in region.parts], axis=0)
+    return out
+
+
+def gcc_check(region, extents, T, n_rays):
+    """Exact geometric-control-condition check for one region.
+
+    Computes the first-entry time of every ray of the deterministic lattice in
+    closed form and passes when each one enters before T. Rays that would
+    strike a corner exactly are replaced by slightly rotated ones (they are
+    counted in ``rays_resampled``); corner dynamics is out of scope.
     """
     extents = tuple(float(L) for L in np.atleast_1d(extents))
     if T <= 0:
         raise ValueError("horizon T must be positive")
     if n_rays < 1:
         raise ValueError("need at least one ray")
-    if dt_ray <= 0:
-        raise ValueError("dt_ray must be positive")
-    region_c = region.clipped(extents)
-    width = region_c.min_part_width()
-    if dt_ray >= width:
-        raise StepTooCoarseError(dt_ray, width)
 
     rays = _ray_lattice(extents, n_rays)
-    dim = len(extents)
     resampled = 0
-    if dim == 2:
+    if len(extents) == 2:
         fixed = []
         for pos, d in rays:
             attempt = 0
@@ -410,37 +442,19 @@ def gcc_check(region, extents, T, n_rays, dt_ray):
             fixed.append((pos, d))
         rays = fixed
 
-    n_steps = int(math.ceil(T / dt_ray))
-    times = dt_ray * np.arange(n_steps + 1)
     pos_arr = np.array([p for p, _ in rays])
     dir_arr = np.array([d for _, d in rays])
-
-    def trace(chunk):
-        lo, hi = chunk
-        tracks = [
-            fold_positions(pos_arr[lo:hi, a : a + 1], dir_arr[lo:hi, a : a + 1], times[None, :], extents[a])
-            for a in range(dim)
-        ]
-        inside = region_c.contains_tracks(tracks)
-        any_hit = inside.any(axis=1)
-        first_idx = np.where(any_hit, inside.argmax(axis=1), -1)
-        return any_hit, first_idx
-
-    chunks = [(i, min(i + 256, len(rays))) for i in range(0, len(rays), 256)]
-    results = thread_map(trace, chunks)
-    any_hit = np.concatenate([r[0] for r in results])
-    first_idx = np.concatenate([r[1] for r in results])
-
-    hit_times = first_idx[any_hit] * dt_ray
-    rays_hit = int(any_hit.sum())
+    entry = ray_entry_times(region, extents, pos_arr, dir_arr, T)
+    hit = np.isfinite(entry)
+    hit_times = entry[hit]
+    rays_hit = int(hit.sum())
     worst = None
     if rays_hit < len(rays):
-        miss = int(np.argmin(any_hit))
+        miss = int(np.argmin(hit))
         worst = RayState(tuple(pos_arr[miss]), tuple(dir_arr[miss]))
     return GccReport(
         region_label=region.label or "region",
         horizon=float(T),
-        dt_ray=float(dt_ray),
         rays_total=len(rays),
         rays_hit=rays_hit,
         rays_resampled=resampled,

@@ -1,36 +1,9 @@
-"""Small shared helpers: bounded thread map, canonical JSON, float formatting."""
+"""Small shared helpers: canonical JSON, float formatting."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "CASCADE_LAB_THREADS"
-
-
-def thread_count():
-    """Internal parallelism cap, from CASCADE_LAB_THREADS (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def thread_map(fn, items):
-    """Ordered map over items, threaded when the env cap allows it.
-
-    Results are collected in input order, so callers stay deterministic
-    regardless of the worker count.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt_float(x):

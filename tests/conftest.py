@@ -151,3 +151,23 @@ def signed_zero_fields(shape, rng, complex_=False):
     out.imag = rng.standard_normal(shape)
     out.imag[..., n // 2:] = 0.0
     return out
+
+
+def lattice_worst_entry_1d(lo, hi, n_rays, L=1.0):
+    """Largest first-entry time into (lo, hi) over the 1D ray lattice, by
+    reflection arithmetic: a start inside enters at 0, a ray heading toward
+    the interval reaches its near edge directly, and one heading away first
+    runs to the wall and back."""
+    from cascade_lab.geometry import _ray_lattice
+
+    worst = 0.0
+    for (x,), (v,) in _ray_lattice((L,), n_rays):
+        if lo < x < hi:
+            continue
+        below = x <= lo
+        if below == (v > 0):
+            t = lo - x if below else x - hi
+        else:
+            t = x + lo if below else (L - x) + (L - hi)
+        worst = max(worst, t)
+    return worst

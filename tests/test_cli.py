@@ -111,6 +111,67 @@ def test_gcc_and_control_report_one_horizon_on_the_heat_demo(demo_dir, tmp_path)
         assert {r["horizon"] for r in json.load(fh)["gcc"]} == {cfg["time"]["T"]}
 
 
+def test_control_report_gcc_block_equals_the_gcc_report(tmp_path):
+    """`gcc` and the `control` report run one GCC routine on the same rays."""
+    cfg = demo_configs()["demo_wave_cascade.json"]
+    cfg["gcc"]["n_rays"] = 100
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(cfg))
+    blocks = []
+    for command in ("gcc", "control"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        blocks.append(json.loads((tmp_path / command / "report.json").read_text())["gcc"])
+    assert blocks[0] == blocks[1]
+    assert all(e["rays_total"] == 100 and "worst_entry_time_exact" in e for e in blocks[0])
+
+
+def test_gcc_dt_ray_is_accepted_and_noted_as_ignored():
+    cfg = demo_configs()["demo_wave_cascade.json"]
+    assert "dt_ray is ignored" not in " ".join(cl.build_experiment(cfg).notes)
+    cfg["gcc"]["dt_ray"] = 0.005
+    assert cl.build_experiment(cfg).notes == ["gcc.dt_ray is ignored: the GCC check is exact"]
+
+
+# one changed value per key of the sections a subcommand reads lazily, and
+# the subcommand whose report must show the change
+SECTION_KEY_CHANGES = {
+    ("gcc", "n_rays"): (100, "gcc"),
+    ("gcc", "dt_ray"): (0.005, "gcc"),
+    ("gcc", "T"): (3.0, "gcc"),
+    ("analysis", "n_samples"): (1, "check"),
+    ("analysis", "levels"): ([100, 200], "check"),
+    ("analysis", "t_grid"): ([3.0, 6.0], "observability"),
+    ("analysis", "K"): (3, "observability"),
+}
+
+
+def test_section_key_table_covers_the_schema():
+    from cascade_lab.config import _SECTION_KEYS
+
+    assert set(SECTION_KEY_CHANGES) == {(s, k) for s, keys in _SECTION_KEYS.items() for k in keys}
+
+
+@pytest.mark.parametrize("section,key", sorted(SECTION_KEY_CHANGES))
+def test_every_gcc_and_analysis_key_changes_a_report(tmp_path, section, key):
+    value, command = SECTION_KEY_CHANGES[section, key]
+    base = demo_configs()["demo_wave_cascade.json"]
+    changed = json.loads(json.dumps(base))
+    changed.setdefault(section, {})[key] = value
+    assert base.get(section, {}).get(key) != value
+
+    def report(cfg, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        payload = json.loads((tmp_path / name / "report.json").read_text())
+        del payload["config"], payload["config_hash"]
+        return payload
+
+    first = report(base, "base")
+    assert report(base, "again") == first
+    assert report(changed, "changed") != first
+
+
 def test_zero_coupling_control_fails(demo_dir, tmp_path):
     import warnings
 
@@ -429,14 +490,6 @@ def test_sweep_eps_subcommand(demo_dir, tmp_path):
     assert len(report["sweep"]["terminal_norms"]) == 3
     assert report["sweep"]["terminal_norms"] == sorted(report["sweep"]["terminal_norms"],
                                                        reverse=True)
-
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    r = cl.region_from_bounds([[0.3, 0.6]], 1.0)
-    base = cl.gcc_check(r, (1.0,), 1.5, 300, 0.01)
-    monkeypatch.setenv("CASCADE_LAB_THREADS", "4")
-    threaded = cl.gcc_check(r, (1.0,), 1.5, 300, 0.01)
-    assert base.to_dict() == threaded.to_dict()
 
 
 def test_degenerate_ratio_sample_skipped():
