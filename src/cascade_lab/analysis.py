@@ -83,21 +83,19 @@ def _single_equation_variant(sys, region):
     return CascadeSystem(sys.family, sys.op, sys.basis, 1, 0, coupling, control)
 
 
-def observability_constants(sys, T, dt, K_filter, which="control", pi_region=None,
-                            dense_limit=DENSE_SEED_LIMIT):
+def observability_constants(sys, T, dt, K_filter, which="control", dense_limit=DENSE_SEED_LIMIT):
     """Assemble a filtered Gramian densely and report its spectrum.
 
     ``which`` selects the observation functional: "control" uses the system's
     own control observations; "coupling" observes the velocity of the single
-    free equation on the (indicator) support of a coupling region, the second
-    standard inequality. The seed dimension must stay within ``dense_limit``.
+    free equation on the (indicator) support of the first coupling region,
+    the second standard inequality. The seed dimension must stay within
+    ``dense_limit``.
     """
     if which == "coupling":
-        if pi_region is None:
-            if not sys.coupling.entries:
-                raise NotApplicableError("no coupling region available for the velocity functional")
-            pi_region = sys.coupling.entries[0][1]
-        target = _single_equation_variant(sys, pi_region)
+        if not sys.coupling.entries:
+            raise NotApplicableError("no coupling region available for the velocity functional")
+        target = _single_equation_variant(sys, sys.coupling.entries[0][1])
     elif which == "control":
         if not sys.control.entries:
             raise NotApplicableError("system carries no control; the control observability "

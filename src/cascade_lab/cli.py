@@ -203,13 +203,19 @@ def _cmd_gcc(args):
     return 0 if verdict else 2
 
 
+def _coupling_bounds(exp):
+    """Coupling-bound certificates of every coupling region, each over
+    ``operators.COUPLING_SAMPLES`` random fields; `check` and the `control`
+    report share them."""
+    return [verify_coupling_bounds(region, exp.grid, seed=exp.seed)
+            for region in exp.coupling_regions]
+
+
 def _cmd_check(args):
     exp = build_experiment(load_config(args.config))
     ana = exp.cfg.get("analysis", {})
     lam1 = verify_operator_coercivity(exp.basis)
-    couplings = [verify_coupling_bounds(region, exp.grid, n_samples=int(ana.get("n_samples", 100)),
-                                        seed=exp.seed)
-                 for region in exp.coupling_regions]
+    couplings = _coupling_bounds(exp)
     boundary = any(e.get("kind") == "boundary" for e in exp.cfg.get("control", []))
     default_levels = [exp.grid.n[0], 2 * exp.grid.n[0]] if boundary else [exp.grid.n[0]]
     levels = ana.get("levels") or default_levels
@@ -250,12 +256,9 @@ def _run_control(exp, args):
 
 
 def _quick_hypotheses(exp):
-    lam1 = verify_operator_coercivity(exp.basis)
-    couplings = [verify_coupling_bounds(region, exp.grid, n_samples=20, seed=exp.seed)
-                 for region in exp.coupling_regions]
     return {
-        "coercivity_constant": lam1,
-        "coupling": [c.to_dict() for c in couplings],
+        "coercivity_constant": verify_operator_coercivity(exp.basis),
+        "coupling": [c.to_dict() for c in _coupling_bounds(exp)],
     }
 
 

@@ -14,7 +14,10 @@ coordinate moves as x0 + v*t on the unfolded line, the folded coordinate lies
 in an open interval during a periodic set of open time windows, and a ray
 first enters a box at the earliest instant where its per-axis windows
 intersect. Nothing is sampled, so entry times hold to round-off and a ray that
-clips a box corner for an instant is still a hit.
+clips a box corner for an instant is still a hit. Domain corners need no
+special case: at a right angle the two wall reflections commute, the per-axis
+fold is continuous through the corner, and a ray aimed at one is followed
+exactly like every other lattice ray.
 """
 
 from __future__ import annotations
@@ -256,7 +259,6 @@ class GccReport:
     horizon: float
     rays_total: int
     rays_hit: int
-    rays_resampled: int
     min_hit_time: float | None
     max_hit_time_among_hitters: float | None
     worst_ray: RayState | None
@@ -268,7 +270,6 @@ class GccReport:
             "horizon": self.horizon,
             "rays_total": self.rays_total,
             "rays_hit": self.rays_hit,
-            "rays_resampled": self.rays_resampled,
             "min_hit_time": self.min_hit_time,
             "max_hit_time_among_hitters": self.max_hit_time_among_hitters,
             "worst_ray_position": list(self.worst_ray.position) if self.worst_ray else None,
@@ -277,14 +278,9 @@ class GccReport:
         }
 
 
-def _axis_directions(dim):
-    if dim == 1:
-        return [(-1.0,), (1.0,)]
-    return [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-
-
 def _ray_lattice(extents, n_rays):
-    """Deterministic starting lattice: positions x directions.
+    """Deterministic starting lattice: (positions, directions), each of shape
+    (rays, dim), every position crossed with every direction.
 
     1D: endpoint-including uniform positions (ceil(n_rays/2) of them) crossed
     with both directions.  2D: strictly interior uniform positions, m per axis
@@ -293,62 +289,21 @@ def _ray_lattice(extents, n_rays):
     Interior 2D starts avoid rays that glide along a wall and can never enter
     an open region touching that wall.
     """
-    dim = len(extents)
-    if dim == 1:
-        L = extents[0]
+    if len(extents) == 1:
         n_pos = max(2, int(math.ceil(n_rays / 2)))
-        xs = np.linspace(0.0, L, n_pos)
-        positions = [(x,) for x in xs]
-        dirs = _axis_directions(1)
-        return [(p, d) for p in positions for d in dirs]
-    n_dir = 8
-    n_pos = max(2, int(round(math.sqrt(max(n_rays, n_dir) / n_dir))))
-    axes = [L * np.arange(1, n_pos + 1) / (n_pos + 1) for L in extents]
-    positions = [(x, y) for x in axes[0] for y in axes[1]]
-    dirs = []
-    for q in range(n_dir):
-        ang = 2.0 * math.pi * q / n_dir
-        dx, dy = math.cos(ang), math.sin(ang)
-        # snap the axis-parallel directions to exact unit vectors
-        if abs(dx) < 1e-15:
-            dx = 0.0
-            dy = math.copysign(1.0, dy)
-        if abs(dy) < 1e-15:
-            dy = 0.0
-            dx = math.copysign(1.0, dx)
-        dirs.append((dx, dy))
-    return [(p, d) for p in positions for d in dirs]
-
-
-def _wall_times(x0, v, length, horizon):
-    """Times in (0, horizon] at which the unfolded coordinate meets a wall."""
-    if v == 0.0:
-        return np.empty(0)
-    # walls of the unfolded line sit at integer multiples of length
-    first = x0 / -v if v < 0 else (length - x0) / v
-    period = length / abs(v)
-    if first <= 0:
-        first += period
-    k = int(math.floor((horizon - first) / period))
-    if k < 0:
-        return np.empty(0)
-    return first + period * np.arange(k + 1)
-
-
-def _hits_corner(position, direction, extents, horizon, tol):
-    """True when both axes reflect within tol of the same instant."""
-    tx = _wall_times(position[0], direction[0], extents[0], horizon)
-    ty = _wall_times(position[1], direction[1], extents[1], horizon)
-    if tx.size == 0 or ty.size == 0:
-        return False
-    gaps = np.abs(tx[:, None] - ty[None, :])
-    return bool(np.min(gaps) < tol)
-
-
-def _rotate(direction, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    dx, dy = direction
-    return (c * dx - s * dy, s * dx + c * dy)
+        positions = np.linspace(0.0, extents[0], n_pos)[:, None]
+        dirs = np.array([[-1.0], [1.0]])
+    else:
+        n_dir = 8
+        n_pos = max(2, int(round(math.sqrt(max(n_rays, n_dir) / n_dir))))
+        axes = [L * np.arange(1, n_pos + 1) / (n_pos + 1) for L in extents]
+        positions = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        angles = [2.0 * math.pi * q / n_dir for q in range(n_dir)]
+        dirs = np.array([(math.cos(a), math.sin(a)) for a in angles])
+        # snap the axis-parallel directions to exact unit vectors: cos and sin
+        # of multiples of pi/2 are exactly +-1, but leave ~1e-16 where 0 belongs
+        dirs[np.abs(dirs) < 1e-15] = 0.0
+    return np.repeat(positions, len(dirs), axis=0), np.tile(dirs, (len(positions), 1))
 
 
 def _axis_windows(x0, v, lo, hi, length, n_windows):
@@ -392,7 +347,9 @@ def _box_entry_times(box, positions, directions, extents, T):
         start = np.maximum(start[:, :, None], s[:, None, :]).reshape(len(positions), -1)
         end = np.minimum(end[:, :, None], e[:, None, :]).reshape(len(positions), -1)
     entry = np.where(start < end, start, np.inf).min(axis=1)
-    return np.where(entry < T, entry, np.inf)
+    # np.maximum(0.0, -0.0) is -0.0, the entry time of a ray that starts on
+    # an edge and heads in (0 / -v); adding 0.0 makes it 0.0
+    return np.where(entry < T, entry + 0.0, np.inf)
 
 
 def ray_entry_times(region, extents, positions, directions, T):
@@ -418,9 +375,10 @@ def gcc_check(region, extents, T, n_rays):
     """Exact geometric-control-condition check for one region.
 
     Computes the first-entry time of every ray of the deterministic lattice in
-    closed form and passes when each one enters before T. Rays that would
-    strike a corner exactly are replaced by slightly rotated ones (they are
-    counted in ``rays_resampled``); corner dynamics is out of scope.
+    closed form and passes when each one enters before T. A ray aimed at a
+    corner is followed like any other: a corner is a right angle, where the
+    reflections off its two walls commute, so the ray leaves it with both
+    components reversed, as the limit of its neighbours on either side.
     """
     extents = tuple(float(L) for L in np.atleast_1d(extents))
     if T <= 0:
@@ -428,40 +386,24 @@ def gcc_check(region, extents, T, n_rays):
     if n_rays < 1:
         raise ValueError("need at least one ray")
 
-    rays = _ray_lattice(extents, n_rays)
-    resampled = 0
-    if len(extents) == 2:
-        fixed = []
-        for pos, d in rays:
-            attempt = 0
-            while attempt < 4 and _hits_corner(pos, d, extents, T, tol=1e-9):
-                d = _rotate(d, 1e-3 * (attempt + 1))
-                attempt += 1
-            if attempt:
-                resampled += 1
-            fixed.append((pos, d))
-        rays = fixed
-
-    pos_arr = np.array([p for p, _ in rays])
-    dir_arr = np.array([d for _, d in rays])
-    entry = ray_entry_times(region, extents, pos_arr, dir_arr, T)
+    positions, directions = _ray_lattice(extents, n_rays)
+    entry = ray_entry_times(region, extents, positions, directions, T)
     hit = np.isfinite(entry)
     hit_times = entry[hit]
     rays_hit = int(hit.sum())
     worst = None
-    if rays_hit < len(rays):
+    if rays_hit < len(entry):
         miss = int(np.argmin(hit))
-        worst = RayState(tuple(pos_arr[miss]), tuple(dir_arr[miss]))
+        worst = RayState(tuple(positions[miss]), tuple(directions[miss]))
     return GccReport(
         region_label=region.label or "region",
         horizon=float(T),
-        rays_total=len(rays),
+        rays_total=len(entry),
         rays_hit=rays_hit,
-        rays_resampled=resampled,
         min_hit_time=float(hit_times.min()) if rays_hit else None,
         max_hit_time_among_hitters=float(hit_times.max()) if rays_hit else None,
         worst_ray=worst,
-        verdict=rays_hit == len(rays),
+        verdict=rays_hit == len(entry),
     )
 
 

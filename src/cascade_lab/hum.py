@@ -497,7 +497,9 @@ class HumResult:
 
     ``stagnated`` flags a numerically singular G + eps I (some eigenvalue at
     or below RANK_RTOL times the largest); ``failure_reason`` says why a
-    failed synthesis failed and is None on success.
+    failed synthesis failed and is None on success. ``gram_quadratic`` is
+    x . (G x) for the solved coordinates x and the dense Gramian G, which
+    equals ``control_norm_sq`` when G is the Gramian of the marches.
     """
 
     success: bool
@@ -630,7 +632,7 @@ class _Synthesis:
             free_terminal_energy=self.free_energy,
             projection_residual=self.projection_residual,
             control_norm_sq=signal.norm_sq(sys.grid),
-            gram_quadratic=gram.observation_quadrature(obs, obs),
+            gram_quadratic=float(sol.x @ (self.spectrum.mat @ sol.x)),
             wall_time=self.setup_time + time.perf_counter() - t0,
             terminal_state=terminal,
             initial_state=self.Y0f,

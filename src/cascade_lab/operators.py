@@ -292,12 +292,6 @@ class ControlSpec:
     def controlled(self):
         return tuple(k for k, _ in self.entries)
 
-    def kind_of(self, k):
-        for comp, kind in self.entries:
-            if comp == k:
-                return kind
-        return None
-
 
 # ---------------------------------------------------------------------------
 # structural hypothesis checks
@@ -330,7 +324,11 @@ class CouplingBounds:
         }
 
 
-def verify_coupling_bounds(region, grid, n_samples=100, seed=0):
+# random fields per coupling-bound certificate
+COUPLING_SAMPLES = 100
+
+
+def verify_coupling_bounds(region, grid, n_samples=COUPLING_SAMPLES, seed=0):
     """Certify the multiplier-coupling inequalities on random fields.
 
     For Cw = c * 1_O * w with c >= 0 the sharp constants are known exactly

@@ -161,7 +161,8 @@ def lattice_worst_entry_1d(lo, hi, n_rays, L=1.0):
     from cascade_lab.geometry import _ray_lattice
 
     worst = 0.0
-    for (x,), (v,) in _ray_lattice((L,), n_rays):
+    positions, directions = _ray_lattice((L,), n_rays)
+    for x, v in zip(positions[:, 0], directions[:, 0]):
         if lo < x < hi:
             continue
         below = x <= lo

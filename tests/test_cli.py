@@ -82,6 +82,9 @@ def test_gcc_pass_and_fail_exit_codes(demo_dir, tmp_path):
     assert main(["gcc", "--config", str(path)]) == 0
     assert main(["gcc", "--config", str(demo_dir / "strip_square.json"),
                  "--out", str(tmp_path / "strip")]) == 2
+    # rays starting on an edge of the strip enter at 0.0, never at -0.0
+    (entry,) = json.loads((tmp_path / "strip" / "report.json").read_text())["gcc"]
+    assert entry["min_hit_time"] == 0.0 and math.copysign(1.0, entry["min_hit_time"]) == 1.0
 
 
 def test_gcc_and_control_report_one_horizon_on_the_heat_demo(demo_dir, tmp_path):
@@ -170,6 +173,155 @@ def test_every_gcc_and_analysis_key_changes_a_report(tmp_path, section, key):
     first = report(base, "base")
     assert report(base, "again") == first
     assert report(changed, "changed") != first
+
+
+def test_analysis_n_samples_sets_only_the_admissibility_samples(tmp_path):
+    """`analysis.n_samples` counts the admissibility samples; the coupling
+    certificates of `check` and of the `control` report both draw
+    COUPLING_SAMPLES random fields. A coupling with two amplitudes makes the
+    slacks depend on the number of fields."""
+    from cascade_lab.operators import COUPLING_SAMPLES
+
+    cfg = demo_configs()["demo_wave_cascade.json"]
+    cfg["domain"]["n"] = [60]
+    cfg["hum"]["K_filter"] = 10
+    cfg["time"]["T"] = 3.0
+    cfg["coupling"][0].update(boxes=[[[0.2, 0.3]], [[0.3, 0.4]]], amplitude=[1.0, 2.0])
+    exp = cl.build_experiment(cfg)
+    region = exp.coupling_regions[0]
+    expected = cl.verify_coupling_bounds(region, exp.grid, COUPLING_SAMPLES, exp.seed).to_dict()
+    fewer = cl.verify_coupling_bounds(region, exp.grid, 10, exp.seed).to_dict()
+    assert fewer["slack_bound"] != expected["slack_bound"]
+    assert fewer["slack_coercivity"] != expected["slack_coercivity"]
+
+    hypotheses = {}
+    for name, command, n_samples in [("a", "check", 2), ("b", "check", 10), ("c", "control", 10)]:
+        cfg["analysis"] = {"n_samples": n_samples}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        hypotheses[name] = json.loads((tmp_path / name / "report.json").read_text())["hypotheses"]
+    for name in "abc":
+        assert hypotheses[name]["coupling"] == [expected]
+    assert hypotheses["a"]["admissibility"] != hypotheses["b"]["admissibility"]
+
+
+def _resolved(obj):
+    """A comparable picture of what a config resolves to: dataclasses and other
+    objects by their attributes, arrays by dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return type(obj).__name__, tuple(_resolved(v) for v in obj)
+    if isinstance(obj, dict):
+        return tuple((repr(k), _resolved(obj[k])) for k in sorted(obj, key=repr))
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, _resolved(vars(obj))
+    return obj
+
+
+def _experiment_without_cfg(cfg):
+    attrs = dict(vars(cl.build_experiment(cfg)))
+    del attrs["cfg"]
+    return _resolved(attrs)
+
+
+def _boundary_wave(cfg):
+    cfg["control"] = [{"component": 2, "kind": "boundary", "end": "right", "gain": 1.0}]
+
+
+def _random_initial(cfg):
+    cfg["initial"][0] = {"component": 1, "random": {"norm": 1.0, "seed": 3}}
+
+
+def _swap_initial_components(cfg):
+    cfg["initial"][0]["component"], cfg["initial"][1]["component"] = 2, 1
+
+
+def _to_hyperbolic(cfg):
+    # the companion changes keep the config valid and the initial field equal
+    del cfg["family"]["theta"]
+    cfg["family"]["kind"] = "hyperbolic"
+    del cfg["hum"]["eps_list"]
+    for entry in cfg["initial"]:
+        entry["position_modes"], entry["velocity_modes"] = entry.pop("modes"), []
+
+
+def _to_boundary(cfg):
+    del cfg["control"][0]["boxes"], cfg["control"][0]["amplitude"]
+    cfg["control"][0].update(kind="boundary", end="right")
+
+
+def _set(path, value):
+    """Set one entry of a config, addressed by a path of keys and indices."""
+    def change(cfg):
+        target = cfg
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return change
+
+
+WAVE, HEAT = "demo_wave_cascade.json", "demo_heat_cascade.json"
+# one change per key of the sections `build_experiment` resolves eagerly:
+# (base demo, preparation of the base or None, change)
+EAGER_KEY_CHANGES = {
+    "domain.extents": (WAVE, None, _set(["domain", "extents"], [1.5])),
+    "domain.n": (WAVE, None, _set(["domain", "n"], [150])),
+    "family.kind": (HEAT, None, _to_hyperbolic),
+    "family.theta": (HEAT, None, _set(["family", "theta"], 0.3)),
+    "N": (WAVE, None, _set(["N"], 3)),
+    "p": (WAVE, None, _set(["p"], 0)),
+    "time.T": (WAVE, None, _set(["time", "T"], 5.0)),
+    "time.dt": (WAVE, None, _set(["time", "dt"], 0.002)),
+    "hum.K_filter": (WAVE, None, _set(["hum", "K_filter"], 20)),
+    "hum.eps": (WAVE, None, _set(["hum", "eps"], 1e-6)),
+    "hum.cg_tol": (WAVE, None, _set(["hum", "cg_tol"], 1e-9)),
+    "hum.max_iter": (WAVE, None, _set(["hum", "max_iter"], 100)),
+    "hum.eps_list": (WAVE, None, _set(["hum", "eps_list"], [1e-2, 1e-3, 1e-4])),
+    "coupling.pair": (WAVE, _set(["N"], 3), _set(["coupling", 0, "pair"], [1, 3])),
+    "coupling.boxes": (WAVE, None, _set(["coupling", 0, "boxes"], [[[0.2, 0.5]]])),
+    "coupling.amplitude": (WAVE, None, _set(["coupling", 0, "amplitude"], 2.0)),
+    "coupling.label": (WAVE, None, _set(["coupling", 0, "label"], "O")),
+    "control.component": (WAVE, _set(["N"], 3), _set(["control", 0, "component"], 3)),
+    "control.kind": (WAVE, None, _to_boundary),
+    "control.boxes": (WAVE, None, _set(["control", 0, "boxes"], [[[0.6, 0.9]]])),
+    "control.amplitude": (WAVE, None, _set(["control", 0, "amplitude"], 2.0)),
+    "control.end": (WAVE, _boundary_wave, _set(["control", 0, "end"], "left")),
+    "control.gain": (WAVE, _boundary_wave, _set(["control", 0, "gain"], 2.0)),
+    "control.label": (WAVE, None, _set(["control", 0, "label"], "omega")),
+    "initial.component": (WAVE, None, _swap_initial_components),
+    "initial.position_modes": (WAVE, None, _set(["initial", 0, "position_modes"], [[1, 2.0]])),
+    "initial.velocity_modes": (WAVE, None, _set(["initial", 0, "velocity_modes"], [[1, 1.0]])),
+    "initial.modes": (HEAT, None, _set(["initial", 0, "modes"], [[2, 1.0]])),
+    "initial.random.norm": (WAVE, _random_initial, _set(["initial", 0, "random", "norm"], 2.0)),
+    "initial.random.seed": (WAVE, _random_initial, _set(["initial", 0, "random", "seed"], 4)),
+    "seed": (WAVE, None, _set(["seed"], 1)),
+    "indicator_taper": (WAVE, None, _set(["indicator_taper"], 0.05)),
+}
+
+
+def test_eager_key_table_covers_the_top_level_sections():
+    from cascade_lab.config import _SECTION_KEYS, _TOP_KEYS
+
+    sections = {key.split(".")[0] for key in EAGER_KEY_CHANGES}
+    assert sections == _TOP_KEYS - set(_SECTION_KEYS) - {"output_dir"}
+
+
+@pytest.mark.parametrize("key", sorted(EAGER_KEY_CHANGES))
+def test_every_eagerly_built_key_changes_the_experiment(key):
+    """Each key of the sections `build_experiment` resolves changes the
+    resolved Experiment, compared without its echoed config."""
+    name, prepare, change = EAGER_KEY_CHANGES[key]
+    base = demo_configs()[name]
+    if prepare is not None:
+        prepare(base)
+    changed = json.loads(json.dumps(base))
+    change(changed)
+    assert changed != base
+    first = _experiment_without_cfg(base)
+    assert _experiment_without_cfg(json.loads(json.dumps(base))) == first
+    assert _experiment_without_cfg(changed) != first
 
 
 def test_zero_coupling_control_fails(demo_dir, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_lab as cl
-from cascade_lab.geometry import ray_entry_times
+from cascade_lab.geometry import _ray_lattice, ray_entry_times
 
 from conftest import lattice_worst_entry_1d
 
@@ -116,6 +116,68 @@ def test_gcc_two_adjacent_bands_pass():
     r = cl.region_from_bounds([[[0.0, 0.2], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.2]]], 1.0, "bands")
     rep = cl.gcc_check(r, (1.0, 1.0), 4.0, 648)
     assert rep.verdict
+
+
+def _list_lattice(extents, n_rays):
+    """The ray lattice built as a list of (position, direction) tuples, one
+    ray at a time: the reference for the array construction."""
+    if len(extents) == 1:
+        xs = np.linspace(0.0, extents[0], max(2, math.ceil(n_rays / 2)))
+        return [((x,), d) for x in xs for d in [(-1.0,), (1.0,)]]
+    m = max(2, int(round(math.sqrt(max(n_rays, 8) / 8))))
+    axes = [L * np.arange(1, m + 1) / (m + 1) for L in extents]
+    dirs = []
+    for q in range(8):
+        dx, dy = math.cos(2.0 * math.pi * q / 8), math.sin(2.0 * math.pi * q / 8)
+        if abs(dx) < 1e-15:
+            dx, dy = 0.0, math.copysign(1.0, dy)
+        if abs(dy) < 1e-15:
+            dx, dy = math.copysign(1.0, dx), 0.0
+        dirs.append((dx, dy))
+    return [((x, y), d) for x in axes[0] for y in axes[1] for d in dirs]
+
+
+@pytest.mark.parametrize("extents,n_rays", [((1.0,), 402), ((1.3,), 7), ((1.0,), 1),
+                                            ((1.0, 1.0), 648), ((1.0, 0.7), 4000),
+                                            ((2.0, 1.0), 1)])
+def test_ray_lattice_arrays_equal_the_list_lattice(extents, n_rays):
+    positions, directions = _ray_lattice(extents, n_rays)
+    rays = _list_lattice(extents, n_rays)
+    assert positions.shape == directions.shape == (len(rays), len(extents))
+    assert positions.tobytes() == np.array([p for p, _ in rays]).tobytes()
+    assert directions.tobytes() == np.array([d for _, d in rays]).tobytes()
+
+
+@pytest.mark.parametrize("bounds,T,n_rays,hits,total,worst", [
+    # the strip misses the vertical rays; the slowest hitter starts on its
+    # edge and heads diagonally away, entering after 0.8 * sqrt(2)
+    ([[[0.4, 0.6], [0.0, 1.0]]], 10.0, 648, 504, 648, 0.8 * math.sqrt(2.0)),
+    ([[[0.0, 0.2], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.2]]], 4.0, 648, 648, 648,
+     1.6 * math.sqrt(2.0)),
+    # the two L regions of the benchmark's 40x40 square
+    ([[[0.0, 1.0], [0.0, 0.25]], [[0.0, 0.25], [0.0, 1.0]]], 4.0, 4000, 3872, 3872,
+     137 / 92 * math.sqrt(2.0)),
+    ([[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]], 4.0, 4000, 3872, 3872,
+     137 / 92 * math.sqrt(2.0)),
+], ids=["strip", "bands", "bottom-left-L", "right-top-L"])
+def test_gcc_2d_worst_hit_times_are_exact_lattice_values(bounds, T, n_rays, hits, total, worst):
+    # lattice rays aimed at a corner are followed as they are, so the worst
+    # hitter is a lattice ray and its time a closed-form value
+    rep = cl.gcc_check(cl.region_from_bounds(bounds, 1.0), (1.0, 1.0), T, n_rays)
+    assert (rep.rays_hit, rep.rays_total, rep.verdict) == (hits, total, hits == total)
+    assert abs(rep.max_hit_time_among_hitters - worst) <= 1e-12
+
+
+def test_entry_times_carry_no_negative_zero():
+    # a ray starting on an edge of the strip and heading in enters at 0; on the
+    # edge x = 0.6 with dx < 0 that time comes out of 0 / dx, which is -0.0
+    strip = cl.region_from_bounds([[[0.4, 0.6], [0.0, 1.0]]], 1.0)
+    c = math.sqrt(0.5)
+    times = ray_entry_times(strip, (1.0, 1.0), [(0.6, 0.1), (0.4, 0.1)], [(-c, c), (c, -c)], 1.0)
+    assert times.tolist() == [0.0, 0.0]
+    assert not np.signbit(times).any()
+    rep = cl.gcc_check(strip, (1.0, 1.0), 10.0, 648)
+    assert rep.min_hit_time == 0.0 and math.copysign(1.0, rep.min_hit_time) == 1.0
 
 
 def test_gcc_monotone_in_horizon():
@@ -247,7 +309,7 @@ def test_gcc_report_serializes_flat():
     r = cl.region_from_bounds([[0.4, 0.6]], 1.0, "omega")
     rep = cl.gcc_check(r, (1.0,), 1.0, 40)
     d = rep.to_dict()
-    assert "dt_ray" not in d
+    assert "dt_ray" not in d and "rays_resampled" not in d
     assert d["verdict"] == "pass"
     assert d["rays_hit"] == d["rays_total"]
     assert isinstance(d["min_hit_time"], float)
