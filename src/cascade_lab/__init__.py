@@ -46,15 +46,13 @@ from .dynamics import (
     Dissipative,
     EnergyReport,
     Hyperbolic,
-    SolveRecord,
     SystemState,
     adjoint_duality_quadrature,
     adjoint_system,
     cfl_time_step,
     energy,
     forward_duality_pairing,
-    solve_dissipative,
-    solve_hyperbolic,
+    solve,
     state_l2_norm,
     zero_state,
 )

@@ -34,8 +34,7 @@ from .dynamics import (
     SystemState,
     energy,
     interval_weights,
-    solve_dissipative,
-    solve_hyperbolic,
+    solve,
     step_count,
     trapezoid_weights,
 )
@@ -121,9 +120,9 @@ def write_trajectory_csv(out_dir, snapshots):
     path = os.path.join(out_dir, "trajectory.csv")
     with _open_w(path) as fh:
         fh.write(SERIES_HEADER + "\n")
-        for t, state in snapshots:
+        for t, w in snapshots:
             ts = fmt_float(t)
-            for i, row in enumerate(state.w):
+            for i, row in enumerate(w):
                 _write_rows(fh, ts, [f",{i + 1},{idx}," for idx in range(row.shape[0])], row)
     return path
 
@@ -250,11 +249,6 @@ def _cmd_check(args):
     return 0 if verdict else 2
 
 
-def _run_control(exp, args):
-    return synthesize_control(exp.sys, exp.Y0, exp.T, exp.dt, exp.K_filter,
-                              eps=exp.eps, cg_tol=exp.cg_tol, max_iter=exp.max_iter)
-
-
 def _quick_hypotheses(exp):
     return {
         "coercivity_constant": verify_operator_coercivity(exp.basis),
@@ -264,7 +258,8 @@ def _quick_hypotheses(exp):
 
 def _cmd_control(args):
     exp = build_experiment(load_config(args.config))
-    result = _run_control(exp, args)
+    result = synthesize_control(exp.sys, exp.Y0, exp.T, exp.dt, exp.K_filter,
+                                eps=exp.eps, cg_tol=exp.cg_tol, max_iter=exp.max_iter)
     out = _out_dir(exp, args)
     payload = _base_report(exp, "control")
     payload["hum"] = result.to_dict()
@@ -276,15 +271,15 @@ def _cmd_control(args):
              "initial_state": write_state_csv(out, result.initial_state),
              "spectra": write_spectra_csv(out, exp.basis.eigenvalues)}
     if args.snapshots:
-        times = np.linspace(0.0, exp.T, args.snapshots + 1)
-        times = [round(t / exp.dt) * exp.dt for t in times]
-        if exp.sys.is_hyperbolic:
-            rec, _ = solve_hyperbolic(exp.sys, exp.Y0, result.control, exp.T, exp.dt,
-                                      snapshot_times=times)
-        else:
-            rec, _ = solve_dissipative(exp.sys, exp.Y0, result.control, exp.T, exp.dt,
-                                       snapshot_times=times)
-        paths["trajectory"] = write_trajectory_csv(out, rec.snapshots)
+        nodes = {round(t / exp.dt) for t in np.linspace(0.0, exp.T, args.snapshots + 1)}
+        snapshots = []
+
+        def visit(n, y, velocity=None):
+            if n in nodes:
+                snapshots.append((n * exp.dt, y.copy()))
+
+        solve(exp.sys, exp.Y0, result.control, exp.T, exp.dt, visit)
+        paths["trajectory"] = write_trajectory_csv(out, snapshots)
     payload["artifacts"] = {k: os.path.basename(v) for k, v in paths.items()}
     write_report(out, payload)
     ratio = (result.terminal_energy_filtered / result.initial_energy
@@ -534,13 +529,8 @@ def _cmd_replay(args):
     signal = _read_control_csv(control_path, exp, stored.get("control_sampling", "node"))
     initial = _read_state_csv(state_path, exp)
     seeds = SeedSpace(exp.sys, exp.K_filter)
-    if exp.sys.is_hyperbolic:
-        rec, terminal = solve_hyperbolic(exp.sys, initial, signal, exp.T, exp.dt)
-        X = seeds.readout(rec.terminal_levels, exp.dt)
-    else:
-        _, terminal = solve_dissipative(exp.sys, initial, signal, exp.T, exp.dt)
-        X = seeds.readout(terminal.w, exp.dt)
-    _, filt_total = seeds.energy_of(X)
+    levels, terminal = solve(exp.sys, initial, signal, exp.T, exp.dt)
+    _, filt_total = seeds.energy_of(seeds.readout(levels, exp.dt))
     full = energy(exp.sys, terminal)
 
     def rel(a, b):

@@ -13,11 +13,14 @@ Two evolution families share one state layout:
 
 Each family has one forward and one backward march; the backward march runs
 the transposed-cascade homogeneous system with the same stencils and step
-rules. A march returns only its terminal data and takes one optional ``visit``
-hook that sees each time level as it is made: snapshots, observations,
-energies and duality sums are visitors. The field passed to ``visit`` may be
-a buffer the march reuses for a later level, valid only during the call, so a
-visitor copies what it keeps. The leapfrog marches step in preallocated
+rules. ``solve`` is the one validated forward entry of both families: it
+checks the state, the step count, the signal grid and (for leapfrog) the CFL
+bound, then runs the family's forward march. A march returns only its
+terminal data and takes one optional ``visit`` hook that sees each time level
+as it is made: snapshots, observations, energies and duality sums are
+visitors. The field passed to ``visit`` may be a buffer the march reuses for
+a later level, valid only during the call, so a visitor copies what it
+keeps. The leapfrog marches step in preallocated
 buffers with a fixed operation order, so their results are bitwise those of
 the textbook recurrences. Sampling conventions are chosen so
 that the discrete duality identity
@@ -587,98 +590,31 @@ def _cn_adjoint(sys, phi_T, M, dt, visit=None):
 
 
 # ---------------------------------------------------------------------------
-# public solvers
+# forward solve
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SolveRecord:
-    """Bounded-memory trajectory handle: snapshots and optional series.
+def solve(sys, initial, control, T, dt, visit=None, forcing=None):
+    """March the system from ``initial`` over [0, T] under ``control`` and ``forcing``.
 
-    ``terminal_levels`` holds the last two leapfrog levels (y^{M-1}, y^M) of a
-    second-order solve; filtered terminal energies are defined through their
-    staggered readout, so replays can recompute the identical functional.
+    The one forward solve of both families: leapfrog for the second-order
+    family, which refuses time steps above the stability bound (see
+    cfl_time_step), and Crank-Nicolson for the first-order one, whose control
+    and forcing samples are interval values. ``visit`` is the march hook,
+    visit(n, y, velocity) for leapfrog and visit(n, y) for Crank-Nicolson.
+    Returns (levels, terminal SystemState), where levels is (y^{M-1}, y^M)
+    for leapfrog and y^M for Crank-Nicolson, the input of
+    ``SeedSpace.readout``.
     """
-
-    times: np.ndarray
-    snapshots: list
-    observations: ControlSignal | None = None
-    energies: np.ndarray | None = None
-    terminal_levels: tuple | None = None
-
-
-def _snapshot_indices(snapshot_times, M, dt):
-    idx = set()
-    for t in snapshot_times:
-        n = int(round(t / dt))
-        if not 0 <= n <= M:
-            raise ValueError(f"snapshot time {t} outside [0, T]")
-        idx.add(n)
-    return idx
-
-
-def solve_hyperbolic(sys, initial, control, T, dt, snapshot_times=(), record_observations=False,
-                     record_energies=False, forcing=None):
-    """March the second-order cascade system from ``initial`` over [0, T].
-
-    Refuses time steps above the stability bound (see cfl_time_step). Returns
-    (SolveRecord, terminal SystemState); the record holds (t, SystemState)
-    snapshots and, on request, node-sampled observations of the controlled
-    components and the natural-energy series.
-    """
-    if not sys.is_hyperbolic:
-        raise ValueError("system family is not second-order")
     _check_state(sys, initial)
-    _check_cfl(sys, dt)
     M = step_count(T, dt)
     _check_signal(sys, control, M, dt)
-    snap_idx = _snapshot_indices(snapshot_times, M, dt)
-    snaps = []
-    obs, record_obs = _observation_recorder(sys, M + 1, ()) if record_observations else (None, None)
-    energies = np.zeros(M + 1) if record_energies else None
-    hvol = sys.grid.hvol
-
-    def visit(n, y, vel):
-        if n in snap_idx:
-            snaps.append((n * dt, SystemState(n * dt, y.copy(), vel.copy())))
-        if obs is not None:
-            record_obs(n, y, vel)
-        if energies is not None:
-            stiff = np.sum(sys.op.matvec(y) * y, axis=(-2, -1)) * hvol
-            kin = np.sum(vel * vel, axis=(-2, -1)) * hvol
-            energies[n] = 0.5 * (stiff + kin)
-
-    wanted = snap_idx or record_observations or record_energies
-    y_m1, y_m, vel_T = _hyp_forward(sys, initial.w, initial.wp, control, forcing, M, dt,
-                                    visit if wanted else None)
-    t_nodes = dt * np.arange(M + 1)
-    obs_signal = None
-    if record_observations:
-        obs_signal = ControlSignal(t_nodes, obs, trapezoid_weights(M, dt), "node")
-    rec = SolveRecord(t_nodes, snaps, obs_signal, energies, terminal_levels=(y_m1, y_m))
-    return rec, SystemState(M * dt, y_m.copy(), vel_T)
-
-
-def solve_dissipative(sys, initial, control, T, dt, snapshot_times=(), forcing=None):
-    """March the first-order family over [0, T] with Crank-Nicolson steps.
-
-    Control and forcing samples are interval values. Unconditionally stable;
-    one banded or factored solve per component per step.
-    """
     if sys.is_hyperbolic:
-        raise ValueError("system family is not first-order")
-    _check_state(sys, initial)
-    M = step_count(T, dt)
-    _check_signal(sys, control, M, dt)
-    snap_idx = _snapshot_indices(snapshot_times, M, dt)
-    snaps = []
-
-    def visit(n, y):
-        if n in snap_idx:
-            snaps.append((n * dt, SystemState(n * dt, y.copy())))
-
-    y_m = _cn_forward(sys, initial.w, control, forcing, M, dt, visit if snap_idx else None)
-    return SolveRecord(dt * np.arange(M + 1), snaps), SystemState(M * dt, y_m)
+        _check_cfl(sys, dt)
+        y_m1, y_m, vel_T = _hyp_forward(sys, initial.w, initial.wp, control, forcing, M, dt, visit)
+        return (y_m1, y_m), SystemState(M * dt, y_m, vel_T)
+    y_m = _cn_forward(sys, initial.w, control, forcing, M, dt, visit)
+    return y_m, SystemState(M * dt, y_m)
 
 
 def _adjoint_levels_from_seed(sys, seed, dt):
@@ -705,15 +641,13 @@ def forward_duality_pairing(sys, forcing, seed, T, dt):
     terminal pairing functional determined by the seed. No adjoint solve is
     involved, so this side is independent of adjoint code paths.
     """
-    M = step_count(T, dt)
     hvol = sys.grid.hvol
-    rest = zero_state(sys)
+    levels, _ = solve(sys, zero_state(sys), None, T, dt, forcing=forcing)
     if sys.is_hyperbolic:
-        y_m1, y_m, _ = _hyp_forward(sys, rest.w, rest.wp, None, forcing, M, dt)
+        y_m1, y_m = levels
         phi_M, phi_M1 = _adjoint_levels_from_seed(sys, seed, dt)
         return hvol * float(np.sum(y_m * phi_M1) - np.sum(y_m1 * phi_M)) / dt
-    y_m = _cn_forward(sys, rest.w, None, forcing, M, dt)
-    return hvol * float(np.real(np.vdot(seed.w, y_m)))
+    return hvol * float(np.real(np.vdot(seed.w, levels)))
 
 
 def adjoint_duality_quadrature(sys_adj, forcing, seed, T, dt):

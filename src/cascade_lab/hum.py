@@ -44,13 +44,12 @@ from .dynamics import (
     SystemState,
     _adjoint_phase,
     _cn_adjoint,
-    _cn_forward,
     _hyp_adjoint,
-    _hyp_forward,
     _observation_recorder,
     adjoint_system,
     energy,
     interval_weights,
+    solve,
     state_l2_norm,
     step_count,
     trapezoid_weights,
@@ -298,12 +297,8 @@ class GramianOperator:
         """(seed-space readout, terminal SystemState) of the forward march from
         ``initial`` (rest by default) under ``signal``."""
         init = initial if initial is not None else zero_state(self.sys)
-        T = self.M * self.dt
-        if self.seeds.hyperbolic:
-            y_m1, y_m, vel = _hyp_forward(self.sys, init.w, init.wp, signal, None, self.M, self.dt)
-            return self.seeds.readout((y_m1, y_m), self.dt), SystemState(T, y_m, vel)
-        y_m = _cn_forward(self.sys, init.w, signal, None, self.M, self.dt)
-        return self.seeds.readout(y_m, self.dt), SystemState(T, y_m)
+        levels, terminal = solve(self.sys, init, signal, self.T, self.dt)
+        return self.seeds.readout(levels, self.dt), terminal
 
     def apply(self, X):
         signal = self.signal_from_observations(self.observations_of(X))
@@ -413,7 +408,6 @@ class DirectSolve:
     singular: bool
     passes: int
     residual_history: list
-    all_residuals: list
     failure_reason: str | None
 
 
@@ -451,7 +445,7 @@ class GramianSpectrum:
         singular = not keep.all()
         norm_b = float(np.linalg.norm(b))
         if norm_b == 0.0:
-            return DirectSolve(np.zeros_like(b), singular, 0, [0.0], [0.0], None)
+            return DirectSolve(np.zeros_like(b), singular, 0, [0.0], None)
         inv = np.where(keep, 1.0 / np.where(keep, shifted, 1.0), 0.0)
         V = self.eigenvectors
 
@@ -464,7 +458,7 @@ class GramianSpectrum:
 
         x = pinv(b)
         r, res = residual(x)
-        history, raw = [res], [res]
+        history = [res]
         passes, stalled, reason = 0, False, None
         while res > tol:
             if singular:
@@ -478,12 +472,11 @@ class GramianSpectrum:
             x_new = x + pinv(r)
             passes += 1
             r_new, res_new = residual(x_new)
-            raw.append(res_new)
             stalled = not res_new < res
             if not stalled:
                 x, r, res = x_new, r_new, res_new
                 history.append(res)
-        return DirectSolve(x, singular, passes, history, raw, reason)
+        return DirectSolve(x, singular, passes, history, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +500,6 @@ class HumResult:
     control: ControlSignal | None
     refinement_passes: int
     residual_history: list
-    all_residuals: list
     eps: float
     T: float
     dt: float
@@ -526,7 +518,6 @@ class HumResult:
     wall_time: float
     terminal_state: SystemState | None = None
     initial_state: SystemState | None = None
-    notes: list = field(default_factory=list)
     failure_reason: str | None = None
     gramian: dict = field(default_factory=dict)
 
@@ -554,7 +545,6 @@ class HumResult:
             "control_norm_sq": self.control_norm_sq,
             "gram_quadratic": self.gram_quadratic,
             "wall_time": self.wall_time,
-            "notes": self.notes,
         }
 
 
@@ -580,9 +570,6 @@ class _Synthesis:
         self.sys = sys
         self.seeds = SeedSpace(sys, K_filter)
         self.gram = GramianOperator(sys, adjoint_system(sys), self.seeds, T, dt)
-        self.notes = []
-        if not sys.is_hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:
-            self.notes.append("theta at +-pi/2: outside the stated dissipative range, run as-is")
 
         X0, self.projection_residual = self.seeds.project_state(Y0)
         self.Y0f = self.seeds.state_from_seed(X0, t=0.0)
@@ -617,7 +604,6 @@ class _Synthesis:
             control=signal,
             refinement_passes=sol.passes,
             residual_history=sol.residual_history,
-            all_residuals=sol.all_residuals,
             eps=eps,
             T=gram.T,
             dt=gram.dt,
@@ -636,7 +622,6 @@ class _Synthesis:
             wall_time=self.setup_time + time.perf_counter() - t0,
             terminal_state=terminal,
             initial_state=self.Y0f,
-            notes=list(self.notes),
             failure_reason=reason,
             gramian=self.spectrum.summary(),
         )

@@ -195,7 +195,7 @@ def test_criterion_6_negative_controls_agree():
     T = 4.0
     dt = chained_dt(sys, T)
     res = cl.synthesize_control(sys, Y0, T, dt, 10, eps=0.0, cg_tol=1e-10, max_iter=200)
-    _, free = cl.solve_hyperbolic(sys, Y0, None, T, dt)
+    _, free = cl.solve(sys, Y0, None, T, dt)
     e_free = cl.energy(sys, free).per_component[0]
     comp1_ok = res.terminal_energy_full_per_component[0] >= 0.9 * e_free
 
@@ -231,7 +231,7 @@ def test_criterion_7_integrator_orders():
     def wave_err(dt):
         st = cl.zero_state(wave)
         st.w[0] = wave.basis.modes[1]
-        _, term = cl.solve_hyperbolic(wave, st, None, 1.0, dt)
+        _, term = cl.solve(wave, st, None, 1.0, dt)
         exact = math.cos(math.sqrt(lam)) * wave.basis.modes[1]
         return float(np.linalg.norm(term.w[0] - exact))
 
@@ -242,7 +242,7 @@ def test_criterion_7_integrator_orders():
     def heat_err(dt):
         st = cl.zero_state(heat)
         st.w[0] = heat.basis.modes[1]
-        _, term = cl.solve_dissipative(heat, st, None, 0.5, dt)
+        _, term = cl.solve(heat, st, None, 0.5, dt)
         exact = math.exp(-lam * 0.5) * heat.basis.modes[1]
         return float(np.linalg.norm(term.w[0] - exact))
 
@@ -251,7 +251,7 @@ def test_criterion_7_integrator_orders():
     schr = make_single_free(n=40, K=5, family=cl.Dissipative(math.pi / 2))
     st = cl.zero_state(schr)
     st.w[0] = schr.basis.modes[0].astype(complex)
-    _, term = cl.solve_dissipative(schr, st, None, 10.0, 0.001)
+    _, term = cl.solve(schr, st, None, 10.0, 0.001)
     drift = abs(math.sqrt(float(np.sum(np.abs(term.w[0]) ** 2)) * schr.grid.hvol)
                 / math.sqrt(float(np.sum(np.abs(st.w[0]) ** 2)) * schr.grid.hvol) - 1.0)
 

@@ -588,18 +588,33 @@ def test_outputs_bitwise_deterministic(demo_dir, tmp_path):
         assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
 
 
-def test_dissipative_control_and_replay(demo_dir, tmp_path):
+def _small_heat(demo_dir, tmp_path, **family):
     with open(demo_dir / "demo_heat_cascade.json") as fh:
         cfg = json.load(fh)
     cfg["domain"]["n"] = [50]
+    cfg["family"].update(family)
     cfg["hum"] = {"K_filter": 8, "eps": 1e-4, "cg_tol": 1e-9}
     cfg["time"] = {"T": 0.3, "dt": 0.003}
     cfg["output_dir"] = str(tmp_path / "heat_run")
     path = tmp_path / "heat.json"
     with open(path, "w") as fh:
         json.dump(cfg, fh)
+    return path, cfg
+
+
+def test_dissipative_control_and_replay(demo_dir, tmp_path):
+    path, cfg = _small_heat(demo_dir, tmp_path)
     assert main(["control", "--config", str(path)]) == 0
     assert main(["replay", cfg["output_dir"]]) == 0
+
+
+def test_theta_at_right_angle_is_noted_once(demo_dir, tmp_path):
+    path, cfg = _small_heat(demo_dir, tmp_path, theta=math.pi / 2)
+    assert main(["control", "--config", str(path)]) in (0, 2)
+    with open(os.path.join(cfg["output_dir"], "report.json")) as fh:
+        text = fh.read()
+    assert text.count("theta at +-pi/2") == 1
+    assert "theta at +-pi/2" in " ".join(json.loads(text)["notes"])
 
 
 def test_indicator_taper_ramps_edges():
@@ -616,13 +631,19 @@ def test_indicator_taper_ramps_edges():
 
 
 def test_control_snapshots_write_trajectory(demo_dir, tmp_path):
-    path, cfg = _small_wave(demo_dir, tmp_path)
-    assert main(["control", "--config", str(path), "--snapshots", "4"]) == 0
-    traj = os.path.join(cfg["output_dir"], "trajectory.csv")
-    assert os.path.exists(traj)
-    with open(traj) as fh:
-        header = fh.readline().strip()
-    assert header == "t,component,index,value_re,value_im"
+    for make in (_small_wave, _small_heat):
+        path, cfg = make(demo_dir, tmp_path)
+        assert main(["control", "--config", str(path), "--snapshots", "4"]) == 0
+        with open(os.path.join(cfg["output_dir"], "report.json")) as fh:
+            resolved = json.load(fh)["resolved"]
+        with open(os.path.join(cfg["output_dir"], "trajectory.csv")) as fh:
+            assert fh.readline().strip() == "t,component,index,value_re,value_im"
+            times = [float(line.split(",")[0]) for line in fh]
+        M, dt = resolved["steps"], resolved["dt"]
+        nodes = sorted({round(k * M / 4) for k in range(5)})
+        fields = 2 * cfg["domain"]["n"][0]  # N components of n nodes per snapshot
+        assert len(times) == len(nodes) * fields
+        assert sorted(set(times)) == [n * dt for n in nodes]
 
 
 def test_sweep_eps_subcommand(demo_dir, tmp_path):

@@ -75,7 +75,7 @@ def test_cfl_violation_reports_admissible_dt():
     bad = 2.5 * dt_max
     T = 100 * bad
     with pytest.raises(cl.CflViolationError) as err:
-        cl.solve_hyperbolic(sys, cl.zero_state(sys), None, T, bad)
+        cl.solve(sys, cl.zero_state(sys), None, T, bad)
     assert err.value.dt_admissible == pytest.approx(dt_max)
 
 
@@ -88,7 +88,7 @@ def test_wave_single_mode_closed_form_and_order():
     def run(dt):
         st = cl.zero_state(sys)
         st.w[0] = sys.basis.modes[1]
-        _, term = cl.solve_hyperbolic(sys, st, None, T, dt)
+        _, term = cl.solve(sys, st, None, T, dt)
         exact = math.cos(math.sqrt(lam) * T) * sys.basis.modes[1]
         return math.sqrt(float(np.sum((term.w[0] - exact) ** 2)) * sys.grid.hvol)
 
@@ -98,7 +98,7 @@ def test_wave_single_mode_closed_form_and_order():
 
 def test_wave_zero_data_zero_control_stays_zero():
     sys = make_single_free()
-    _, term = cl.solve_hyperbolic(sys, cl.zero_state(sys), None, 1.0, 0.01)
+    _, term = cl.solve(sys, cl.zero_state(sys), None, 1.0, 0.01)
     assert np.all(term.w == 0.0) and np.all(term.wp == 0.0)
 
 
@@ -112,8 +112,8 @@ def test_cascade_component1_bitwise_matches_standalone():
     st2.w[0] = two.basis.modes[0]
     st1 = cl.zero_state(one)
     st1.w[0] = one.basis.modes[0]
-    _, t2 = cl.solve_hyperbolic(two, st2, None, 1.0, dt)
-    _, t1 = cl.solve_hyperbolic(one, st1, None, 1.0, dt)
+    _, t2 = cl.solve(two, st2, None, 1.0, dt)
+    _, t1 = cl.solve(one, st1, None, 1.0, dt)
     assert np.array_equal(t2.w[0], t1.w[0])
     assert np.array_equal(t2.wp[0], t1.wp[0])
     assert np.all(t2.w[1] == 0.0)
@@ -136,8 +136,8 @@ def test_zero_coupling_isolates_bitwise():
     st1 = cl.zero_state(one)
     st1.w[0] = w0.copy()
     st1.wp[0] = v0.copy()
-    _, t2 = cl.solve_hyperbolic(two, st2, None, 1.0, dt)
-    _, t1 = cl.solve_hyperbolic(one, st1, None, 1.0, dt)
+    _, t2 = cl.solve(two, st2, None, 1.0, dt)
+    _, t1 = cl.solve(one, st1, None, 1.0, dt)
     assert np.array_equal(t2.w[1], t1.w[0])
 
 
@@ -159,8 +159,7 @@ def test_leapfrog_energy_conserved_1e4_steps():
     st = cl.zero_state(sys)
     st.w[0] = sys.basis.synthesize(rng.standard_normal(5))
     st.wp[0] = sys.basis.synthesize(rng.standard_normal(5))
-    rec, term = cl.solve_hyperbolic(sys, st, None, T, dt)
-    y_m1, y_m = rec.terminal_levels
+    (y_m1, y_m), _ = cl.solve(sys, st, None, T, dt)
     # the conserved quadratic form is evaluated on consecutive level pairs
     first_level = st.w + dt * st.wp + 0.5 * dt * dt * (-sys.apply_system(st.w))
     e_start = _leapfrog_energy(sys, st.w, first_level, dt)
@@ -181,7 +180,7 @@ def test_heat_single_mode_decay_and_order():
     def run(dt):
         st = cl.zero_state(sys)
         st.w[0] = sys.basis.modes[1]
-        _, term = cl.solve_dissipative(sys, st, None, T, dt)
+        _, term = cl.solve(sys, st, None, T, dt)
         exact = math.exp(-lam * T) * sys.basis.modes[1]
         return math.sqrt(float(np.sum(np.abs(term.w[0] - exact) ** 2)) * sys.grid.hvol)
 
@@ -193,7 +192,7 @@ def test_schrodinger_norm_preserved():
     sys = make_single_free(n=40, K=5, family=cl.Dissipative(math.pi / 2))
     st = cl.zero_state(sys)
     st.w[0] = sys.basis.modes[0].astype(complex)
-    _, term = cl.solve_dissipative(sys, st, None, 10.0, 0.001)
+    _, term = cl.solve(sys, st, None, 10.0, 0.001)
     n0 = math.sqrt(float(np.sum(np.abs(st.w[0]) ** 2)) * sys.grid.hvol)
     nT = math.sqrt(float(np.sum(np.abs(term.w[0]) ** 2)) * sys.grid.hvol)
     assert abs(nT / n0 - 1.0) <= 1e-12
@@ -205,14 +204,14 @@ def test_heat_cascade_component1_mass_iff_coupling():
     sys = make_heat_cascade(n=40, K=6, c=1.0)
     st = cl.zero_state(sys)
     st.w[1] = sys.basis.modes[0]
-    _, term = cl.solve_dissipative(sys, st, None, 0.2, 0.002)
+    _, term = cl.solve(sys, st, None, 0.2, 0.002)
     assert np.max(np.abs(term.w[0])) > 1e-6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", cl.EmptySupportWarning)
         zero = make_heat_cascade(n=40, K=6, c=0.0)
     st = cl.zero_state(zero)
     st.w[1] = zero.basis.modes[0]
-    _, term = cl.solve_dissipative(zero, st, None, 0.2, 0.002)
+    _, term = cl.solve(zero, st, None, 0.2, 0.002)
     assert np.all(term.w[0] == 0.0)
 
 
@@ -235,15 +234,17 @@ def test_heat_cascade_free_component_growth_bounded_by_forcing():
     st.w[1] = sys.basis.modes[0]
     T, dt = 0.4, 0.002
     M = step_count(T, dt)
-    times = [k * dt for k in range(0, M + 1, 20)]
-    rec, _ = cl.solve_dissipative(sys, st, None, T, dt, snapshot_times=times)
+    snapshots = []
+    cl.solve(sys, st, None, T, dt,
+             lambda n, y: snapshots.append((n * dt, y.copy())) if n % 20 == 0 else None)
+    assert len(snapshots) == M // 20 + 1
     hvol = sys.grid.hvol
     ind = dict(sys._coupling_fields)[(1, 2)]
     forcing_max = 0.0
-    for _, snap in rec.snapshots:
-        forcing_max = max(forcing_max, math.sqrt(float(np.sum(np.abs(ind * snap.w[1]) ** 2)) * hvol))
-    for t, snap in rec.snapshots:
-        n1 = math.sqrt(float(np.sum(np.abs(snap.w[0]) ** 2)) * hvol)
+    for _, w in snapshots:
+        forcing_max = max(forcing_max, math.sqrt(float(np.sum(np.abs(ind * w[1]) ** 2)) * hvol))
+    for t, w in snapshots:
+        n1 = math.sqrt(float(np.sum(np.abs(w[0]) ** 2)) * hvol)
         assert n1 <= 0.0 + t * forcing_max + 1e-12
 
 
@@ -252,13 +253,19 @@ def test_theta_outside_range_rejected():
         cl.Dissipative(2.0)
 
 
-def test_control_signal_grid_mismatch_rejected():
-    sys = make_wave_cascade(n=40, K=6)
+@pytest.mark.parametrize("family", ["hyperbolic", "dissipative"])
+def test_solve_validates_input(family):
+    sys = make_wave_cascade(n=40, K=6) if family == "hyperbolic" else make_heat_cascade(n=40, K=6)
     dt = chained_dt(sys, 1.0)
+    rest = cl.zero_state(sys)
     M = step_count(0.5, dt)
     sig = cl.ControlSignal(dt * np.arange(M + 1), {2: np.zeros((M + 1, 40))}, trapezoid_weights(M, dt))
-    with pytest.raises(ValueError):
-        cl.solve_hyperbolic(sys, cl.zero_state(sys), sig, 1.0, dt)
+    with pytest.raises(ValueError, match="control signal grid"):
+        cl.solve(sys, rest, sig, 1.0, dt)
+    with pytest.raises(ValueError, match="must divide"):
+        cl.solve(sys, rest, None, 1.0 + 0.5 * dt, dt)
+    with pytest.raises(ValueError, match="state shape"):
+        cl.solve(sys, cl.SystemState(0.0, np.zeros((1, 40)), rest.wp), None, 1.0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +451,7 @@ def test_2d_heat_single_mode_decay():
     lam = basis.eigenvalues[0]
     st = cl.zero_state(sys)
     st.w[0] = basis.modes[0]
-    _, term = cl.solve_dissipative(sys, st, None, 0.05, 0.0005)
+    _, term = cl.solve(sys, st, None, 0.05, 0.0005)
     exact = math.exp(-lam * 0.05) * basis.modes[0]
     err = math.sqrt(float(np.sum(np.abs(term.w[0] - exact) ** 2)) * grid.hvol)
     assert err < 1e-5
@@ -461,7 +468,7 @@ def test_2d_wave_single_mode_oscillation():
     dt = T / (5 * round(T / chained_dt(sys, T)))
     st = cl.zero_state(sys)
     st.w[0] = basis.modes[0]
-    _, term = cl.solve_hyperbolic(sys, st, None, T, dt)
+    _, term = cl.solve(sys, st, None, T, dt)
     exact = math.cos(math.sqrt(lam) * T) * basis.modes[0]
     err = math.sqrt(float(np.sum((term.w[0] - exact) ** 2)) * grid.hvol)
     assert err < 1e-3
@@ -521,20 +528,6 @@ def test_discrete_duality_property(dim, N, data):
     lhs = cl.forward_duality_pairing(sys, forcing, seed, T, dt)
     rhs = cl.adjoint_duality_quadrature(cl.adjoint_system(sys), forcing, seed, T, dt)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
-
-
-def test_solve_records_snapshots_and_observations():
-    sys = make_wave_cascade(n=40, K=6)
-    dt = chained_dt(sys, 1.0)
-    st = cl.zero_state(sys)
-    st.w[0] = sys.basis.modes[0]
-    rec, term = cl.solve_hyperbolic(sys, st, None, 1.0, dt,
-                                    snapshot_times=[0.0, 0.5, 1.0],
-                                    record_observations=True, record_energies=True)
-    assert len(rec.snapshots) == 3
-    assert rec.snapshots[0][1].w.shape == (2, 40)
-    assert rec.observations is not None
-    assert rec.energies.shape[0] == step_count(1.0, dt) + 1
 
 
 # ---------------------------------------------------------------------------

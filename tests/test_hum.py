@@ -359,7 +359,7 @@ def test_zero_coupling_stagnates_and_component1_keeps_energy():
     dt = chained_dt(sys, T)
     res = cl.synthesize_control(sys, Y0, T, dt, 10, eps=0.0, cg_tol=1e-10, max_iter=200)
     assert res.stagnated and not res.success
-    _, free = cl.solve_hyperbolic(sys, Y0, None, T, dt)
+    _, free = cl.solve(sys, Y0, None, T, dt)
     e_free = cl.energy(sys, free).per_component[0]
     assert res.terminal_energy_full_per_component[0] >= 0.9 * e_free
 
