@@ -50,12 +50,6 @@ from .util import fmt_float
 # ---------------------------------------------------------------------------
 
 
-def _scipy_version():
-    import scipy
-
-    return scipy.__version__
-
-
 def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
@@ -137,7 +131,6 @@ def _base_report(exp, subcommand):
         "versions": {
             "cascade_lab": __version__,
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
             "python": _sys.version.split()[0],
         },
         "notes": list(exp.notes),

@@ -8,8 +8,10 @@ Two evolution families share one state layout:
   read out with the matching second-order velocity.
 * first-order with phase angle theta (heat for theta = 0, free Schroedinger at
   |theta| = pi/2): Crank-Nicolson on y' = e^{-i theta} (-(A + C) y + B v). The
-  cascade pattern is block-triangular, so the implicit solve is one banded (or
-  factored sparse) solve per component per step, in cascade order.
+  cascade pattern is block-triangular, so the implicit solve is one solve of
+  (I + kappa A) per component per step, in cascade order. The sampled sines
+  diagonalize the stencil exactly, so that solve is a sine transform, a
+  division by 1 + kappa lambda and the transform back.
 
 Each family has one forward and one backward march; the backward march runs
 the transposed-cascade homogeneous system with the same stencils and step
@@ -475,49 +477,51 @@ def _require_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
-class _ComponentSolver:
-    """Factored solve of (I + kappa A) on one component field.
+class _SineResolvent:
+    """(I + kappa A)^{-1} on component fields, by the sine transform.
 
-    In 1D each solve is one LAPACK ?gtsv call on the tridiagonal matrix, the
-    routine ``scipy.linalg.solve_banded`` calls, without its per-call
-    validation. scipy is imported here rather than at module level, so
-    second-order runs never load it.
+    The Dirichlet stencil is A = Q diag(lam) Q with Q the symmetric
+    orthonormal sine matrix of each axis (``axis_sine_matrix``), applied as
+    Q_x R Q_y in 2D, where lam_ij = lam_i + mu_j. So the solve is
+    Q [(Q r) / (1 + kappa lam)]. Complex fields are transformed as real and
+    imaginary parts, so the real Q is never cast to complex. The transforms
+    are dense per axis, so a solve costs O(n_axis) per node: fine at a few
+    hundred nodes per axis, not beyond.
     """
 
     def __init__(self, op, kappa):
         grid = op.grid
-        dtype = np.complex128 if isinstance(kappa, complex) else np.float64
-        self._lu = None
-        if grid.dim == 1:
-            from scipy.linalg import get_lapack_funcs
+        self._shape = grid.n
+        self._q = [op.axis_sine_matrix(a) for a in range(grid.dim)]
+        lam = op.axis_eigenvalues(0)
+        if grid.dim == 2:
+            lam = lam[:, None] + op.axis_eigenvalues(1)
+        self._denom = 1.0 + kappa * lam
+        _require_finite(self._denom)
+        # 1 + kappa lam at round-off level: I + kappa A is numerically singular
+        if np.any(np.abs(self._denom) <= 16 * np.finfo(float).eps * (1.0 + abs(kappa) * lam)):
+            raise np.linalg.LinAlgError("singular matrix")
 
-            n = grid.n[0]
-            h2 = grid.h[0] ** 2
-            off = np.full(n - 1, -kappa / h2, dtype=dtype)
-            diag = np.full(n, 1.0 + 2.0 * kappa / h2, dtype=dtype)
-            _require_finite(diag)  # finite diag means finite kappa / h2, so finite off
-            self._gtsv, = get_lapack_funcs(("gtsv",), (diag,))
-            self._bands = (off, diag, off)
-        else:
-            import scipy.sparse
-            import scipy.sparse.linalg
-
-            mat = scipy.sparse.identity(grid.n_total, dtype=dtype, format="csc") + kappa * op.to_sparse().astype(dtype)
-            self._lu = scipy.sparse.linalg.splu(mat.tocsc())
+    def _transform(self, v):
+        """Q v per field of v (..., *grid.n); Q is its own inverse."""
+        if np.iscomplexobj(v):
+            out = np.empty(v.shape, dtype=np.complex128)
+            out.real = self._transform(v.real)
+            out.imag = self._transform(v.imag)
+            return out
+        if len(self._q) == 1:
+            return v @ self._q[0]
+        qx, qy = self._q
+        return qx @ v @ qy
 
     def solve(self, rhs):
         """Solve for fields (..., n_total); a batch goes as many right-hand sides in one call."""
-        cols = rhs.reshape(-1, rhs.shape[-1]).T
-        if self._lu is not None:
-            return self._lu.solve(cols).T.reshape(rhs.shape)
-        dtype = self._bands[1].dtype
-        if not np.can_cast(cols.dtype, dtype):
-            raise ValueError(f"{cols.dtype} right-hand side for a {dtype} matrix")
-        _require_finite(cols)
-        *_, out, info = self._gtsv(*self._bands, cols)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return out.T.reshape(rhs.shape)
+        dtype = self._denom.dtype
+        if not np.can_cast(rhs.dtype, dtype):
+            raise ValueError(f"{rhs.dtype} right-hand side for a {dtype} matrix")
+        _require_finite(rhs)
+        coeffs = self._transform(rhs.reshape(rhs.shape[:-1] + self._shape)) / self._denom
+        return self._transform(coeffs).reshape(rhs.shape)
 
 
 def _cn_solve_plus(sys, solver, kappa, rhs):
@@ -546,7 +550,7 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
     theta = sys.theta
     phase = np.exp(-1j * theta) if theta != 0.0 else 1.0
     kappa = 0.5 * dt * phase
-    solver = _ComponentSolver(sys.op, kappa if theta != 0.0 else float(np.real(kappa)))
+    solver = _SineResolvent(sys.op, kappa if theta != 0.0 else float(np.real(kappa)))
 
     y = w0.astype(sys.state_dtype)
     if visit is not None:
@@ -579,7 +583,7 @@ def _cn_adjoint(sys, phi_T, M, dt, visit=None):
     every midpoint value as it is made.
     """
     kappa_bar = 0.5 * dt * _adjoint_phase(sys)
-    solver = _ComponentSolver(sys.op, kappa_bar if sys.theta != 0.0 else float(np.real(kappa_bar)))
+    solver = _SineResolvent(sys.op, kappa_bar if sys.theta != 0.0 else float(np.real(kappa_bar)))
     phi = phi_T.astype(sys.state_dtype)
     for n in range(M - 1, -1, -1):
         psi = _cn_solve_plus(sys, solver, kappa_bar, phi)

@@ -126,6 +126,18 @@ def sliced_stencil(grid, w):
     return out.reshape(w.shape)
 
 
+def dense_stencil(grid):
+    """The Dirichlet stencil as a dense matrix, built from np.diag and np.kron."""
+    def lap1d(m, h):
+        off = np.full(m - 1, -1.0 / h**2)
+        return np.diag(np.full(m, 2.0 / h**2)) + np.diag(off, 1) + np.diag(off, -1)
+
+    if grid.dim == 1:
+        return lap1d(grid.n[0], grid.h[0])
+    (nx, ny), (hx, hy) = grid.n, grid.h
+    return np.kron(lap1d(nx, hx), np.eye(ny)) + np.kron(np.eye(nx), lap1d(ny, hy))
+
+
 def sliced_apply_system(sys, Y):
     """(A + C) Y from ``sliced_stencil`` and the coupling multipliers."""
     out = sliced_stencil(sys.grid, Y)

@@ -11,7 +11,7 @@ from cascade_lab.dynamics import (
     _adjoint_levels_from_seed,
     _cn_adjoint,
     _cn_forward,
-    _ComponentSolver,
+    _SineResolvent,
     _forcing_into,
     _hyp_adjoint,
     _hyp_forward,
@@ -24,6 +24,7 @@ from cascade_lab.hum import GramianOperator, SeedSpace
 from conftest import (
     cascade_cases,
     chained_dt,
+    dense_stencil,
     make_heat_cascade,
     make_single_free,
     make_wave_cascade,
@@ -273,40 +274,30 @@ def test_solve_validates_input(family):
 # ---------------------------------------------------------------------------
 
 
-def _solve_banded_reference(op, kappa, rhs):
-    """The solve the direct ?gtsv path replaced: scipy.linalg.solve_banded on I + kappa A."""
-    from scipy.linalg import solve_banded
-
-    n, h2 = op.grid.n[0], op.grid.h[0] ** 2
-    ab = np.zeros((3, n), dtype=np.complex128 if isinstance(kappa, complex) else np.float64)
-    ab[0, 1:] = -kappa / h2
-    ab[1, :] = 1.0 + 2.0 * kappa / h2
-    ab[2, :-1] = -kappa / h2
-    return solve_banded((1, 1), ab, rhs.reshape(-1, n).T).T.reshape(rhs.shape)
-
-
 @pytest.mark.parametrize("kappa", [0.5 * 0.0016, 0.5 * 0.004 * np.exp(-0.6j),
                                    0.5 * 0.004 * np.exp(-0.5j * math.pi)])
 @pytest.mark.parametrize("n_rhs", [1, 24])
-@pytest.mark.parametrize("n", [2, 3, 100])
-def test_component_solver_matches_solve_banded_bitwise(kappa, n_rhs, n):
-    op = cl.assemble_operator(cl.build_grid([1.0], [n]))
-    solver = _ComponentSolver(op, kappa)
-    rng = np.random.default_rng(n * n_rhs)
-    shape = (n,) if n_rhs == 1 else (n_rhs, n)
+@pytest.mark.parametrize("n", [[2], [3], [100], [5, 7], [40, 40]],
+                         ids=["2", "3", "100", "5x7", "40x40"])
+def test_component_solver_matches_dense_solve(kappa, n_rhs, n):
+    grid = cl.build_grid([1.0] * len(n), n)
+    solver = _SineResolvent(cl.assemble_operator(grid), kappa)
+    dense = np.eye(grid.n_total) + kappa * dense_stencil(grid)
+    rng = np.random.default_rng(grid.n_total * n_rhs)
+    shape = (grid.n_total,) if n_rhs == 1 else (n_rhs, grid.n_total)
     rhs = rng.standard_normal(shape)
     if isinstance(kappa, complex):
         rhs = rhs + 1j * rng.standard_normal(shape)
-    for _ in range(3):  # one solver serves every step of a march
-        out = solver.solve(rhs)
-        assert np.array_equal(out, _solve_banded_reference(op, kappa, rhs))
-        rhs = out
+    out = solver.solve(rhs)
+    ref = np.linalg.solve(dense, rhs.reshape(-1, grid.n_total).T).T.reshape(shape)
+    assert out.dtype == ref.dtype
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("n", [2, 50])
 def test_component_solver_rejects_non_finite_rhs(bad, n):
-    solver = _ComponentSolver(cl.assemble_operator(cl.build_grid([1.0], [n])), 0.001)
+    solver = _SineResolvent(cl.assemble_operator(cl.build_grid([1.0], [n])), 0.001)
     rhs = np.ones((4, n))
     rhs[2, n // 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -316,9 +307,9 @@ def test_component_solver_rejects_non_finite_rhs(bad, n):
 def test_component_solver_rejects_non_finite_matrix_and_complex_rhs():
     op = cl.assemble_operator(cl.build_grid([1.0], [20]))
     with pytest.raises(ValueError, match="infs or NaNs"):
-        _ComponentSolver(op, math.inf)
+        _SineResolvent(op, math.inf)
     with pytest.raises(ValueError, match="complex128 right-hand side"):
-        _ComponentSolver(op, 0.001).solve(np.ones(20) + 1j)
+        _SineResolvent(op, 0.001).solve(np.ones(20) + 1j)
 
 
 @pytest.mark.parametrize("extent,n,kappa", [(4.0, 3, -0.5), (3.0, 2, -1.0)])
@@ -326,7 +317,7 @@ def test_component_solver_singular_matrix_raises(extent, n, kappa):
     # h = 1: zero diagonal with off-diagonals 1/2 (n = 3), or [[-1, 1], [1, -1]] (n = 2)
     op = cl.assemble_operator(cl.build_grid([extent], [n]))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        _ComponentSolver(op, kappa).solve(np.ones(n))
+        _SineResolvent(op, kappa).solve(np.ones(n))
 
 
 # ---------------------------------------------------------------------------

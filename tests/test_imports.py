@@ -1,7 +1,7 @@
-"""Start-up guard: scipy is loaded only by the runs that use it.
+"""Start-up guard: the program needs numpy and the standard library, nothing else.
 
 Each case runs in a fresh interpreter, because the test process itself has
-long since imported scipy.
+long since imported the test tools and whatever they pull in.
 """
 
 import json
@@ -16,20 +16,24 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(cl.__file__)))
 
 SCRIPT = """
 import json, sys
-import cascade_lab
+before = set(sys.modules)
 from cascade_lab.cli import main
 for argv, code in json.loads(sys.argv[1]):
     if main(argv) != code:
         raise SystemExit(f"{argv} did not exit {code}")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in
-                        (["scipy", "linalg"], ["scipy", "sparse"]))))
+top = {m.split(".")[0] for m in set(sys.modules) - before
+       if getattr(sys.modules[m], "__file__", None)}
+print(json.dumps(sorted(top - set(sys.stdlib_module_names) - {"numpy", "cascade_lab"})))
 """
 
 
-def _scipy_modules_after(tmp_path, runs):
+def _foreign_modules_after(tmp_path, runs):
     """Run CLI invocations (name, subcommand, config, exit code) in one fresh
-    interpreter and return the scipy.linalg / scipy.sparse modules it loaded.
-    A ``replay`` run takes no config; its name is the run directory it replays."""
+    interpreter and return the top-level packages they loaded from files,
+    apart from numpy, cascade_lab and the standard library. (numpy's compiled
+    extensions also register file-less helper modules; those are skipped.) A
+    ``replay`` run takes no config; its name is the run directory it
+    replays."""
     argvs = []
     for name, command, cfg, code in runs:
         if command == "replay":
@@ -52,7 +56,7 @@ def _config(name, **sections):
     return cfg
 
 
-def test_wave_and_2d_runs_never_load_scipy_linalg_or_sparse(tmp_path):
+def test_no_subcommand_loads_a_package_beyond_numpy(tmp_path):
     wave = _config("demo_wave_cascade.json", domain={"n": [60]}, hum={"K_filter": 10},
                    time={"T": 3.0})
     square = _config("strip_square.json", domain={"n": [12, 12]}, time={"T": 4.0},
@@ -60,18 +64,25 @@ def test_wave_and_2d_runs_never_load_scipy_linalg_or_sparse(tmp_path):
     square["coupling"][0]["boxes"] = [[[0.0, 1.0], [0.0, 0.25]], [[0.0, 0.25], [0.0, 1.0]]]
     square["control"] = [{"component": 2, "kind": "distributed", "amplitude": 1.0,
                           "boxes": [[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]]}]
-    loaded = _scipy_modules_after(tmp_path, [("wave_check", "check", wave, 0),
-                                             ("wave_control", "control", wave, 0),
-                                             ("wave_control", "replay", None, 0),
-                                             ("square_gcc", "gcc", square, 0),
-                                             ("square_check", "check", square, 0),
-                                             ("square_obs", "observability", square, 0)])
-    assert loaded == []
-
-
-def test_heat_sweep_loads_scipy_linalg(tmp_path):
     heat = _config("demo_heat_cascade.json", domain={"n": [40]}, hum={"K_filter": 6},
                    time={"T": 0.2, "dt": 0.004})
     heat["hum"]["eps_list"] = [1e-2, 1e-3, 1e-4]
-    loaded = _scipy_modules_after(tmp_path, [("heat_sweep", "sweep-eps", heat, 0)])
-    assert "scipy.linalg" in loaded
+    # the 2D Crank-Nicolson path
+    heat_square = _config("strip_square.json", family={"kind": "dissipative", "theta": 0.0},
+                          domain={"n": [10, 12]}, time={"T": 0.1, "dt": 0.005})
+    heat_square["coupling"] = square["coupling"]
+    heat_square["control"] = square["control"]
+    heat_square["initial"] = [{"component": 1, "modes": [[1, 1.0]]}]
+    loaded = _foreign_modules_after(tmp_path, [
+        ("wave_check", "check", wave, 0),
+        ("wave_control", "control", wave, 0),
+        ("wave_control", "replay", None, 0),
+        ("square_gcc", "gcc", square, 0),
+        ("square_check", "check", square, 0),
+        ("square_obs", "observability", square, 0),
+        ("heat_sweep", "sweep-eps", heat, 0),
+        ("heat_control", "control", heat, 0),
+        ("heat_control", "replay", None, 0),
+        ("heat_square", "control", heat_square, 0),
+    ])
+    assert loaded == []

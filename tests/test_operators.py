@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cascade_lab as cl
 
-from conftest import signed_zero_fields, sliced_stencil
+from conftest import dense_stencil, signed_zero_fields, sliced_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -16,9 +16,8 @@ from conftest import signed_zero_fields, sliced_stencil
 
 
 def test_stencil_entries_n3():
-    g = cl.build_grid([1.0], [3])
-    op = cl.assemble_operator(g)
-    dense = op.to_sparse().toarray()
+    op = cl.assemble_operator(cl.build_grid([1.0], [3]))
+    dense = op.matvec(np.eye(3))
     assert dense[1, 1] == pytest.approx(32.0)
     assert dense[0, 1] == pytest.approx(-16.0)
     assert dense[1, 0] == pytest.approx(-16.0)
@@ -29,7 +28,7 @@ def test_matvec_matches_dense():
     for extents, n in [(([1.0]), [17]), (([1.0, 0.7]), [6, 5])]:
         g = cl.build_grid(extents, n)
         op = cl.assemble_operator(g)
-        dense = op.to_sparse().toarray()
+        dense = dense_stencil(g)
         for _ in range(5):
             w = rng.standard_normal(g.n_total)
             assert np.allclose(op.matvec(w.copy()), dense @ w, atol=1e-12)
@@ -80,7 +79,7 @@ def test_eigenvalues_match_bruteforce_1d():
     # oracle: dense eigendecomposition of the assembled matrix
     g = cl.build_grid([1.0], [40])
     op = cl.assemble_operator(g)
-    brute = np.sort(np.linalg.eigvalsh(op.to_sparse().toarray()))
+    brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))
     h, L = g.h[0], 1.0
     k = np.arange(1, 41)
     closed = (4.0 / h**2) * np.sin(k * np.pi * h / (2 * L)) ** 2
@@ -89,10 +88,21 @@ def test_eigenvalues_match_bruteforce_1d():
     assert np.allclose(basis.eigenvalues, brute[:12], rtol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 100])
+def test_axis_sine_matrix_is_a_symmetric_orthonormal_eigenbasis(n):
+    g = cl.build_grid([1.3], [n])
+    op = cl.assemble_operator(g)
+    q = op.axis_sine_matrix(0)
+    assert np.array_equal(q, q.T)
+    assert np.max(np.abs(q @ q - np.eye(n))) < 1e-13
+    lam = op.axis_eigenvalues(0)
+    assert np.max(np.abs(q @ dense_stencil(g) @ q - np.diag(lam))) < 1e-12 * lam[-1]
+
+
 def test_eigenvalues_2d_tensor_sum():
     g = cl.build_grid([1.0, 1.0], [4, 4])
     op = cl.assemble_operator(g)
-    brute = np.sort(np.linalg.eigvalsh(op.to_sparse().toarray()))
+    brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))
     gx = cl.build_grid([1.0], [4])
     ax = cl.assemble_operator(gx).axis_eigenvalues(0)
     lam_min = 2 * ax[0]
@@ -167,7 +177,7 @@ def test_K_cutting_a_degenerate_pair_keeps_the_ordered_member():
                 (2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (2, 4)]
     for row, (j, k) in zip(basis.modes, expected):
         assert np.max(np.abs(row - _tensor_sine(g, j, k))) < 1e-12
-    brute = np.sort(np.linalg.eigvalsh(op.to_sparse().toarray()))
+    brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))
     assert np.allclose(basis.eigenvalues, brute[:12], rtol=1e-10)
     # the pair partner (4, 2) is the next mode once K grows
     assert np.array_equal(cl.spectral_basis(op, 13).modes[:12], basis.modes)
@@ -188,7 +198,7 @@ def test_closed_form_basis_is_an_exact_eigenbasis(case):
     g, K = case
     op = cl.assemble_operator(g)
     basis = cl.spectral_basis(op, K)
-    brute = np.sort(np.linalg.eigvalsh(op.to_sparse().toarray()))[:K]
+    brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))[:K]
     assert np.allclose(basis.eigenvalues, brute, rtol=1e-10, atol=0.0)
     gram = basis.modes @ basis.modes.T * g.hvol
     assert np.max(np.abs(gram - np.eye(K))) < 1e-12
