@@ -274,24 +274,52 @@ def test_solve_validates_input(family):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kappa", [0.5 * 0.0016, 0.5 * 0.004 * np.exp(-0.6j),
-                                   0.5 * 0.004 * np.exp(-0.5j * math.pi)])
-@pytest.mark.parametrize("n_rhs", [1, 24])
-@pytest.mark.parametrize("n", [[2], [3], [100], [5, 7], [40, 40]],
-                         ids=["2", "3", "100", "5x7", "40x40"])
-def test_component_solver_matches_dense_solve(kappa, n_rhs, n):
-    grid = cl.build_grid([1.0] * len(n), n)
-    solver = _SineResolvent(cl.assemble_operator(grid), kappa)
-    dense = np.eye(grid.n_total) + kappa * dense_stencil(grid)
+KAPPAS = [0.5 * 0.0016, 0.5 * 0.004 * np.exp(-0.6j), 0.5 * 0.004 * np.exp(-0.5j * math.pi)]
+
+
+def _random_rhs(grid, kappa, n_rhs):
     rng = np.random.default_rng(grid.n_total * n_rhs)
     shape = (grid.n_total,) if n_rhs == 1 else (n_rhs, grid.n_total)
     rhs = rng.standard_normal(shape)
     if isinstance(kappa, complex):
         rhs = rhs + 1j * rng.standard_normal(shape)
-    out = solver.solve(rhs)
-    ref = np.linalg.solve(dense, rhs.reshape(-1, grid.n_total).T).T.reshape(shape)
+    return rhs
+
+
+def _assert_matches_dense_solve(grid, kappa, rhs, out):
+    """out against np.linalg.solve on the dense (banded) I + kappa A, to round-off."""
+    dense = np.eye(grid.n_total) + kappa * dense_stencil(grid)
+    ref = np.linalg.solve(dense, rhs.reshape(-1, grid.n_total).T).T.reshape(rhs.shape)
     assert out.dtype == ref.dtype
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("n_rhs", [1, 24])
+@pytest.mark.parametrize("n", [2, 3, 100])
+def test_component_solver_matches_solve_banded_bitwise(kappa, n_rhs, n):
+    # The tridiagonal I + kappa A is matched to round-off; what must hold bit
+    # for bit is that one solver serves every step of a march exactly as a
+    # fresh solver would.
+    grid = cl.build_grid([1.0], [n])
+    op = cl.assemble_operator(grid)
+    solver = _SineResolvent(op, kappa)
+    rhs = _random_rhs(grid, kappa, n_rhs)
+    for _ in range(3):
+        out = solver.solve(rhs)
+        assert np.array_equal(out, _SineResolvent(op, kappa).solve(rhs))
+        _assert_matches_dense_solve(grid, kappa, rhs, out)
+        rhs = out
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+@pytest.mark.parametrize("n_rhs", [1, 24])
+@pytest.mark.parametrize("n", [[5, 7], [40, 40]], ids=["5x7", "40x40"])
+def test_component_solver_matches_dense_solve(kappa, n_rhs, n):
+    grid = cl.build_grid([1.0, 1.0], n)
+    rhs = _random_rhs(grid, kappa, n_rhs)
+    out = _SineResolvent(cl.assemble_operator(grid), kappa).solve(rhs)
+    _assert_matches_dense_solve(grid, kappa, rhs, out)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

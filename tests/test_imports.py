@@ -1,4 +1,4 @@
-"""Start-up guard: the program needs numpy and the standard library, nothing else.
+"""Start-up guards: the program needs numpy and the standard library, nothing else.
 
 Each case runs in a fresh interpreter, because the test process itself has
 long since imported the test tools and whatever they pull in.
@@ -56,33 +56,38 @@ def _config(name, **sections):
     return cfg
 
 
-def test_no_subcommand_loads_a_package_beyond_numpy(tmp_path):
-    wave = _config("demo_wave_cascade.json", domain={"n": [60]}, hum={"K_filter": 10},
-                   time={"T": 3.0})
-    square = _config("strip_square.json", domain={"n": [12, 12]}, time={"T": 4.0},
-                     gcc={"n_rays": 72, "T": None})
-    square["coupling"][0]["boxes"] = [[[0.0, 1.0], [0.0, 0.25]], [[0.0, 0.25], [0.0, 1.0]]]
-    square["control"] = [{"component": 2, "kind": "distributed", "amplitude": 1.0,
-                          "boxes": [[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]]}]
+WAVE = _config("demo_wave_cascade.json", domain={"n": [60]}, hum={"K_filter": 10},
+               time={"T": 3.0})
+SQUARE = _config("strip_square.json", domain={"n": [12, 12]}, time={"T": 4.0},
+                 gcc={"n_rays": 72, "T": None})
+SQUARE["coupling"][0]["boxes"] = [[[0.0, 1.0], [0.0, 0.25]], [[0.0, 0.25], [0.0, 1.0]]]
+SQUARE["control"] = [{"component": 2, "kind": "distributed", "amplitude": 1.0,
+                      "boxes": [[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]]}]
+
+
+def test_wave_and_2d_runs_never_load_scipy_linalg_or_sparse(tmp_path):
+    # stricter than the name: no package beyond numpy, top-level scipy included
+    loaded = _foreign_modules_after(tmp_path, [("wave_check", "check", WAVE, 0),
+                                               ("wave_control", "control", WAVE, 0),
+                                               ("wave_control", "replay", None, 0),
+                                               ("square_gcc", "gcc", SQUARE, 0),
+                                               ("square_check", "check", SQUARE, 0),
+                                               ("square_obs", "observability", SQUARE, 0)])
+    assert loaded == []
+
+
+def test_heat_runs_load_no_package_beyond_numpy(tmp_path):
     heat = _config("demo_heat_cascade.json", domain={"n": [40]}, hum={"K_filter": 6},
                    time={"T": 0.2, "dt": 0.004})
     heat["hum"]["eps_list"] = [1e-2, 1e-3, 1e-4]
     # the 2D Crank-Nicolson path
     heat_square = _config("strip_square.json", family={"kind": "dissipative", "theta": 0.0},
                           domain={"n": [10, 12]}, time={"T": 0.1, "dt": 0.005})
-    heat_square["coupling"] = square["coupling"]
-    heat_square["control"] = square["control"]
+    heat_square["coupling"] = SQUARE["coupling"]
+    heat_square["control"] = SQUARE["control"]
     heat_square["initial"] = [{"component": 1, "modes": [[1, 1.0]]}]
-    loaded = _foreign_modules_after(tmp_path, [
-        ("wave_check", "check", wave, 0),
-        ("wave_control", "control", wave, 0),
-        ("wave_control", "replay", None, 0),
-        ("square_gcc", "gcc", square, 0),
-        ("square_check", "check", square, 0),
-        ("square_obs", "observability", square, 0),
-        ("heat_sweep", "sweep-eps", heat, 0),
-        ("heat_control", "control", heat, 0),
-        ("heat_control", "replay", None, 0),
-        ("heat_square", "control", heat_square, 0),
-    ])
+    loaded = _foreign_modules_after(tmp_path, [("heat_sweep", "sweep-eps", heat, 0),
+                                               ("heat_control", "control", heat, 0),
+                                               ("heat_control", "replay", None, 0),
+                                               ("heat_square", "control", heat_square, 0)])
     assert loaded == []
