@@ -66,7 +66,7 @@ SQUARE["control"] = [{"component": 2, "kind": "distributed", "amplitude": 1.0,
 
 
 def test_wave_and_2d_runs_never_load_scipy_linalg_or_sparse(tmp_path):
-    # stricter than the name: no package beyond numpy, top-level scipy included
+    # stricter than the name: no package beyond numpy at all
     loaded = _foreign_modules_after(tmp_path, [("wave_check", "check", WAVE, 0),
                                                ("wave_control", "control", WAVE, 0),
                                                ("wave_control", "replay", None, 0),
