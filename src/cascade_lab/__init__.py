@@ -17,6 +17,7 @@ from .geometry import (
     Grid,
     RayState,
     Region,
+    Support,
     build_grid,
     default_horizon,
     gcc_check,

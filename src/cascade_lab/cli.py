@@ -39,7 +39,7 @@ from .dynamics import (
     trapezoid_weights,
 )
 from .errors import CascadeLabError, ConfigError, NotApplicableError
-from .geometry import default_horizon, gcc_check, interval_entry_time
+from .geometry import Support, default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
 from .operators import HypothesisReport, verify_coupling_bounds, verify_operator_coercivity
 from .util import fmt_float
@@ -83,16 +83,29 @@ def _write_rows(fh, head, tails, row):
                       for tail, re, im in zip(tails, row.real.tolist(), row.imag.tolist())]))
 
 
-def write_control_csv(out_dir, signal):
-    """``control.csv``: component, then time node, then index; a boundary
-    control is one column with index 0."""
+def _csv_indices(sys, k):
+    """The index column of component k's rows in ``control.csv``: the grid
+    indices of a distributed control's support, ascending, or [0] for an end
+    control."""
+    ctl = sys.controls[k]
+    return ctl.indices.tolist() if isinstance(ctl, Support) else [0]
+
+
+def write_control_csv(out_dir, signal, sys):
+    """``control.csv`` of a control of ``sys``: component, then time node,
+    then index. A distributed control has one row per support column, whose
+    index is the grid index; a boundary control is one column with index 0."""
     path = os.path.join(out_dir, "control.csv")
     times = [fmt_float(t) for t in signal.t.tolist()]
     with _open_w(path) as fh:
         fh.write(SERIES_HEADER + "\n")
         for k in sorted(signal.values):
+            indices = _csv_indices(sys, k)
             rows = signal.values[k].reshape(len(times), -1)
-            tails = [f",{k},{i}," for i in range(rows.shape[1])]
+            if rows.shape[1] != len(indices):
+                raise ValueError(f"component {k}: {rows.shape[1]} control columns "
+                                 f"for {len(indices)} support columns")
+            tails = [f",{k},{i}," for i in indices]
             for ts, row in zip(times, rows):
                 _write_rows(fh, ts, tails, row)
     return path
@@ -260,7 +273,7 @@ def _cmd_control(args):
     payload["hypotheses"] = _quick_hypotheses(exp)
     payload["gcc"] = _gcc_entries(exp)
     payload["verdict"] = "pass" if result.success else "fail"
-    paths = {"control": write_control_csv(out, result.control),
+    paths = {"control": write_control_csv(out, result.control, exp.sys),
              "initial_state": write_state_csv(out, result.initial_state),
              "spectra": write_spectra_csv(out, exp.basis.eigenvalues)}
     if args.snapshots:
@@ -344,7 +357,7 @@ def _cmd_sweep(args):
     write_report(out, payload)
     best = sweep.results[-1]
     if best.control is not None:
-        write_control_csv(out, best.control)
+        write_control_csv(out, best.control, exp.sys)
         write_state_csv(out, exp.Y0)
     print(f"sweep-eps: slope {sweep.slope:.3f} over {len(sweep.eps_list)} eps values "
           f"({'partial' if sweep.partial else 'complete'}) -> {out}")
@@ -393,16 +406,28 @@ def _read_control_csv(path, exp, sampling):
     """Read control.csv block by block into the replay's ControlSignal.
 
     Every (component, time node, index) of the controlled components must
-    appear exactly once, in any order; anything else raises ConfigError naming
-    the first offending line.
+    appear exactly once, in any order, where a distributed control lists the
+    grid indices of its support only; anything else, a grid index off the
+    support included, raises ConfigError naming the first offending line.
     """
     M = step_count(exp.T, exp.dt)
-    ops = sorted((k, kind == "distributed") for k, kind, _ in exp.sys._control_ops)
+    sys = exp.sys
+    comps = sorted(sys.controls)
+    columns = [_csv_indices(sys, k) for k in comps]
+    # an index column holds 0..n_total-1 for a distributed control, 0 for an
+    # end control; lookup maps it to its column, -1 off the support, and the
+    # trailing slot (components outside the controlled set) takes no index
+    spans = np.array([sys.grid.n_total if isinstance(sys.controls[k], Support) else 1
+                      for k in comps] + [0])
+    starts = np.concatenate([[0], np.cumsum(spans)])
+    lookup = np.full(starts[-1] + 1, -1)
+    for s, cols in enumerate(columns):
+        lookup[starts[s] + np.array(cols, dtype=np.intp)] = np.arange(len(cols))
     # a trailing NaN entry absorbs components outside the controlled set
-    ks = np.array([k for k, _ in ops] + [np.nan])
-    widths = np.array([exp.grid.n_total if dist else 1 for _, dist in ops] + [0])
+    ks = np.array(comps + [np.nan])
+    widths = np.array([len(cols) for cols in columns] + [0])
     offsets = np.concatenate([[0], np.cumsum((M + 1) * widths)])
-    buf = np.zeros(offsets[-1], dtype=exp.sys.state_dtype)
+    buf = np.zeros(offsets[-1], dtype=sys.state_dtype)
     seen = np.zeros(buf.shape, dtype=bool)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n")
@@ -411,21 +436,24 @@ def _read_control_csv(path, exp, sampling):
         line = 2
         while lines := list(itertools.islice(fh, REPLAY_BLOCK_LINES)):
             t, comp, idx, re, im = _parse_block(lines, path, line).T
-            slot = np.minimum(np.searchsorted(ks, comp), len(ops))
-            width = widths[slot]
+            slot = np.minimum(np.searchsorted(ks, comp), len(columns))
+            span = spans[slot]
             steps = t / exp.dt
             n = np.rint(steps)
+            in_range = (idx >= 0) & (idx < span) & (idx == np.floor(idx))
+            col = lookup[np.where(in_range, starts[slot] + idx, -1).astype(np.intp)]
             checks = (
                 (ks[slot] == comp, lambda j: f"component {comp[j]:g} is not controlled"),
                 ((np.abs(steps - n) <= 1e-9) & (n >= 0) & (n <= M),
                  lambda j: f"t={t[j]:.17g} is not a time node n*dt, n in 0..{M}"),
-                ((idx >= 0) & (idx < width) & (idx == np.floor(idx)),
-                 lambda j: f"index {idx[j]:g} outside 0..{width[j] - 1}"),
+                (in_range, lambda j: f"index {idx[j]:g} outside 0..{span[j] - 1}"),
+                (col >= 0, lambda j: f"index {idx[j]:g} is off the control support of "
+                                     f"component {comp[j]:g}"),
                 (np.isfinite(re) & np.isfinite(im), lambda j: "value is not finite"),
             )
             valid = np.logical_and.reduce([ok for ok, _ in checks])
             rows = np.flatnonzero(valid)
-            flat = (offsets[slot] + n * width + idx)[rows].astype(np.intp)
+            flat = (offsets[slot] + n * widths[slot] + col)[rows].astype(np.intp)
             repeat = np.ones(flat.shape, dtype=bool)
             repeat[np.unique(flat, return_index=True)[1]] = False
             bad = ~valid
@@ -446,10 +474,10 @@ def _read_control_csv(path, exp, sampling):
         first = int(np.argmin(seen))
         s = int(np.searchsorted(offsets, first, side="right")) - 1
         n, i = divmod(first - int(offsets[s]), int(widths[s]))
-        raise ConfigError(f"malformed {path}: no row for component {ops[s][0]}, "
-                          f"t={fmt_float(n * exp.dt)}, index {i}")
-    vals = {k: buf[offsets[s]:offsets[s + 1]].reshape((M + 1, -1) if dist else (M + 1,))
-            for s, (k, dist) in enumerate(ops)}
+        raise ConfigError(f"malformed {path}: no row for component {comps[s]}, "
+                          f"t={fmt_float(n * exp.dt)}, index {columns[s][i]}")
+    vals = {k: buf[offsets[s]:offsets[s + 1]].reshape((M + 1,) + sys.signal_shape(k))
+            for s, k in enumerate(comps)}
     weights = trapezoid_weights(M, exp.dt) if sampling == "node" else interval_weights(M, exp.dt)
     return ControlSignal(exp.dt * np.arange(M + 1), vals, weights, sampling)
 

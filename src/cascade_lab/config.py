@@ -24,7 +24,7 @@ from .dynamics import (
     cfl_time_step,
     zero_state,
 )
-from .geometry import build_grid, default_horizon, region_from_bounds
+from .geometry import Support, build_grid, default_horizon, region_from_bounds
 from .operators import (
     BoundaryEnd,
     ControlSpec,
@@ -133,6 +133,14 @@ def validate_config(cfg):
                 _require(isinstance(pair, list) and len(pair) == 2, f"{where}: bad [lo, hi] pair")
                 _require(_num(pair[0], where) < _num(pair[1], where), f"{where}: lo must be < hi")
 
+    def check_amplitude(entry, section):
+        amp = entry.get("amplitude", 1.0)
+        amps = amp if isinstance(amp, list) else [amp]
+        _require(not isinstance(amp, list) or len(amp) == len(entry["boxes"]),
+                 f"{section}.amplitude needs one value per box")
+        _require(all(_num(a, f"{section}.amplitude") >= 0 for a in amps),
+                 f"{section} amplitudes must be nonnegative")
+
     for entry in cfg.get("coupling", []):
         _check_keys(entry, {"pair", "boxes", "amplitude", "label"}, "coupling entry")
         pair = entry.get("pair")
@@ -140,10 +148,7 @@ def validate_config(cfg):
         i, j = _num(pair[0], "coupling.pair", int), _num(pair[1], "coupling.pair", int)
         _require(1 <= i < j <= N, f"coupling pair ({i},{j}) must satisfy 1 <= i < j <= N")
         check_boxes(entry.get("boxes"), f"coupling ({i},{j})")
-        amp = entry.get("amplitude", 1.0)
-        amps = amp if isinstance(amp, list) else [amp]
-        _require(all(_num(a, "coupling.amplitude") >= 0 for a in amps),
-                 "coupling amplitudes must be nonnegative")
+        check_amplitude(entry, "coupling")
 
     for entry in cfg.get("control", []):
         _check_keys(entry, {"component", "kind", "boxes", "amplitude", "end", "gain", "label"},
@@ -155,6 +160,7 @@ def validate_config(cfg):
         _require(kind in ("distributed", "boundary"), "control.kind invalid")
         if kind == "distributed":
             check_boxes(entry.get("boxes"), f"control component {k}")
+            check_amplitude(entry, "control")
             _require("end" not in entry and "gain" not in entry,
                      "distributed control takes boxes/amplitude only")
         else:
@@ -379,6 +385,12 @@ def build_experiment(cfg):
     family = _family_of(cfg)
     sys = CascadeSystem(family, op, basis, N, p, coupling, control,
                         indicator_taper=float(cfg.get("indicator_taper", 0.0)))
+    # an empty coupling support is a legal zero coupling; an empty control
+    # support controls nothing
+    for k, ctl in sys.controls.items():
+        if isinstance(ctl, Support) and ctl.size == 0:
+            raise ConfigError(f"control component {k}: the region has no grid node "
+                              "with positive amplitude (empty support)")
     T, dt = _resolve_times(cfg, sys, coupling_regions + control_regions)
     Y0 = _initial_state(cfg, sys, K_filter)
 

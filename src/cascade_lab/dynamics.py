@@ -46,6 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CflViolationError
+from .geometry import Support
 from .operators import (
     ControlSpec,
     CouplingSpec,
@@ -84,6 +85,11 @@ class CascadeSystem:
     ``transposed`` selects the adjoint orientation: coupling entry (i, j) then
     feeds component i into equation j instead of j into i, and the controlled
     components become observation points.
+
+    ``coupling_supports`` holds ((i, j), Support) per coupling entry and
+    ``controls`` maps each controlled component to the Support of its
+    distributed control, or to its BoundaryEnd. Both are built once here;
+    every multiplier acts on its support columns only.
     """
 
     family: object
@@ -105,22 +111,21 @@ class CascadeSystem:
             raise ValueError("control spec p mismatch")
         if self.control.entries and not 0 <= self.p <= self.N - 1:
             raise ValueError("controlled system needs 0 <= p <= N-1")
-        object.__setattr__(self, "_coupling_fields", tuple(
-            ((i, j), indicator_vector(region, self.grid, taper=self.indicator_taper,
-                                      warn=not self.transposed))
+        object.__setattr__(self, "coupling_supports", tuple(
+            ((i, j), Support(indicator_vector(region, self.grid, taper=self.indicator_taper,
+                                              warn=not self.transposed)))
             for (i, j), region in self.coupling.entries
         ))
-        ctl = []
+        controls = {}
         for k, kind in self.control.entries:
             if isinstance(kind, Distributed):
-                b = indicator_vector(kind.region, self.grid, taper=self.indicator_taper, warn=False)
-                ctl.append((k, "distributed", b))
+                controls[k] = Support(indicator_vector(kind.region, self.grid,
+                                                       taper=self.indicator_taper, warn=False))
+            elif self.grid.dim != 1:
+                raise ValueError("end control is 1D only")
             else:
-                if self.grid.dim != 1:
-                    raise ValueError("end control is 1D only")
-                idx = 0 if kind.end == "left" else self.grid.n[0] - 1
-                ctl.append((k, "end", (idx, kind.gain)))
-        object.__setattr__(self, "_control_ops", tuple(ctl))
+                controls[k] = kind
+        object.__setattr__(self, "controls", controls)
 
     @property
     def grid(self):
@@ -156,56 +161,64 @@ class CascadeSystem:
         Y = np.asarray(Y)
         self._check_fields(Y)
         out = self.op.matvec(Y, out)
-        for (i, j), ind in self._coupling_fields:
-            if self.transposed:
-                out[..., j - 1, :] += ind * Y[..., i - 1, :]
-            else:
-                out[..., i - 1, :] += ind * Y[..., j - 1, :]
+        for (i, j), sup in self.coupling_supports:
+            dst, src = (j, i) if self.transposed else (i, j)
+            out[..., dst - 1, sup.cols] += sup.amplitudes * Y[..., src - 1, sup.cols]
         return out
 
     # -- control injection / observation -------------------------------------
 
-    def _control_op(self, k):
-        for comp, kind, data in self._control_ops:
-            if comp == k:
-                return kind, data
-        raise ValueError(f"component {k} carries no control")
+    def _control(self, k):
+        try:
+            return self.controls[k]
+        except KeyError:
+            raise ValueError(f"component {k} carries no control") from None
+
+    def _end_index(self, end):
+        return 0 if end.end == "left" else self.grid.n[0] - 1
+
+    def signal_shape(self, k):
+        """Trailing shape of one control sample of component k: (n_support,)
+        for a distributed control, () for an end control."""
+        ctl = self._control(k)
+        return (ctl.size,) if isinstance(ctl, Support) else ()
 
     def inject(self, out, k, value, scale=1.0):
         """Add scale * B_k(value) to the forcing array ``out`` (..., N, n_total).
 
-        ``value`` is (..., n_total) for a distributed control and (...) for an
-        end control, with the same leading axes as ``out`` (or broadcastable).
+        ``value`` is (..., n_support) for a distributed control, one entry per
+        support column, and (...) for an end control, with the same leading
+        axes as ``out`` (or broadcastable).
         """
         self._check_fields(out)
-        kind, data = self._control_op(k)
-        if kind == "distributed":
-            out[..., k - 1, :] += scale * data * value
+        ctl = self._control(k)
+        if isinstance(ctl, Support):
+            out[..., k - 1, ctl.cols] += scale * ctl.amplitudes * value
         else:
-            idx, gain = data
-            out[..., k - 1, idx] += scale * (-gain) * value / self.grid.h[0] ** 2
+            out[..., k - 1, self._end_index(ctl)] += (scale * (-ctl.gain) * value
+                                                      / self.grid.h[0] ** 2)
 
     def extract(self, k, Y, velocity=None):
         """Observation of component k of the fields Y (..., N, n_total).
 
-        The exact discrete adjoint of ``inject``: (..., n_total) for a
+        The exact discrete adjoint of ``inject``: (..., n_support) for a
         distributed control, (...) for an end control. A distributed control
         observes ``velocity`` instead of Y when one is given (the forward
         second-order readout); an end control always observes Y.
         """
         self._check_fields(Y)
-        kind, data = self._control_op(k)
-        if kind == "distributed":
+        ctl = self._control(k)
+        if isinstance(ctl, Support):
             fld = Y if velocity is None else velocity
-            return data * fld[..., k - 1, :]
-        idx, gain = data
-        return -gain * Y[..., k - 1, idx] / self.grid.h[0]
+            return ctl.amplitudes * fld[..., k - 1, ctl.cols]
+        return -ctl.gain * Y[..., k - 1, self._end_index(ctl)] / self.grid.h[0]
 
     def controlled_components(self):
-        return tuple(k for k, _, _ in self._control_ops)
+        return tuple(self.controls)
 
     def observation_kind(self):
-        kinds = {kind for _, kind, _ in self._control_ops}
+        kinds = {"distributed" if isinstance(ctl, Support) else "end"
+                 for ctl in self.controls.values()}
         return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
@@ -255,9 +268,11 @@ def _check_state(sys, state):
 class ControlSignal:
     """Time-sampled control values for each controlled component.
 
-    ``t`` holds floor(T/dt)+1 node times. ``sampling`` is "node" (value applies
-    at the node; trapezoid quadrature) or "interval" (entry n applies on
-    [t_n, t_{n+1}); the final entry is a zero pad with zero weight). The
+    ``t`` holds floor(T/dt)+1 node times. ``values[k]`` is (M+1, n_support)
+    for a distributed control, one column per column of the system's control
+    support, and (M+1,) for an end control. ``sampling`` is "node" (value
+    applies at the node; trapezoid quadrature) or "interval" (entry n applies
+    on [t_n, t_{n+1}); the final entry is a zero pad with zero weight). The
     weights define the L2-in-time norm actually used by the synthesis, so the
     optimality identity ||v||^2 = <G X, X> is exact.
     """
@@ -361,6 +376,10 @@ def _check_signal(sys, control, M, dt):
         return
     if control.t.shape[0] != M + 1 or abs(control.t[-1] - M * dt) > 1e-9 * max(M * dt, 1.0):
         raise ValueError("control signal grid does not match the solver grid")
+    for k, arr in control.values.items():
+        if arr.shape[1:] != sys.signal_shape(k):
+            raise ValueError(f"component {k}: control samples of shape {arr.shape[1:]}, "
+                             f"expected {sys.signal_shape(k)}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +396,12 @@ def _forcing_into(sys, out, control, forcing, n):
 
 
 def _observation_recorder(sys, n_samples, batch, factor=1.0):
-    """(arrays, visit): zeroed arrays[k] of shape (n_samples, *batch[, n_total])
+    """(arrays, visit): zeroed arrays[k] of shape (n_samples, *batch[, n_support])
     per controlled component, and the march hook visit(n, field, velocity=None)
     that stores factor * sys.extract(k, field, velocity) as sample n. For
     Crank-Nicolson midpoints the factor is the phase e^{i theta}."""
-    arrays = {}
-    for k, kind, _ in sys._control_ops:
-        tail = (sys.grid.n_total,) if kind == "distributed" else ()
-        arrays[k] = np.zeros((n_samples,) + batch + tail, dtype=sys.state_dtype)
+    arrays = {k: np.zeros((n_samples,) + batch + sys.signal_shape(k), dtype=sys.state_dtype)
+              for k in sys.controls}
 
     def visit(n, fld, velocity=None):
         for k, arr in arrays.items():
@@ -530,11 +547,10 @@ def _cn_solve_plus(sys, solver, kappa, rhs):
     order = range(sys.N, 0, -1) if not sys.transposed else range(1, sys.N + 1)
     for comp in order:
         r = rhs[..., comp - 1, :].copy()
-        for (i, j), ind in sys._coupling_fields:
-            if not sys.transposed and i == comp:
-                r -= kappa * ind * y[..., j - 1, :]
-            elif sys.transposed and j == comp:
-                r -= kappa * ind * y[..., i - 1, :]
+        for (i, j), sup in sys.coupling_supports:
+            dst, src = (j, i) if sys.transposed else (i, j)
+            if dst == comp:
+                r[..., sup.cols] -= kappa * sup.amplitudes * y[..., src - 1, sup.cols]
         y[..., comp - 1, :] = solver.solve(r)
     return y
 

@@ -233,6 +233,37 @@ def indicator_vector(region, grid, taper=0.0, warn=True):
     return values
 
 
+class Support:
+    """Nonzero columns of a nodal amplitude field, with the amplitudes there.
+
+    ``cols`` indexes the last axis of a field: a slice when the columns are
+    contiguous (a box in 1D), else a flat index array (an L-shaped union,
+    most 2D boxes). Off these columns the multiplier is exactly zero, so
+    couplings, controls and observations act on ``field[..., cols]`` only.
+    """
+
+    def __init__(self, values):
+        idx = np.flatnonzero(values)
+        if idx.size == 0:
+            self.cols = slice(0, 0)
+        elif idx[-1] - idx[0] + 1 == idx.size:
+            self.cols = slice(int(idx[0]), int(idx[-1]) + 1)
+        else:
+            self.cols = idx
+        self.amplitudes = values[self.cols]
+
+    @property
+    def size(self):
+        return self.amplitudes.size
+
+    @property
+    def indices(self):
+        """Grid indices of the columns, ascending."""
+        if isinstance(self.cols, slice):
+            return np.arange(self.cols.start, self.cols.stop)
+        return self.cols
+
+
 # ---------------------------------------------------------------------------
 # billiard rays / GCC
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .dynamics import (
     _check_cfl,
 )
 from .errors import NotApplicableError
+from .geometry import Support
 
 # ---------------------------------------------------------------------------
 # seed space
@@ -260,7 +261,7 @@ class GramianOperator:
     def observations_of(self, X):
         """Adjoint observations seeded by X, as quadrature-ready sample arrays.
 
-        X may carry leading batch axes; arrays[k] is (M + 1, *batch[, n_total]).
+        X may carry leading batch axes; arrays[k] is (M + 1, *batch[, n_support]).
         """
         hyp = self.seeds.hyperbolic
         batch = X.shape[: X.ndim - (3 if hyp else 2)]
@@ -340,15 +341,9 @@ def assemble_dense_gramian(gram):
     dim = basis.shape[0]
     weights = gram.sample_weights()
     is_complex = sys_adj.state_dtype == np.complex128
-    # (k, columns, amplitudes there, scale, column count); distributed
-    # observations vanish off the control support
-    parts = []
-    for k, kind, data in sys_adj._control_ops:
-        if kind == "distributed":
-            cols = np.flatnonzero(data)
-            parts.append((k, cols, data[cols], sys_adj.grid.hvol, cols.size))
-        else:
-            parts.append((k, None, None, 1.0, 1))
+    # (k, control support or None for an end control, scale, column count)
+    parts = [(k, ctl, sys_adj.grid.hvol, ctl.size) if isinstance(ctl, Support)
+             else (k, None, 1.0, 1) for k, ctl in sys_adj.controls.items()]
     # complex observations are formed as complex products first and split
     # after, so their parts carry the bits of the complex arithmetic
     scratch = {k: np.empty((dim, n_cols), dtype=np.complex128)
@@ -371,12 +366,12 @@ def assemble_dense_gramian(gram):
         nonlocal width
         if weights[n] == 0.0:
             return
-        for k, cols, amp, scale, n_cols in parts:
+        for k, sup, scale, n_cols in parts:
             o = scratch[k] if is_complex else block[:, width:width + n_cols]
-            if cols is None:
+            if sup is None:
                 o[:, 0] = sys_adj.extract(k, fld)
             else:
-                np.multiply(amp, fld[:, k - 1, cols], out=o)
+                np.multiply(sup.amplitudes, fld[:, k - 1, sup.cols], out=o)
             o *= math.sqrt(weights[n] * scale)
             if is_complex:
                 block[:, width:width + n_cols] = o.real

@@ -139,23 +139,25 @@ def dense_stencil(grid):
 
 
 def sliced_apply_system(sys, Y):
-    """(A + C) Y from ``sliced_stencil`` and the coupling multipliers."""
+    """(A + C) Y from ``sliced_stencil`` and the coupling multipliers, each
+    added on its support columns only."""
     out = sliced_stencil(sys.grid, Y)
-    for (i, j), ind in sys._coupling_fields:
-        if sys.transposed:
-            out[..., j - 1, :] += ind * Y[..., i - 1, :]
-        else:
-            out[..., i - 1, :] += ind * Y[..., j - 1, :]
+    for (i, j), sup in sys.coupling_supports:
+        dst, src = (j, i) if sys.transposed else (i, j)
+        out[..., dst - 1, sup.cols] += sup.amplitudes * Y[..., src - 1, sup.cols]
     return out
 
 
 def signed_zero_fields(shape, rng, complex_=False):
     """Random fields whose second half (in flat order) is all zeros: -0.0 at
     every third entry and +0.0 elsewhere, so that the stencil yields zeros of
-    both signs. Imaginary parts are random, then +0.0 over the same half."""
+    both signs. The -0.0 pattern shifts by one per row of the second-to-last
+    axis (per component), so rows differ in where their zeros are negative.
+    Imaginary parts are random, then +0.0 over the same half."""
     n = shape[-1]
     w = rng.standard_normal(shape)
-    w[..., n // 2:] = np.where(np.arange(n // 2, n) % 3 == 1, -0.0, 0.0)
+    row = np.arange(shape[-2])[:, None] if len(shape) > 1 else 0
+    w[..., n // 2:] = np.where((np.arange(n // 2, n) + row) % 3 == 1, -0.0, 0.0)
     if not complex_:
         return w
     out = np.empty(shape, dtype=np.complex128)

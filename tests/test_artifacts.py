@@ -1,5 +1,5 @@
-"""The CSV artifacts: the control.csv row layout, its bounded-memory reader,
-and replay's rejection of malformed artifacts."""
+"""The CSV artifacts: the control.csv row layout (support columns only), its
+bounded-memory reader, and replay's rejection of malformed artifacts."""
 
 import json
 import shutil
@@ -41,6 +41,8 @@ def _small(kind):
         return _cfg("demo_wave_cascade.json", domain={"extents": [1.0], "n": [12]},
                     hum={"K_filter": 4}, time={"T": 0.5, "dt": None},
                     control=[{"component": 2, "kind": "boundary", "end": "right"}])
+    if kind == "2d L":
+        return _square_cfg()
     # two controlled components, one distributed and one boundary
     return _cfg("demo_wave_cascade.json", domain={"extents": [1.0], "n": [12]},
                 hum={"K_filter": 4}, time={"T": 0.5, "dt": None}, N=3,
@@ -48,13 +50,38 @@ def _small(kind):
                          {"component": 2, "kind": "distributed", "boxes": [[[0.7, 0.9]]]}])
 
 
+def _square_cfg():
+    """A small 2D square whose coupling and control regions are L-shaped
+    unions of two strips, so both supports are flat index arrays."""
+    return {
+        "domain": {"extents": [1.0, 1.0], "n": [10, 10]},
+        "family": {"kind": "hyperbolic"},
+        "N": 2, "p": 1,
+        "coupling": [{"pair": [1, 2],
+                      "boxes": [[[0.0, 1.0], [0.0, 0.25]], [[0.0, 0.25], [0.0, 1.0]]]}],
+        "control": [{"component": 2, "kind": "distributed",
+                     "boxes": [[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]]}],
+        "time": {"T": 3.0, "dt": None},
+        "hum": {"K_filter": 4},
+        "initial": [{"component": 1, "position_modes": [[1, 1.0]], "velocity_modes": []}],
+    }
+
+
+def _csv_indices(exp, k):
+    """Grid indices of component k's rows, from the region's indicator."""
+    kind = dict(exp.sys.control.entries)[k]
+    if isinstance(kind, cl.Distributed):
+        return np.flatnonzero(cl.indicator_vector(kind.region, exp.grid, warn=False))
+    return [0]
+
+
 def _random_signal(exp, seed=0):
     """A control signal of the experiment's shapes and dtype, with signed zeros."""
     rng = np.random.default_rng(seed)
     M = step_count(exp.T, exp.dt)
     values = {}
-    for k, kind, _ in exp.sys._control_ops:
-        shape = (M + 1, exp.grid.n_total) if kind == "distributed" else (M + 1,)
+    for k in exp.sys.controlled_components():
+        shape = (M + 1,) + exp.sys.signal_shape(k)
         v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         if exp.sys.state_dtype == np.complex128:
             v = v + 1j * rng.standard_normal(shape)
@@ -63,19 +90,22 @@ def _random_signal(exp, seed=0):
     return ControlSignal(exp.dt * np.arange(M + 1), values, trapezoid_weights(M, exp.dt))
 
 
-@pytest.mark.parametrize("kind", ["real distributed", "complex", "boundary", "mixed"])
+@pytest.mark.parametrize("kind", ["real distributed", "complex", "boundary", "mixed", "2d L"])
 def test_control_csv_layout_and_bitwise_roundtrip(tmp_path, kind):
     exp = build_experiment(_small(kind))
     assert (exp.sys.state_dtype == np.complex128) == (kind == "complex")
+    if kind == "2d L":  # the flat index-array path
+        assert not isinstance(exp.sys.controls[2].cols, slice)
     signal = _random_signal(exp)
-    path = write_control_csv(tmp_path, signal)
+    path = write_control_csv(tmp_path, signal, exp.sys)
 
     expected = ["t,component,index,value_re,value_im"]
     for k in sorted(signal.values):
         arr = signal.values[k]
+        indices = _csv_indices(exp, k)
         for n, t in enumerate(signal.t):
             row = arr[n] if arr.ndim == 2 else arr[n:n + 1]
-            for i, v in enumerate(row):
+            for i, v in zip(indices, row, strict=True):
                 re, im = float(np.real(v)), float(np.imag(v))
                 expected.append(f"{float(t):.17g},{k},{i},{re:.17g},{im:.17g}")
     with open(path, "rb") as fh:
@@ -90,13 +120,15 @@ def test_control_csv_layout_and_bitwise_roundtrip(tmp_path, kind):
 
 
 def test_control_csv_reader_memory_is_bounded(tmp_path):
-    exp = build_experiment(_cfg("demo_wave_cascade.json"))
+    # a full-domain control box, so the support is the whole grid
+    control = [{"component": 2, "kind": "distributed", "boxes": [[[0.0, 1.0]]]}]
+    exp = build_experiment(_cfg("demo_wave_cascade.json", control=control))
     M = step_count(exp.T, exp.dt)
-    assert (M + 1, exp.grid.n_total) == (1341, 200)
+    assert (M + 1,) + exp.sys.signal_shape(2) == (1341, 200)
     rng = np.random.default_rng(1)
     signal = ControlSignal(exp.dt * np.arange(M + 1), {2: rng.standard_normal((M + 1, 200))},
                            trapezoid_weights(M, exp.dt))
-    path = write_control_csv(tmp_path, signal)
+    path = write_control_csv(tmp_path, signal, exp.sys)
     tracemalloc.start()
     try:
         back = _read_control_csv(path, exp, "node")
@@ -123,7 +155,7 @@ def _insert(line, make):
 @pytest.mark.parametrize("kind,component", [("boundary", 2), ("mixed", 3)])
 def test_boundary_control_row_needs_index_0(tmp_path, kind, component):
     exp = build_experiment(_small(kind))
-    path = write_control_csv(tmp_path, _random_signal(exp))
+    path = write_control_csv(tmp_path, _random_signal(exp), exp.sys)
     lines = (tmp_path / "control.csv").read_text().splitlines()
     bad = next(n for n, line in enumerate(lines, start=1) if line.split(",")[1] == str(component))
     _edit_field(bad, 2, "1")(lines)
@@ -134,10 +166,12 @@ def test_boundary_control_row_needs_index_0(tmp_path, kind, component):
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """One small wave run and one small heat run, produced by `control`."""
+    """One small wave run and one small heat run, produced by `control`. The
+    wave run is long enough (817 nodes, 12 support columns) for its
+    control.csv to span three blocks of the reader."""
     root = tmp_path_factory.mktemp("runs")
     wave = _cfg("demo_wave_cascade.json", domain={"extents": [1.0], "n": [60]},
-                hum={"K_filter": 10}, time={"T": 3.0, "dt": None})
+                hum={"K_filter": 10}, time={"T": 12.0, "dt": None})
     heat = _cfg("demo_heat_cascade.json", domain={"extents": [1.0], "n": [50]},
                 hum={"K_filter": 8, "eps": 1e-4, "cg_tol": 1e-9}, time={"T": 0.3, "dt": 0.003})
     for name, cfg in (("wave", wave), ("heat", heat)):
@@ -158,7 +192,11 @@ def runs(tmp_path_factory):
     ("wave", "control.csv", _edit_field(5000, 3, "nan"), "line 5000: value is not finite"),
     ("wave", "control.csv", _insert(3, lambda lines: lines[1]), "line 3: repeats an earlier"),
     ("wave", "control.csv", _insert(6000, lambda lines: lines[1]), "line 6000: repeats an earlier"),
-    ("wave", "control.csv", lambda lines: lines.pop(4), "no row for component 2, t=0, index 3"),
+    ("wave", "control.csv", _edit_field(2, 2, "0"),
+     "line 2: index 0 is off the control support of component 2"),
+    ("wave", "control.csv", _edit_field(5000, 2, "0"),
+     "line 5000: index 0 is off the control support of component 2"),
+    ("wave", "control.csv", lambda lines: lines.pop(4), "no row for component 2, t=0, index 45"),
     ("wave", "control.csv", _insert(4, lambda lines: ""), "line 4: expected five comma-separated"),
     ("wave", "control.csv", _edit_field(1, 0, "time"), "line 1: header"),
     ("wave", "initial_state.csv", _edit_field(2, 0, "3"), "line 2: component 3 outside 1..2"),
@@ -183,6 +221,35 @@ def test_replay_rejects_malformed_artifact(runs, tmp_path, capsys, run, name, ed
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
     assert name in err and message in err
+
+
+def test_full_grid_control_csv_fails_replay(runs, tmp_path, capsys):
+    """A control.csv with a row for every grid index, the layout before
+    control.csv listed support columns only, is malformed at its first row
+    off the control support."""
+    out = tmp_path / "wave"
+    shutil.copytree(runs / "wave", out)
+    path = out / "control.csv"
+    header, *rows = path.read_text().splitlines()
+    values = {}
+    for row in rows:
+        t, k, i, re, im = row.split(",")
+        values[(t, k, int(i))] = f"{re},{im}"
+    nodes = dict.fromkeys((t, k) for t, k, _ in values)
+    full = [f"{t},{k},{i},{values.get((t, k, i), '0,0')}" for t, k in nodes for i in range(60)]
+    path.write_text("\n".join([header] + full) + "\n")
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "control.csv, line 2: index 0 is off the control support of component 2" in err
+
+
+def test_2d_l_shaped_control_replays_exactly(tmp_path, capsys):
+    cfg = tmp_path / "square.json"
+    cfg.write_text(json.dumps(_square_cfg()))
+    assert main(["control", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(tmp_path / "run")]) == 0
+    assert "max energy mismatch 0.000e+00" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("kind", ["real distributed", "complex"])

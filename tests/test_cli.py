@@ -386,16 +386,39 @@ def test_non_numeric_config_value_exits_1(tmp_path, capsys, section, key, value)
     ("time", "T", math.nan, "time.T must be a finite number"),
     ("hum", "eps", -math.inf, "hum.eps must be a finite number"),
     ("gcc", "dt_ray", math.inf, "gcc.dt_ray must be a finite number"),
+    # a control amplitude is checked like a coupling amplitude
+    ("control", "amplitude", -1.0, "control amplitudes must be nonnegative"),
+    ("control", "amplitude", "x", "control.amplitude must be a number"),
+    ("control", "amplitude", math.nan, "control.amplitude must be a finite number"),
+    ("control", "amplitude", True, "control.amplitude must be a number"),
+    ("control", "amplitude", [1.0, 2.0], "control.amplitude needs one value per box"),
+    ("coupling", "amplitude", [], "coupling.amplitude needs one value per box"),
 ])
 def test_string_bool_and_non_finite_config_values_exit_1(tmp_path, capsys, section, key, value,
                                                          message):
     cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
-    cfg[section][key] = value
+    target = cfg[section][0] if isinstance(cfg[section], list) else cfg[section]
+    target[key] = value
     cfg["output_dir"] = str(tmp_path / "run")
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     assert main(["check", "--config", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "control"])
+@pytest.mark.parametrize("change", [{"amplitude": 0.0}, {"boxes": [[[0.7016, 0.702]]]}])
+def test_empty_control_support_exits_1(tmp_path, capsys, command, change):
+    """A distributed control with no grid node of positive amplitude (no node
+    inside the box at n = 200) controls nothing: a config error."""
+    cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    cfg["control"][0].update(change)
+    cfg["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 1
+    assert "control component 2: the region has no grid node" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("where,value", [("seed", True), ("seed", -1), ("random", -1)])

@@ -30,6 +30,7 @@ from conftest import (
     make_wave_cascade,
     signed_zero_fields,
     sliced_apply_system,
+    sliced_stencil,
 )
 
 
@@ -240,10 +241,11 @@ def test_heat_cascade_free_component_growth_bounded_by_forcing():
              lambda n, y: snapshots.append((n * dt, y.copy())) if n % 20 == 0 else None)
     assert len(snapshots) == M // 20 + 1
     hvol = sys.grid.hvol
-    ind = dict(sys._coupling_fields)[(1, 2)]
+    sup = dict(sys.coupling_supports)[(1, 2)]
     forcing_max = 0.0
     for _, w in snapshots:
-        forcing_max = max(forcing_max, math.sqrt(float(np.sum(np.abs(ind * w[1]) ** 2)) * hvol))
+        forcing_max = max(forcing_max,
+                          math.sqrt(float(np.sum(np.abs(sup.amplitudes * w[1][sup.cols]) ** 2)) * hvol))
     for t, w in snapshots:
         n1 = math.sqrt(float(np.sum(np.abs(w[0]) ** 2)) * hvol)
         assert n1 <= 0.0 + t * forcing_max + 1e-12
@@ -538,8 +540,8 @@ def test_discrete_duality_property(dim, N, data):
     n = sys.grid.n_total
     steps = M + 1 if sys.is_hyperbolic else M
     forcing = draw_array((steps, sys.N, n))
-    for k, kind, _ in sys._control_ops:
-        sys.inject(forcing, k, draw_array((steps, n) if kind == "distributed" else (steps,)))
+    for k in sys.controlled_components():
+        sys.inject(forcing, k, draw_array((steps,) + sys.signal_shape(k)))
     if sys.is_hyperbolic:
         seed = cl.SystemState(T, rng.standard_normal((sys.N, n)), rng.standard_normal((sys.N, n)))
     else:
@@ -675,6 +677,22 @@ def test_apply_system_matches_sliced_reference_bitwise(name, complex_, batch, co
         sys.apply_system(Y, Y)
 
 
+@pytest.mark.parametrize("name", ["1d", "1d adjoint", "2d", "2d adjoint"])
+def test_coupled_rows_off_the_support_are_the_stencil_bitwise(name):
+    """Off its support a coupling adds nothing, not even a zero: a -0.0 of the
+    stencil row stays -0.0 there, where out + 0 * Y would turn it to +0.0."""
+    sys = _stencil_system(name)
+    Y = signed_zero_fields((3, sys.N, sys.grid.n_total), np.random.default_rng(9))
+    got, stencil = sys.apply_system(Y), sliced_stencil(sys.grid, Y)
+    (((i, j), sup),) = sys.coupling_supports
+    dst, src = (j, i) if sys.transposed else (i, j)
+    off = np.setdiff1d(np.arange(sys.grid.n_total), sup.indices)
+    assert got[:, dst - 1, off].tobytes() == stencil[:, dst - 1, off].tobytes()
+    # the data tell the two apart: the full-grid update flips some -0.0 there
+    full_grid = stencil[:, dst - 1, off] + 0.0 * Y[:, src - 1, off]
+    assert full_grid.tobytes() != stencil[:, dst - 1, off].tobytes()
+
+
 def _reference_forward(sys, w0, wp0, control, forcing, M, dt):
     """The leapfrog recurrence with fresh arrays every step: the visited
     (n, y, velocity) triples and the returned (y^{M-1}, y^M, velocity)."""
@@ -727,7 +745,8 @@ def test_leapfrog_marches_match_fresh_array_reference_bitwise(name, batch):
     n = sys.grid.n_total
     rng = np.random.default_rng(42)
     w0, wp0, phi_M, phi_M1 = rng.standard_normal((4,) + batch + (sys.N, n))
-    control = cl.ControlSignal(dt * np.arange(M + 1), {2: rng.standard_normal((M + 1, n))},
+    control = cl.ControlSignal(dt * np.arange(M + 1),
+                               {2: rng.standard_normal((M + 1,) + sys.signal_shape(2))},
                                trapezoid_weights(M, dt))
     forcing = rng.standard_normal((M + 1, sys.N, n))
     starts = [a.copy() for a in (w0, wp0, phi_M, phi_M1)]

@@ -81,6 +81,28 @@ def test_region_overlap_takes_max_amplitude():
     assert np.all(values[x < 0.4] == 1.0)
 
 
+@pytest.mark.parametrize("dim,bounds,expect", [
+    (1, [[[0.2, 0.4]]], "slice"),
+    (1, [[[0.1, 0.2]], [[0.5, 0.7]]], "array"),
+    (1, [[[0.91, 0.92]]], "empty"),
+    (2, [[[0.75, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.75, 1.0]]], "array"),
+    (2, [[[0.0, 0.3], [0.0, 1.0]]], "slice"),
+])
+def test_support_holds_the_nonzero_columns(dim, bounds, expect):
+    """A contiguous support is a slice, any other shape a flat index array;
+    either way it selects exactly the indicator's nonzero entries."""
+    g = cl.build_grid([1.0] * dim, [10] * dim)
+    values = cl.indicator_vector(cl.region_from_bounds(bounds, 2.5), g, warn=False)
+    sup = cl.Support(values)
+    assert isinstance(sup.cols, slice) == (expect != "array")
+    assert sup.size == np.count_nonzero(values) and (sup.size == 0) == (expect == "empty")
+    assert np.array_equal(sup.indices, np.flatnonzero(values))
+    assert np.array_equal(values[sup.cols], sup.amplitudes)
+    rest = values.copy()
+    rest[sup.cols] = 0.0
+    assert not rest.any()
+
+
 def test_negative_amplitude_rejected():
     with pytest.raises(ValueError):
         cl.region_from_bounds([[0.1, 0.2]], -1.0)

@@ -26,7 +26,9 @@ def test_adjoint_flips_coupling_flow():
     Y = rng.standard_normal((2, 40))
     fwd = sys.apply_system(Y.copy())
     bwd = adj.apply_system(Y.copy())
-    ind = dict(sys._coupling_fields)[(1, 2)]
+    sup = dict(sys.coupling_supports)[(1, 2)]
+    ind = np.zeros(sys.grid.n_total)
+    ind[sup.cols] = sup.amplitudes
     # forward: row 1 carries ind * Y2; adjoint: row 2 carries ind * Y1
     assert np.allclose(fwd[0] - sys.op.matvec(Y[0].copy()), ind * Y[1])
     assert np.allclose(bwd[1] - sys.op.matvec(Y[1].copy()), ind * Y[0])
@@ -194,16 +196,15 @@ def test_dense_gramian_matches_column_probes(name, make, T, dt, K):
 
 
 def _concatenated_gramian(gram):
-    """Dense Gramian the list-based way: extract each sample's observations
-    whole, keep the support columns, concatenate the pieces and reduce them
-    with one product whenever 512 or more columns are gathered."""
+    """Dense Gramian the list-based way: extract each sample's observations,
+    concatenate the pieces and reduce them with one product whenever 512 or
+    more columns are gathered."""
     seeds, sys_adj = gram.seeds, gram.sys_adj
     basis = seeds.from_coords(np.eye(seeds.coord_dim))
     dim = basis.shape[0]
     weights = gram.sample_weights()
-    parts = [(k, np.flatnonzero(data), sys_adj.grid.hvol) if kind == "distributed"
-             else (k, slice(None), 1.0)
-             for k, kind, data in sys_adj._control_ops]
+    parts = [(k, sys_adj.grid.hvol if isinstance(ctl, cl.Support) else 1.0)
+             for k, ctl in sys_adj.controls.items()]
     mat = np.zeros((dim, dim))
     block, flushes = [], []
 
@@ -217,8 +218,8 @@ def _concatenated_gramian(gram):
     def visit(n, fld):
         if weights[n] == 0.0:
             return
-        for k, cols, scale in parts:
-            o = sys_adj.extract(k, fld).reshape(dim, -1)[:, cols] * math.sqrt(weights[n] * scale)
+        for k, scale in parts:
+            o = sys_adj.extract(k, fld).reshape(dim, -1) * math.sqrt(weights[n] * scale)
             block.extend((o.real, o.imag) if np.iscomplexobj(o) else (o,))
         if sum(piece.shape[1] for piece in block) >= 512:
             flush()
