@@ -21,8 +21,10 @@ from .dynamics import (
     CascadeSystem,
     Hyperbolic,
     SystemState,
+    _observation_recorder,
     adjoint_system,
     cfl_time_step,
+    quadrature,
     solve,
     trapezoid_weights,
 )
@@ -263,12 +265,11 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
         dt_level = T / M
         t_nodes = dt_level * np.arange(M + 1)
         weights = trapezoid_weights(M, dt_level)
-        obs_scale = grid.hvol if obs_name == "distributed" else 1.0
-        obs_sq, energies = np.zeros(M + 1), np.zeros(M + 1)
+        obs, record = _observation_recorder(one, weights, ())
+        energies = np.zeros(M + 1)
 
         def visit(n, y, vel):
-            obs = one.extract(1, y, vel)
-            obs_sq[n] = np.sum(obs * obs) * obs_scale
+            record(n, y, vel)
             stiff = np.sum(op.matvec(y) * y) * grid.hvol
             energies[n] = 0.5 * (stiff + np.sum(vel * vel) * grid.hvol)
 
@@ -286,7 +287,7 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
             forcing = (profile @ lowmodes)[:, None, :]
             initial = SystemState(0.0, w0.copy(), v0.copy())
             solve(one, initial, None, T, dt_level, visit, forcing)
-            lhs = float(weights @ obs_sq)
+            lhs = quadrature(one, obs, obs, weights)
             e_int = float(weights @ energies)
             f_sq = np.sum(forcing[:, 0, :] ** 2, axis=1) * grid.hvol
             f_int = float(weights @ f_sq)

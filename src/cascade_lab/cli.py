@@ -33,10 +33,8 @@ from .dynamics import (
     ControlSignal,
     SystemState,
     energy,
-    interval_weights,
     solve,
     step_count,
-    trapezoid_weights,
 )
 from .errors import CascadeLabError, ConfigError, NotApplicableError
 from .geometry import Support, default_horizon, gcc_check, interval_entry_time
@@ -269,7 +267,6 @@ def _cmd_control(args):
     out = _out_dir(exp, args)
     payload = _base_report(exp, "control")
     payload["hum"] = result.to_dict()
-    payload["hum"]["control_sampling"] = result.control.sampling
     payload["hypotheses"] = _quick_hypotheses(exp)
     payload["gcc"] = _gcc_entries(exp)
     payload["verdict"] = "pass" if result.success else "fail"
@@ -370,8 +367,7 @@ def _cmd_sweep(args):
 
 
 # control.csv is parsed this many lines at a time, so replay's peak memory
-# does not grow with the file (a whole-file parse of the wave demo's 8.7 MB
-# control.csv raises replay's peak RSS by about a third)
+# stays bounded however large the file is, a full-domain control included
 REPLAY_BLOCK_LINES = 4096
 
 
@@ -402,7 +398,7 @@ def _parse_block(lines, path, first_line):
                      f"expected five comma-separated numbers, got {lines[j].rstrip()!r}")
 
 
-def _read_control_csv(path, exp, sampling):
+def _read_control_csv(path, exp):
     """Read control.csv block by block into the replay's ControlSignal.
 
     Every (component, time node, index) of the controlled components must
@@ -478,8 +474,7 @@ def _read_control_csv(path, exp, sampling):
                           f"t={fmt_float(n * exp.dt)}, index {columns[s][i]}")
     vals = {k: buf[offsets[s]:offsets[s + 1]].reshape((M + 1,) + sys.signal_shape(k))
             for s, k in enumerate(comps)}
-    weights = trapezoid_weights(M, exp.dt) if sampling == "node" else interval_weights(M, exp.dt)
-    return ControlSignal(exp.dt * np.arange(M + 1), vals, weights, sampling)
+    return ControlSignal(exp.dt * np.arange(M + 1), vals)
 
 
 def _read_state_csv(path, exp):
@@ -547,7 +542,7 @@ def _cmd_replay(args):
     if "config" not in report or not all(key in stored for key in needed):
         raise ConfigError(f"malformed {report_path}: needs config and hum.{', hum.'.join(needed)}")
     exp = build_experiment(report["config"])
-    signal = _read_control_csv(control_path, exp, stored.get("control_sampling", "node"))
+    signal = _read_control_csv(control_path, exp)
     initial = _read_state_csv(state_path, exp)
     seeds = SeedSpace(exp.sys, exp.K_filter)
     levels, terminal = solve(exp.sys, initial, signal, exp.T, exp.dt)

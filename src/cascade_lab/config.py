@@ -37,7 +37,7 @@ from .util import canonical_json, sha256_hex
 
 _TOP_KEYS = {
     "domain", "family", "N", "p", "coupling", "control", "time", "hum",
-    "initial", "gcc", "analysis", "output_dir", "seed", "indicator_taper",
+    "initial", "gcc", "analysis", "output_dir", "seed",
 }
 
 
@@ -238,9 +238,6 @@ def validate_config(cfg):
                         _num(v, f"{where}.{key}", kind)
     if "seed" in cfg:
         _require(_num(cfg["seed"], "seed", int) >= 0, "seed must be a nonnegative integer")
-    if "indicator_taper" in cfg:
-        _require(_num(cfg["indicator_taper"], "indicator_taper") >= 0,
-                 "indicator_taper must be >= 0")
     return cfg
 
 
@@ -383,8 +380,7 @@ def build_experiment(cfg):
     control = ControlSpec(N, p, tuple(ctl))
 
     family = _family_of(cfg)
-    sys = CascadeSystem(family, op, basis, N, p, coupling, control,
-                        indicator_taper=float(cfg.get("indicator_taper", 0.0)))
+    sys = CascadeSystem(family, op, basis, N, p, coupling, control)
     # an empty coupling support is a legal zero coupling; an empty control
     # support controls nothing
     for k, ctl in sys.controls.items():

@@ -32,10 +32,13 @@ that the discrete duality identity
 holds to round-off and not merely to O(dt^2): the leapfrog pairing is the
 staggered bracket (<y^M, phi^{M-1}> - <y^{M-1}, phi^M>)/dt with interior
 rectangle weights in time, and the Crank-Nicolson pairing uses the midpoint
-adjoint values, which coincide with averaged node values exactly. Control
-signals therefore carry their own quadrature weights: node-sampled signals use
-trapezoid weights (with zero end samples where synthesis demands exactness)
-and first-order-family signals are piecewise constant per step.
+adjoint values, which coincide with averaged node values exactly. The family
+therefore owns the time quadrature of the control norm: ``sample_weights``
+weighs the interior leapfrog nodes by dt and the two end samples by 0, and
+each Crank-Nicolson interval (its signals are piecewise constant per step) by
+dt and the final pad by 0. ``quadrature`` reduces observations with those
+weights, and ``CascadeSystem.extract`` is the one routine that forms an
+observation.
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ class CascadeSystem:
     coupling: CouplingSpec
     control: ControlSpec
     transposed: bool = False
-    indicator_taper: float = 0.0
 
     def __post_init__(self):
         if self.N < 1:
@@ -112,15 +114,13 @@ class CascadeSystem:
         if self.control.entries and not 0 <= self.p <= self.N - 1:
             raise ValueError("controlled system needs 0 <= p <= N-1")
         object.__setattr__(self, "coupling_supports", tuple(
-            ((i, j), Support(indicator_vector(region, self.grid, taper=self.indicator_taper,
-                                              warn=not self.transposed)))
+            ((i, j), Support(indicator_vector(region, self.grid, warn=not self.transposed)))
             for (i, j), region in self.coupling.entries
         ))
         controls = {}
         for k, kind in self.control.entries:
             if isinstance(kind, Distributed):
-                controls[k] = Support(indicator_vector(kind.region, self.grid,
-                                                       taper=self.indicator_taper, warn=False))
+                controls[k] = Support(indicator_vector(kind.region, self.grid, warn=False))
             elif self.grid.dim != 1:
                 raise ValueError("end control is 1D only")
             else:
@@ -198,23 +198,22 @@ class CascadeSystem:
             out[..., k - 1, self._end_index(ctl)] += (scale * (-ctl.gain) * value
                                                       / self.grid.h[0] ** 2)
 
-    def extract(self, k, Y, velocity=None):
+    def extract(self, k, Y, velocity=None, out=None):
         """Observation of component k of the fields Y (..., N, n_total).
 
         The exact discrete adjoint of ``inject``: (..., n_support) for a
-        distributed control, (...) for an end control. A distributed control
-        observes ``velocity`` instead of Y when one is given (the forward
-        second-order readout); an end control always observes Y.
+        distributed control, (...) for an end control, written into ``out``
+        when given. A distributed control observes ``velocity`` instead of Y
+        when one is given (the forward second-order readout); an end control
+        always observes Y.
         """
         self._check_fields(Y)
         ctl = self._control(k)
         if isinstance(ctl, Support):
             fld = Y if velocity is None else velocity
-            return ctl.amplitudes * fld[..., k - 1, ctl.cols]
-        return -ctl.gain * Y[..., k - 1, self._end_index(ctl)] / self.grid.h[0]
-
-    def controlled_components(self):
-        return tuple(self.controls)
+            return np.multiply(ctl.amplitudes, fld[..., k - 1, ctl.cols], out=out)
+        obs = np.multiply(-ctl.gain, Y[..., k - 1, self._end_index(ctl)], out=out)
+        return np.divide(obs, self.grid.h[0], out=out)
 
     def observation_kind(self):
         kinds = {"distributed" if isinstance(ctl, Support) else "end"
@@ -270,17 +269,14 @@ class ControlSignal:
 
     ``t`` holds floor(T/dt)+1 node times. ``values[k]`` is (M+1, n_support)
     for a distributed control, one column per column of the system's control
-    support, and (M+1,) for an end control. ``sampling`` is "node" (value
-    applies at the node; trapezoid quadrature) or "interval" (entry n applies
-    on [t_n, t_{n+1}); the final entry is a zero pad with zero weight). The
-    weights define the L2-in-time norm actually used by the synthesis, so the
-    optimality identity ||v||^2 = <G X, X> is exact.
+    support, and (M+1,) for an end control. Leapfrog applies entry n at node
+    n; Crank-Nicolson applies it on [t_n, t_{n+1}), so its final entry is a
+    pad no march reads. The L2-in-time norm is ``quadrature`` with the
+    family's ``sample_weights``.
     """
 
     t: np.ndarray
     values: dict
-    weights: np.ndarray
-    sampling: str = "node"
 
     def __post_init__(self):
         for k, arr in self.values.items():
@@ -289,14 +285,6 @@ class ControlSignal:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"component {k}: non-finite control samples")
 
-    def norm_sq(self, grid):
-        total = 0.0
-        for arr in self.values.values():
-            mag = np.abs(arr) ** 2
-            per_t = mag.sum(axis=-1) * grid.hvol if mag.ndim == 2 else mag
-            total += float(self.weights @ per_t)
-        return total
-
 
 def trapezoid_weights(M, dt):
     w = np.full(M + 1, dt)
@@ -304,10 +292,33 @@ def trapezoid_weights(M, dt):
     return w
 
 
-def interval_weights(M, dt):
+def sample_weights(sys, M, dt):
+    """Time-quadrature weight of each of the M + 1 observation samples.
+
+    The one rule under which the HUM identity ||v||^2 = <G X, X> is exact:
+    leapfrog takes dt at the interior nodes and 0 at n = 0 and n = M;
+    Crank-Nicolson takes dt for each interval n < M and 0 at n = M.
+    """
     w = np.full(M + 1, dt)
     w[-1] = 0.0
+    if sys.is_hyperbolic:
+        w[0] = 0.0
     return w
+
+
+def quadrature(sys, a, b, weights):
+    """sum_n w_n Re <a_n, b_n> over the controlled components of sys.
+
+    ``a`` and ``b`` map each component to its samples, (M + 1, n_support) for
+    a distributed control, whose columns pair with the grid volume, and
+    (M + 1,) for an end control.
+    """
+    total = 0.0
+    for k, arr in a.items():
+        prod = np.real(arr * np.conj(b[k]))
+        per_t = prod.sum(axis=-1) * sys.grid.hvol if sys.signal_shape(k) else prod
+        total += float(weights @ per_t)
+    return total
 
 
 @dataclass
@@ -395,17 +406,19 @@ def _forcing_into(sys, out, control, forcing, n):
         out += forcing[n]
 
 
-def _observation_recorder(sys, n_samples, batch, factor=1.0):
-    """(arrays, visit): zeroed arrays[k] of shape (n_samples, *batch[, n_support])
+def _observation_recorder(sys, weights, batch, factor=1.0):
+    """(arrays, visit): zeroed arrays[k] of shape (len(weights), *batch[, n_support])
     per controlled component, and the march hook visit(n, field, velocity=None)
-    that stores factor * sys.extract(k, field, velocity) as sample n. For
-    Crank-Nicolson midpoints the factor is the phase e^{i theta}."""
-    arrays = {k: np.zeros((n_samples,) + batch + sys.signal_shape(k), dtype=sys.state_dtype)
+    that stores factor * sys.extract(k, field, velocity) as sample n wherever
+    weights[n] is nonzero. For Crank-Nicolson midpoints the factor is the
+    phase e^{i theta}."""
+    arrays = {k: np.zeros((len(weights),) + batch + sys.signal_shape(k), dtype=sys.state_dtype)
               for k in sys.controls}
 
     def visit(n, fld, velocity=None):
-        for k, arr in arrays.items():
-            arr[n] = factor * sys.extract(k, fld, velocity)
+        if weights[n] != 0.0:
+            for k, arr in arrays.items():
+                arr[n] = factor * sys.extract(k, fld, velocity)
 
     return arrays, visit
 

@@ -203,27 +203,14 @@ def region_from_bounds(bounds, amplitude=1.0, label=""):
     return Region(parts, amps, label)
 
 
-def indicator_vector(region, grid, taper=0.0, warn=True):
+def indicator_vector(region, grid, warn=True):
     """Amplitude-weighted indicator of a region sampled at grid nodes.
 
-    Returns the nodal field amplitude(x) * 1_region(x). When ``taper`` > 0 the
-    box edges are replaced by linear ramps of that width (an optional smoothing
-    of the sharp multiplier; no claims are attached to it). Empty nodal support
+    Returns the nodal field amplitude(x) * 1_region(x). Empty nodal support
     raises EmptySupportWarning but still returns the all-zero field.
     """
     region = region.clipped(grid.extents)
-    coords = grid.node_coords()
-    if taper <= 0.0:
-        values = region.amplitude_at(coords)
-    else:
-        values = np.zeros(coords.shape[0])
-        for box, amp in zip(region.parts, region.amplitudes):
-            ramp = np.ones(coords.shape[0])
-            for a in range(region.dim):
-                left = (coords[:, a] - box.lo[a]) / taper
-                right = (box.hi[a] - coords[:, a]) / taper
-                ramp *= np.clip(np.minimum(left, right), 0.0, 1.0)
-            np.maximum(values, amp * ramp, out=values)
+    values = region.amplitude_at(grid.node_coords())
     if warn and not np.any(values > 0):
         warnings.warn(
             f"region {region.label or region.parts} has no positive support on the grid",

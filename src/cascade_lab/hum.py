@@ -48,11 +48,11 @@ from .dynamics import (
     _observation_recorder,
     adjoint_system,
     energy,
-    interval_weights,
+    quadrature,
+    sample_weights,
     solve,
     state_l2_norm,
     step_count,
-    trapezoid_weights,
     zero_state,
     _check_cfl,
 )
@@ -235,6 +235,7 @@ class GramianOperator:
 
     def __post_init__(self):
         self.M = step_count(self.T, self.dt)
+        self.weights = sample_weights(self.sys, self.M, self.dt)
         if self.sys.is_hyperbolic:
             _check_cfl(self.sys, self.dt)
         if self.sys.transposed or not self.sys_adj.transposed:
@@ -259,40 +260,16 @@ class GramianOperator:
             _cn_adjoint(self.sys_adj, start, self.M, self.dt, visit)
 
     def observations_of(self, X):
-        """Adjoint observations seeded by X, as quadrature-ready sample arrays.
+        """The ControlSignal of adjoint observations seeded by X.
 
-        X may carry leading batch axes; arrays[k] is (M + 1, *batch[, n_support]).
+        X may carry leading batch axes; values[k] is (M + 1, *batch[, n_support]),
+        exactly 0 wherever ``weights`` is 0.
         """
-        hyp = self.seeds.hyperbolic
-        batch = X.shape[: X.ndim - (3 if hyp else 2)]
-        obs, visit = _observation_recorder(self.sys_adj, self.M + 1, batch,
+        batch = X.shape[: X.ndim - (3 if self.seeds.hyperbolic else 2)]
+        obs, visit = _observation_recorder(self.sys_adj, self.weights, batch,
                                            _adjoint_phase(self.sys_adj))
         self.march_adjoint(X, visit)
-        if hyp:
-            for arr in obs.values():  # end samples carry no weight; keep them zero
-                arr[0] = 0.0
-                arr[-1] = 0.0
-        return obs
-
-    def sample_weights(self):
-        """Quadrature weight of each observation sample (0 where none is taken)."""
-        if self.seeds.hyperbolic:
-            weights = trapezoid_weights(self.M, self.dt)
-            weights[0] = weights[-1] = 0.0
-            return weights
-        return interval_weights(self.M, self.dt)
-
-    def signal_from_observations(self, obs):
-        t = self.dt * np.arange(self.M + 1)
-        if self.seeds.hyperbolic:
-            return ControlSignal(t, obs, trapezoid_weights(self.M, self.dt), "node")
-        vals = {}
-        for k, arr in obs.items():
-            padded = np.zeros((self.M + 1,) + arr.shape[1:], dtype=arr.dtype)
-            padded[: self.M] = arr[: self.M]
-            padded[self.M] = 0.0
-            vals[k] = padded
-        return ControlSignal(t, vals, interval_weights(self.M, self.dt), "interval")
+        return ControlSignal(self.dt * np.arange(self.M + 1), obs)
 
     def forward_with_control(self, signal, initial=None):
         """(seed-space readout, terminal SystemState) of the forward march from
@@ -302,20 +279,7 @@ class GramianOperator:
         return self.seeds.readout(levels, self.dt), terminal
 
     def apply(self, X):
-        signal = self.signal_from_observations(self.observations_of(X))
-        return self.forward_with_control(signal)[0]
-
-    def observation_quadrature(self, obs_a, obs_b):
-        """sum_n w_n <obs_a_n, obs_b_n>_G, the defining bilinear form of G."""
-        hvol = self.sys.grid.hvol
-        weights = self.sample_weights()
-        total = 0.0
-        for k in obs_a:
-            a, b = obs_a[k], obs_b[k]
-            prod = np.real(a * np.conj(b))
-            per_t = prod.sum(axis=-1) * hvol if prod.ndim == 2 else prod
-            total += float(weights[: per_t.shape[0]] @ per_t)
-        return total
+        return self.forward_with_control(self.observations_of(X))[0]
 
 
 # observation columns gathered per rank-k update of G; small, to bound peak memory
@@ -327,28 +291,27 @@ def assemble_dense_gramian(gram):
 
     One batched adjoint march seeded by every basis vector at once; each
     sample's observations O_n are reduced on the fly into
-    G += w_n O_n O_n^T (with the grid volume for distributed observations),
-    the quadrature ``observation_quadrature`` defines, so no trajectory is
-    kept. Each sample writes only its observation columns (a distributed
-    control's support), scaled by sqrt(w_n * scale), straight into one
-    preallocated block; a full block is reduced into G by one product.
-    Complex seed spaces count as real spaces of twice the dimension, with
-    observations split into real and imaginary parts; the unimodular
-    Crank-Nicolson phase factor drops out of Re <a, b>.
+    G += w_n O_n O_n^T with the weights ``gram.weights`` and the grid volume
+    for distributed observations, the bilinear form ``quadrature`` defines,
+    so no trajectory is kept. ``extract`` writes each sample's observation
+    columns (a distributed control's support) straight into one preallocated
+    block, where they are scaled by sqrt(w_n), times sqrt(hvol) when
+    distributed; a full block is reduced into G by one product. Complex seed spaces count as real spaces of twice
+    the dimension, with observations split into real and imaginary parts;
+    the unimodular Crank-Nicolson phase factor drops out of Re <a, b>.
     """
-    seeds, sys_adj = gram.seeds, gram.sys_adj
+    seeds, sys_adj, weights = gram.seeds, gram.sys_adj, gram.weights
     basis = seeds.from_coords(np.eye(seeds.coord_dim))
     dim = basis.shape[0]
-    weights = gram.sample_weights()
     is_complex = sys_adj.state_dtype == np.complex128
-    # (k, control support or None for an end control, scale, column count)
-    parts = [(k, ctl, sys_adj.grid.hvol, ctl.size) if isinstance(ctl, Support)
-             else (k, None, 1.0, 1) for k, ctl in sys_adj.controls.items()]
+    # (k, column count, scale, end control?)
+    parts = [(k, ctl.size, sys_adj.grid.hvol, False) if isinstance(ctl, Support)
+             else (k, 1, 1.0, True) for k, ctl in sys_adj.controls.items()]
     # complex observations are formed as complex products first and split
     # after, so their parts carry the bits of the complex arithmetic
     scratch = {k: np.empty((dim, n_cols), dtype=np.complex128)
-               for k, *_, n_cols in parts} if is_complex else None
-    per_sample = (2 if is_complex else 1) * sum(p[-1] for p in parts)
+               for k, n_cols, *_ in parts} if is_complex else None
+    per_sample = (2 if is_complex else 1) * sum(p[1] for p in parts)
     # the block holds exactly the samples of one flush, so a full block is
     # reduced as it stands
     block = np.empty((dim, per_sample * -(-_GRAMIAN_BLOCK_COLUMNS // max(per_sample, 1))))
@@ -366,12 +329,9 @@ def assemble_dense_gramian(gram):
         nonlocal width
         if weights[n] == 0.0:
             return
-        for k, sup, scale, n_cols in parts:
+        for k, n_cols, scale, end in parts:
             o = scratch[k] if is_complex else block[:, width:width + n_cols]
-            if sup is None:
-                o[:, 0] = sys_adj.extract(k, fld)
-            else:
-                np.multiply(sup.amplitudes, fld[:, k - 1, sup.cols], out=o)
+            sys_adj.extract(k, fld, out=o[:, 0] if end else o)
             o *= math.sqrt(weights[n] * scale)
             if is_complex:
                 block[:, width:width + n_cols] = o.real
@@ -584,8 +544,7 @@ class _Synthesis:
             max_iter = DEFAULT_REFINEMENT_PASSES
         sol = self.spectrum.solve(self.b, eps, cg_tol, max_iter)
 
-        obs = gram.observations_of(seeds.from_coords(sol.x))
-        signal = gram.signal_from_observations(obs)
+        signal = gram.observations_of(seeds.from_coords(sol.x))
         readout, terminal = gram.forward_with_control(signal, initial=self.Y0f)
         filt_per, filt_total = seeds.energy_of(readout)
         full = energy(sys, terminal)
@@ -612,7 +571,7 @@ class _Synthesis:
             free_terminal_norm=self.free_norm,
             free_terminal_energy=self.free_energy,
             projection_residual=self.projection_residual,
-            control_norm_sq=signal.norm_sq(sys.grid),
+            control_norm_sq=quadrature(sys, signal.values, signal.values, gram.weights),
             gram_quadratic=float(sol.x @ (self.spectrum.mat @ sol.x)),
             wall_time=self.setup_time + time.perf_counter() - t0,
             terminal_state=terminal,

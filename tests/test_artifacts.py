@@ -18,7 +18,7 @@ from cascade_lab.cli import (
     write_state_csv,
 )
 from cascade_lab.config import build_experiment
-from cascade_lab.dynamics import ControlSignal, step_count, trapezoid_weights
+from cascade_lab.dynamics import ControlSignal, step_count
 
 
 def _cfg(name, **changes):
@@ -80,14 +80,14 @@ def _random_signal(exp, seed=0):
     rng = np.random.default_rng(seed)
     M = step_count(exp.T, exp.dt)
     values = {}
-    for k in exp.sys.controlled_components():
+    for k in exp.sys.controls:
         shape = (M + 1,) + exp.sys.signal_shape(k)
         v = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
         if exp.sys.state_dtype == np.complex128:
             v = v + 1j * rng.standard_normal(shape)
         v.flat[::7] = -0.0
         values[k] = v.astype(exp.sys.state_dtype)
-    return ControlSignal(exp.dt * np.arange(M + 1), values, trapezoid_weights(M, exp.dt))
+    return ControlSignal(exp.dt * np.arange(M + 1), values)
 
 
 @pytest.mark.parametrize("kind", ["real distributed", "complex", "boundary", "mixed", "2d L"])
@@ -111,7 +111,7 @@ def test_control_csv_layout_and_bitwise_roundtrip(tmp_path, kind):
     with open(path, "rb") as fh:
         assert fh.read().decode("ascii") == "\n".join(expected) + "\n"
 
-    back = _read_control_csv(path, exp, "node")
+    back = _read_control_csv(path, exp)
     assert sorted(back.values) == sorted(signal.values)
     for k, arr in signal.values.items():
         got = back.values[k]
@@ -126,12 +126,11 @@ def test_control_csv_reader_memory_is_bounded(tmp_path):
     M = step_count(exp.T, exp.dt)
     assert (M + 1,) + exp.sys.signal_shape(2) == (1341, 200)
     rng = np.random.default_rng(1)
-    signal = ControlSignal(exp.dt * np.arange(M + 1), {2: rng.standard_normal((M + 1, 200))},
-                           trapezoid_weights(M, exp.dt))
+    signal = ControlSignal(exp.dt * np.arange(M + 1), {2: rng.standard_normal((M + 1, 200))})
     path = write_control_csv(tmp_path, signal, exp.sys)
     tracemalloc.start()
     try:
-        back = _read_control_csv(path, exp, "node")
+        back = _read_control_csv(path, exp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,7 +160,7 @@ def test_boundary_control_row_needs_index_0(tmp_path, kind, component):
     _edit_field(bad, 2, "1")(lines)
     (tmp_path / "control.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(cl.ConfigError, match=f"line {bad}: index 1 outside 0..0"):
-        _read_control_csv(path, exp, "node")
+        _read_control_csv(path, exp)
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +240,21 @@ def test_full_grid_control_csv_fails_replay(runs, tmp_path, capsys):
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
     assert "control.csv, line 2: index 0 is off the control support of component 2" in err
+
+
+@pytest.mark.parametrize("run,sampling", [("wave", "node"), ("heat", "interval")])
+def test_replay_ignores_an_old_control_sampling_key(runs, tmp_path, capsys, run, sampling):
+    """A report that still records hum.control_sampling, as reports did while
+    control signals carried their own quadrature, replays exactly."""
+    out = tmp_path / run
+    shutil.copytree(runs / run, out)
+    report = json.loads((out / "report.json").read_text())
+    assert "control_sampling" not in report["hum"]
+    report["hum"]["control_sampling"] = sampling
+    (out / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert "max energy mismatch 0.000e+00" in capsys.readouterr().out
 
 
 def test_2d_l_shaped_control_replays_exactly(tmp_path, capsys):

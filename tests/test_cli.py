@@ -297,7 +297,6 @@ EAGER_KEY_CHANGES = {
     "initial.random.norm": (WAVE, _random_initial, _set(["initial", 0, "random", "norm"], 2.0)),
     "initial.random.seed": (WAVE, _random_initial, _set(["initial", 0, "random", "seed"], 4)),
     "seed": (WAVE, None, _set(["seed"], 1)),
-    "indicator_taper": (WAVE, None, _set(["indicator_taper"], 0.05)),
 }
 
 
@@ -638,19 +637,6 @@ def test_theta_at_right_angle_is_noted_once(demo_dir, tmp_path):
         text = fh.read()
     assert text.count("theta at +-pi/2") == 1
     assert "theta at +-pi/2" in " ".join(json.loads(text)["notes"])
-
-
-def test_indicator_taper_ramps_edges():
-    g = cl.build_grid([1.0], [99])
-    r = cl.region_from_bounds([[0.3, 0.7]], 2.0)
-    sharp = cl.indicator_vector(r, g)
-    soft = cl.indicator_vector(r, g, taper=0.1)
-    assert np.all(soft <= sharp + 1e-15)
-    x = g.axis_nodes(0)
-    mid = np.argmin(np.abs(x - 0.5))
-    edge = np.argmin(np.abs(x - 0.32))
-    assert soft[mid] == pytest.approx(2.0)
-    assert 0.0 < soft[edge] < 2.0
 
 
 def test_control_snapshots_write_trajectory(demo_dir, tmp_path):

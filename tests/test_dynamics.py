@@ -16,6 +16,7 @@ from cascade_lab.dynamics import (
     _hyp_adjoint,
     _hyp_forward,
     _observation_recorder,
+    quadrature,
     step_count,
     trapezoid_weights,
 )
@@ -262,7 +263,7 @@ def test_solve_validates_input(family):
     dt = chained_dt(sys, 1.0)
     rest = cl.zero_state(sys)
     M = step_count(0.5, dt)
-    sig = cl.ControlSignal(dt * np.arange(M + 1), {2: np.zeros((M + 1, 40))}, trapezoid_weights(M, dt))
+    sig = cl.ControlSignal(dt * np.arange(M + 1), {2: np.zeros((M + 1, 40))})
     with pytest.raises(ValueError, match="control signal grid"):
         cl.solve(sys, rest, sig, 1.0, dt)
     with pytest.raises(ValueError, match="must divide"):
@@ -371,7 +372,7 @@ def test_adjoint_zero_seed_zero_observations():
     sys = cl.adjoint_system(make_wave_cascade(n=40, K=6))
     dt = chained_dt(sys, 1.0)
     M = step_count(1.0, dt)
-    obs, record = _observation_recorder(sys, M + 1, ())
+    obs, record = _observation_recorder(sys, trapezoid_weights(M, dt), ())
     visited = []
 
     def visit(n, phi):
@@ -401,10 +402,10 @@ def test_adjoint_observation_single_mode_time_average():
     seed = cl.zero_state(sys)
     seed.w[0] = sys.basis.modes[0]
     adj = cl.adjoint_system(sys)
-    obs, visit = _observation_recorder(adj, M + 1, ())
+    weights = trapezoid_weights(M, dt)
+    obs, visit = _observation_recorder(adj, weights, ())
     _hyp_adjoint(adj, *_adjoint_levels_from_seed(adj, seed, dt), M, dt, visit)
-    sig = cl.ControlSignal(dt * np.arange(M + 1), obs, trapezoid_weights(M, dt))
-    assert sig.norm_sq(sys.grid) == pytest.approx(math.pi * math.sqrt(lam), rel=2e-3)
+    assert quadrature(sys, obs, obs, weights) == pytest.approx(math.pi * math.sqrt(lam), rel=2e-3)
 
 
 @pytest.mark.parametrize("family,cplx", [
@@ -540,7 +541,7 @@ def test_discrete_duality_property(dim, N, data):
     n = sys.grid.n_total
     steps = M + 1 if sys.is_hyperbolic else M
     forcing = draw_array((steps, sys.N, n))
-    for k in sys.controlled_components():
+    for k in sys.controls:
         sys.inject(forcing, k, draw_array((steps,) + sys.signal_shape(k)))
     if sys.is_hyperbolic:
         seed = cl.SystemState(T, rng.standard_normal((sys.N, n)), rng.standard_normal((sys.N, n)))
@@ -579,7 +580,7 @@ def test_batched_system_operators_match_stacked_calls(case):
     rng = np.random.default_rng(40 + case)
     n = sys.grid.n_total
     Y = rng.standard_normal((3, 2, sys.N, n))
-    (k,) = sys.controlled_components()
+    (k,) = sys.controls
     stacked = lambda f: np.array([[f(Y[a, b], a, b) for b in range(2)] for a in range(3)])
 
     assert np.array_equal(sys.apply_system(Y), stacked(lambda y, a, b: sys.apply_system(y)))
@@ -618,7 +619,7 @@ def test_batched_adjoint_marches_match_single_marches():
 
     def march(fn, sys, start, steps, step):
         """Observations of component 2 and the t = 0 data of one (batched) march."""
-        obs, visit = _observation_recorder(sys, steps + 1, start[0].shape[:-2])
+        obs, visit = _observation_recorder(sys, trapezoid_weights(steps, step), start[0].shape[:-2])
         return obs[2], fn(sys, *start, steps, step, visit)
 
     obs, initial = march(_hyp_adjoint, wave, (a, b), M, dt)
@@ -746,8 +747,7 @@ def test_leapfrog_marches_match_fresh_array_reference_bitwise(name, batch):
     rng = np.random.default_rng(42)
     w0, wp0, phi_M, phi_M1 = rng.standard_normal((4,) + batch + (sys.N, n))
     control = cl.ControlSignal(dt * np.arange(M + 1),
-                               {2: rng.standard_normal((M + 1,) + sys.signal_shape(2))},
-                               trapezoid_weights(M, dt))
+                               {2: rng.standard_normal((M + 1,) + sys.signal_shape(2))})
     forcing = rng.standard_normal((M + 1, sys.N, n))
     starts = [a.copy() for a in (w0, wp0, phi_M, phi_M1)]
 

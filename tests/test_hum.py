@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_lab as cl
+from cascade_lab.dynamics import quadrature, sample_weights, step_count
 from cascade_lab.hum import GramianOperator, SeedSpace
 
 from conftest import cascade_cases, chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
@@ -69,6 +70,12 @@ def _gramian(sys, T, K=8, dt=None):
     return GramianOperator(sys, cl.adjoint_system(sys), seeds, T, dt), seeds
 
 
+def _observation_quadrature(gram, X, Y):
+    """sum_n w_n <obs_n(X), obs_n(Y)>, the defining bilinear form of G."""
+    a, b = gram.observations_of(X), gram.observations_of(Y)
+    return quadrature(gram.sys_adj, a.values, b.values, gram.weights)
+
+
 def test_gramian_zero_seed_zero_output():
     sys = make_wave_cascade(n=40, K=8)
     gram, seeds = _gramian(sys, 1.0)
@@ -94,7 +101,7 @@ def test_gramian_symmetry_psd_and_pairing(maker, kwargs):
         gyx = np.real(seeds.inner(GY, X))
         assert abs(gxy - gyx) <= 1e-8 * max(abs(gxy), abs(gyx))
         # independently computed double-adjoint quadrature
-        quad = gram.observation_quadrature(gram.observations_of(X), gram.observations_of(Y))
+        quad = _observation_quadrature(gram, X, Y)
         assert abs(gxy - quad) <= 1e-8 * max(abs(gxy), abs(quad))
         ray = np.real(seeds.inner(GX, X)) / seeds.norm(X) ** 2
         assert ray >= -1e-12
@@ -114,8 +121,34 @@ def test_gramian_pairing_boundary_controls():
         for _ in range(4):
             X, Y = seeds.random(rng), seeds.random(rng)
             gxy = np.real(seeds.inner(gram.apply(X), Y))
-            quad = gram.observation_quadrature(gram.observations_of(X), gram.observations_of(Y))
+            quad = _observation_quadrature(gram, X, Y)
             assert abs(gxy - quad) <= 1e-8 * max(abs(gxy), abs(quad), 1e-300)
+
+
+@pytest.mark.parametrize("family", [cl.Hyperbolic(), cl.Dissipative(0.0), cl.Dissipative(0.3)])
+@pytest.mark.parametrize("control", [cl.Distributed(cl.region_from_bounds([[0.7, 0.9]], 1.0)),
+                                     cl.BoundaryEnd("right", 0.7)])
+def test_observations_vanish_where_the_sample_weight_is_zero(family, control):
+    # a sample the quadrature of ||v||^2 skips must not act as a control in
+    # the forward march either; that is what makes ||v||^2 = x . (G x) exact
+    grid = cl.build_grid([1.0], [40])
+    op = cl.assemble_operator(grid)
+    coupling = cl.CouplingSpec.from_dict(2, {(1, 2): cl.region_from_bounds([[0.2, 0.4]], 1.0)})
+    sys = cl.CascadeSystem(family, op, cl.spectral_basis(op, 6), 2, 1, coupling,
+                           cl.ControlSpec(2, 1, ((2, control),)))
+    T = 1.0 if sys.is_hyperbolic else 0.1
+    dt = chained_dt(sys, T) if sys.is_hyperbolic else T / 50
+    gram, seeds = _gramian(sys, T, K=6, dt=dt)
+    M = step_count(T, dt)
+    assert np.array_equal(gram.weights, sample_weights(sys, M, dt))
+    zero = gram.weights == 0.0
+    assert np.flatnonzero(zero).tolist() == ([0, M] if sys.is_hyperbolic else [M])
+    rng = np.random.default_rng(5)
+    X = np.stack([seeds.random(rng) for _ in range(3)])
+    (arr,) = gram.observations_of(X).values.values()
+    assert arr.shape[:2] == (M + 1, 3)
+    assert np.all(arr[zero] == 0.0)
+    assert np.all(np.any(arr[~zero] != 0.0, axis=0))
 
 
 def test_gramian_full_domain_coercivity_half_period():
@@ -202,7 +235,7 @@ def _concatenated_gramian(gram):
     seeds, sys_adj = gram.seeds, gram.sys_adj
     basis = seeds.from_coords(np.eye(seeds.coord_dim))
     dim = basis.shape[0]
-    weights = gram.sample_weights()
+    weights = gram.weights
     parts = [(k, sys_adj.grid.hvol if isinstance(ctl, cl.Support) else 1.0)
              for k, ctl in sys_adj.controls.items()]
     mat = np.zeros((dim, dim))
@@ -371,7 +404,8 @@ def test_zero_rhs_returns_zero_control():
     dt = chained_dt(sys, 1.0)
     res = cl.synthesize_control(sys, Y0, 1.0, dt, 6, eps=0.0, cg_tol=1e-10)
     assert res.success and res.refinement_passes == 0
-    assert res.control.norm_sq(sys.grid) == 0.0
+    weights = sample_weights(sys, step_count(1.0, dt), dt)
+    assert quadrature(sys, res.control.values, res.control.values, weights) == 0.0
 
 
 def test_unreachable_tolerance_runs_out_of_budget():
@@ -481,7 +515,7 @@ def test_2d_dissipative_synthesis_and_pairing():
     rng = np.random.default_rng(4)
     X, Y = seeds.random(rng), seeds.random(rng)
     gxy = np.real(seeds.inner(gram.apply(X), Y))
-    quad = gram.observation_quadrature(gram.observations_of(X), gram.observations_of(Y))
+    quad = _observation_quadrature(gram, X, Y)
     assert abs(gxy - quad) <= 1e-8 * max(abs(gxy), abs(quad))
 
 
