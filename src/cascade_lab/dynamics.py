@@ -235,7 +235,11 @@ def adjoint_system(sys):
 
 @dataclass
 class SystemState:
-    """State at one instant: fields w (N, n_total) and, when second-order, w'."""
+    """State at one instant: fields w (N, n_total) and, when second-order, w'.
+
+    The terminal state of a batched ``solve`` carries the signal's batch axes
+    in front, (*batch, N, n_total).
+    """
 
     t: float
     w: np.ndarray
@@ -243,6 +247,10 @@ class SystemState:
 
     def copy(self):
         return SystemState(self.t, self.w.copy(), None if self.wp is None else self.wp.copy())
+
+    def member(self, i):
+        """Batch member i of a state with one batch axis, as an unbatched view."""
+        return SystemState(self.t, self.w[i], None if self.wp is None else self.wp[i])
 
 
 def zero_state(sys, t=0.0):
@@ -273,10 +281,14 @@ class ControlSignal:
     n; Crank-Nicolson applies it on [t_n, t_{n+1}), so its final entry is a
     pad no march reads. The L2-in-time norm is ``quadrature`` with the
     family's ``sample_weights``.
+
+    A batch of signals, one per member of a batched march, records its
+    ``batch`` axes: ``values[k]`` is then (M+1, *batch[, n_support]).
     """
 
     t: np.ndarray
     values: dict
+    batch: tuple = ()
 
     def __post_init__(self):
         for k, arr in self.values.items():
@@ -284,6 +296,10 @@ class ControlSignal:
                 raise ValueError(f"component {k}: {arr.shape[0]} samples for {self.t.shape[0]} nodes")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"component {k}: non-finite control samples")
+
+    def member(self, i):
+        """Batch member i of a signal with one batch axis, as an unbatched view."""
+        return ControlSignal(self.t, {k: arr[:, i] for k, arr in self.values.items()})
 
 
 def trapezoid_weights(M, dt):
@@ -315,8 +331,12 @@ def quadrature(sys, a, b, weights):
     """
     total = 0.0
     for k, arr in a.items():
+        shape = sys.signal_shape(k)
+        if arr.shape[1:] != shape or b[k].shape != arr.shape:
+            raise ValueError(f"component {k}: samples of shape {arr.shape[1:]} and "
+                             f"{b[k].shape[1:]}, expected {shape}")
         prod = np.real(arr * np.conj(b[k]))
-        per_t = prod.sum(axis=-1) * sys.grid.hvol if sys.signal_shape(k) else prod
+        per_t = prod.sum(axis=-1) * sys.grid.hvol if shape else prod
         total += float(weights @ per_t)
     return total
 
@@ -353,6 +373,7 @@ def energy(sys, state):
 
 def state_l2_norm(sys, state):
     """Discrete L2 norm of the stacked fields (positions only)."""
+    _check_state(sys, state)
     return float(np.sqrt(np.real(np.vdot(state.w, state.w)) * sys.grid.hvol))
 
 
@@ -388,9 +409,10 @@ def _check_signal(sys, control, M, dt):
     if control.t.shape[0] != M + 1 or abs(control.t[-1] - M * dt) > 1e-9 * max(M * dt, 1.0):
         raise ValueError("control signal grid does not match the solver grid")
     for k, arr in control.values.items():
-        if arr.shape[1:] != sys.signal_shape(k):
+        expected = control.batch + sys.signal_shape(k)
+        if arr.shape[1:] != expected:
             raise ValueError(f"component {k}: control samples of shape {arr.shape[1:]}, "
-                             f"expected {sys.signal_shape(k)}")
+                             f"expected {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +448,11 @@ def _observation_recorder(sys, weights, batch, factor=1.0):
 def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit=None):
     """Forward leapfrog over M steps; returns (y^{M-1}, y^M, velocity at T).
 
-    States may carry leading batch axes, (..., N, n_total); controls and
-    forcing act on every batch member alike. ``visit(n, y, velocity)``, when
-    given, sees every node with its second-order velocity readout as it is
-    made; without it no per-step velocity is computed. The levels live in
+    States may carry leading batch axes, (..., N, n_total); a control signal
+    carries the same batch axes, one control per member, and forcing acts on
+    every member alike. ``visit(n, y, velocity)``, when given, sees every
+    node with its second-order velocity readout as it is made; without it no
+    per-step velocity is computed. The levels live in
     three buffers that the steps rotate, so ``y`` is valid only during the
     call: a visitor copies what it keeps. ``w0`` and ``wp0`` are not written.
     """
@@ -573,8 +596,9 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
 
     Control samples and raw forcing are interval values (entry n acts on
     [t_n, t_{n+1})). The state may carry leading batch axes, (..., N,
-    n_total). Returns the terminal field y^M; ``visit(n, y_n)``, when given,
-    sees every node as it is made.
+    n_total); a control signal carries the same batch axes, one control per
+    member, and forcing acts on every member alike. Returns the terminal
+    field y^M; ``visit(n, y_n)``, when given, sees every node as it is made.
     """
     theta = sys.theta
     phase = np.exp(-1j * theta) if theta != 0.0 else 1.0
@@ -638,15 +662,22 @@ def solve(sys, initial, control, T, dt, visit=None, forcing=None):
     Returns (levels, terminal SystemState), where levels is (y^{M-1}, y^M)
     for leapfrog and y^M for Crank-Nicolson, the input of
     ``SeedSpace.readout``.
+
+    A batched ``control`` (see ControlSignal) marches every member at once
+    from the one unbatched ``initial``; levels and terminal state then carry
+    the batch axes in front.
     """
     _check_state(sys, initial)
     M = step_count(T, dt)
     _check_signal(sys, control, M, dt)
+    shape = (control.batch if control is not None else ()) + initial.w.shape
+    w0 = np.broadcast_to(initial.w, shape)
     if sys.is_hyperbolic:
         _check_cfl(sys, dt)
-        y_m1, y_m, vel_T = _hyp_forward(sys, initial.w, initial.wp, control, forcing, M, dt, visit)
+        wp0 = np.broadcast_to(initial.wp, shape)
+        y_m1, y_m, vel_T = _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit)
         return (y_m1, y_m), SystemState(M * dt, y_m, vel_T)
-    y_m = _cn_forward(sys, initial.w, control, forcing, M, dt, visit)
+    y_m = _cn_forward(sys, w0, control, forcing, M, dt, visit)
     return y_m, SystemState(M * dt, y_m)
 
 

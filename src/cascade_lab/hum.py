@@ -27,7 +27,10 @@ and solved through one symmetric eigendecomposition; the matrix-free
 synthesis solves G X = b exactly (eps = 0 allowed); the first-order family
 uses the penalized form (G + eps I) X = b, whose terminal norm scales like
 sqrt(eps) under null controllability; ``epsilon_sweep`` fits that exponent
-from one eigendecomposition shared by every eps.
+from one eigendecomposition shared by every eps. Every synthesis is verified
+by re-simulation, and a sweep verifies all its eps at once: the solved seeds
+go through one batched adjoint march and their controls through one batched
+forward march, whatever the number of eps.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ class SeedSpace:
         return self.sys.basis.modes[: self.K]
 
     @property
+    def shape(self):
+        """Shape of one seed or readout, (N, K, 2) or (N, K)."""
+        return (self.sys.N, self.K, 2) if self.hyperbolic else (self.sys.N, self.K)
+
+    @property
     def dim(self):
         return self.sys.N * self.K * (2 if self.hyperbolic else 1)
 
@@ -108,7 +116,7 @@ class SeedSpace:
         Entry p is Re <X, E_p> in the seed inner product; X may carry leading
         batch axes.
         """
-        batch = X.shape[: X.ndim - (3 if self.hyperbolic else 2)]
+        batch = X.shape[: X.ndim - len(self.shape)]
         if self.hyperbolic:
             root = np.sqrt(self.eigenvalues)
             c = np.stack([root * X[..., 0], X[..., 1]], axis=-1)
@@ -131,16 +139,12 @@ class SeedSpace:
         return x.reshape(batch + (self.sys.N, self.K)).copy()
 
     def zeros(self):
-        if self.hyperbolic:
-            return np.zeros((self.sys.N, self.K, 2))
-        return np.zeros((self.sys.N, self.K), dtype=self.sys.state_dtype)
+        return np.zeros(self.shape, dtype=self.sys.state_dtype)
 
     def random(self, rng):
-        if self.hyperbolic:
-            return rng.standard_normal((self.sys.N, self.K, 2))
-        x = rng.standard_normal((self.sys.N, self.K))
+        x = rng.standard_normal(self.shape)
         if self.sys.state_dtype == np.complex128:
-            x = x + 1j * rng.standard_normal((self.sys.N, self.K))
+            x = x + 1j * rng.standard_normal(self.shape)
         return x
 
     def inner(self, X, Y):
@@ -154,7 +158,9 @@ class SeedSpace:
         return math.sqrt(max(np.real(self.inner(X, X)), 0.0))
 
     def energy_of(self, X):
-        """Natural filtered energy of a seed/readout (per-component list, total)."""
+        """Natural filtered energy of one seed/readout (per-component list, total)."""
+        if X.shape != self.shape:
+            raise ValueError(f"seed of shape {X.shape} != {self.shape}")
         if self.hyperbolic:
             lam = self.eigenvalues[None, :]
             per = 0.5 * (np.sum(lam * X[..., 0] ** 2, axis=1) + np.sum(X[..., 1] ** 2, axis=1))
@@ -265,15 +271,16 @@ class GramianOperator:
         X may carry leading batch axes; values[k] is (M + 1, *batch[, n_support]),
         exactly 0 wherever ``weights`` is 0.
         """
-        batch = X.shape[: X.ndim - (3 if self.seeds.hyperbolic else 2)]
+        batch = X.shape[: X.ndim - len(self.seeds.shape)]
         obs, visit = _observation_recorder(self.sys_adj, self.weights, batch,
                                            _adjoint_phase(self.sys_adj))
         self.march_adjoint(X, visit)
-        return ControlSignal(self.dt * np.arange(self.M + 1), obs)
+        return ControlSignal(self.dt * np.arange(self.M + 1), obs, batch)
 
     def forward_with_control(self, signal, initial=None):
         """(seed-space readout, terminal SystemState) of the forward march from
-        ``initial`` (rest by default) under ``signal``."""
+        ``initial`` (rest by default) under ``signal``; a batched signal gives
+        a batched readout and terminal state."""
         init = initial if initial is not None else zero_state(self.sys)
         levels, terminal = solve(self.sys, init, signal, self.T, self.dt)
         return self.seeds.readout(levels, self.dt), terminal
@@ -448,6 +455,8 @@ class HumResult:
     failed synthesis failed and is None on success. ``gram_quadratic`` is
     x . (G x) for the solved coordinates x and the dense Gramian G, which
     equals ``control_norm_sq`` when G is the Gramian of the marches.
+    ``wall_time`` is the shared set-up plus the one batched verification, so
+    in a sweep every eps reports the same time.
     """
 
     success: bool
@@ -512,7 +521,8 @@ def _check_eps(sys, eps):
 
 class _Synthesis:
     """The eps-independent part of a synthesis: filtered data, free solution,
-    right-hand side and Gramian spectrum; ``run`` solves and verifies one eps.
+    right-hand side and Gramian spectrum; ``run`` solves and verifies a list
+    of eps.
     """
 
     def __init__(self, sys, Y0, T, dt, K_filter):
@@ -537,15 +547,27 @@ class _Synthesis:
         self.spectrum = GramianSpectrum(assemble_dense_gramian(self.gram))
         self.setup_time = time.perf_counter() - t0
 
-    def run(self, eps, cg_tol, max_iter):
+    def run(self, eps_list, cg_tol, max_iter):
+        """One HumResult per eps. Every eps is solved on the shared spectrum
+        first; the solved seeds then go through one batched adjoint march and
+        their controls through one batched forward march from the filtered
+        initial data, which verify every eps at once."""
         t0 = time.perf_counter()
-        sys, gram, seeds = self.sys, self.gram, self.seeds
         if max_iter is None:
             max_iter = DEFAULT_REFINEMENT_PASSES
-        sol = self.spectrum.solve(self.b, eps, cg_tol, max_iter)
+        sols = [self.spectrum.solve(self.b, eps, cg_tol, max_iter) for eps in eps_list]
 
-        signal = gram.observations_of(seeds.from_coords(sol.x))
-        readout, terminal = gram.forward_with_control(signal, initial=self.Y0f)
+        X = self.seeds.from_coords(np.stack([sol.x for sol in sols]))
+        signals = self.gram.observations_of(X)
+        readouts, terminals = self.gram.forward_with_control(signals, initial=self.Y0f)
+        wall_time = self.setup_time + time.perf_counter() - t0
+        return [self._result(eps, sol, signals.member(i), readouts[i], terminals.member(i),
+                             wall_time)
+                for i, (eps, sol) in enumerate(zip(eps_list, sols))]
+
+    def _result(self, eps, sol, signal, readout, terminal, wall_time):
+        """The HumResult of one eps: its solve and its member of the verification."""
+        sys, gram, seeds = self.sys, self.gram, self.seeds
         filt_per, filt_total = seeds.energy_of(readout)
         full = energy(sys, terminal)
 
@@ -573,7 +595,7 @@ class _Synthesis:
             projection_residual=self.projection_residual,
             control_norm_sq=quadrature(sys, signal.values, signal.values, gram.weights),
             gram_quadratic=float(sol.x @ (self.spectrum.mat @ sol.x)),
-            wall_time=self.setup_time + time.perf_counter() - t0,
+            wall_time=wall_time,
             terminal_state=terminal,
             initial_state=self.Y0f,
             failure_reason=reason,
@@ -593,7 +615,7 @@ def synthesize_control(sys, Y0, T, dt, K_filter, eps=0.0, cg_tol=1e-8, max_iter=
     ``max_iter`` caps the refinement passes allowed to reach it.
     """
     _check_eps(sys, eps)
-    return _Synthesis(sys, Y0, T, dt, K_filter).run(eps, cg_tol, max_iter)
+    return _Synthesis(sys, Y0, T, dt, K_filter).run([eps], cg_tol, max_iter)[0]
 
 
 @dataclass
@@ -623,9 +645,10 @@ def epsilon_sweep(sys, Y0, T, dt, K_filter, eps_list, cg_tol=1e-8, max_iter=None
     """Penalized-HUM sweep: fit log ||Y(T)|| against log eps by least squares.
 
     Requires at least 3 strictly decreasing eps values. One Gramian and one
-    eigendecomposition serve every eps; each eps gets its own verifying
-    re-simulation. Any individual run failure marks the sweep partial; the
-    fit then uses the successful runs.
+    eigendecomposition serve every eps, and one batched verification (one
+    adjoint and one forward march, see ``_Synthesis.run``) re-simulates the
+    controls of every eps. Any individual run failure marks the sweep
+    partial; the fit then uses the successful runs.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
@@ -634,8 +657,7 @@ def epsilon_sweep(sys, Y0, T, dt, K_filter, eps_list, cg_tol=1e-8, max_iter=None
         raise ValueError("eps values must be strictly decreasing")
     for eps in eps_list:
         _check_eps(sys, eps)
-    synthesis = _Synthesis(sys, Y0, T, dt, K_filter)
-    results = [synthesis.run(eps, cg_tol, max_iter) for eps in eps_list]
+    results = _Synthesis(sys, Y0, T, dt, K_filter).run(eps_list, cg_tol, max_iter)
     norms = [r.terminal_state_norm for r in results]
     ok = [i for i, r in enumerate(results) if r.success and norms[i] > 0.0]
     partial = len(ok) < len(results)

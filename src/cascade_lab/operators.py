@@ -15,6 +15,7 @@ matching observation is the discrete outward normal derivative, -gain * w_end/h.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -121,13 +122,21 @@ class EllipticOperator:
         each step alike, so it adds up over a march, and once-rounded entries
         keep the Schroedinger norm drift at the level of a banded LU solve.
         On platforms whose longdouble is a plain double this is the float64
-        formula.
+        formula. Q is built once per axis length and shared, so it is
+        read-only.
         """
-        m = self.grid.n[a]
-        j = np.arange(1, m + 1)
-        one = np.longdouble(1)
-        angle = 4 * np.arctan(one) * (np.outer(j, j) % (2 * (m + 1))) / (m + 1)
-        return (np.sqrt(2 * one / (m + 1)) * np.sin(angle)).astype(np.float64)
+        return _sine_matrix(self.grid.n[a])
+
+
+@functools.lru_cache(maxsize=16)
+def _sine_matrix(m):
+    """The m x m matrix of ``EllipticOperator.axis_sine_matrix``."""
+    j = np.arange(1, m + 1)
+    one = np.longdouble(1)
+    angle = 4 * np.arctan(one) * (np.outer(j, j) % (2 * (m + 1))) / (m + 1)
+    q = (np.sqrt(2 * one / (m + 1)) * np.sin(angle)).astype(np.float64)
+    q.flags.writeable = False
+    return q
 
 
 def assemble_operator(grid):

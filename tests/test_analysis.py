@@ -138,7 +138,8 @@ def test_kalman_localized_coupling_not_applicable():
 def test_kalman_agrees_with_cg_stagnation():
     import warnings
 
-    # rank deficiency at c = 0 must match CG stagnation of the synthesis
+    # rank deficiency at c = 0 must match the singular Gramian the synthesis
+    # reports as stagnation
     grid = cl.build_grid([1.0], [40])
     basis = cl.spectral_basis(cl.assemble_operator(grid), 6)
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)

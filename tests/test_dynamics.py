@@ -17,6 +17,7 @@ from cascade_lab.dynamics import (
     _hyp_forward,
     _observation_recorder,
     quadrature,
+    sample_weights,
     step_count,
     trapezoid_weights,
 )
@@ -633,6 +634,102 @@ def test_batched_adjoint_marches_match_single_marches():
         single_obs, single = march(_cn_adjoint, heat, (phi[i],), 20, 0.005)
         np.testing.assert_allclose(obs[:, i], single_obs, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(initial[i], single, rtol=1e-13, atol=1e-15)
+
+
+def _forward_batch_case(name):
+    if name == "leapfrog":
+        return make_wave_cascade(n=30, K=4)
+    if name == "leapfrog end":
+        return _batch_cases()[2]
+    if name == "cn 2d theta=0.6":
+        return _square_cascade(cl.Dissipative(0.6), (7, 6))
+    return make_heat_cascade(n=30, K=4, theta=0.6 if name.endswith("0.6") else 0.0)
+
+
+def _random_state(sys, rng):
+    w = rng.standard_normal((sys.N, sys.grid.n_total))
+    if sys.is_hyperbolic:
+        return cl.SystemState(0.0, w, rng.standard_normal(w.shape))
+    if sys.state_dtype == np.complex128:
+        w = w + 1j * rng.standard_normal(w.shape)
+    return cl.SystemState(0.0, w)
+
+
+@pytest.mark.parametrize("name", ["leapfrog", "leapfrog end", "cn theta=0", "cn theta=0.6",
+                                  "cn 2d theta=0.6"])
+def test_batched_forward_solve_matches_single_solves(name):
+    sys = _forward_batch_case(name)
+    rng = np.random.default_rng(43)
+    T = 0.5
+    dt = chained_dt(sys, T) if sys.is_hyperbolic else 0.01
+    M = step_count(T, dt)
+    initial = _random_state(sys, rng)
+    (k,) = sys.controls
+    values = rng.standard_normal((M + 1, 3) + sys.signal_shape(k))
+    if sys.state_dtype == np.complex128:
+        values = values + 1j * rng.standard_normal(values.shape)
+    t = dt * np.arange(M + 1)
+    batch = cl.ControlSignal(t, {k: values}, (3,))
+
+    levels, terminal = cl.solve(sys, initial, batch, T, dt)
+    assert terminal.w.shape == (3, sys.N, sys.grid.n_total)
+    for i in range(3):
+        member = batch.member(i)
+        assert member.batch == () and np.shares_memory(member.values[k], values)
+        single_levels, single = cl.solve(sys, initial, member, T, dt)
+        got = terminal.member(i)
+        if sys.is_hyperbolic:
+            assert np.array_equal(levels[0][i], single_levels[0])
+            assert np.array_equal(levels[1][i], single_levels[1])
+            assert np.array_equal(got.w, single.w) and np.array_equal(got.wp, single.wp)
+        else:
+            assert np.max(np.abs(got.w - single.w)) <= 1e-13 * np.max(np.abs(single.w))
+            assert np.array_equal(levels[i], got.w)
+
+
+def test_signal_batch_mismatch_raises():
+    op = cl.assemble_operator(cl.build_grid([1.0], [30]))
+    O = cl.region_from_bounds([[0.2, 0.4]], 1.0)
+    omega = cl.region_from_bounds([[0.7, 0.9]], 1.0)
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 3, 1,
+                           cl.CouplingSpec.from_dict(3, {(1, 2): O}),
+                           cl.ControlSpec(3, 1, ((2, cl.Distributed(omega)),
+                                                 (3, cl.BoundaryEnd("left", 1.0)))))
+    T = 0.5
+    dt = chained_dt(sys, T)
+    M = step_count(T, dt)
+    t = dt * np.arange(M + 1)
+    n_support = sys.signal_shape(2)[0]
+    rest = cl.zero_state(sys)
+    # the components disagree on the batch
+    for values, batch in (({2: np.zeros((M + 1, 3, n_support)), 3: np.zeros((M + 1, 2))}, (3,)),
+                          ({2: np.zeros((M + 1, 3, n_support)), 3: np.zeros((M + 1, 3))}, ()),
+                          ({2: np.zeros((M + 1, n_support)), 3: np.zeros((M + 1,))}, (1,))):
+        with pytest.raises(ValueError, match="control samples of shape"):
+            cl.solve(sys, rest, cl.ControlSignal(t, values, batch), T, dt)
+    good = cl.ControlSignal(t, {2: np.zeros((M + 1, 3, n_support)), 3: np.zeros((M + 1, 3))}, (3,))
+    assert cl.solve(sys, rest, good, T, dt)[1].w.shape == (3, 3, 30)
+
+
+@pytest.mark.parametrize("family", ["hyperbolic", "dissipative"])
+def test_unbatched_routines_refuse_batched_input(family):
+    sys = make_wave_cascade(n=30, K=4) if family == "hyperbolic" else make_heat_cascade(n=30, K=4)
+    rng = np.random.default_rng(44)
+    state = _random_state(sys, rng)
+    batched = cl.SystemState(0.0, np.stack([state.w] * 2),
+                             None if state.wp is None else np.stack([state.wp] * 2))
+    assert cl.state_l2_norm(sys, batched.member(1)) == cl.state_l2_norm(sys, state)
+    with pytest.raises(ValueError, match="state shape"):
+        cl.state_l2_norm(sys, batched)
+
+    weights = sample_weights(sys, 10, 0.01)
+    values = rng.standard_normal((11, 2) + sys.signal_shape(2))
+    signal = cl.ControlSignal(0.01 * np.arange(11), {2: values}, (2,))
+    one = signal.member(1).values
+    assert quadrature(sys, one, one, weights) > 0.0
+    for a, b in ((signal.values, signal.values), (one, signal.values), (signal.values, one)):
+        with pytest.raises(ValueError, match="samples of shape"):
+            quadrature(sys, a, b, weights)
 
 
 # ---------------------------------------------------------------------------

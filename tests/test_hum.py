@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_lab as cl
+from cascade_lab.cli import demo_configs
+from cascade_lab.config import build_experiment
 from cascade_lab.dynamics import quadrature, sample_weights, step_count
-from cascade_lab.hum import GramianOperator, SeedSpace
+from cascade_lab.hum import DEFAULT_REFINEMENT_PASSES, GramianOperator, SeedSpace, _Synthesis
 
 from conftest import cascade_cases, chained_dt, make_heat_cascade, make_single_free, make_wave_cascade
 
@@ -316,6 +318,17 @@ def test_seed_coordinates_roundtrip_orthonormal():
         assert abs(x @ y - np.real(seeds.inner(X, Y))) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
+def test_energy_of_refuses_a_batched_readout():
+    for sys in (make_wave_cascade(n=30, K=5), make_heat_cascade(n=30, K=5, theta=0.7)):
+        seeds = SeedSpace(sys, 4)
+        X = seeds.random(np.random.default_rng(9))
+        per, total = seeds.energy_of(X)
+        assert len(per) == sys.N and total > 0.0
+        for bad in (np.stack([X, X]), X[None], X[:, :3]):
+            with pytest.raises(ValueError, match="seed of shape"):
+                seeds.energy_of(bad)
+
+
 def test_mixed_control_kinds_rejected():
     grid = cl.build_grid([1.0], [40])
     op = cl.assemble_operator(grid)
@@ -362,7 +375,7 @@ def test_synthesize_disjoint_cascade_small():
     res = cl.synthesize_control(sys, Y0, 6.0, dt, 12, eps=0.0, cg_tol=1e-10, max_iter=500)
     assert res.success
     assert res.terminal_energy_filtered <= 1e-8 * res.initial_energy
-    # exactness invariant: filtered terminal level after convergent CG
+    # exactness invariant: filtered terminal level after an accurate direct solve
     assert res.terminal_energy_filtered <= max(1e2 * 1e-10**2, 1e-10) * res.initial_energy
 
 
@@ -491,8 +504,29 @@ def test_sweep_shared_spectrum_matches_independent_runs():
     assert sweep.to_dict()["gramian"]["dim"] == 12
 
 
+@pytest.mark.parametrize("name", ["demo_wave_cascade.json", "demo_heat_cascade.json"])
+def test_synthesis_is_a_batch_of_one_bitwise(name):
+    exp = build_experiment(demo_configs()[name])
+    args = (exp.sys, exp.Y0, exp.T, exp.dt, exp.K_filter)
+    eps = exp.eps if exp.sys.is_hyperbolic else exp.eps_list[-1]
+    max_iter = DEFAULT_REFINEMENT_PASSES if exp.max_iter is None else exp.max_iter
+    res = cl.synthesize_control(*args, eps=eps, cg_tol=exp.cg_tol, max_iter=max_iter)
+    synthesis = _Synthesis(*args)
+    (direct,) = synthesis.run([eps], exp.cg_tol, max_iter)
+    # the unbatched marches of the solved seed
+    x = synthesis.spectrum.solve(synthesis.b, eps, exp.cg_tol, max_iter).x
+    signal = synthesis.gram.observations_of(synthesis.seeds.from_coords(x))
+    _, terminal = synthesis.gram.forward_with_control(signal, initial=synthesis.Y0f)
+    assert res.control.batch == direct.control.batch == signal.batch == ()
+    for k, values in signal.values.items():
+        assert np.array_equal(res.control.values[k], direct.control.values[k])
+        assert np.array_equal(res.control.values[k], values)
+    assert np.array_equal(res.terminal_state.w, terminal.w)
+    assert res.terminal_state_norm == direct.terminal_state_norm == cl.state_l2_norm(exp.sys, terminal)
+
+
 def test_2d_dissipative_synthesis_and_pairing():
-    # exercises the factored sparse solver path inside the Gramian
+    # exercises the 2D sine-transform Crank-Nicolson solve inside the Gramian
     grid = cl.build_grid([1.0, 1.0], [12, 12])
     op = cl.assemble_operator(grid)
     basis = cl.spectral_basis(op, 8)

@@ -99,6 +99,22 @@ def test_axis_sine_matrix_is_a_symmetric_orthonormal_eigenbasis(n):
     assert np.max(np.abs(q @ dense_stencil(g) @ q - np.diag(lam))) < 1e-12 * lam[-1]
 
 
+def test_axis_sine_matrix_is_built_once_per_length_and_read_only():
+    op = cl.assemble_operator(cl.build_grid([1.0, 0.5], [17, 9]))
+    q = op.axis_sine_matrix(0)
+    assert op.axis_sine_matrix(0) is q
+    assert cl.assemble_operator(cl.build_grid([2.0], [17])).axis_sine_matrix(0) is q
+    assert op.axis_sine_matrix(1).shape == (9, 9)
+    assert not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.0
+    # the once-rounded extended-precision entries
+    j = np.arange(1, 18)
+    one = np.longdouble(1)
+    angle = 4 * np.arctan(one) * (np.outer(j, j) % 36) / 18
+    assert np.array_equal(q, (np.sqrt(2 * one / 18) * np.sin(angle)).astype(np.float64))
+
+
 def test_eigenvalues_2d_tensor_sum():
     g = cl.build_grid([1.0, 1.0], [4, 4])
     op = cl.assemble_operator(g)
