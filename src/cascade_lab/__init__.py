@@ -74,7 +74,7 @@ from .analysis import (
     kalman_mode_test,
     observability_constants,
 )
-from .config import Experiment, build_experiment, config_hash, load_config, validate_config
+from .config import Experiment, build_experiment, config_hash, load_config
 from .errors import (
     CascadeLabError,
     CflViolationError,

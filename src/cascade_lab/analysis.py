@@ -22,7 +22,6 @@ from .dynamics import (
     Hyperbolic,
     SystemState,
     _observation_recorder,
-    adjoint_system,
     cfl_time_step,
     quadrature,
     solve,
@@ -110,7 +109,7 @@ def observability_constants(sys, T, dt, K_filter, which="control", dense_limit=D
     seeds = SeedSpace(target, K_filter)
     if seeds.dim > dense_limit:
         raise ValueError(f"seed dimension {seeds.dim} exceeds the dense limit {dense_limit}")
-    gram = GramianOperator(target, adjoint_system(target), seeds, T, dt)
+    gram = GramianOperator(seeds, T, dt)
     mat = assemble_dense_gramian(gram)
     eigs = np.linalg.eigvalsh(mat)
     report = ObservabilityReport(

@@ -39,7 +39,12 @@ from .dynamics import (
 from .errors import CascadeLabError, ConfigError, NotApplicableError
 from .geometry import Support, default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
-from .operators import HypothesisReport, verify_coupling_bounds, verify_operator_coercivity
+from .operators import (
+    BoundaryEnd,
+    HypothesisReport,
+    verify_coupling_bounds,
+    verify_operator_coercivity,
+)
 from .util import fmt_float
 
 
@@ -165,9 +170,8 @@ def _gcc_horizon(exp, regions):
     The first-order family is controllable in any positive time, so its sweep
     runs to max(T, default_horizon) instead of the parabolic T.
     """
-    horizon = exp.cfg.get("gcc", {}).get("T")
-    if horizon:
-        return float(horizon)
+    if "T" in exp.gcc:
+        return exp.gcc["T"]
     if exp.sys.is_hyperbolic:
         return exp.T
     return max(exp.T, default_horizon(regions, exp.grid.extents))
@@ -178,7 +182,7 @@ def _gcc_entries(exp):
     region, over ``gcc.n_rays`` lattice rays at the ``_gcc_horizon``; in 1D
     each entry also carries the closed-form worst entry time."""
     regions = exp.coupling_regions + exp.control_regions
-    n_rays = int(exp.cfg.get("gcc", {}).get("n_rays", 402 if exp.grid.dim == 1 else 648))
+    n_rays = exp.gcc.get("n_rays", 402 if exp.grid.dim == 1 else 648)
     horizon = _gcc_horizon(exp, regions)
     entries = []
     for region in regions:
@@ -216,14 +220,12 @@ def _coupling_bounds(exp):
 
 def _cmd_check(args):
     exp = build_experiment(load_config(args.config))
-    ana = exp.cfg.get("analysis", {})
     lam1 = verify_operator_coercivity(exp.basis)
     couplings = _coupling_bounds(exp)
-    boundary = any(e.get("kind") == "boundary" for e in exp.cfg.get("control", []))
+    boundary = any(isinstance(c, BoundaryEnd) for _, c in exp.sys.control.entries)
     default_levels = [exp.grid.n[0], 2 * exp.grid.n[0]] if boundary else [exp.grid.n[0]]
-    levels = ana.get("levels") or default_levels
-    adm = admissibility_ratio(exp.sys, int(ana.get("n_samples", 5)), min(exp.T, 1.0), exp.dt,
-                              levels, seed=exp.seed)
+    adm = admissibility_ratio(exp.sys, exp.analysis.get("n_samples", 5), min(exp.T, 1.0), exp.dt,
+                              exp.analysis.get("levels", default_levels), seed=exp.seed)
     slack_tol = -1e-9
     coupling_ok = all(c.slack_bound >= slack_tol and c.slack_coercivity >= slack_tol
                       for c in couplings)
@@ -295,9 +297,8 @@ def _cmd_control(args):
 
 def _cmd_observability(args):
     exp = build_experiment(load_config(args.config))
-    ana = exp.cfg.get("analysis", {})
-    t_grid = [float(t) for t in ana.get("t_grid", [exp.T])]
-    K = int(ana.get("K", min(exp.K_filter, 5)))
+    t_grid = exp.analysis.get("t_grid", [exp.T])
+    K = exp.analysis.get("K", min(exp.K_filter, 5))
     reports, notes = [], []
     for T in t_grid:
         try:
@@ -327,8 +328,7 @@ def _cmd_observability(args):
 
 def _cmd_kalman(args):
     exp = build_experiment(load_config(args.config))
-    ana = exp.cfg.get("analysis", {})
-    K = int(ana.get("K", exp.K_filter))
+    K = exp.analysis.get("K", exp.K_filter)
     report = kalman_mode_test(exp.sys.coupling, exp.sys.control, exp.basis, K)
     out = _out_dir(exp, args)
     payload = _base_report(exp, "kalman")

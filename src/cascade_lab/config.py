@@ -2,8 +2,9 @@
 
 Configs are plain JSON with unknown keys rejected at every level; a silent typo
 in a region bound would invalidate an experiment, so nothing is ignored.
-Random initial data always comes from an explicitly seeded generator recorded
-in the config itself.
+``build_experiment`` is the one pass over a config: it checks each entry where
+it converts it. Random initial data always comes from an explicitly seeded
+generator recorded in the config itself.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .dynamics import (
     Hyperbolic,
     SystemState,
     cfl_time_step,
+    step_count,
     zero_state,
 )
 from .geometry import Support, build_grid, default_horizon, region_from_bounds
@@ -41,12 +43,17 @@ _TOP_KEYS = {
 }
 
 
-# sections read only by the subcommands that use them, with their keys;
-# gcc.dt_ray is accepted for older configs and ignored (the GCC check is exact)
-_SECTION_KEYS = {"gcc": {"n_rays", "dt_ray", "T"},
-                 "analysis": {"n_samples", "levels", "t_grid", "K"}}
-# entries of those sections that the subcommands use as counts
-_INT_KEYS = {"n_rays", "n_samples", "K", "levels"}
+# sections read only by the subcommands that use them: key -> (kind, bound).
+# [kind] is a nonempty list of that kind; an int entry must be >= its bound, a
+# float entry > its bound. gcc.dt_ray is accepted for older configs and ignored
+# (the GCC check is exact). An admissibility level is the number of nodes per
+# axis, at least the 8 forcing modes of admissibility_ratio. analysis.t_grid
+# is checked against dt and analysis.K against K_filter once those are known.
+_SECTION_KEYS = {
+    "gcc": {"n_rays": (int, 1), "dt_ray": (float, None), "T": (float, 0)},
+    "analysis": {"n_samples": (int, 1), "levels": ([int], 8), "t_grid": ([float], 0),
+                 "K": (int, 1)},
+}
 
 
 def _require(cond, message):
@@ -81,13 +88,12 @@ def _check_keys(obj, allowed, where):
 
 
 def load_config(path):
+    """The parsed JSON of a config file; ``build_experiment`` checks it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validate_config(cfg)
-    return cfg
 
 
 def config_hash(cfg):
@@ -95,164 +101,13 @@ def config_hash(cfg):
     return sha256_hex(canonical_json(cfg))
 
 
-def validate_config(cfg):
-    _check_keys(cfg, _TOP_KEYS, "config")
-    for key in ("domain", "family", "N", "p", "initial"):
-        _require(key in cfg, f"config is missing '{key}'")
-
-    dom = cfg["domain"]
-    _check_keys(dom, {"extents", "n"}, "domain")
-    _require(isinstance(dom.get("extents"), list) and isinstance(dom.get("n"), list),
-             "domain.extents and domain.n must be lists")
-    dim = len(dom["extents"])
-    _require(dim in (1, 2) and len(dom["n"]) == dim, "domain must be 1D or 2D, consistent")
-    _require(all(_num(L, "domain.extents") > 0 for L in dom["extents"]),
-             "domain lengths must be positive")
-    _require(all(_num(m, "domain.n", int) >= 2 for m in dom["n"]), "domain needs n >= 2 per axis")
-
-    fam = cfg["family"]
-    _check_keys(fam, {"kind", "theta"}, "family")
-    _require(fam.get("kind") in ("hyperbolic", "dissipative"), "family.kind invalid")
-    if fam["kind"] == "dissipative":
-        theta = _num(fam.get("theta", 0.0), "family.theta")
-        _require(abs(theta) <= math.pi / 2 + 1e-12, "family.theta outside [-pi/2, pi/2]")
-    else:
-        _require("theta" not in fam, "theta is only meaningful for the dissipative family")
-
-    N = _num(cfg["N"], "N", int)
-    p = _num(cfg["p"], "p", int)
-    _require(N >= 1, "N must be >= 1")
-    _require(0 <= p <= N, "p must satisfy 0 <= p <= N")
-
-    def check_boxes(boxes, where):
-        _require(isinstance(boxes, list) and boxes, f"{where}.boxes must be a nonempty list")
-        for part in boxes:
-            _require(isinstance(part, list) and len(part) == dim,
-                     f"{where}: each part needs one [lo, hi] per axis")
-            for pair in part:
-                _require(isinstance(pair, list) and len(pair) == 2, f"{where}: bad [lo, hi] pair")
-                _require(_num(pair[0], where) < _num(pair[1], where), f"{where}: lo must be < hi")
-
-    def check_amplitude(entry, section):
-        amp = entry.get("amplitude", 1.0)
-        amps = amp if isinstance(amp, list) else [amp]
-        _require(not isinstance(amp, list) or len(amp) == len(entry["boxes"]),
-                 f"{section}.amplitude needs one value per box")
-        _require(all(_num(a, f"{section}.amplitude") >= 0 for a in amps),
-                 f"{section} amplitudes must be nonnegative")
-
-    for entry in cfg.get("coupling", []):
-        _check_keys(entry, {"pair", "boxes", "amplitude", "label"}, "coupling entry")
-        pair = entry.get("pair")
-        _require(isinstance(pair, list) and len(pair) == 2, "coupling.pair must be [i, j]")
-        i, j = _num(pair[0], "coupling.pair", int), _num(pair[1], "coupling.pair", int)
-        _require(1 <= i < j <= N, f"coupling pair ({i},{j}) must satisfy 1 <= i < j <= N")
-        check_boxes(entry.get("boxes"), f"coupling ({i},{j})")
-        check_amplitude(entry, "coupling")
-
-    for entry in cfg.get("control", []):
-        _check_keys(entry, {"component", "kind", "boxes", "amplitude", "end", "gain", "label"},
-                    "control entry")
-        k = _num(entry.get("component", 0), "control.component", int)
-        _require(1 <= k <= N, f"controlled component {k} outside 1..{N}")
-        _require(k > p, f"controlled component {k} lies in the free block 1..{p}")
-        kind = entry.get("kind")
-        _require(kind in ("distributed", "boundary"), "control.kind invalid")
-        if kind == "distributed":
-            check_boxes(entry.get("boxes"), f"control component {k}")
-            check_amplitude(entry, "control")
-            _require("end" not in entry and "gain" not in entry,
-                     "distributed control takes boxes/amplitude only")
-        else:
-            _require(dim == 1, "boundary control is 1D only")
-            _require(entry.get("end") in ("left", "right"), "boundary control needs end left|right")
-            _require(_num(entry.get("gain", 1.0), "control.gain") >= 0,
-                     "boundary gain must be nonnegative")
-            _require("boxes" not in entry and "amplitude" not in entry,
-                     "boundary control takes end/gain only")
-
-    if "time" in cfg:
-        _check_keys(cfg["time"], {"T", "dt"}, "time")
-        for key in ("T", "dt"):
-            v = cfg["time"].get(key)
-            _require(v is None or _num(v, f"time.{key}") > 0, f"time.{key} must be positive or null")
-
-    hum = cfg.get("hum", {})
-    _check_keys(hum, {"K_filter", "eps", "cg_tol", "max_iter", "eps_list"}, "hum")
-    if "K_filter" in hum:
-        _require(_num(hum["K_filter"], "hum.K_filter", int) >= 1, "hum.K_filter must be >= 1")
-    for key in ("eps", "cg_tol"):
-        if key in hum:
-            _require(_num(hum[key], f"hum.{key}") >= 0, f"hum.{key} must be nonnegative")
-    if "cg_tol" in hum:
-        _require(_num(hum["cg_tol"], "hum.cg_tol") > 0, "hum.cg_tol must be positive")
-    if hum.get("max_iter") is not None:
-        _require(_num(hum["max_iter"], "hum.max_iter", int) >= 0,
-                 "hum.max_iter must be a nonnegative integer")
-    if "eps_list" in hum:
-        lst = hum["eps_list"]
-        _require(isinstance(lst, list) and len(lst) >= 3, "hum.eps_list needs >= 3 entries")
-        _require(all(_num(b, "hum.eps_list") < _num(a, "hum.eps_list")
-                     for a, b in zip(lst, lst[1:])),
-                 "hum.eps_list must be strictly decreasing")
-
-    _require(isinstance(cfg["initial"], list) and cfg["initial"], "initial must be a nonempty list")
-    seen = set()
-    for entry in cfg["initial"]:
-        _check_keys(entry, {"component", "position_modes", "velocity_modes", "modes", "random"},
-                    "initial entry")
-        k = _num(entry.get("component", 0), "initial.component", int)
-        _require(1 <= k <= N, f"initial component {k} outside 1..{N}")
-        _require(k not in seen, f"initial data for component {k} given twice")
-        seen.add(k)
-        has_modes = any(key in entry for key in ("position_modes", "velocity_modes", "modes"))
-        _require(has_modes != ("random" in entry),
-                 "initial entry needs mode lists or random, not both")
-        if "random" in entry:
-            _check_keys(entry["random"], {"norm", "seed"}, "initial.random")
-            _require(_num(entry["random"].get("norm", 1.0), "initial.random.norm") >= 0,
-                     "random norm must be >= 0")
-            _require(_num(entry["random"].get("seed", 0), "initial.random.seed", int) >= 0,
-                     "initial.random.seed must be a nonnegative integer")
-        for key in ("position_modes", "velocity_modes", "modes"):
-            pairs = entry.get(key) or []
-            _require(isinstance(pairs, list) and all(isinstance(q, list) and len(q) == 2
-                                                     for q in pairs),
-                     f"initial.{key} must be a list of [mode, coefficient] pairs")
-            for mode, coef in pairs:
-                _num(mode, f"initial.{key}", int)
-                _num(coef, f"initial.{key}")
-        if fam["kind"] == "hyperbolic":
-            _require("modes" not in entry, "hyperbolic initial data uses position/velocity_modes")
-        else:
-            _require("position_modes" not in entry and "velocity_modes" not in entry,
-                     "dissipative initial data uses modes")
-
-    for where, allowed in _SECTION_KEYS.items():
-        if where in cfg:
-            _check_keys(cfg[where], allowed, where)
-            for key, value in cfg[where].items():
-                kind = int if key in _INT_KEYS else float
-                for v in value if isinstance(value, list) else [value]:
-                    if v is not None:
-                        _num(v, f"{where}.{key}", kind)
-    if "seed" in cfg:
-        _require(_num(cfg["seed"], "seed", int) >= 0, "seed must be a nonnegative integer")
-    return cfg
-
-
-# ---------------------------------------------------------------------------
-# assembly
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class Experiment:
-    """Everything a subcommand needs, assembled from one validated config."""
+    """Everything a subcommand needs, assembled from one checked config;
+    ``gcc`` and ``analysis`` hold the non-null entries of those sections."""
 
     cfg: dict
     grid: object
-    op: object
     basis: object
     sys: CascadeSystem
     Y0: SystemState
@@ -266,53 +121,104 @@ class Experiment:
     coupling_regions: list
     control_regions: list
     seed: int
+    gcc: dict
+    analysis: dict
     notes: list = field(default_factory=list)
 
 
-def _region_of(entry, label):
+def _region(entry, where, label, grid):
+    """The region of a coupling or distributed-control entry, clipped to the
+    domain, after checking its boxes and amplitudes."""
+    boxes = entry.get("boxes")
+    _require(isinstance(boxes, list) and boxes, f"{where}.boxes must be a nonempty list")
+    for part in boxes:
+        _require(isinstance(part, list) and len(part) == grid.dim,
+                 f"{where}: each part needs one [lo, hi] per axis")
+        for pair in part:
+            _require(isinstance(pair, list) and len(pair) == 2, f"{where}: bad [lo, hi] pair")
+            _require(_num(pair[0], where) < _num(pair[1], where), f"{where}: lo must be < hi")
+    section = where.split()[0]  # "coupling" or "control"
     amp = entry.get("amplitude", 1.0)
-    return region_from_bounds(entry["boxes"], amplitude=amp, label=entry.get("label", label))
+    amps = amp if isinstance(amp, list) else [amp]
+    _require(not isinstance(amp, list) or len(amp) == len(boxes),
+             f"{section}.amplitude needs one value per box")
+    _require(all(_num(a, f"{section}.amplitude") >= 0 for a in amps),
+             f"{section} amplitudes must be nonnegative")
+    region = region_from_bounds(boxes, amplitude=amp, label=entry.get("label", label))
+    try:
+        return region.clipped(grid.extents)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _family_of(cfg):
-    fam = cfg["family"]
-    if fam["kind"] == "hyperbolic":
-        return Hyperbolic()
-    return Dissipative(float(fam.get("theta", 0.0)))
+def _section(values, where):
+    """The non-null entries of a gcc/analysis section, checked by ``_SECTION_KEYS``."""
+    keys = _SECTION_KEYS[where]
+    _check_keys(values, keys, where)
+    out = {}
+    for key, value in values.items():
+        if value is None:
+            continue
+        name, (kind, bound) = f"{where}.{key}", keys[key]
+        many = isinstance(kind, list)
+        if many:
+            _require(isinstance(value, list) and value, f"{name} must be a nonempty list")
+            kind = kind[0]
+        nums = [_num(v, name, kind) for v in (value if many else [value])]
+        ok = bound is None or (min(nums) >= bound if kind is int else min(nums) > bound)
+        _require(ok, f"{name} must be {'>=' if kind is int else '>'} {bound}")
+        out[key] = nums if many else nums[0]
+    return out
 
 
-def _resolve_times(cfg, sys, regions):
-    time_cfg = cfg.get("time", {})
-    T = time_cfg.get("T")
-    if T is None:
-        T = default_horizon(regions, sys.grid.extents)
-        if T <= 0:
-            raise ConfigError("cannot derive a default T without coupling/control regions")
-    T = float(T)
-    dt = time_cfg.get("dt")
-    if dt is None:
-        if sys.is_hyperbolic:
-            M = max(2, int(math.ceil(T / cfl_time_step(sys))))
+def _initial_entries(entries, N, hyperbolic, base_seed):
+    """The checked initial entries as (component, (norm, seed) or None,
+    [(field name, mode, coefficient)])."""
+    _require(isinstance(entries, list) and entries, "initial must be a nonempty list")
+    out, seen = [], set()
+    for entry in entries:
+        _check_keys(entry, {"component", "position_modes", "velocity_modes", "modes", "random"},
+                    "initial entry")
+        k = _num(entry.get("component", 0), "initial.component", int)
+        _require(1 <= k <= N, f"initial component {k} outside 1..{N}")
+        _require(k not in seen, f"initial data for component {k} given twice")
+        seen.add(k)
+        has_modes = any(key in entry for key in ("position_modes", "velocity_modes", "modes"))
+        _require(has_modes != ("random" in entry),
+                 "initial entry needs mode lists or random, not both")
+        random = None
+        if "random" in entry:
+            rnd = entry["random"]
+            _check_keys(rnd, {"norm", "seed"}, "initial.random")
+            norm = _num(rnd.get("norm", 1.0), "initial.random.norm")
+            _require(norm >= 0, "random norm must be >= 0")
+            seed = _num(rnd.get("seed", 0), "initial.random.seed", int)
+            _require(seed >= 0, "initial.random.seed must be a nonnegative integer")
+            random = (norm, seed if "seed" in rnd else base_seed + k)
+        terms = []
+        for key in ("position_modes", "velocity_modes", "modes"):
+            pairs = entry.get(key) or []
+            _require(isinstance(pairs, list) and all(isinstance(q, list) and len(q) == 2
+                                                     for q in pairs),
+                     f"initial.{key} must be a list of [mode, coefficient] pairs")
+            terms += [("wp" if key == "velocity_modes" else "w", _num(mode, f"initial.{key}", int),
+                       _num(coef, f"initial.{key}")) for mode, coef in pairs]
+        if hyperbolic:
+            _require("modes" not in entry, "hyperbolic initial data uses position/velocity_modes")
         else:
-            M = max(100, int(math.ceil(T / 0.002)))
-        dt = T / M
-    else:
-        dt = float(dt)
-        M = int(round(T / dt))
-        if M < 2 or abs(M * dt - T) > 1e-9 * max(T, 1.0):
-            dt = T / max(2, int(math.ceil(T / dt)))
-    return T, dt
+            _require("position_modes" not in entry and "velocity_modes" not in entry,
+                     "dissipative initial data uses modes")
+        out.append((k, random, terms))
+    return out
 
 
-def _initial_state(cfg, sys, K_filter):
+def _initial_state(sys, entries):
     state = zero_state(sys)
     basis = sys.basis
-    base_seed = int(cfg.get("seed", 0))
-    for entry in cfg["initial"]:
-        k = int(entry["component"])
-        if "random" in entry:
-            norm = float(entry["random"].get("norm", 1.0))
-            sub = int(entry["random"].get("seed", base_seed + k))
+    K_filter = basis.K
+    for k, random, terms in entries:
+        if random is not None:
+            norm, sub = random
             rng = np.random.default_rng(sub)
             if sys.is_hyperbolic:
                 a = rng.standard_normal(K_filter)
@@ -332,79 +238,172 @@ def _initial_state(cfg, sys, K_filter):
                 if scale > 0:
                     c = c * (norm / scale)
                 state.w[k - 1] = c @ basis.modes[:K_filter]
-        else:
-            def add_modes(target, pairs):
-                for mode, coef in pairs or []:
-                    mode = int(mode)
-                    if not 1 <= mode <= basis.K:
-                        raise ConfigError(f"mode {mode} outside the retained 1..{basis.K}")
-                    target += float(coef) * basis.modes[mode - 1]
-            if sys.is_hyperbolic:
-                add_modes(state.w[k - 1], entry.get("position_modes"))
-                add_modes(state.wp[k - 1], entry.get("velocity_modes"))
-            else:
-                add_modes(state.w[k - 1], entry.get("modes"))
+        for name, mode, coef in terms:
+            if not 1 <= mode <= basis.K:
+                raise ConfigError(f"mode {mode} outside the retained 1..{basis.K}")
+            getattr(state, name)[k - 1] += coef * basis.modes[mode - 1]
     return state
 
 
 def build_experiment(cfg):
-    """Assemble grid, operator, basis, system and initial data from a config."""
-    validate_config(cfg)
-    grid = build_grid(cfg["domain"]["extents"], cfg["domain"]["n"])
-    op = assemble_operator(grid)
+    """Check a config and assemble grid, operator, basis, system and initial
+    data from it, in one pass over the config."""
+    _check_keys(cfg, _TOP_KEYS, "config")
+    for key in ("domain", "family", "N", "p", "initial"):
+        _require(key in cfg, f"config is missing '{key}'")
+
+    dom = cfg["domain"]
+    _check_keys(dom, {"extents", "n"}, "domain")
+    _require(isinstance(dom.get("extents"), list) and isinstance(dom.get("n"), list),
+             "domain.extents and domain.n must be lists")
+    dim = len(dom["extents"])
+    _require(dim in (1, 2) and len(dom["n"]) == dim, "domain must be 1D or 2D, consistent")
+    _require(all(_num(L, "domain.extents") > 0 for L in dom["extents"]),
+             "domain lengths must be positive")
+    _require(all(_num(m, "domain.n", int) >= 2 for m in dom["n"]), "domain needs n >= 2 per axis")
+    grid = build_grid(dom["extents"], dom["n"])
+
+    fam = cfg["family"]
+    _check_keys(fam, {"kind", "theta"}, "family")
+    _require(fam.get("kind") in ("hyperbolic", "dissipative"), "family.kind invalid")
+    hyperbolic = fam["kind"] == "hyperbolic"
+    if hyperbolic:
+        _require("theta" not in fam, "theta is only meaningful for the dissipative family")
+        family = Hyperbolic()
+    else:
+        theta = _num(fam.get("theta", 0.0), "family.theta")
+        _require(abs(theta) <= math.pi / 2 + 1e-12, "family.theta outside [-pi/2, pi/2]")
+        family = Dissipative(theta)
+
+    N = _num(cfg["N"], "N", int)
+    p = _num(cfg["p"], "p", int)
+    _require(N >= 1, "N must be >= 1")
+    _require(0 <= p <= N, "p must satisfy 0 <= p <= N")
+
+    couplings = {}
+    for entry in cfg.get("coupling", []):
+        _check_keys(entry, {"pair", "boxes", "amplitude", "label"}, "coupling entry")
+        pair = entry.get("pair")
+        _require(isinstance(pair, list) and len(pair) == 2, "coupling.pair must be [i, j]")
+        i, j = _num(pair[0], "coupling.pair", int), _num(pair[1], "coupling.pair", int)
+        _require(1 <= i < j <= N, f"coupling pair ({i},{j}) must satisfy 1 <= i < j <= N")
+        _require((i, j) not in couplings, f"coupling pair ({i},{j}) given twice")
+        couplings[i, j] = _region(entry, f"coupling ({i},{j})", f"O_{i}{j}", grid)
+
+    controls, control_regions = {}, []
+    for entry in cfg.get("control", []):
+        _check_keys(entry, {"component", "kind", "boxes", "amplitude", "end", "gain", "label"},
+                    "control entry")
+        k = _num(entry.get("component", 0), "control.component", int)
+        _require(1 <= k <= N, f"controlled component {k} outside 1..{N}")
+        _require(k > p, f"controlled component {k} lies in the free block 1..{p}")
+        _require(k not in controls, f"controlled component {k} given twice")
+        kind = entry.get("kind")
+        _require(kind in ("distributed", "boundary"), "control.kind invalid")
+        if kind == "distributed":
+            region = _region(entry, f"control component {k}", f"omega_{k}", grid)
+            _require("end" not in entry and "gain" not in entry,
+                     "distributed control takes boxes/amplitude only")
+            control_regions.append(region)
+            controls[k] = Distributed(region)
+        else:
+            _require(dim == 1, "boundary control is 1D only")
+            _require(entry.get("end") in ("left", "right"), "boundary control needs end left|right")
+            gain = _num(entry.get("gain", 1.0), "control.gain")
+            _require(gain >= 0, "boundary gain must be nonnegative")
+            _require("boxes" not in entry and "amplitude" not in entry,
+                     "boundary control takes end/gain only")
+            controls[k] = BoundaryEnd(entry["end"], gain)
+
+    time_cfg = cfg.get("time", {})
+    _check_keys(time_cfg, {"T", "dt"}, "time")
+    times = []
+    for key in ("T", "dt"):
+        v = time_cfg.get(key)
+        v = None if v is None else _num(v, f"time.{key}")
+        _require(v is None or v > 0, f"time.{key} must be positive or null")
+        times.append(v)
+    T, dt = times
+
     hum = cfg.get("hum", {})
-    K_filter = int(hum.get("K_filter", min(20, grid.n_total)))
+    _check_keys(hum, {"K_filter", "eps", "cg_tol", "max_iter", "eps_list"}, "hum")
+
+    def hum_value(key, default, kind=float):
+        return _num(hum[key], f"hum.{key}", kind) if key in hum else default
+
+    K_filter = hum_value("K_filter", min(20, grid.n_total), int)
+    _require(K_filter >= 1, "hum.K_filter must be >= 1")
+    eps = hum_value("eps", 0.0 if hyperbolic else 1e-6)
+    _require(eps >= 0, "hum.eps must be nonnegative")
+    cg_tol = hum_value("cg_tol", 1e-8)
+    _require(cg_tol >= 0, "hum.cg_tol must be nonnegative")
+    _require(cg_tol > 0, "hum.cg_tol must be positive")
+    max_iter = None if hum.get("max_iter") is None else hum_value("max_iter", None, int)
+    _require(max_iter is None or max_iter >= 0, "hum.max_iter must be a nonnegative integer")
+    eps_list = hum.get("eps_list", [])
+    if "eps_list" in hum:
+        _require(isinstance(eps_list, list) and len(eps_list) >= 3,
+                 "hum.eps_list needs >= 3 entries")
+        eps_list = [_num(e, "hum.eps_list") for e in eps_list]
+        _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
+                 "hum.eps_list must be strictly decreasing")
+
+    seed = _num(cfg.get("seed", 0), "seed", int)
+    _require(seed >= 0, "seed must be a nonnegative integer")
+    initial = _initial_entries(cfg["initial"], N, hyperbolic, seed)
+    sections = {where: _section(cfg.get(where, {}), where) for where in _SECTION_KEYS}
+    out_dir = cfg.get("output_dir")
+    _require(out_dir is None or isinstance(out_dir, str), "output_dir must be a string or null")
+
+    # every entry is checked; what follows fails only on the assembled experiment
     if K_filter > grid.n_total:
         raise ConfigError(f"K_filter {K_filter} exceeds the {grid.n_total} grid unknowns")
+    op = assemble_operator(grid)
     basis = spectral_basis(op, K_filter)
-
-    N, p = int(cfg["N"]), int(cfg["p"])
-    coupling_regions, control_regions = [], []
-    entries = {}
-    for entry in cfg.get("coupling", []):
-        i, j = int(entry["pair"][0]), int(entry["pair"][1])
-        region = _region_of(entry, f"O_{i}{j}").clipped(grid.extents)
-        entries[(i, j)] = region
-        coupling_regions.append(region)
-    coupling = CouplingSpec.from_dict(N, entries)
-
-    ctl = []
-    for entry in cfg.get("control", []):
-        k = int(entry["component"])
-        if entry["kind"] == "distributed":
-            region = _region_of(entry, f"omega_{k}").clipped(grid.extents)
-            control_regions.append(region)
-            ctl.append((k, Distributed(region)))
-        else:
-            ctl.append((k, BoundaryEnd(entry["end"], float(entry.get("gain", 1.0)))))
-    control = ControlSpec(N, p, tuple(ctl))
-
-    family = _family_of(cfg)
-    sys = CascadeSystem(family, op, basis, N, p, coupling, control)
+    coupling_regions = list(couplings.values())
+    sys = CascadeSystem(family, op, basis, N, p, CouplingSpec.from_dict(N, couplings),
+                        ControlSpec(N, p, tuple(controls.items())))
     # an empty coupling support is a legal zero coupling; an empty control
     # support controls nothing
     for k, ctl in sys.controls.items():
         if isinstance(ctl, Support) and ctl.size == 0:
             raise ConfigError(f"control component {k}: the region has no grid node "
                               "with positive amplitude (empty support)")
-    T, dt = _resolve_times(cfg, sys, coupling_regions + control_regions)
-    Y0 = _initial_state(cfg, sys, K_filter)
+
+    if T is None:
+        T = default_horizon(coupling_regions + control_regions, grid.extents)
+        if T <= 0:
+            raise ConfigError("cannot derive a default T without coupling/control regions")
+    if dt is None:
+        if hyperbolic:
+            M = max(2, int(math.ceil(T / cfl_time_step(sys))))
+        else:
+            M = max(100, int(math.ceil(T / 0.002)))
+        dt = T / M
+    else:
+        try:
+            step_count(T, dt)
+        except ValueError:
+            dt = T / max(2, int(math.ceil(T / dt)))
+    for t in sections["analysis"].get("t_grid", []):
+        try:
+            step_count(t, dt)
+        except ValueError as exc:
+            raise ConfigError(f"analysis.t_grid: {exc}") from None
+    K = sections["analysis"].get("K", 1)
+    _require(K <= K_filter, f"analysis.K {K} exceeds K_filter {K_filter}")
+    Y0 = _initial_state(sys, initial)
 
     notes = []
     if "dt_ray" in cfg.get("gcc", {}):
         notes.append("gcc.dt_ray is ignored: the GCC check is exact")
-    if not sys.is_hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:
+    if not hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:
         notes.append("theta at +-pi/2: outside the stated dissipative range, run as-is")
 
     return Experiment(
-        cfg=cfg, grid=grid, op=op, basis=basis, sys=sys, Y0=Y0,
-        T=T, dt=dt, K_filter=K_filter,
-        eps=float(hum.get("eps", 0.0 if sys.is_hyperbolic else 1e-6)),
-        cg_tol=float(hum.get("cg_tol", 1e-8)),
-        max_iter=(int(hum["max_iter"]) if hum.get("max_iter") is not None else None),
-        eps_list=[float(e) for e in hum.get("eps_list", [])],
-        coupling_regions=coupling_regions,
-        control_regions=control_regions,
-        seed=int(cfg.get("seed", 0)),
-        notes=notes,
+        cfg=cfg, grid=grid, basis=basis, sys=sys, Y0=Y0,
+        T=T, dt=dt, K_filter=K_filter, eps=eps, cg_tol=cg_tol, max_iter=max_iter,
+        eps_list=eps_list, coupling_regions=coupling_regions,
+        control_regions=control_regions, seed=seed,
+        gcc=sections["gcc"], analysis=sections["analysis"], notes=notes,
     )

@@ -66,7 +66,7 @@ from .operators import (
 
 @dataclass(frozen=True)
 class Hyperbolic:
-    kind: str = "hyperbolic"
+    """Second-order (wave-type) family."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class Dissipative:
     """First-order family with phase angle theta in [-pi/2, pi/2]."""
 
     theta: float = 0.0
-    kind: str = "dissipative"
 
     def __post_init__(self):
         if abs(self.theta) > math.pi / 2 + 1e-12:
@@ -420,12 +419,13 @@ def _check_signal(sys, control, M, dt):
 # ---------------------------------------------------------------------------
 
 
-def _forcing_into(sys, out, control, forcing, n):
+def _forcing_into(sys, out, control, forcing, n, scale=1.0):
+    """Add scale * s^n, the control and raw forcing of node (or interval) n, to ``out``."""
     if control is not None:
         for k, arr in control.values.items():
-            sys.inject(out, k, arr[n])
+            sys.inject(out, k, arr[n], scale)
     if forcing is not None:
-        out += forcing[n]
+        out += scale * forcing[n]
 
 
 def _observation_recorder(sys, weights, batch, factor=1.0):
@@ -445,6 +445,34 @@ def _observation_recorder(sys, weights, batch, factor=1.0):
     return arrays, visit
 
 
+def _leapfrog(sys, prev, cur, nodes, dt, control=None, forcing=None, visit=None):
+    """Leapfrog steps y_next = (2 y_cur - y_prev) - dt^2 acc, with acc =
+    (A + C) y_cur - s and s the control and forcing of the node, from each of
+    ``nodes`` but the last, forward or backward in time.
+
+    ``cur`` is the level at nodes[0] and ``prev`` the one before it; both are
+    copied, never written. ``visit(n, y_prev, y_cur, y_next)``, when given,
+    sees each step. The levels rotate through three buffers, valid only
+    during the call. Returns (y_prev, y_cur, acc) at the last node.
+    """
+    dt2 = dt * dt
+    y_prev, y_cur = np.array(prev, dtype=float), np.array(cur, dtype=float)
+    y_next, acc = np.empty_like(y_cur), np.empty_like(y_cur)
+    for n in nodes[:-1]:
+        sys.apply_system(y_cur, acc)
+        _forcing_into(sys, acc, control, forcing, n, scale=-1.0)
+        np.multiply(2.0, y_cur, out=y_next)
+        y_next -= y_prev
+        acc *= dt2
+        y_next -= acc
+        if visit is not None:
+            visit(n, y_prev, y_cur, y_next)
+        y_prev, y_cur, y_next = y_cur, y_next, y_prev
+    sys.apply_system(y_cur, acc)
+    _forcing_into(sys, acc, control, forcing, nodes[-1], scale=-1.0)
+    return y_prev, y_cur, acc
+
+
 def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit=None):
     """Forward leapfrog over M steps; returns (y^{M-1}, y^M, velocity at T).
 
@@ -452,37 +480,20 @@ def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit=None):
     carries the same batch axes, one control per member, and forcing acts on
     every member alike. ``visit(n, y, velocity)``, when given, sees every
     node with its second-order velocity readout as it is made; without it no
-    per-step velocity is computed. The levels live in
-    three buffers that the steps rotate, so ``y`` is valid only during the
-    call: a visitor copies what it keeps. ``w0`` and ``wp0`` are not written.
+    per-step velocity is computed. ``y`` is a reused buffer, valid only during
+    the call: a visitor copies what it keeps. ``w0`` and ``wp0`` are not
+    written.
     """
-    dt2 = dt * dt
-    acc = -sys.apply_system(w0)
-    _forcing_into(sys, acc, control, forcing, 0)
+    acc = sys.apply_system(w0)
+    _forcing_into(sys, acc, control, forcing, 0, scale=-1.0)
     if visit is not None:
         visit(0, w0, wp0)
-    y_cur = w0 + dt * wp0 + 0.5 * dt2 * acc
-    y_prev, y_next, acc = (np.empty_like(y_cur) for _ in range(3))
-    np.copyto(y_prev, w0)
-
-    for n in range(1, M):
-        sys.apply_system(y_cur, acc)
-        np.negative(acc, out=acc)
-        _forcing_into(sys, acc, control, forcing, n)
-        # y^{n+1} = (2 y^n - y^{n-1}) + dt^2 acc
-        np.multiply(2.0, y_cur, out=y_next)
-        y_next -= y_prev
-        acc *= dt2
-        y_next += acc
-        if visit is not None:
-            # second-order central velocity at the interior node
-            visit(n, y_cur, (y_next - y_prev) / (2.0 * dt))
-        y_prev, y_cur, y_next = y_cur, y_next, y_prev
-
-    sys.apply_system(y_cur, acc)
-    np.negative(acc, out=acc)
-    _forcing_into(sys, acc, control, forcing, M)
-    vel_T = (y_cur - y_prev) / dt + 0.5 * dt * acc
+    y1 = w0 + dt * wp0 - 0.5 * (dt * dt) * acc
+    # second-order central velocity at the interior nodes
+    step_visit = None if visit is None else (
+        lambda n, y_prev, y_cur, y_next: visit(n, y_cur, (y_next - y_prev) / (2.0 * dt)))
+    y_prev, y_cur, acc = _leapfrog(sys, w0, y1, range(1, M + 1), dt, control, forcing, step_visit)
+    vel_T = (y_cur - y_prev) / dt - 0.5 * dt * acc
     if visit is not None:
         visit(M, y_cur, vel_T)
     return y_prev, y_cur, vel_T
@@ -494,30 +505,17 @@ def _hyp_adjoint(sys, phi_M, phi_M1, M, dt, visit=None):
     Starts from the two levels (phi^M, phi^{M-1}), each (..., N, n_total), and
     recurses down to phi^0; returns the adjoint SystemState at t = 0.
     ``visit(n, phi_n)``, when given, sees every level as it is made, so a
-    caller can reduce the trajectory on the fly instead of storing it. The
-    levels live in three buffers that the steps rotate, so ``phi_n`` is valid
-    only during the call: a visitor copies what it keeps. The start levels
-    are copied, never written.
+    caller can reduce the trajectory on the fly instead of storing it.
+    ``phi_n`` is a reused buffer, valid only during the call: a visitor
+    copies what it keeps. The start levels are copied, never written.
     """
-    dt2 = dt * dt
-    phi_next, phi_cur = np.array(phi_M, dtype=float), np.array(phi_M1, dtype=float)
-    phi_new, acc = np.empty_like(phi_cur), np.empty_like(phi_cur)
     if visit is not None:
-        visit(M, phi_next)
-        visit(M - 1, phi_cur)
-    for n in range(M - 1, 0, -1):
-        # phi^{n-1} = (2 phi^n - phi^{n+1}) - dt^2 (A + C) phi^n
-        np.multiply(2.0, phi_cur, out=phi_new)
-        phi_new -= phi_next
-        sys.apply_system(phi_cur, acc)
-        acc *= dt2
-        phi_new -= acc
-        if visit is not None:
-            visit(n - 1, phi_new)
-        phi_next, phi_cur, phi_new = phi_cur, phi_new, phi_next
-    # phi_cur = phi^0, phi_next = phi^1
-    vel0 = (phi_next - phi_cur) / dt + 0.5 * dt * sys.apply_system(phi_cur)
-    return SystemState(0.0, phi_cur, vel0)
+        visit(M, phi_M)
+        visit(M - 1, phi_M1)
+    step_visit = None if visit is None else (
+        lambda n, phi_next, phi_n, phi_new: visit(n - 1, phi_new))
+    phi_1, phi_0, acc = _leapfrog(sys, phi_M, phi_M1, range(M - 1, -1, -1), dt, visit=step_visit)
+    return SystemState(0.0, phi_0, (phi_1 - phi_0) / dt + 0.5 * dt * acc)
 
 
 # ---------------------------------------------------------------------------

@@ -230,22 +230,21 @@ class GramianOperator:
     observations back as the control of a forward solve from rest, and returns
     the seed-space readout of the terminal state. Synthesis solves with the
     dense matrix of ``assemble_dense_gramian``; apply stays as its independent
-    matrix-free cross-check.
+    matrix-free cross-check. ``sys`` is the seed space's (forward) system and
+    ``sys_adj`` its transposed orientation.
     """
 
-    sys: CascadeSystem
-    sys_adj: CascadeSystem
     seeds: SeedSpace
     T: float
     dt: float
 
     def __post_init__(self):
+        self.sys = self.seeds.sys
+        self.sys_adj = adjoint_system(self.sys)
         self.M = step_count(self.T, self.dt)
         self.weights = sample_weights(self.sys, self.M, self.dt)
         if self.sys.is_hyperbolic:
             _check_cfl(self.sys, self.dt)
-        if self.sys.transposed or not self.sys_adj.transposed:
-            raise ValueError("pass (forward, transposed) systems in that order")
         if self.sys.control.entries and self.sys.observation_kind() == "mixed":
             raise ValueError(
                 "mixed distributed/end controls are not supported in one synthesis; "
@@ -534,7 +533,7 @@ class _Synthesis:
                                      "controlled component")
         self.sys = sys
         self.seeds = SeedSpace(sys, K_filter)
-        self.gram = GramianOperator(sys, adjoint_system(sys), self.seeds, T, dt)
+        self.gram = GramianOperator(self.seeds, T, dt)
 
         X0, self.projection_residual = self.seeds.project_state(Y0)
         self.Y0f = self.seeds.state_from_seed(X0, t=0.0)

@@ -75,7 +75,7 @@ def test_criterion_2_gramian_symmetry_psd():
     T = 2.0
     dt = chained_dt(sys, T)
     seeds = SeedSpace(sys, 10)
-    gram = GramianOperator(sys, cl.adjoint_system(sys), seeds, T, dt)
+    gram = GramianOperator(seeds, T, dt)
     rng = np.random.default_rng(202)
     worst_sym = 0.0
     min_ray = math.inf

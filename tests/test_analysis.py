@@ -73,7 +73,7 @@ def test_rayleigh_lower_bound_of_reported_constant():
     T, dt = 1.5, 0.0125
     rep = observability_constants(sys, T, dt, 3, which="control")
     seeds = SeedSpace(sys, 3)
-    gram = GramianOperator(sys, cl.adjoint_system(sys), seeds, T, dt)
+    gram = GramianOperator(seeds, T, dt)
     rng = np.random.default_rng(6)
     for _ in range(10):
         X = seeds.random(rng)

@@ -69,7 +69,7 @@ def test_double_transposition_rejected():
 def _gramian(sys, T, K=8, dt=None):
     dt = dt if dt is not None else chained_dt(sys, T)
     seeds = SeedSpace(sys, K)
-    return GramianOperator(sys, cl.adjoint_system(sys), seeds, T, dt), seeds
+    return GramianOperator(seeds, T, dt), seeds
 
 
 def _observation_quadrature(gram, X, Y):
@@ -545,7 +545,7 @@ def test_2d_dissipative_synthesis_and_pairing():
 
     phase = cl.CascadeSystem(cl.Dissipative(math.pi / 3), op, basis, 2, 1, coup, ctl)
     seeds = SeedSpace(phase, 6)
-    gram = GramianOperator(phase, cl.adjoint_system(phase), seeds, 0.2, 0.002)
+    gram = GramianOperator(seeds, 0.2, 0.002)
     rng = np.random.default_rng(4)
     X, Y = seeds.random(rng), seeds.random(rng)
     gxy = np.real(seeds.inner(gram.apply(X), Y))
