@@ -27,16 +27,10 @@ from .geometry import (
 )
 from .operators import (
     BoundaryEnd,
-    ControlSpec,
     CouplingBounds,
-    CouplingSpec,
-    Distributed,
     EllipticOperator,
     HypothesisReport,
     SpectralBasis,
-    TruncationWarning,
-    assemble_operator,
-    fractional_norm,
     spectral_basis,
     verify_coupling_bounds,
     verify_operator_coercivity,

@@ -29,14 +29,7 @@ from .dynamics import (
 )
 from .geometry import Region, build_grid, indicator_vector
 from .hum import GramianOperator, SeedSpace, assemble_dense_gramian
-from .operators import (
-    BoundaryEnd,
-    ControlSpec,
-    CouplingSpec,
-    Distributed,
-    assemble_operator,
-    spectral_basis,
-)
+from .operators import BoundaryEnd, EllipticOperator, spectral_basis
 
 DENSE_SEED_LIMIT = 400
 
@@ -80,9 +73,7 @@ class ObservabilityReport:
 def _single_equation_variant(sys, region):
     """N = 1 free-equation system observed through the given region."""
     indicator = Region(region.parts, tuple(1.0 for _ in region.parts), region.label or "coupling support")
-    control = ControlSpec(1, 0, ((1, Distributed(indicator)),))
-    coupling = CouplingSpec(1, ())
-    return CascadeSystem(sys.family, sys.op, sys.basis, 1, 0, coupling, control)
+    return CascadeSystem(sys.family, sys.op, sys.basis, 1, control=((1, indicator),))
 
 
 def observability_constants(sys, T, dt, K_filter, which="control", dense_limit=DENSE_SEED_LIMIT):
@@ -95,11 +86,11 @@ def observability_constants(sys, T, dt, K_filter, which="control", dense_limit=D
     ``dense_limit``.
     """
     if which == "coupling":
-        if not sys.coupling.entries:
+        if not sys.coupling:
             raise NotApplicableError("no coupling region available for the velocity functional")
-        target = _single_equation_variant(sys, sys.coupling.entries[0][1])
+        target = _single_equation_variant(sys, sys.coupling[0][1])
     elif which == "control":
-        if not sys.control.entries:
+        if not sys.control:
             raise NotApplicableError("system carries no control; the control observability "
                                      "constant is undefined")
         target = sys
@@ -148,26 +139,25 @@ def _constant_amplitude_on_domain(region, grid):
     return None
 
 
-def kalman_mode_test(coupling, control, basis, K):
+def kalman_mode_test(sys, K):
     """Rank of [B, A_mu B, ..., A_mu^{N-1} B] for each retained eigenvalue mu.
 
-    Valid only when every coupling region is the full domain with a constant
-    amplitude, where the spectral decomposition decouples the system into one
-    N x N block per mode (A_mu = mu I + C). Localized couplings raise
+    Valid only when every coupling region of ``sys`` is the full domain with a
+    constant amplitude, where the spectral decomposition decouples the system
+    into one N x N block per mode (A_mu = mu I + C). Localized couplings raise
     NotApplicableError; use the Gramian pathway for those.
     """
-    N = coupling.N
-    grid = basis.grid
+    N, basis = sys.N, sys.basis
     C = np.zeros((N, N))
-    for (i, j), region in coupling.entries:
-        amp = _constant_amplitude_on_domain(region, grid)
+    for (i, j), region in sys.coupling:
+        amp = _constant_amplitude_on_domain(region, sys.grid)
         if amp is None:
             raise NotApplicableError(
                 f"coupling ({i},{j}) is not a constant full-domain multiplier; "
                 "the modal reduction does not decouple"
             )
         C[i - 1, j - 1] = amp
-    controlled = control.controlled
+    controlled = [k for k, _ in sys.control]
     if not controlled:
         raise NotApplicableError("system carries no control; the Kalman test needs a "
                                  "controlled component")
@@ -215,13 +205,6 @@ class AdmissibilityReport:
         }
 
 
-def _control_template(control):
-    for _, kind in control.entries:
-        return kind
-    raise NotApplicableError("system carries no control; the admissibility check observes "
-                             "through the first control")
-
-
 def _ratio_or_none(lhs, rhs):
     """Degenerate-input policy: a 0/0 sample is skipped, not reported."""
     if rhs < 1e-280:
@@ -242,23 +225,20 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    template = _control_template(sys.control)
+    if not sys.control:
+        raise NotApplicableError("system carries no control; the admissibility check observes "
+                                 "through the first control")
+    template = sys.control[0][1]
+    obs_name = "end" if isinstance(template, BoundaryEnd) else "distributed"
     rng = np.random.default_rng(seed)
     max_ratios = []
     skipped = 0
     for n_level in levels:
         grid = build_grid(sys.grid.extents, [n_level] * sys.grid.dim)
-        op = assemble_operator(grid)
+        op = EllipticOperator(grid)
         K = min(K_forcing + 4, grid.n_total)
         basis = spectral_basis(op, K)
-        if isinstance(template, Distributed):
-            kind = Distributed(template.region)
-            obs_name = "distributed"
-        else:
-            kind = BoundaryEnd(template.end, template.gain)
-            obs_name = "end"
-        one = CascadeSystem(Hyperbolic(), op, basis, 1, 0, CouplingSpec(1, ()),
-                            ControlSpec(1, 0, ((1, kind),)))
+        one = CascadeSystem(Hyperbolic(), op, basis, 1, control=((1, template),))
         dt_lim = cfl_time_step(one)
         M = max(2, int(math.ceil(T / min(dt, dt_lim))))
         dt_level = T / M

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DENSE_SEED_LIMIT,
     ObservabilityReport,
     admissibility_ratio,
     kalman_mode_test,
@@ -222,7 +223,7 @@ def _cmd_check(args):
     exp = build_experiment(load_config(args.config))
     lam1 = verify_operator_coercivity(exp.basis)
     couplings = _coupling_bounds(exp)
-    boundary = any(isinstance(c, BoundaryEnd) for _, c in exp.sys.control.entries)
+    boundary = any(isinstance(c, BoundaryEnd) for c in exp.sys.controls.values())
     default_levels = [exp.grid.n[0], 2 * exp.grid.n[0]] if boundary else [exp.grid.n[0]]
     adm = admissibility_ratio(exp.sys, exp.analysis.get("n_samples", 5), min(exp.T, 1.0), exp.dt,
                               exp.analysis.get("levels", default_levels), seed=exp.seed)
@@ -299,6 +300,13 @@ def _cmd_observability(args):
     exp = build_experiment(load_config(args.config))
     t_grid = exp.analysis.get("t_grid", [exp.T])
     K = exp.analysis.get("K", min(exp.K_filter, 5))
+    # the largest Gramian is the control functional's, or without a control
+    # the coupling functional's on one equation
+    seeds = SeedSpace(exp.sys, K)
+    dim = seeds.dim if exp.sys.controls else seeds.dim // exp.sys.N
+    if dim > DENSE_SEED_LIMIT:
+        raise ConfigError(f"analysis.K {K}: seed dimension {dim} exceeds the dense limit "
+                          f"{DENSE_SEED_LIMIT}")
     reports, notes = [], []
     for T in t_grid:
         try:
@@ -329,7 +337,7 @@ def _cmd_observability(args):
 def _cmd_kalman(args):
     exp = build_experiment(load_config(args.config))
     K = exp.analysis.get("K", exp.K_filter)
-    report = kalman_mode_test(exp.sys.coupling, exp.sys.control, exp.basis, K)
+    report = kalman_mode_test(exp.sys, K)
     out = _out_dir(exp, args)
     payload = _base_report(exp, "kalman")
     payload["kalman"] = report.to_dict()

@@ -27,14 +27,7 @@ from .dynamics import (
     zero_state,
 )
 from .geometry import Support, build_grid, default_horizon, region_from_bounds
-from .operators import (
-    BoundaryEnd,
-    ControlSpec,
-    CouplingSpec,
-    Distributed,
-    assemble_operator,
-    spectral_basis,
-)
+from .operators import BoundaryEnd, EllipticOperator, spectral_basis
 from .util import canonical_json, sha256_hex
 
 _TOP_KEYS = {
@@ -276,6 +269,7 @@ def build_experiment(cfg):
         family = Dissipative(theta)
 
     N = _num(cfg["N"], "N", int)
+    # p is a check only: components 1..p (the free block) carry no control
     p = _num(cfg["p"], "p", int)
     _require(N >= 1, "N must be >= 1")
     _require(0 <= p <= N, "p must satisfy 0 <= p <= N")
@@ -305,7 +299,7 @@ def build_experiment(cfg):
             _require("end" not in entry and "gain" not in entry,
                      "distributed control takes boxes/amplitude only")
             control_regions.append(region)
-            controls[k] = Distributed(region)
+            controls[k] = region
         else:
             _require(dim == 1, "boundary control is 1D only")
             _require(entry.get("end") in ("left", "right"), "boundary control needs end left|right")
@@ -335,6 +329,8 @@ def build_experiment(cfg):
     _require(K_filter >= 1, "hum.K_filter must be >= 1")
     eps = hum_value("eps", 0.0 if hyperbolic else 1e-6)
     _require(eps >= 0, "hum.eps must be nonnegative")
+    _require(hyperbolic or eps > 0, "hum.eps must be > 0 for the first-order family "
+                                    "(penalized HUM)")
     cg_tol = hum_value("cg_tol", 1e-8)
     _require(cg_tol >= 0, "hum.cg_tol must be nonnegative")
     _require(cg_tol > 0, "hum.cg_tol must be positive")
@@ -345,6 +341,7 @@ def build_experiment(cfg):
         _require(isinstance(eps_list, list) and len(eps_list) >= 3,
                  "hum.eps_list needs >= 3 entries")
         eps_list = [_num(e, "hum.eps_list") for e in eps_list]
+        _require(min(eps_list) > 0, "hum.eps_list entries must be > 0: the sweep fits log eps")
         _require(all(b < a for a, b in zip(eps_list, eps_list[1:])),
                  "hum.eps_list must be strictly decreasing")
 
@@ -358,11 +355,12 @@ def build_experiment(cfg):
     # every entry is checked; what follows fails only on the assembled experiment
     if K_filter > grid.n_total:
         raise ConfigError(f"K_filter {K_filter} exceeds the {grid.n_total} grid unknowns")
-    op = assemble_operator(grid)
+    op = EllipticOperator(grid)
     basis = spectral_basis(op, K_filter)
     coupling_regions = list(couplings.values())
-    sys = CascadeSystem(family, op, basis, N, p, CouplingSpec.from_dict(N, couplings),
-                        ControlSpec(N, p, tuple(controls.items())))
+    # apply_system adds the couplings of one equation in this order
+    sys = CascadeSystem(family, op, basis, N, tuple(sorted(couplings.items())),
+                        tuple(controls.items()))
     # an empty coupling support is a legal zero coupling; an empty control
     # support controls nothing
     for k, ctl in sys.controls.items():

@@ -50,14 +50,7 @@ import numpy as np
 
 from .errors import CflViolationError
 from .geometry import Support
-from .operators import (
-    ControlSpec,
-    CouplingSpec,
-    Distributed,
-    EllipticOperator,
-    SpectralBasis,
-    indicator_vector,
-)
+from .operators import BoundaryEnd, EllipticOperator, SpectralBasis, indicator_vector
 
 # ---------------------------------------------------------------------------
 # families and the assembled system
@@ -84,9 +77,13 @@ class Dissipative:
 class CascadeSystem:
     """Discretized N-component cascade system.
 
-    ``transposed`` selects the adjoint orientation: coupling entry (i, j) then
-    feeds component i into equation j instead of j into i, and the controlled
-    components become observation points.
+    ``coupling`` holds ((i, j), Region) entries with 1 <= i < j <= N; entry
+    (i, j) puts c * 1_O * y_j into equation i. ``control`` holds (k, Region
+    or BoundaryEnd) entries, each component k of 1..N at most once: a Region
+    is the distributed control b * 1_omega, a BoundaryEnd (1D only) a
+    Dirichlet end control. ``transposed`` selects the adjoint orientation:
+    coupling entry (i, j) then feeds component i into equation j instead of j
+    into i, and the controlled components become observation points.
 
     ``coupling_supports`` holds ((i, j), Support) per coupling entry and
     ``controls`` maps each controlled component to the Support of its
@@ -98,28 +95,28 @@ class CascadeSystem:
     op: EllipticOperator
     basis: SpectralBasis
     N: int
-    p: int
-    coupling: CouplingSpec
-    control: ControlSpec
+    coupling: tuple = ()
+    control: tuple = ()
     transposed: bool = False
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.coupling.N != self.N or self.control.N != self.N:
-            raise ValueError("coupling/control dimensioned for a different N")
-        if self.control.p != self.p:
-            raise ValueError("control spec p mismatch")
-        if self.control.entries and not 0 <= self.p <= self.N - 1:
-            raise ValueError("controlled system needs 0 <= p <= N-1")
-        object.__setattr__(self, "coupling_supports", tuple(
-            ((i, j), Support(indicator_vector(region, self.grid, warn=not self.transposed)))
-            for (i, j), region in self.coupling.entries
-        ))
+        supports = []
+        for (i, j), region in self.coupling:
+            if not 1 <= i < j <= self.N:
+                raise ValueError(f"coupling entry ({i},{j}) is not strictly upper-triangular")
+            values = indicator_vector(region, self.grid, warn=not self.transposed)
+            supports.append(((i, j), Support(values)))
+        object.__setattr__(self, "coupling_supports", tuple(supports))
         controls = {}
-        for k, kind in self.control.entries:
-            if isinstance(kind, Distributed):
-                controls[k] = Support(indicator_vector(kind.region, self.grid, warn=False))
+        for k, kind in self.control:
+            if not 1 <= k <= self.N:
+                raise ValueError(f"controlled component {k} outside 1..{self.N}")
+            if k in controls:
+                raise ValueError(f"component {k} controlled twice")
+            if not isinstance(kind, BoundaryEnd):
+                controls[k] = Support(indicator_vector(kind, self.grid, warn=False))
             elif self.grid.dim != 1:
                 raise ValueError("end control is 1D only")
             else:

@@ -245,7 +245,7 @@ class GramianOperator:
         self.weights = sample_weights(self.sys, self.M, self.dt)
         if self.sys.is_hyperbolic:
             _check_cfl(self.sys, self.dt)
-        if self.sys.control.entries and self.sys.observation_kind() == "mixed":
+        if self.sys.controls and self.sys.observation_kind() == "mixed":
             raise ValueError(
                 "mixed distributed/end controls are not supported in one synthesis; "
                 "the exact discrete pairing exists per observation kind only"
@@ -528,7 +528,7 @@ class _Synthesis:
         t0 = time.perf_counter()
         if sys.transposed:
             raise ValueError("pass the forward system")
-        if not sys.control.entries:
+        if not sys.controls:
             raise NotApplicableError("system carries no control; synthesis needs a "
                                      "controlled component")
         self.sys = sys

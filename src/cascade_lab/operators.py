@@ -1,9 +1,9 @@
-"""Discrete elliptic operator, its spectral basis, and coupling/control operators.
+"""Discrete elliptic operator, its spectral basis, end controls and coupling bounds.
 
 The elliptic operator is the standard Dirichlet Laplacian stencil (3-point in
 1D, 5-point in 2D) in the discrete L2 inner product <u, w> = hvol * sum(u * w).
-Its eigenpairs realize the fractional-power norms |w|_k = |A^{k/2} w| through
-plain spectral sums, which is all the scale of spaces we need at desk scale.
+Its lowest eigenpairs, sampled sines in closed form, span the filtered spaces
+that every synthesis and observability estimate works in.
 
 Couplings are cascade (strictly upper-triangular) multiplication operators
 c * 1_O; controls are either distributed multipliers b * 1_omega or, in 1D, a
@@ -16,17 +16,12 @@ matching observation is the discrete outward normal derivative, -gain * w_end/h.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import HypothesisViolatedError
 from .geometry import Grid, Region, indicator_vector
-
-
-class TruncationWarning(UserWarning):
-    """Field has content outside the retained spectral basis."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +134,6 @@ def _sine_matrix(m):
     return q
 
 
-def assemble_operator(grid):
-    """Second-order Dirichlet Laplacian stencil on the grid."""
-    return EllipticOperator(grid)
-
-
 # ---------------------------------------------------------------------------
 # spectral basis
 # ---------------------------------------------------------------------------
@@ -164,19 +154,6 @@ class SpectralBasis:
     @property
     def K(self):
         return len(self.eigenvalues)
-
-    def project(self, w):
-        """Spectral coefficients <w, e_j>, shape (..., K)."""
-        return np.tensordot(np.asarray(w), self.modes, axes=([-1], [1])) * self.grid.hvol
-
-    def synthesize(self, coeffs):
-        """Field from spectral coefficients, shape (..., n_total)."""
-        return np.tensordot(np.asarray(coeffs), self.modes, axes=([-1], [0]))
-
-    def projection_residual(self, w):
-        """L2 norm of the component of w outside the retained span."""
-        rec = self.synthesize(self.project(w))
-        return float(np.sqrt(np.real(np.vdot(w - rec, w - rec)) * self.grid.hvol))
 
 
 def spectral_basis(op, K):
@@ -204,25 +181,6 @@ def spectral_basis(op, K):
     return SpectralBasis(grid, lam[order], modes)
 
 
-def fractional_norm(basis, w, k):
-    """Fractional-power norm (sum_j lambda_j^k <w, e_j>^2)^(1/2).
-
-    Fields with content outside the retained span are projected first; a
-    TruncationWarning flags that the reported value ignores the remainder.
-    """
-    w = np.asarray(w)
-    coeffs = basis.project(w)
-    res = basis.projection_residual(w)
-    scale = np.sqrt(np.real(np.vdot(w, w)) * basis.grid.hvol)
-    if scale > 0 and res > 1e-8 * scale:
-        warnings.warn(
-            f"field has {res:.3e} L2 content outside the retained {basis.K} modes",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return float(np.sqrt(np.sum(basis.eigenvalues**k * np.abs(coeffs) ** 2)))
-
-
 def verify_operator_coercivity(basis):
     """Smallest eigenvalue of A; the coercivity constant |A u| >= c |u|."""
     lam1 = float(basis.eigenvalues[0])
@@ -232,34 +190,8 @@ def verify_operator_coercivity(basis):
 
 
 # ---------------------------------------------------------------------------
-# coupling and control specifications
+# boundary end control
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Cascade coupling pattern: entry (i, j), i < j, puts c*1_O * y_j in row i."""
-
-    N: int
-    entries: tuple  # of ((i, j), Region)
-
-    def __post_init__(self):
-        for (i, j), region in self.entries:
-            if not (1 <= i < j <= self.N):
-                raise ValueError(f"coupling entry ({i},{j}) is not strictly upper-triangular")
-            if any(a < 0 for a in region.amplitudes):
-                raise ValueError("coupling amplitudes must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, N, mapping):
-        return cls(N, tuple(sorted(mapping.items())))
-
-
-@dataclass(frozen=True)
-class Distributed:
-    """Interior control b * v with b = amplitude * indicator of the region."""
-
-    region: Region
 
 
 @dataclass(frozen=True)
@@ -274,34 +206,6 @@ class BoundaryEnd:
             raise ValueError("end must be 'left' or 'right'")
         if self.gain < 0:
             raise ValueError("gain must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ControlSpec:
-    """Per-component control map; components 1..p are never controlled."""
-
-    N: int
-    p: int
-    entries: tuple  # of (component, Distributed | BoundaryEnd)
-
-    def __post_init__(self):
-        if not 0 <= self.p <= self.N:
-            raise ValueError(f"p must be in 0..{self.N}")
-        seen = set()
-        for k, kind in self.entries:
-            if not 1 <= k <= self.N:
-                raise ValueError(f"controlled component {k} outside 1..{self.N}")
-            if k <= self.p:
-                raise ValueError(f"component {k} is in the free block 1..{self.p}")
-            if k in seen:
-                raise ValueError(f"component {k} controlled twice")
-            seen.add(k)
-        if self.entries and self.p > self.N - 1:
-            raise ValueError("a controlled system needs p <= N-1")
-
-    @property
-    def controlled(self):
-        return tuple(k for k, _ in self.entries)
 
 
 # ---------------------------------------------------------------------------

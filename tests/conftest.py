@@ -22,38 +22,38 @@ def grid1d():
 
 @pytest.fixture
 def basis1d(grid1d):
-    return cl.spectral_basis(cl.assemble_operator(grid1d), 10)
+    return cl.spectral_basis(cl.EllipticOperator(grid1d), 10)
 
 
 def make_wave_cascade(n=60, K=10, c=1.0, coupling_box=(0.2, 0.4), control_box=(0.7, 0.9)):
     """Standard two-component wave cascade with disjoint regions."""
     grid = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, K)
     O = cl.region_from_bounds([[list(coupling_box)]][0], c, "O")
     omega = cl.region_from_bounds([list(control_box)], 1.0, "omega")
-    coupling = cl.CouplingSpec.from_dict(2, {(1, 2): O})
-    control = cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),))
-    return cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, 1, coupling, control)
+    coupling = (((1, 2), O),)
+    control = ((2, omega),)
+    return cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, coupling, control)
 
 
 def make_heat_cascade(n=60, K=10, c=1.0, theta=0.0):
     grid = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, K)
     O = cl.region_from_bounds([[0.2, 0.4]], c, "O")
     omega = cl.region_from_bounds([[0.7, 0.9]], 1.0, "omega")
-    coupling = cl.CouplingSpec.from_dict(2, {(1, 2): O})
-    control = cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),))
-    return cl.CascadeSystem(cl.Dissipative(theta), op, basis, 2, 1, coupling, control)
+    coupling = (((1, 2), O),)
+    control = ((2, omega),)
+    return cl.CascadeSystem(cl.Dissipative(theta), op, basis, 2, coupling, control)
 
 
 def make_single_free(n=60, K=8, family=None):
     grid = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, K)
     fam = family if family is not None else cl.Hyperbolic()
-    return cl.CascadeSystem(fam, op, basis, 1, 1, cl.CouplingSpec(1, ()), cl.ControlSpec(1, 1, ()))
+    return cl.CascadeSystem(fam, op, basis, 1)
 
 
 def chained_dt(sys, T):
@@ -71,7 +71,7 @@ def cascade_cases(draw, dim, N, one_control_kind=False):
     extents = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
     n = [draw(st.integers(4, 40) if dim == 1 else st.integers(3, 8)) for _ in range(dim)]
     grid = cl.build_grid(extents, n)
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 2)
 
     def box():
@@ -86,7 +86,7 @@ def cascade_cases(draw, dim, N, one_control_kind=False):
     p = draw(st.integers(0, N - 1))
     pairs = [(i, j) for j in range(2, N + 1) for i in range(1, j)]
     coupled = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    coupling = cl.CouplingSpec.from_dict(N, {pair: box() for pair in coupled})
+    coupling = tuple(sorted({pair: box() for pair in coupled}.items()))
     controls = []
     all_end = one_control_kind and dim == 1 and draw(st.booleans())
     for k in range(p + 1, N + 1):
@@ -95,12 +95,12 @@ def cascade_cases(draw, dim, N, one_control_kind=False):
             controls.append((k, cl.BoundaryEnd(draw(st.sampled_from(["left", "right"])),
                                                draw(st.floats(0.1, 2.0)))))
         else:
-            controls.append((k, cl.Distributed(box())))
+            controls.append((k, box()))
     if draw(st.booleans()):
         family = cl.Hyperbolic()
     else:
         family = cl.Dissipative(draw(st.floats(-math.pi / 2, math.pi / 2)))
-    sys = cl.CascadeSystem(family, op, basis, N, p, coupling, cl.ControlSpec(N, p, tuple(controls)))
+    sys = cl.CascadeSystem(family, op, basis, N, coupling, tuple(controls))
     T = draw(st.floats(0.1, 1.0))
     dt = chained_dt(sys, T) if sys.is_hyperbolic else T / draw(st.integers(2, 40))
     return sys, T, dt, draw(st.integers(0, 2**32 - 1))

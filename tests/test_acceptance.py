@@ -38,16 +38,16 @@ def test_criterion_1_discrete_duality():
     rng = np.random.default_rng(101)
     n, T, dt = 50, 1.0, 0.005
     grid = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 8)
     O = cl.region_from_bounds([[0.2, 0.4]], 1.0)
     omega = cl.region_from_bounds([[0.7, 0.9]], 1.0)
-    coupling = cl.CouplingSpec.from_dict(2, {(1, 2): O})
-    control = cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),))
+    coupling = (((1, 2), O),)
+    control = ((2, omega),)
     M = step_count(T, dt)
     worst = 0.0
     for family in (cl.Hyperbolic(), cl.Dissipative(0.0)):
-        sys = cl.CascadeSystem(family, op, basis, 2, 1, coupling, control)
+        sys = cl.CascadeSystem(family, op, basis, 2, coupling, control)
         for _ in range(10):
             shape = (M + 1, 2, n) if sys.is_hyperbolic else (M, 2, n)
             f = rng.standard_normal(shape)
@@ -101,14 +101,12 @@ def test_criterion_3_heat_sweep_disjoint_regions():
     t0 = time.perf_counter()
     cfg = demo_configs()["demo_heat_cascade.json"]
     grid = cl.build_grid(cfg["domain"]["extents"], cfg["domain"]["n"])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     K = cfg["hum"]["K_filter"]
     basis = cl.spectral_basis(op, K)
     O = cl.region_from_bounds([[0.2, 0.4]], cfg["coupling"][0]["amplitude"], "O")
     omega = cl.region_from_bounds([[0.7, 0.9]], 1.0, "omega")
-    sys = cl.CascadeSystem(cl.Dissipative(0.0), op, basis, 2, 1,
-                           cl.CouplingSpec.from_dict(2, {(1, 2): O}),
-                           cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Dissipative(0.0), op, basis, 2, (((1, 2), O),), ((2, omega),))
     Y0 = cl.zero_state(sys)
     Y0.w[0] = basis.modes[0]
     Y0.w[1] = basis.modes[0]
@@ -155,15 +153,14 @@ def test_criterion_5_three_chain_single_control():
     t0 = time.perf_counter()
     cfg = demo_configs()["chain3_single_control.json"]
     grid = cl.build_grid(cfg["domain"]["extents"], cfg["domain"]["n"])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     K = cfg["hum"]["K_filter"]
     basis = cl.spectral_basis(op, K)
     regions = {tuple(e["pair"]): cl.region_from_bounds(e["boxes"], e["amplitude"])
                for e in cfg["coupling"]}
     omega = cl.region_from_bounds(cfg["control"][0]["boxes"], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, 2,
-                           cl.CouplingSpec.from_dict(3, regions),
-                           cl.ControlSpec(3, 2, ((3, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, tuple(sorted(regions.items())),
+                           ((3, omega),))
     Y0 = cl.zero_state(sys)
     Y0.w[0] = basis.modes[0]
     Y0.w[1] = 0.3 * basis.modes[1]
@@ -202,14 +199,15 @@ def test_criterion_6_negative_controls_agree():
     grid = sys.grid
     basis = sys.basis
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cl.EmptySupportWarning)
-        zero_full = cl.CouplingSpec.from_dict(2, {(1, 2): cl.region_from_bounds([[0.0, 1.0]], 0.0)})
-        k2 = kalman_mode_test(zero_full, cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)), basis, 6)
-        chain = cl.CouplingSpec.from_dict(
-            3, {(1, 2): cl.region_from_bounds([[0.0, 1.0]], 1.0),
-                (2, 3): cl.region_from_bounds([[0.0, 1.0]], 0.0)})
-        k3 = kalman_mode_test(chain, cl.ControlSpec(3, 2, ((3, cl.Distributed(omega)),)), basis, 6)
+    full = lambda a: cl.region_from_bounds([[0.0, 1.0]], a)
+    with pytest.warns(cl.EmptySupportWarning):
+        zero_full = cl.CascadeSystem(sys.family, sys.op, basis, 2, (((1, 2), full(0.0)),),
+                                     ((2, omega),))
+    with pytest.warns(cl.EmptySupportWarning):
+        chain = cl.CascadeSystem(sys.family, sys.op, basis, 3,
+                                 (((1, 2), full(1.0)), ((2, 3), full(0.0))), ((3, omega),))
+    k2 = kalman_mode_test(zero_full, 6)
+    k3 = kalman_mode_test(chain, 6)
     agreement = res.stagnated and (not k2.full_rank) and (not k3.full_rank)
     elapsed = time.perf_counter() - t0
     _verdict("criterion 6 (negative controls)",
@@ -295,7 +293,7 @@ def test_criterion_8_gcc_checker():
 
 def test_criterion_9_hypothesis_certification():
     g99 = cl.build_grid([1.0], [99])
-    lam1 = cl.verify_operator_coercivity(cl.spectral_basis(cl.assemble_operator(g99), 3))
+    lam1 = cl.verify_operator_coercivity(cl.spectral_basis(cl.EllipticOperator(g99), 3))
     coercivity_ok = abs(lam1 - math.pi**2) / math.pi**2 < 0.005
 
     grid = cl.build_grid([1.0], [60])
@@ -306,9 +304,7 @@ def test_criterion_9_hypothesis_certification():
 
     one = make_single_free(n=50, K=6)
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, 0,
-                           cl.CouplingSpec(1, ()),
-                           cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, control=((1, omega),))
     adm = admissibility_ratio(sys, 5, 1.0, 0.0125, [50], seed=13)
     adm_ok = all(r <= 1.0 + 1e-10 for r in adm.max_ratios)
 
@@ -327,9 +323,7 @@ def test_criterion_9_hypothesis_certification():
 def test_criterion_10_observability_constant_sanity():
     one = make_single_free(n=50, K=6)
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, 0,
-                           cl.CouplingSpec(1, ()),
-                           cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, control=((1, omega),))
     dt = 0.0125
     rep = observability_constants(sys, 2.0, dt, 3, which="control")
     close_ok = abs(rep.c1_est - 1.0) <= 0.1  # analytic whole-period average T/2 = 1

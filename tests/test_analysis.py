@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,7 @@ from conftest import make_single_free, make_wave_cascade
 def _full_observation_system(n=50, K=6):
     one = make_single_free(n=n, K=K)
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0, "full")
-    return cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, 0,
-                            cl.CouplingSpec(1, ()),
-                            cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    return cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, control=((1, omega),))
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +43,13 @@ def test_constant_nondecreasing_when_T_doubles():
 def test_control_and_coupling_functionals_coincide_on_same_region():
     # b = 1 on omega = O observing the velocity: identical functionals
     grid = cl.build_grid([1.0], [50])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 6)
     O = cl.region_from_bounds([[0.3, 0.7]], 1.0, "O")
-    sys_ctl = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1, 0,
-                               cl.CouplingSpec(1, ()),
-                               cl.ControlSpec(1, 0, ((1, cl.Distributed(O)),)))
+    sys_ctl = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1, control=((1, O),))
     # coupling pathway: single-equation variant built from a 2-component system
     omega = cl.region_from_bounds([[0.6, 0.9]], 1.0)
-    sys2 = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, 1,
-                            cl.CouplingSpec.from_dict(2, {(1, 2): O}),
-                            cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    sys2 = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, (((1, 2), O),), ((2, omega),))
     r1 = observability_constants(sys_ctl, 1.5, 0.0125, 4, which="control")
     r2 = observability_constants(sys2, 1.5, 0.0125, 4, which="coupling")
     assert abs(r1.c1_est - r2.c2_est) <= 1e-10 * max(abs(r1.c1_est), 1.0)
@@ -86,17 +81,19 @@ def test_rayleigh_lower_bound_of_reported_constant():
 # ---------------------------------------------------------------------------
 
 
-def _const_coupling(N, pairs_amp, grid):
+def _const_cascade(N, pairs_amp, n=30, K=5):
+    """N-component system with constant full-domain couplings and a full-domain
+    control on component N."""
+    grid = cl.build_grid([1.0], [n])
+    op = cl.EllipticOperator(grid)
     full = lambda a: cl.region_from_bounds([[0.0, 1.0]], a)
-    return cl.CouplingSpec.from_dict(N, {pair: full(a) for pair, a in pairs_amp.items()})
+    coupling = tuple((pair, full(a)) for pair, a in sorted(pairs_amp.items()))
+    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, K), N, coupling,
+                            ((N, full(1.0)),))
 
 
 def test_kalman_two_by_two_full_rank():
-    grid = cl.build_grid([1.0], [30])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 5)
-    omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    coup = _const_coupling(2, {(1, 2): 2.5}, grid)
-    rep = kalman_mode_test(coup, cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)), basis, 5)
+    rep = kalman_mode_test(_const_cascade(2, {(1, 2): 2.5}), 5)
     assert rep.full_rank
     # oracle: det [B, A_mu B] = -c for every mu
     for mode in rep.modes:
@@ -106,49 +103,37 @@ def test_kalman_two_by_two_full_rank():
 
 
 def test_kalman_zero_coupling_rank_deficient():
-    grid = cl.build_grid([1.0], [30])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 5)
-    omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    coup = _const_coupling(2, {(1, 2): 0.0}, grid)
-    rep = kalman_mode_test(coup, cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)), basis, 5)
+    with pytest.warns(cl.EmptySupportWarning):
+        sys = _const_cascade(2, {(1, 2): 0.0})
+    rep = kalman_mode_test(sys, 5)
     assert not rep.full_rank
     assert all(m["rank"] == 1 for m in rep.modes)
 
 
 def test_kalman_three_chain_condition():
-    grid = cl.build_grid([1.0], [30])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 4)
-    omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    ctl = cl.ControlSpec(3, 2, ((3, cl.Distributed(omega)),))
-    good = kalman_mode_test(_const_coupling(3, {(1, 2): 1.0, (2, 3): 2.0}, grid), ctl, basis, 4)
+    good = kalman_mode_test(_const_cascade(3, {(1, 2): 1.0, (2, 3): 2.0}, K=4), 4)
     assert good.full_rank
-    bad = kalman_mode_test(_const_coupling(3, {(1, 2): 1.0, (2, 3): 0.0}, grid), ctl, basis, 4)
+    with pytest.warns(cl.EmptySupportWarning):
+        sys = _const_cascade(3, {(1, 2): 1.0, (2, 3): 0.0}, K=4)
+    bad = kalman_mode_test(sys, 4)
     assert not bad.full_rank
 
 
 def test_kalman_localized_coupling_not_applicable():
-    grid = cl.build_grid([1.0], [30])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 4)
-    omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    local = cl.CouplingSpec.from_dict(2, {(1, 2): cl.region_from_bounds([[0.2, 0.4]], 1.0)})
+    sys = _const_cascade(2, {(1, 2): 1.0}, K=4)
+    local = dataclasses.replace(
+        sys, coupling=(((1, 2), cl.region_from_bounds([[0.2, 0.4]], 1.0)),))
     with pytest.raises(cl.NotApplicableError):
-        kalman_mode_test(local, cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)), basis, 4)
+        kalman_mode_test(local, 4)
 
 
 def test_kalman_agrees_with_cg_stagnation():
-    import warnings
-
     # rank deficiency at c = 0 must match the singular Gramian the synthesis
     # reports as stagnation
-    grid = cl.build_grid([1.0], [40])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 6)
-    omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cl.EmptySupportWarning)
-        coup = _const_coupling(2, {(1, 2): 0.0}, grid)
-        rep = kalman_mode_test(coup, cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)), basis, 6)
-        sys = cl.CascadeSystem(cl.Hyperbolic(), cl.assemble_operator(grid), basis, 2, 1,
-                               coup, cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    with pytest.warns(cl.EmptySupportWarning):
+        sys = _const_cascade(2, {(1, 2): 0.0}, n=40, K=6)
+    rep = kalman_mode_test(sys, 6)
+    basis = sys.basis
     Y0 = cl.zero_state(sys)
     Y0.w[0] = basis.modes[0]
     dt = 2.0 / int(math.ceil(2.0 / cl.cfl_time_step(sys)))
@@ -170,10 +155,9 @@ def test_admissibility_distributed_bounded_by_one():
 
 def test_admissibility_boundary_stable_across_refinements():
     grid = cl.build_grid([1.0], [50])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 6)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), cl.assemble_operator(grid), basis, 1, 0,
-                           cl.CouplingSpec(1, ()),
-                           cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 1.0)),)))
+    basis = cl.spectral_basis(cl.EllipticOperator(grid), 6)
+    sys = cl.CascadeSystem(cl.Hyperbolic(), cl.EllipticOperator(grid), basis, 1,
+                           control=((1, cl.BoundaryEnd("right", 1.0)),))
     rep = admissibility_ratio(sys, 5, 1.0, 0.0125, [50, 100, 200], seed=3)
     lo, hi = min(rep.max_ratios), max(rep.max_ratios)
     assert (hi - lo) / hi < 0.5

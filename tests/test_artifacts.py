@@ -69,9 +69,9 @@ def _square_cfg():
 
 def _csv_indices(exp, k):
     """Grid indices of component k's rows, from the region's indicator."""
-    kind = dict(exp.sys.control.entries)[k]
-    if isinstance(kind, cl.Distributed):
-        return np.flatnonzero(cl.indicator_vector(kind.region, exp.grid, warn=False))
+    kind = dict(exp.sys.control)[k]
+    if isinstance(kind, cl.Region):
+        return np.flatnonzero(cl.indicator_vector(kind, exp.grid, warn=False))
     return [0]
 
 

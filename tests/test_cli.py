@@ -275,7 +275,6 @@ EAGER_KEY_CHANGES = {
     "family.kind": (HEAT, None, _to_hyperbolic),
     "family.theta": (HEAT, None, _set(["family", "theta"], 0.3)),
     "N": (WAVE, None, _set(["N"], 3)),
-    "p": (WAVE, None, _set(["p"], 0)),
     "time.T": (WAVE, None, _set(["time", "T"], 5.0)),
     "time.dt": (WAVE, None, _set(["time", "dt"], 0.002)),
     "hum.K_filter": (WAVE, None, _set(["hum", "K_filter"], 20)),
@@ -308,7 +307,8 @@ def test_eager_key_table_covers_the_top_level_sections():
     from cascade_lab.config import _SECTION_KEYS, _TOP_KEYS
 
     sections = {key.split(".")[0] for key in EAGER_KEY_CHANGES}
-    assert sections == _TOP_KEYS - set(_SECTION_KEYS) - {"output_dir"}
+    # p is only checked (test_p_is_a_check_on_the_free_block)
+    assert sections == _TOP_KEYS - set(_SECTION_KEYS) - {"output_dir", "p"}
 
 
 @pytest.mark.parametrize("key", sorted(EAGER_KEY_CHANGES))
@@ -325,6 +325,27 @@ def test_every_eagerly_built_key_changes_the_experiment(key):
     first = _experiment_without_cfg(base)
     assert _experiment_without_cfg(json.loads(json.dumps(base))) == first
     assert _experiment_without_cfg(changed) != first
+
+
+def test_p_is_a_check_on_the_free_block(tmp_path, capsys):
+    """p changes no number: a control inside the free block 1..p is refused,
+    and any p that admits the controls gives the same CSVs."""
+    cfg = demo_configs()[WAVE]
+    cfg.update(p=2)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["control", "--config", str(path), "--out", str(tmp_path / "p2")]) == 1
+    assert "lies in the free block 1..2" in capsys.readouterr().err
+    cfg["domain"]["n"], cfg["hum"]["K_filter"], cfg["time"]["T"] = [60], 10, 3.0
+    csvs = []
+    for p in (1, 0):
+        cfg.update(p=p)
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"p{p}"
+        assert main(["control", "--config", str(path), "--out", str(out)]) == 0
+        csvs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))
+                     if name.endswith(".csv")})
+    assert len(csvs[0]) == 3 and csvs[0] == csvs[1]
 
 
 def test_zero_coupling_control_fails(demo_dir, tmp_path):
@@ -472,6 +493,21 @@ def _twice(section):
     return change
 
 
+def _heat(*changes):
+    """The heat demo in place of the wave demo, then ``changes``."""
+    def change(cfg):
+        cfg.clear()
+        cfg.update(demo_configs()[HEAT])
+        for one in changes:
+            one(cfg)
+    return change
+
+
+EPS_LIST_MESSAGE = "hum.eps_list entries must be > 0: the sweep fits log eps"
+_DENSE_WAVE = _all(_set(["domain", "n"], [120]), _set(["hum", "K_filter"], 120),
+                   _entry("analysis", "K", 120))
+
+
 @pytest.mark.parametrize("command,change,message", [
     ("gcc", _entry("gcc", "n_rays", 0), "gcc.n_rays must be >= 1"),
     ("gcc", _entry("gcc", "T", -1), "gcc.T must be > 0"),
@@ -494,6 +530,12 @@ def _twice(section):
     # an entry error comes before the build-time error of K_filter above the grid
     ("gcc", _all(_set(["hum", "K_filter"], 1000), _entry("gcc", "n_rays", 0)),
      "gcc.n_rays must be >= 1"),
+    ("control", _heat(_entry("hum", "eps", 0)), "hum.eps must be > 0 for the first-order family"),
+    ("sweep-eps", _heat(_entry("hum", "eps_list", [1e-2, 1e-3, 0])), EPS_LIST_MESSAGE),
+    ("sweep-eps", _heat(_entry("hum", "eps_list", [1e-2, 1e-3, -1e-3])), EPS_LIST_MESSAGE),
+    ("sweep-eps", _entry("hum", "eps_list", [1e-2, 1e-3, 0]), EPS_LIST_MESSAGE),
+    ("sweep-eps", _entry("hum", "eps_list", [1e-2, 1e-3, -1]), EPS_LIST_MESSAGE),
+    ("observability", _DENSE_WAVE, "analysis.K 120: seed dimension 480 exceeds the dense limit 400"),
 ])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, command, change, message):
     """Values of the right type that no subcommand can run with are config
@@ -506,6 +548,18 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys, command, change, me
     assert main([command, "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_kalman_runs_past_the_dense_limit(tmp_path):
+    """kalman reads analysis.K too, but it assembles no Gramian: it runs on a
+    config whose seed dimension observability refuses."""
+    cfg = demo_configs()[WAVE]
+    _DENSE_WAVE(cfg)
+    cfg["coupling"][0]["boxes"] = cfg["control"][0]["boxes"] = [[[0.0, 1.0]]]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["kalman", "--config", str(path), "--out", str(tmp_path / "kal")]) == 0
+    assert main(["observability", "--config", str(path), "--out", str(tmp_path / "obs")]) == 1
 
 
 def test_integral_float_config_value_is_accepted():
@@ -597,10 +651,9 @@ def test_analyses_refuse_a_system_without_control():
         cl.admissibility_ratio(exp.sys, 1, 1.0, exp.dt, [10])
     with pytest.raises(cl.NotApplicableError, match="no control"):
         cl.synthesize_control(exp.sys, exp.Y0, 1.0, exp.dt, 2)
-    grid = cl.build_grid([1.0], [20])
-    basis = cl.spectral_basis(cl.assemble_operator(grid), 4)
+    op = cl.EllipticOperator(cl.build_grid([1.0], [20]))
     with pytest.raises(cl.NotApplicableError, match="no control"):
-        cl.kalman_mode_test(cl.CouplingSpec(2, ()), cl.ControlSpec(2, 1, ()), basis, 4)
+        cl.kalman_mode_test(cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 2), 4)
 
 
 SUBCOMMANDS = ["gcc", "check", "control", "observability", "kalman", "sweep-eps"]

@@ -160,8 +160,8 @@ def test_leapfrog_energy_conserved_1e4_steps():
     T = 10000 * dt
     rng = np.random.default_rng(8)
     st = cl.zero_state(sys)
-    st.w[0] = sys.basis.synthesize(rng.standard_normal(5))
-    st.wp[0] = sys.basis.synthesize(rng.standard_normal(5))
+    st.w[0] = rng.standard_normal(5) @ sys.basis.modes
+    st.wp[0] = rng.standard_normal(5) @ sys.basis.modes
     (y_m1, y_m), _ = cl.solve(sys, st, None, T, dt)
     # the conserved quadratic form is evaluated on consecutive level pairs
     first_level = st.w + dt * st.wp + 0.5 * dt * dt * (-sys.apply_system(st.w))
@@ -222,7 +222,7 @@ def test_heat_single_component_norm_monotone():
     sys = make_single_free(n=40, K=6, family=cl.Dissipative(0.0))
     rng = np.random.default_rng(12)
     st = cl.zero_state(sys)
-    st.w[0] = sys.basis.synthesize(rng.standard_normal(6))
+    st.w[0] = rng.standard_normal(6) @ sys.basis.modes
     norms = []
     _cn_forward(sys, st.w, None, None, step_count(0.5, 0.005), 0.005,
                 lambda n, y: norms.append(math.sqrt(float(np.sum(y * y)) * sys.grid.hvol)))
@@ -305,7 +305,7 @@ def test_component_solver_matches_solve_banded_bitwise(kappa, n_rhs, n):
     # for bit is that one solver serves every step of a march exactly as a
     # fresh solver would.
     grid = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     solver = _SineResolvent(op, kappa)
     rhs = _random_rhs(grid, kappa, n_rhs)
     for _ in range(3):
@@ -321,14 +321,14 @@ def test_component_solver_matches_solve_banded_bitwise(kappa, n_rhs, n):
 def test_component_solver_matches_dense_solve(kappa, n_rhs, n):
     grid = cl.build_grid([1.0, 1.0], n)
     rhs = _random_rhs(grid, kappa, n_rhs)
-    out = _SineResolvent(cl.assemble_operator(grid), kappa).solve(rhs)
+    out = _SineResolvent(cl.EllipticOperator(grid), kappa).solve(rhs)
     _assert_matches_dense_solve(grid, kappa, rhs, out)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("n", [2, 50])
 def test_component_solver_rejects_non_finite_rhs(bad, n):
-    solver = _SineResolvent(cl.assemble_operator(cl.build_grid([1.0], [n])), 0.001)
+    solver = _SineResolvent(cl.EllipticOperator(cl.build_grid([1.0], [n])), 0.001)
     rhs = np.ones((4, n))
     rhs[2, n // 2] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -336,7 +336,7 @@ def test_component_solver_rejects_non_finite_rhs(bad, n):
 
 
 def test_component_solver_rejects_non_finite_matrix_and_complex_rhs():
-    op = cl.assemble_operator(cl.build_grid([1.0], [20]))
+    op = cl.EllipticOperator(cl.build_grid([1.0], [20]))
     with pytest.raises(ValueError, match="infs or NaNs"):
         _SineResolvent(op, math.inf)
     with pytest.raises(ValueError, match="complex128 right-hand side"):
@@ -346,7 +346,7 @@ def test_component_solver_rejects_non_finite_matrix_and_complex_rhs():
 @pytest.mark.parametrize("extent,n,kappa", [(4.0, 3, -0.5), (3.0, 2, -1.0)])
 def test_component_solver_singular_matrix_raises(extent, n, kappa):
     # h = 1: zero diagonal with off-diagonals 1/2 (n = 3), or [[-1, 1], [1, -1]] (n = 2)
-    op = cl.assemble_operator(cl.build_grid([extent], [n]))
+    op = cl.EllipticOperator(cl.build_grid([extent], [n]))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         _SineResolvent(op, kappa).solve(np.ones(n))
 
@@ -389,8 +389,7 @@ def test_adjoint_observation_single_mode_time_average():
     n = 120
     one = make_single_free(n=n, K=4)
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, 0,
-                           cl.CouplingSpec(1, ()), cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, control=((1, omega),))
     lam = sys.basis.eigenvalues[0]
     period = 2 * math.pi / math.sqrt(lam)
     M = int(math.ceil(period / (0.2 * cl.cfl_time_step(sys))))
@@ -413,13 +412,11 @@ def test_discrete_duality_random_pairs(family, cplx):
     rng = np.random.default_rng(21)
     n, T, dt = 50, 1.0, 0.005
     grid = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 8)
     O = cl.region_from_bounds([[0.2, 0.4]], 1.0)
     omega = cl.region_from_bounds([[0.7, 0.9]], 1.0)
-    sys = cl.CascadeSystem(family, op, basis, 2, 1,
-                           cl.CouplingSpec.from_dict(2, {(1, 2): O}),
-                           cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(family, op, basis, 2, (((1, 2), O),), ((2, omega),))
     M = step_count(T, dt)
     hyp = sys.is_hyperbolic
     for _ in range(8):
@@ -462,10 +459,9 @@ def test_adjoint_duality_quadrature_keeps_no_trajectory():
 
 def test_2d_heat_single_mode_decay():
     grid = cl.build_grid([1.0, 1.0], [8, 8])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 3)
-    sys = cl.CascadeSystem(cl.Dissipative(0.0), op, basis, 1, 1,
-                           cl.CouplingSpec(1, ()), cl.ControlSpec(1, 1, ()))
+    sys = cl.CascadeSystem(cl.Dissipative(0.0), op, basis, 1)
     lam = basis.eigenvalues[0]
     st = cl.zero_state(sys)
     st.w[0] = basis.modes[0]
@@ -477,10 +473,9 @@ def test_2d_heat_single_mode_decay():
 
 def test_2d_wave_single_mode_oscillation():
     grid = cl.build_grid([1.0, 1.0], [8, 8])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 3)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1, 1,
-                           cl.CouplingSpec(1, ()), cl.ControlSpec(1, 1, ()))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1)
     lam = basis.eigenvalues[0]
     T = 0.5
     dt = T / (5 * round(T / chained_dt(sys, T)))
@@ -495,15 +490,15 @@ def test_2d_wave_single_mode_oscillation():
 def test_2d_duality_both_families():
     rng = np.random.default_rng(33)
     grid = cl.build_grid([1.0, 1.0], [7, 6])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 4)
     O = cl.region_from_bounds([[[0.1, 0.5], [0.1, 0.9]]], 1.0)
     omega = cl.region_from_bounds([[[0.6, 0.95], [0.1, 0.9]]], 1.0)
-    coup = cl.CouplingSpec.from_dict(2, {(1, 2): O})
-    ctl = cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),))
+    coup = (((1, 2), O),)
+    ctl = ((2, omega),)
     T = 0.2
     for family in (cl.Hyperbolic(), cl.Dissipative(0.4)):
-        sys = cl.CascadeSystem(family, op, basis, 2, 1, coup, ctl)
+        sys = cl.CascadeSystem(family, op, basis, 2, coup, ctl)
         dt = chained_dt(sys, T) if sys.is_hyperbolic else T / 40
         M = step_count(T, dt)
         n = grid.n_total
@@ -556,17 +551,16 @@ def test_discrete_duality_property(dim, N, data):
 def _batch_cases():
     wave = make_wave_cascade(n=30, K=4)
     grid = cl.build_grid([1.0], [30])
-    op = cl.assemble_operator(grid)
-    end = cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 2, 1,
-                           cl.CouplingSpec.from_dict(2, {(1, 2): cl.region_from_bounds([[0.2, 0.4]], 1.0)}),
-                           cl.ControlSpec(2, 1, ((2, cl.BoundaryEnd("left", 0.8)),)))
+    op = cl.EllipticOperator(grid)
+    end = cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 2,
+                           (((1, 2), cl.region_from_bounds([[0.2, 0.4]], 1.0)),),
+                           ((2, cl.BoundaryEnd("left", 0.8)),))
     grid2 = cl.build_grid([1.0, 1.0], [7, 6])
-    op2 = cl.assemble_operator(grid2)
+    op2 = cl.EllipticOperator(grid2)
     O = cl.region_from_bounds([[[0.1, 0.5], [0.1, 0.9]]], 2.0)
     omega = cl.region_from_bounds([[[0.6, 0.95], [0.1, 0.9]]], 1.0)
-    square = cl.CascadeSystem(cl.Dissipative(0.4), op2, cl.spectral_basis(op2, 4), 2, 1,
-                              cl.CouplingSpec.from_dict(2, {(1, 2): O}),
-                              cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    square = cl.CascadeSystem(cl.Dissipative(0.4), op2, cl.spectral_basis(op2, 4), 2,
+                              (((1, 2), O),), ((2, omega),))
     return [wave, cl.adjoint_system(wave), end, square, cl.adjoint_system(square)]
 
 
@@ -683,13 +677,11 @@ def test_batched_forward_solve_matches_single_solves(name):
 
 
 def test_signal_batch_mismatch_raises():
-    op = cl.assemble_operator(cl.build_grid([1.0], [30]))
+    op = cl.EllipticOperator(cl.build_grid([1.0], [30]))
     O = cl.region_from_bounds([[0.2, 0.4]], 1.0)
     omega = cl.region_from_bounds([[0.7, 0.9]], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 3, 1,
-                           cl.CouplingSpec.from_dict(3, {(1, 2): O}),
-                           cl.ControlSpec(3, 1, ((2, cl.Distributed(omega)),
-                                                 (3, cl.BoundaryEnd("left", 1.0)))))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 4), 3, (((1, 2), O),),
+                           ((2, omega), (3, cl.BoundaryEnd("left", 1.0))))
     T = 0.5
     dt = chained_dt(sys, T)
     M = step_count(T, dt)
@@ -734,12 +726,10 @@ def test_unbatched_routines_refuse_batched_input(family):
 
 def _square_cascade(family, n=(5, 4), K=4):
     grid = cl.build_grid([1.0, 0.7], list(n))
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     O = cl.region_from_bounds([[[0.1, 0.5], [0.1, 0.6]]], 2.0)
     omega = cl.region_from_bounds([[[0.5, 0.9], [0.1, 0.6]]], 1.0)
-    return cl.CascadeSystem(family, op, cl.spectral_basis(op, K), 2, 1,
-                            cl.CouplingSpec.from_dict(2, {(1, 2): O}),
-                            cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    return cl.CascadeSystem(family, op, cl.spectral_basis(op, K), 2, (((1, 2), O),), ((2, omega),))
 
 
 def _stencil_system(name):

@@ -39,12 +39,12 @@ def test_adjoint_flips_coupling_flow():
 
 def test_adjoint_chain_pattern():
     grid = cl.build_grid([1.0], [30])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 5)
     O = cl.region_from_bounds([[0.2, 0.8]], 1.0)
-    coup = cl.CouplingSpec.from_dict(3, {(1, 2): O, (2, 3): O})
-    ctl = cl.ControlSpec(3, 2, ((3, cl.Distributed(O)),))
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, 2, coup, ctl)
+    coup = (((1, 2), O), ((2, 3), O))
+    ctl = ((3, O),)
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, coup, ctl)
     adj = cl.adjoint_system(sys)
     rng = np.random.default_rng(1)
     Y = rng.standard_normal((3, 30))
@@ -112,12 +112,12 @@ def test_gramian_symmetry_psd_and_pairing(maker, kwargs):
 def test_gramian_pairing_boundary_controls():
     # the end-control injection/observation pair must stay exactly adjoint
     grid = cl.build_grid([1.0], [50])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 6)
     rng = np.random.default_rng(14)
     for family, T, dt in ((cl.Hyperbolic(), 1.5, None), (cl.Dissipative(0.0), 0.25, 0.0025)):
-        sys = cl.CascadeSystem(family, op, basis, 1, 0, cl.CouplingSpec(1, ()),
-                               cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 0.7)),)))
+        sys = cl.CascadeSystem(family, op, basis, 1,
+                               control=((1, cl.BoundaryEnd("right", 0.7)),))
         step = dt if dt is not None else chained_dt(sys, T)
         gram, seeds = _gramian(sys, T, K=6, dt=step)
         for _ in range(4):
@@ -128,16 +128,15 @@ def test_gramian_pairing_boundary_controls():
 
 
 @pytest.mark.parametrize("family", [cl.Hyperbolic(), cl.Dissipative(0.0), cl.Dissipative(0.3)])
-@pytest.mark.parametrize("control", [cl.Distributed(cl.region_from_bounds([[0.7, 0.9]], 1.0)),
+@pytest.mark.parametrize("control", [cl.region_from_bounds([[0.7, 0.9]], 1.0),
                                      cl.BoundaryEnd("right", 0.7)])
 def test_observations_vanish_where_the_sample_weight_is_zero(family, control):
     # a sample the quadrature of ||v||^2 skips must not act as a control in
     # the forward march either; that is what makes ||v||^2 = x . (G x) exact
     grid = cl.build_grid([1.0], [40])
-    op = cl.assemble_operator(grid)
-    coupling = cl.CouplingSpec.from_dict(2, {(1, 2): cl.region_from_bounds([[0.2, 0.4]], 1.0)})
-    sys = cl.CascadeSystem(family, op, cl.spectral_basis(op, 6), 2, 1, coupling,
-                           cl.ControlSpec(2, 1, ((2, control),)))
+    op = cl.EllipticOperator(grid)
+    coupling = (((1, 2), cl.region_from_bounds([[0.2, 0.4]], 1.0)),)
+    sys = cl.CascadeSystem(family, op, cl.spectral_basis(op, 6), 2, coupling, ((2, control),))
     T = 1.0 if sys.is_hyperbolic else 0.1
     dt = chained_dt(sys, T) if sys.is_hyperbolic else T / 50
     gram, seeds = _gramian(sys, T, K=6, dt=dt)
@@ -158,9 +157,7 @@ def test_gramian_full_domain_coercivity_half_period():
     # whole periods, so the Rayleigh quotient on low modes approaches T/2
     one = make_single_free(n=100, K=6)
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, 0,
-                           cl.CouplingSpec(1, ()),
-                           cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), one.op, one.basis, 1, control=((1, omega),))
     T = 2.0
     dt = T / int(math.ceil(T / (0.25 * cl.cfl_time_step(sys))))
     gram, seeds = _gramian(sys, T, K=3, dt=dt)
@@ -195,20 +192,17 @@ def _probe_matrix(gram):
 
 def _square_system(family):
     grid = cl.build_grid([1.0, 1.0], [10, 10])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     O = cl.region_from_bounds([[[0.1, 0.45], [0.1, 0.45]]], 4.0, "O")
     omega = cl.region_from_bounds([[[0.55, 0.9], [0.55, 0.9]]], 1.0, "omega")
-    return cl.CascadeSystem(family, op, cl.spectral_basis(op, 6), 2, 1,
-                            cl.CouplingSpec.from_dict(2, {(1, 2): O}),
-                            cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),)))
+    return cl.CascadeSystem(family, op, cl.spectral_basis(op, 6), 2, (((1, 2), O),), ((2, omega),))
 
 
 def _end_control_wave():
     grid = cl.build_grid([1.0], [40])
-    op = cl.assemble_operator(grid)
-    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 6), 1, 0,
-                            cl.CouplingSpec(1, ()),
-                            cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 0.7)),)))
+    op = cl.EllipticOperator(grid)
+    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 6), 1,
+                            control=((1, cl.BoundaryEnd("right", 0.7)),))
 
 
 @pytest.mark.parametrize("name,make,T,dt,K", [
@@ -267,10 +261,10 @@ def _concatenated_gramian(gram):
 def _control_amplitude(sys, amplitude):
     """sys with every distributed control at the given amplitude."""
     entries = tuple(
-        (k, cl.Distributed(cl.Region(kind.region.parts, (amplitude,) * len(kind.region.parts))))
-        if isinstance(kind, cl.Distributed) else (k, kind)
-        for k, kind in sys.control.entries)
-    return dataclasses.replace(sys, control=cl.ControlSpec(sys.N, sys.p, entries))
+        (k, cl.Region(kind.parts, (amplitude,) * len(kind.parts)))
+        if isinstance(kind, cl.Region) else (k, kind)
+        for k, kind in sys.control)
+    return dataclasses.replace(sys, control=entries)
 
 
 @pytest.mark.parametrize("name,make,T,dt,K", [
@@ -331,13 +325,13 @@ def test_energy_of_refuses_a_batched_readout():
 
 def test_mixed_control_kinds_rejected():
     grid = cl.build_grid([1.0], [40])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 6)
     O = cl.region_from_bounds([[0.2, 0.4]], 1.0)
     omega = cl.region_from_bounds([[0.6, 0.8]], 1.0)
-    coup = cl.CouplingSpec.from_dict(3, {(1, 2): O, (2, 3): O})
-    ctl = cl.ControlSpec(3, 1, ((2, cl.Distributed(omega)), (3, cl.BoundaryEnd("right", 1.0))))
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, 1, coup, ctl)
+    coup = (((1, 2), O), ((2, 3), O))
+    ctl = ((2, omega), (3, cl.BoundaryEnd("right", 1.0)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, coup, ctl)
     with pytest.raises(ValueError):
         _gramian(sys, 1.0, K=4)
 
@@ -350,12 +344,10 @@ def test_mixed_control_kinds_rejected():
 def test_synthesize_single_wave_interior_region():
     # single wave equation, omega = (0.4, 0.6), T = 3 > 0.8 sweep bound
     grid = cl.build_grid([1.0], [100])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 12)
     omega = cl.region_from_bounds([[0.4, 0.6]], 1.0)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1, 0,
-                           cl.CouplingSpec(1, ()),
-                           cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1, control=((1, omega),))
     Y0 = cl.zero_state(sys)
     Y0.w[0] = basis.modes[0]
     Y0.wp[0] = 0.5 * basis.modes[2]
@@ -381,11 +373,10 @@ def test_synthesize_disjoint_cascade_small():
 
 def test_synthesize_boundary_control_wave():
     grid = cl.build_grid([1.0], [80])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 10)
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1, 0,
-                           cl.CouplingSpec(1, ()),
-                           cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 1.0)),)))
+    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 1,
+                           control=((1, cl.BoundaryEnd("right", 1.0)),))
     Y0 = cl.zero_state(sys)
     Y0.w[0] = basis.modes[0]
     dt = chained_dt(sys, 3.0)
@@ -528,13 +519,13 @@ def test_synthesis_is_a_batch_of_one_bitwise(name):
 def test_2d_dissipative_synthesis_and_pairing():
     # exercises the 2D sine-transform Crank-Nicolson solve inside the Gramian
     grid = cl.build_grid([1.0, 1.0], [12, 12])
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 8)
     O = cl.region_from_bounds([[[0.1, 0.45], [0.1, 0.45]]], 4.0, "O")
     omega = cl.region_from_bounds([[[0.55, 0.9], [0.55, 0.9]]], 1.0, "omega")
-    coup = cl.CouplingSpec.from_dict(2, {(1, 2): O})
-    ctl = cl.ControlSpec(2, 1, ((2, cl.Distributed(omega)),))
-    sys = cl.CascadeSystem(cl.Dissipative(0.0), op, basis, 2, 1, coup, ctl)
+    coup = (((1, 2), O),)
+    ctl = ((2, omega),)
+    sys = cl.CascadeSystem(cl.Dissipative(0.0), op, basis, 2, coup, ctl)
     Y0 = cl.zero_state(sys)
     Y0.w[0] = basis.modes[0]
     Y0.w[1] = basis.modes[0]
@@ -543,7 +534,7 @@ def test_2d_dissipative_synthesis_and_pairing():
     assert abs(res.control_norm_sq - res.gram_quadratic) <= 1e-6 * res.gram_quadratic
     assert res.terminal_state_norm < res.free_terminal_norm
 
-    phase = cl.CascadeSystem(cl.Dissipative(math.pi / 3), op, basis, 2, 1, coup, ctl)
+    phase = cl.CascadeSystem(cl.Dissipative(math.pi / 3), op, basis, 2, coup, ctl)
     seeds = SeedSpace(phase, 6)
     gram = GramianOperator(seeds, 0.2, 0.002)
     rng = np.random.default_rng(4)

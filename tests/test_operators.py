@@ -16,7 +16,7 @@ from conftest import dense_stencil, signed_zero_fields, sliced_stencil
 
 
 def test_stencil_entries_n3():
-    op = cl.assemble_operator(cl.build_grid([1.0], [3]))
+    op = cl.EllipticOperator(cl.build_grid([1.0], [3]))
     dense = op.matvec(np.eye(3))
     assert dense[1, 1] == pytest.approx(32.0)
     assert dense[0, 1] == pytest.approx(-16.0)
@@ -27,7 +27,7 @@ def test_matvec_matches_dense():
     rng = np.random.default_rng(0)
     for extents, n in [(([1.0]), [17]), (([1.0, 0.7]), [6, 5])]:
         g = cl.build_grid(extents, n)
-        op = cl.assemble_operator(g)
+        op = cl.EllipticOperator(g)
         dense = dense_stencil(g)
         for _ in range(5):
             w = rng.standard_normal(g.n_total)
@@ -41,7 +41,7 @@ def test_matvec_matches_dense():
 def test_matvec_matches_sliced_stencil_bitwise(extents, n, complex_, batch, contiguous):
     """Flat shifted passes give the row-sliced stencil's bits, signed zeros included."""
     grid = cl.build_grid(extents, n)
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     rng = np.random.default_rng(7)
     w = signed_zero_fields(batch + (grid.n_total,), rng, complex_)
     if not contiguous:
@@ -65,7 +65,7 @@ def test_matvec_matches_sliced_stencil_bitwise(extents, n, complex_, batch, cont
 @pytest.mark.parametrize("extents,n", [([1.0], [9]), ([1.0, 0.7], [5, 4])])
 def test_matvec_refuses_aliased_or_unfit_out(extents, n):
     grid = cl.build_grid(extents, n)
-    op = cl.assemble_operator(grid)
+    op = cl.EllipticOperator(grid)
     w = np.random.default_rng(8).standard_normal((2, grid.n_total))
     for alias in (w, w[::-1]):
         with pytest.raises(ValueError, match="share memory"):
@@ -78,7 +78,7 @@ def test_matvec_refuses_aliased_or_unfit_out(extents, n):
 def test_eigenvalues_match_bruteforce_1d():
     # oracle: dense eigendecomposition of the assembled matrix
     g = cl.build_grid([1.0], [40])
-    op = cl.assemble_operator(g)
+    op = cl.EllipticOperator(g)
     brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))
     h, L = g.h[0], 1.0
     k = np.arange(1, 41)
@@ -91,7 +91,7 @@ def test_eigenvalues_match_bruteforce_1d():
 @pytest.mark.parametrize("n", [2, 3, 17, 100])
 def test_axis_sine_matrix_is_a_symmetric_orthonormal_eigenbasis(n):
     g = cl.build_grid([1.3], [n])
-    op = cl.assemble_operator(g)
+    op = cl.EllipticOperator(g)
     q = op.axis_sine_matrix(0)
     assert np.array_equal(q, q.T)
     assert np.max(np.abs(q @ q - np.eye(n))) < 1e-13
@@ -100,10 +100,10 @@ def test_axis_sine_matrix_is_a_symmetric_orthonormal_eigenbasis(n):
 
 
 def test_axis_sine_matrix_is_built_once_per_length_and_read_only():
-    op = cl.assemble_operator(cl.build_grid([1.0, 0.5], [17, 9]))
+    op = cl.EllipticOperator(cl.build_grid([1.0, 0.5], [17, 9]))
     q = op.axis_sine_matrix(0)
     assert op.axis_sine_matrix(0) is q
-    assert cl.assemble_operator(cl.build_grid([2.0], [17])).axis_sine_matrix(0) is q
+    assert cl.EllipticOperator(cl.build_grid([2.0], [17])).axis_sine_matrix(0) is q
     assert op.axis_sine_matrix(1).shape == (9, 9)
     assert not q.flags.writeable
     with pytest.raises(ValueError):
@@ -117,10 +117,10 @@ def test_axis_sine_matrix_is_built_once_per_length_and_read_only():
 
 def test_eigenvalues_2d_tensor_sum():
     g = cl.build_grid([1.0, 1.0], [4, 4])
-    op = cl.assemble_operator(g)
+    op = cl.EllipticOperator(g)
     brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))
     gx = cl.build_grid([1.0], [4])
-    ax = cl.assemble_operator(gx).axis_eigenvalues(0)
+    ax = cl.EllipticOperator(gx).axis_eigenvalues(0)
     lam_min = 2 * ax[0]
     assert brute[0] == pytest.approx(lam_min, rel=1e-12)
     basis = cl.spectral_basis(op, 5)
@@ -129,7 +129,7 @@ def test_eigenvalues_2d_tensor_sum():
 
 def test_modes_are_sampled_sines():
     g = cl.build_grid([1.0], [50])
-    basis = cl.spectral_basis(cl.assemble_operator(g), 10)
+    basis = cl.spectral_basis(cl.EllipticOperator(g), 10)
     x = g.axis_nodes(0)
     for k in range(1, 11):
         exact = math.sqrt(2.0) * np.sin(k * np.pi * x)
@@ -141,17 +141,17 @@ def test_modes_are_sampled_sines():
 
 def test_complete_basis_parseval():
     g = cl.build_grid([1.0], [24])
-    basis = cl.spectral_basis(cl.assemble_operator(g), 24)
+    basis = cl.spectral_basis(cl.EllipticOperator(g), 24)
     rng = np.random.default_rng(5)
     w = rng.standard_normal(24)
-    coeffs = basis.project(w)
+    coeffs = basis.modes @ w * g.hvol
     assert np.sum(coeffs**2) == pytest.approx(np.sum(w**2) * g.hvol, rel=1e-10)
     gram = basis.modes @ basis.modes.T * g.hvol
     assert np.max(np.abs(gram - np.eye(24))) < 1e-10
 
 
 def test_spectral_basis_rejects_bad_K(grid1d):
-    op = cl.assemble_operator(grid1d)
+    op = cl.EllipticOperator(grid1d)
     with pytest.raises(ValueError):
         cl.spectral_basis(op, 0)
     with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ def test_spectral_basis_rejects_bad_K(grid1d):
 
 
 def test_basis_residuals_small(basis1d, grid1d):
-    op = cl.assemble_operator(grid1d)
+    op = cl.EllipticOperator(grid1d)
     for j in range(basis1d.K):
         res = np.linalg.norm(op.matvec(basis1d.modes[j].copy()) - basis1d.eigenvalues[j] * basis1d.modes[j])
         assert res * math.sqrt(grid1d.hvol) <= 1e-8 * basis1d.eigenvalues[j]
@@ -179,7 +179,7 @@ def test_degenerate_square_modes_are_fixed_tensor_sines():
     # on a square (1,2) and (2,1) share an eigenvalue; the basis must list
     # them in (lambda, j, k) order, not in whatever rotation a solver returns
     g = cl.build_grid([1.0, 1.0], [20, 20])
-    basis = cl.spectral_basis(cl.assemble_operator(g), 10)
+    basis = cl.spectral_basis(cl.EllipticOperator(g), 10)
     assert basis.eigenvalues[1] == basis.eigenvalues[2]
     assert np.max(np.abs(basis.modes[1] - _tensor_sine(g, 1, 2))) < 1e-12
     assert np.max(np.abs(basis.modes[2] - _tensor_sine(g, 2, 1))) < 1e-12
@@ -187,7 +187,7 @@ def test_degenerate_square_modes_are_fixed_tensor_sines():
 
 def test_K_cutting_a_degenerate_pair_keeps_the_ordered_member():
     g = cl.build_grid([1.0, 1.0], [12, 12])
-    op = cl.assemble_operator(g)
+    op = cl.EllipticOperator(g)
     basis = cl.spectral_basis(op, 12)
     expected = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1),
                 (2, 3), (3, 2), (1, 4), (4, 1), (3, 3), (2, 4)]
@@ -212,7 +212,7 @@ def _grids(draw):
 @given(_grids())
 def test_closed_form_basis_is_an_exact_eigenbasis(case):
     g, K = case
-    op = cl.assemble_operator(g)
+    op = cl.EllipticOperator(g)
     basis = cl.spectral_basis(op, K)
     brute = np.sort(np.linalg.eigvalsh(dense_stencil(g)))[:K]
     assert np.allclose(basis.eigenvalues, brute, rtol=1e-10, atol=0.0)
@@ -224,7 +224,7 @@ def test_closed_form_basis_is_an_exact_eigenbasis(case):
 
 
 def test_operator_symmetry_random_pairs(grid1d):
-    op = cl.assemble_operator(grid1d)
+    op = cl.EllipticOperator(grid1d)
     rng = np.random.default_rng(2)
     for _ in range(50):
         u = rng.standard_normal(grid1d.n_total)
@@ -236,58 +236,20 @@ def test_operator_symmetry_random_pairs(grid1d):
 
 
 # ---------------------------------------------------------------------------
-# fractional norms
-# ---------------------------------------------------------------------------
-
-
-def test_fractional_norm_single_mode(basis1d):
-    lam1 = basis1d.eigenvalues[0]
-    e1 = basis1d.modes[0]
-    assert cl.fractional_norm(basis1d, e1, 2) == pytest.approx(lam1, rel=1e-10)
-    assert cl.fractional_norm(basis1d, e1, -2) == pytest.approx(1.0 / lam1, rel=1e-10)
-
-
-def test_fractional_norm_zero_order_is_l2(basis1d, grid1d):
-    rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(basis1d.K)
-    w = basis1d.synthesize(coeffs)
-    l2 = math.sqrt(float(w @ w) * grid1d.hvol)
-    assert cl.fractional_norm(basis1d, w, 0) == pytest.approx(l2, rel=1e-10)
-
-
-def test_fractional_norm_truncation_warns(grid1d):
-    basis = cl.spectral_basis(cl.assemble_operator(grid1d), 4)
-    full = cl.spectral_basis(cl.assemble_operator(grid1d), 10)
-    w = full.modes[7]
-    with pytest.warns(cl.TruncationWarning):
-        cl.fractional_norm(basis, w, 0)
-
-
-def test_fractional_norm_duality_cauchy_schwarz(basis1d, grid1d):
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        u = basis1d.synthesize(rng.standard_normal(basis1d.K))
-        w = basis1d.synthesize(rng.standard_normal(basis1d.K))
-        inner = abs(float(u @ w) * grid1d.hvol)
-        bound = cl.fractional_norm(basis1d, u, 1) * cl.fractional_norm(basis1d, w, -1)
-        assert inner <= bound * (1 + 1e-10)
-
-
-# ---------------------------------------------------------------------------
 # coercivity and coupling bounds
 # ---------------------------------------------------------------------------
 
 
 def test_coercivity_constant_1d_pi_squared():
     g = cl.build_grid([1.0], [99])
-    basis = cl.spectral_basis(cl.assemble_operator(g), 3)
+    basis = cl.spectral_basis(cl.EllipticOperator(g), 3)
     lam1 = cl.verify_operator_coercivity(basis)
     assert abs(lam1 - math.pi**2) / math.pi**2 < 0.005
 
 
 def test_coercivity_constant_2d_two_pi_squared():
     g = cl.build_grid([1.0, 1.0], [20, 20])
-    basis = cl.spectral_basis(cl.assemble_operator(g), 3)
+    basis = cl.spectral_basis(cl.EllipticOperator(g), 3)
     lam1 = cl.verify_operator_coercivity(basis)
     assert abs(lam1 - 2 * math.pi**2) / (2 * math.pi**2) < 0.02
 
@@ -342,23 +304,22 @@ def test_multiplier_self_adjoint(grid1d):
 # ---------------------------------------------------------------------------
 
 
-def _observed_system(n, N, p, control):
+def _observed_system(n, N, control):
     g = cl.build_grid([1.0], [n])
-    op = cl.assemble_operator(g)
-    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 1), N, p,
-                            cl.CouplingSpec(N, ()), control)
+    op = cl.EllipticOperator(g)
+    return cl.CascadeSystem(cl.Hyperbolic(), op, cl.spectral_basis(op, 1), N, control=control)
 
 
 def test_observe_distributed_velocity():
     omega = cl.region_from_bounds([[0.4, 0.6]], 1.0)
-    sys = _observed_system(3, 1, 0, cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = _observed_system(3, 1, ((1, omega),))
     out = sys.extract(1, np.zeros((1, 3)), velocity=np.ones((1, 3)))
     assert np.array_equal(out, [1.0])  # the one node of the support
 
 
 def test_observe_zero_velocity_gives_zero():
     omega = cl.region_from_bounds([[0.0, 1.0]], 1.0)
-    sys = _observed_system(3, 1, 0, cl.ControlSpec(1, 0, ((1, cl.Distributed(omega)),)))
+    sys = _observed_system(3, 1, ((1, omega),))
     out = sys.extract(1, np.ones((1, 3)), velocity=np.zeros((1, 3)))
     assert np.array_equal(out, [0.0, 0.0, 0.0])
 
@@ -366,22 +327,31 @@ def test_observe_zero_velocity_gives_zero():
 def test_observe_boundary_normal_derivative_of_first_mode():
     # continuum value of the outward normal derivative of sqrt(2) sin(pi x)
     # at x = 1 is -sqrt(2) pi; the discrete quotient converges at O(h^2)
-    sys = _observed_system(200, 1, 0, cl.ControlSpec(1, 0, ((1, cl.BoundaryEnd("right", 1.0)),)))
+    sys = _observed_system(200, 1, ((1, cl.BoundaryEnd("right", 1.0)),))
     out = sys.extract(1, sys.basis.modes[:1], velocity=np.zeros((1, 200)))
     assert out == pytest.approx(-math.sqrt(2.0) * math.pi, rel=0.01)
 
 
 def test_observe_uncontrolled_component_raises():
-    sys = _observed_system(3, 2, 1, cl.ControlSpec(2, 1, ((2, cl.BoundaryEnd("left", 1.0)),)))
+    sys = _observed_system(3, 2, ((2, cl.BoundaryEnd("left", 1.0)),))
     with pytest.raises(ValueError):
         sys.extract(1, np.zeros((2, 3)), velocity=np.zeros((2, 3)))
 
 
 def test_control_spec_validation():
+    """CascadeSystem checks the coupling and control entries it is given."""
+    op = cl.EllipticOperator(cl.build_grid([1.0], [10]))
+    basis = cl.spectral_basis(op, 2)
     omega = cl.region_from_bounds([[0.4, 0.6]], 1.0)
     with pytest.raises(ValueError):
-        cl.ControlSpec(2, 1, ((1, cl.Distributed(omega)),))  # inside free block
+        cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, (((2, 1), omega),))  # lower-triangular
+    with pytest.raises(ValueError):
+        cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, control=((3, omega),))  # outside 1..N
+    with pytest.raises(ValueError):
+        cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, control=((2, omega), (2, omega)))
     with pytest.raises(ValueError):
         cl.BoundaryEnd("top", 1.0)
-    with pytest.raises(ValueError):
-        cl.CouplingSpec(2, (((2, 1), omega),))  # lower-triangular entry
+    op2 = cl.EllipticOperator(cl.build_grid([1.0, 1.0], [5, 5]))
+    with pytest.raises(ValueError):  # an end control in 2D
+        cl.CascadeSystem(cl.Hyperbolic(), op2, cl.spectral_basis(op2, 2), 1,
+                         control=((1, cl.BoundaryEnd("left", 1.0)),))
