@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .geometry import (
     Box,
-    EmptySupportWarning,
     GccReport,
     Grid,
     RayState,
@@ -29,7 +28,6 @@ from .operators import (
     BoundaryEnd,
     CouplingBounds,
     EllipticOperator,
-    HypothesisReport,
     SpectralBasis,
     spectral_basis,
     verify_coupling_bounds,

@@ -76,14 +76,14 @@ def _single_equation_variant(sys, region):
     return CascadeSystem(sys.family, sys.op, sys.basis, 1, control=((1, indicator),))
 
 
-def observability_constants(sys, T, dt, K_filter, which="control", dense_limit=DENSE_SEED_LIMIT):
+def observability_constants(sys, T, dt, K_filter, which="control"):
     """Assemble a filtered Gramian densely and report its spectrum.
 
     ``which`` selects the observation functional: "control" uses the system's
     own control observations; "coupling" observes the velocity of the single
     free equation on the (indicator) support of the first coupling region,
     the second standard inequality. The seed dimension must stay within
-    ``dense_limit``.
+    DENSE_SEED_LIMIT.
     """
     if which == "coupling":
         if not sys.coupling:
@@ -98,8 +98,8 @@ def observability_constants(sys, T, dt, K_filter, which="control", dense_limit=D
         raise ValueError("which must be 'control' or 'coupling'")
 
     seeds = SeedSpace(target, K_filter)
-    if seeds.dim > dense_limit:
-        raise ValueError(f"seed dimension {seeds.dim} exceeds the dense limit {dense_limit}")
+    if seeds.dim > DENSE_SEED_LIMIT:
+        raise ValueError(f"seed dimension {seeds.dim} exceeds the dense limit {DENSE_SEED_LIMIT}")
     gram = GramianOperator(seeds, T, dt)
     mat = assemble_dense_gramian(gram)
     eigs = np.linalg.eigvalsh(mat)
@@ -132,7 +132,7 @@ class KalmanReport:
 
 
 def _constant_amplitude_on_domain(region, grid):
-    values = indicator_vector(region, grid, warn=False)
+    values = indicator_vector(region, grid)
     amp = region.amplitudes[0]
     if np.all(values == amp) and all(a == amp for a in region.amplitudes):
         return float(amp)
@@ -216,8 +216,9 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
     """Observation-vs-energy ratios of randomly forced single-equation solves.
 
     For each refinement level n the free second-order equation is forced by a
-    random low-mode standing forcing and started from random modal data; the
-    ratio compares the time-integrated squared observation against
+    random standing forcing in the lowest K_forcing modes (every mode of a
+    level with fewer unknowns) and started from random data in the same
+    modes; the ratio compares the time-integrated squared observation against
     e(0) + e(T) + int e dt + int ||f||^2 dt. Distributed observations are
     pointwise bounded, so the ratio stays below the squared amplitude bound;
     end observations must merely stay bounded across levels. Degenerate
@@ -237,6 +238,7 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
         grid = build_grid(sys.grid.extents, [n_level] * sys.grid.dim)
         op = EllipticOperator(grid)
         K = min(K_forcing + 4, grid.n_total)
+        n_forced = min(K_forcing, grid.n_total)
         basis = spectral_basis(op, K)
         one = CascadeSystem(Hyperbolic(), op, basis, 1, control=((1, template),))
         dt_lim = cfl_time_step(one)
@@ -254,12 +256,12 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
 
         best = 0.0
         for _ in range(n_samples):
-            coeff_w = rng.standard_normal(K_forcing)
-            coeff_v = rng.standard_normal(K_forcing)
-            amp = rng.standard_normal(K_forcing)
-            freq = rng.uniform(0.0, 2.0 * math.pi, K_forcing)
-            phase = rng.uniform(0.0, 2.0 * math.pi, K_forcing)
-            lowmodes = basis.modes[:K_forcing]
+            coeff_w = rng.standard_normal(n_forced)
+            coeff_v = rng.standard_normal(n_forced)
+            amp = rng.standard_normal(n_forced)
+            freq = rng.uniform(0.0, 2.0 * math.pi, n_forced)
+            phase = rng.uniform(0.0, 2.0 * math.pi, n_forced)
+            lowmodes = basis.modes[:n_forced]
             w0 = (coeff_w @ lowmodes)[None, :]
             v0 = (coeff_v @ lowmodes)[None, :]
             profile = np.cos(freq[None, :] * t_nodes[:, None] + phase[None, :]) * amp[None, :]

@@ -40,12 +40,7 @@ from .dynamics import (
 from .errors import CascadeLabError, ConfigError, NotApplicableError
 from .geometry import Support, default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
-from .operators import (
-    BoundaryEnd,
-    HypothesisReport,
-    verify_coupling_bounds,
-    verify_operator_coercivity,
-)
+from .operators import BoundaryEnd, verify_coupling_bounds, verify_operator_coercivity
 from .util import fmt_float
 
 
@@ -237,16 +232,15 @@ def _cmd_check(args):
     verdict = lam1 > 0 and coupling_ok and ratios_ok
     out = _out_dir(exp, args)
     payload = _base_report(exp, "check")
-    report = HypothesisReport(
-        coercivity_constant=lam1,
-        coupling=couplings,
-        admissibility_ratios=adm.max_ratios,
-        flags={"coercivity": lam1 > 0, "coupling": coupling_ok, "admissibility": ratios_ok},
-        notes=["multiplier bounds certified in the base space only; "
-               "smoothness-scale boundedness is untested"],
-    )
-    payload["hypotheses"] = report.to_dict()
-    payload["hypotheses"]["admissibility"] = adm.to_dict()
+    payload["hypotheses"] = {
+        "coercivity_constant": lam1,
+        "coupling": [c.to_dict() for c in couplings],
+        "admissibility_ratios": adm.max_ratios,
+        "admissibility": adm.to_dict(),
+        "flags": {"coercivity": lam1 > 0, "coupling": coupling_ok, "admissibility": ratios_ok},
+        "notes": ["multiplier bounds certified in the base space only; "
+                  "smoothness-scale boundedness is untested"],
+    }
     payload["verdict"] = "pass" if verdict else "fail"
     write_report(out, payload)
     write_spectra_csv(out, exp.basis.eigenvalues)
@@ -411,8 +405,9 @@ def _read_control_csv(path, exp):
 
     Every (component, time node, index) of the controlled components must
     appear exactly once, in any order, where a distributed control lists the
-    grid indices of its support only; anything else, a grid index off the
-    support included, raises ConfigError naming the first offending line.
+    grid indices of its support only, and value_im is 0 in a real family;
+    anything else, a grid index off the support included, raises ConfigError
+    naming the first offending line.
     """
     M = step_count(exp.T, exp.dt)
     sys = exp.sys
@@ -454,6 +449,8 @@ def _read_control_csv(path, exp):
                 (col >= 0, lambda j: f"index {idx[j]:g} is off the control support of "
                                      f"component {comp[j]:g}"),
                 (np.isfinite(re) & np.isfinite(im), lambda j: "value is not finite"),
+                (np.iscomplexobj(buf) | (im == 0),
+                 lambda j: f"value_im {im[j]:.17g} is not 0 in a real family"),
             )
             valid = np.logical_and.reduce([ok for ok, _ in checks])
             rows = np.flatnonzero(valid)
@@ -487,7 +484,8 @@ def _read_control_csv(path, exp):
 
 def _read_state_csv(path, exp):
     """Read initial_state.csv; every (component, kind, index) must appear
-    exactly once, with kind ``wp`` only in the hyperbolic family."""
+    exactly once, with kind ``wp`` only in the hyperbolic family and value_im
+    0 in a real family."""
     N, n_total = exp.sys.N, exp.grid.n_total
     kinds = ("w", "wp") if exp.sys.is_hyperbolic else ("w",)
     state = SystemState(0.0, np.zeros((N, n_total), dtype=exp.sys.state_dtype),
@@ -513,6 +511,8 @@ def _read_state_csv(path, exp):
                 what = f"index {idx} outside 0..{n_total - 1}"
             elif not np.isfinite(v):
                 what = "value is not finite"
+            elif v.imag != 0 and not np.iscomplexobj(state.w):
+                what = f"value_im {im} is not 0 in a real family"
             elif seen[kinds.index(kind), i, idx]:
                 what = "repeats an earlier (component, kind, index)"
             else:

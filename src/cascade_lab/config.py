@@ -40,11 +40,11 @@ _TOP_KEYS = {
 # [kind] is a nonempty list of that kind; an int entry must be >= its bound, a
 # float entry > its bound. gcc.dt_ray is accepted for older configs and ignored
 # (the GCC check is exact). An admissibility level is the number of nodes per
-# axis, at least the 8 forcing modes of admissibility_ratio. analysis.t_grid
-# is checked against dt and analysis.K against K_filter once those are known.
+# axis, at least 2 like domain.n. analysis.t_grid is checked against dt and
+# analysis.K against K_filter once those are known.
 _SECTION_KEYS = {
     "gcc": {"n_rays": (int, 1), "dt_ray": (float, None), "T": (float, 0)},
-    "analysis": {"n_samples": (int, 1), "levels": ([int], 8), "t_grid": ([float], 0),
+    "analysis": {"n_samples": (int, 1), "levels": ([int], 2), "t_grid": ([float], 0),
                  "K": (int, 1)},
 }
 
@@ -332,7 +332,6 @@ def build_experiment(cfg):
     _require(hyperbolic or eps > 0, "hum.eps must be > 0 for the first-order family "
                                     "(penalized HUM)")
     cg_tol = hum_value("cg_tol", 1e-8)
-    _require(cg_tol >= 0, "hum.cg_tol must be nonnegative")
     _require(cg_tol > 0, "hum.cg_tol must be positive")
     max_iter = None if hum.get("max_iter") is None else hum_value("max_iter", None, int)
     _require(max_iter is None or max_iter >= 0, "hum.max_iter must be a nonnegative integer")
@@ -392,7 +391,8 @@ def build_experiment(cfg):
     _require(K <= K_filter, f"analysis.K {K} exceeds K_filter {K_filter}")
     Y0 = _initial_state(sys, initial)
 
-    notes = []
+    notes = [f"coupling ({i},{j}): no grid node has positive amplitude, so the coupling is zero"
+             for (i, j), sup in sys.coupling_supports if sup.size == 0]
     if "dt_ray" in cfg.get("gcc", {}):
         notes.append("gcc.dt_ray is ignored: the GCC check is exact")
     if not hyperbolic and abs(abs(sys.theta) - math.pi / 2) < 1e-12:

@@ -106,8 +106,7 @@ class CascadeSystem:
         for (i, j), region in self.coupling:
             if not 1 <= i < j <= self.N:
                 raise ValueError(f"coupling entry ({i},{j}) is not strictly upper-triangular")
-            values = indicator_vector(region, self.grid, warn=not self.transposed)
-            supports.append(((i, j), Support(values)))
+            supports.append(((i, j), Support(indicator_vector(region, self.grid))))
         object.__setattr__(self, "coupling_supports", tuple(supports))
         controls = {}
         for k, kind in self.control:
@@ -116,7 +115,7 @@ class CascadeSystem:
             if k in controls:
                 raise ValueError(f"component {k} controlled twice")
             if not isinstance(kind, BoundaryEnd):
-                controls[k] = Support(indicator_vector(kind, self.grid, warn=False))
+                controls[k] = Support(indicator_vector(kind, self.grid))
             elif self.grid.dim != 1:
                 raise ValueError("end control is 1D only")
             else:
@@ -210,11 +209,6 @@ class CascadeSystem:
             return np.multiply(ctl.amplitudes, fld[..., k - 1, ctl.cols], out=out)
         obs = np.multiply(-ctl.gain, Y[..., k - 1, self._end_index(ctl)], out=out)
         return np.divide(obs, self.grid.h[0], out=out)
-
-    def observation_kind(self):
-        kinds = {"distributed" if isinstance(ctl, Support) else "end"
-                 for ctl in self.controls.values()}
-        return kinds.pop() if len(kinds) == 1 else "mixed"
 
 
 def adjoint_system(sys):
@@ -347,9 +341,6 @@ class EnergyReport:
 
     per_component: list
     total: float
-
-    def to_dict(self):
-        return {"per_component": self.per_component, "total": self.total}
 
 
 def energy(sys, state):

@@ -23,7 +23,6 @@ exactly like every other lattice ray.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,10 +31,6 @@ import numpy as np
 _MEASURE_EPS = 1e-12
 # rays per vectorized block of the GCC check; bounds its work arrays
 _RAY_BLOCK = 256
-
-
-class EmptySupportWarning(UserWarning):
-    """Region contains no grid node; legal but almost surely a config mistake."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +198,13 @@ def region_from_bounds(bounds, amplitude=1.0, label=""):
     return Region(parts, amps, label)
 
 
-def indicator_vector(region, grid, warn=True):
+def indicator_vector(region, grid):
     """Amplitude-weighted indicator of a region sampled at grid nodes.
 
-    Returns the nodal field amplitude(x) * 1_region(x). Empty nodal support
-    raises EmptySupportWarning but still returns the all-zero field.
+    Returns the nodal field amplitude(x) * 1_region(x), all zero when no
+    node carries a positive amplitude.
     """
-    region = region.clipped(grid.extents)
-    values = region.amplitude_at(grid.node_coords())
-    if warn and not np.any(values > 0):
-        warnings.warn(
-            f"region {region.label or region.parts} has no positive support on the grid",
-            EmptySupportWarning,
-            stacklevel=2,
-        )
-    return values
+    return region.clipped(grid.extents).amplitude_at(grid.node_coords())
 
 
 class Support:

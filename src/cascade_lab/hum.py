@@ -245,11 +245,6 @@ class GramianOperator:
         self.weights = sample_weights(self.sys, self.M, self.dt)
         if self.sys.is_hyperbolic:
             _check_cfl(self.sys, self.dt)
-        if self.sys.controls and self.sys.observation_kind() == "mixed":
-            raise ValueError(
-                "mixed distributed/end controls are not supported in one synthesis; "
-                "the exact discrete pairing exists per observation kind only"
-            )
 
     def march_adjoint(self, X, visit):
         """Seed the adjoint march with X (leading batch axes allowed) and run it.

@@ -16,7 +16,7 @@ matching observation is the discrete outward normal derivative, -gain * w_end/h.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,9 +252,9 @@ def verify_coupling_bounds(region, grid, n_samples=COUPLING_SAMPLES, seed=0):
     """
     if any(a < 0 for a in region.amplitudes):
         raise HypothesisViolatedError("coupling amplitude must be nonnegative")
-    c = indicator_vector(region, grid, warn=False)
+    c = indicator_vector(region, grid)
     pi = indicator_vector(
-        Region(region.parts, tuple(1.0 for _ in region.parts), region.label), grid, warn=False
+        Region(region.parts, tuple(1.0 for _ in region.parts), region.label), grid
     )
     beta = float(max(region.amplitudes))
     alpha = float(min(region.amplitudes))
@@ -269,23 +269,3 @@ def verify_coupling_bounds(region, grid, n_samples=COUPLING_SAMPLES, seed=0):
         slack_b = min(slack_b, beta * quad - hvol * float(cw @ cw))
         slack_a = min(slack_a, quad - alpha * hvol * float((pi * w) @ (pi * w)))
     return CouplingBounds(beta, alpha, region, float(slack_b), float(slack_a))
-
-
-@dataclass
-class HypothesisReport:
-    """Verdicts of the structural checks that back a control experiment."""
-
-    coercivity_constant: float
-    coupling: list
-    admissibility_ratios: list
-    flags: dict
-    notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "coercivity_constant": self.coercivity_constant,
-            "coupling": [c.to_dict() for c in self.coupling],
-            "admissibility_ratios": self.admissibility_ratios,
-            "flags": self.flags,
-            "notes": self.notes,
-        }

@@ -63,11 +63,10 @@ def chained_dt(sys, T):
 
 
 @st.composite
-def cascade_cases(draw, dim, N, one_control_kind=False):
+def cascade_cases(draw, dim, N):
     """A random N-component system on a dim-D box with random couplings and
-    controls, a time grid, and a seed for the numpy draws. With
-    ``one_control_kind`` every control is distributed, or (1D only) every
-    control is an end control, as one synthesis requires."""
+    controls, a time grid, and a seed for the numpy draws. In 1D each control
+    is distributed or an end control, so one system may mix the two."""
     extents = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
     n = [draw(st.integers(4, 40) if dim == 1 else st.integers(3, 8)) for _ in range(dim)]
     grid = cl.build_grid(extents, n)
@@ -88,10 +87,8 @@ def cascade_cases(draw, dim, N, one_control_kind=False):
     coupled = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     coupling = tuple(sorted({pair: box() for pair in coupled}.items()))
     controls = []
-    all_end = one_control_kind and dim == 1 and draw(st.booleans())
     for k in range(p + 1, N + 1):
-        end = all_end if one_control_kind else dim == 1 and draw(st.booleans())
-        if end:
+        if dim == 1 and draw(st.booleans()):
             controls.append((k, cl.BoundaryEnd(draw(st.sampled_from(["left", "right"])),
                                                draw(st.floats(0.1, 2.0)))))
         else:

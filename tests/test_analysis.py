@@ -6,6 +6,7 @@ import pytest
 
 import cascade_lab as cl
 from cascade_lab.analysis import (
+    DENSE_SEED_LIMIT,
     admissibility_ratio,
     kalman_mode_test,
     observability_constants,
@@ -56,9 +57,11 @@ def test_control_and_coupling_functionals_coincide_on_same_region():
 
 
 def test_dense_limit_enforced():
-    sys = make_wave_cascade(n=40, K=10)
-    with pytest.raises(ValueError):
-        observability_constants(sys, 1.0, 0.01, 10, which="control", dense_limit=10)
+    # seed dimension 2 * N * K = 404, above DENSE_SEED_LIMIT; refused before any march
+    sys = make_wave_cascade(n=120, K=101)
+    assert 2 * sys.N * 101 > DENSE_SEED_LIMIT
+    with pytest.raises(ValueError, match="seed dimension 404 exceeds the dense limit"):
+        observability_constants(sys, 1.0, 0.01, 101, which="control")
 
 
 def test_rayleigh_lower_bound_of_reported_constant():
@@ -103,8 +106,7 @@ def test_kalman_two_by_two_full_rank():
 
 
 def test_kalman_zero_coupling_rank_deficient():
-    with pytest.warns(cl.EmptySupportWarning):
-        sys = _const_cascade(2, {(1, 2): 0.0})
+    sys = _const_cascade(2, {(1, 2): 0.0})
     rep = kalman_mode_test(sys, 5)
     assert not rep.full_rank
     assert all(m["rank"] == 1 for m in rep.modes)
@@ -113,8 +115,7 @@ def test_kalman_zero_coupling_rank_deficient():
 def test_kalman_three_chain_condition():
     good = kalman_mode_test(_const_cascade(3, {(1, 2): 1.0, (2, 3): 2.0}, K=4), 4)
     assert good.full_rank
-    with pytest.warns(cl.EmptySupportWarning):
-        sys = _const_cascade(3, {(1, 2): 1.0, (2, 3): 0.0}, K=4)
+    sys = _const_cascade(3, {(1, 2): 1.0, (2, 3): 0.0}, K=4)
     bad = kalman_mode_test(sys, 4)
     assert not bad.full_rank
 
@@ -130,8 +131,7 @@ def test_kalman_localized_coupling_not_applicable():
 def test_kalman_agrees_with_cg_stagnation():
     # rank deficiency at c = 0 must match the singular Gramian the synthesis
     # reports as stagnation
-    with pytest.warns(cl.EmptySupportWarning):
-        sys = _const_cascade(2, {(1, 2): 0.0}, n=40, K=6)
+    sys = _const_cascade(2, {(1, 2): 0.0}, n=40, K=6)
     rep = kalman_mode_test(sys, 6)
     basis = sys.basis
     Y0 = cl.zero_state(sys)

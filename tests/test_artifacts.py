@@ -71,7 +71,7 @@ def _csv_indices(exp, k):
     """Grid indices of component k's rows, from the region's indicator."""
     kind = dict(exp.sys.control)[k]
     if isinstance(kind, cl.Region):
-        return np.flatnonzero(cl.indicator_vector(kind, exp.grid, warn=False))
+        return np.flatnonzero(cl.indicator_vector(kind, exp.grid))
     return [0]
 
 
@@ -198,12 +198,16 @@ def runs(tmp_path_factory):
     ("wave", "control.csv", lambda lines: lines.pop(4), "no row for component 2, t=0, index 45"),
     ("wave", "control.csv", _insert(4, lambda lines: ""), "line 4: expected five comma-separated"),
     ("wave", "control.csv", _edit_field(1, 0, "time"), "line 1: header"),
+    ("wave", "control.csv", _edit_field(5, 4, "5.0"),
+     "line 5: value_im 5 is not 0 in a real family"),
     ("wave", "initial_state.csv", _edit_field(2, 0, "3"), "line 2: component 3 outside 1..2"),
     ("wave", "initial_state.csv", _edit_field(2, 1, "v"), "line 2: kind 'v' is not one of w, wp"),
     ("wave", "initial_state.csv", _edit_field(2, 2, "999"), "line 2: index 999 outside 0..59"),
     ("wave", "initial_state.csv", _edit_field(2, 2, "x"), "line 2: expected component,kind"),
     ("wave", "initial_state.csv", _insert(3, lambda lines: lines[1]), "line 3: repeats an earlier"),
     ("wave", "initial_state.csv", lambda lines: lines.pop(), "no row for component 2, kind wp"),
+    ("wave", "initial_state.csv", _edit_field(3, 4, "7.0"),
+     "line 3: value_im 7.0 is not 0 in a real family"),
     ("heat", "initial_state.csv", _insert(2, lambda lines: "1,wp,0,0,0"),
      "line 2: kind 'wp' is not one of w"),
     ("wave", "report.json", lambda lines: lines.insert(0, "{"), "malformed"),

@@ -123,11 +123,7 @@ def test_cascade_component1_bitwise_matches_standalone():
 
 
 def test_zero_coupling_isolates_bitwise():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cl.EmptySupportWarning)
-        two = make_wave_cascade(n=40, K=6, c=0.0)
+    two = make_wave_cascade(n=40, K=6, c=0.0)
     one = make_single_free(n=40, K=6)
     dt = chained_dt(two, 1.0)
     rng = np.random.default_rng(0)
@@ -202,16 +198,12 @@ def test_schrodinger_norm_preserved():
 
 
 def test_heat_cascade_component1_mass_iff_coupling():
-    import warnings
-
     sys = make_heat_cascade(n=40, K=6, c=1.0)
     st = cl.zero_state(sys)
     st.w[1] = sys.basis.modes[0]
     _, term = cl.solve(sys, st, None, 0.2, 0.002)
     assert np.max(np.abs(term.w[0])) > 1e-6
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cl.EmptySupportWarning)
-        zero = make_heat_cascade(n=40, K=6, c=0.0)
+    zero = make_heat_cascade(n=40, K=6, c=0.0)
     st = cl.zero_state(zero)
     st.w[1] = zero.basis.modes[0]
     _, term = cl.solve(zero, st, None, 0.2, 0.002)

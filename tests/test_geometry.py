@@ -58,11 +58,11 @@ def test_indicator_full_domain_amplitude():
     assert np.array_equal(cl.indicator_vector(r, g), [2.0, 2.0, 2.0])
 
 
-def test_indicator_empty_support_warns():
+def test_indicator_empty_support_is_zero():
+    # silently: an empty coupling support is a legal zero coupling
     g = cl.build_grid([1.0], [3])
     r = cl.region_from_bounds([[0.9, 0.95]], 1.0)
-    with pytest.warns(cl.EmptySupportWarning):
-        values = cl.indicator_vector(r, g)
+    values = cl.indicator_vector(r, g)
     assert np.array_equal(values, [0.0, 0.0, 0.0])
 
 
@@ -92,7 +92,7 @@ def test_support_holds_the_nonzero_columns(dim, bounds, expect):
     """A contiguous support is a slice, any other shape a flat index array;
     either way it selects exactly the indicator's nonzero entries."""
     g = cl.build_grid([1.0] * dim, [10] * dim)
-    values = cl.indicator_vector(cl.region_from_bounds(bounds, 2.5), g, warn=False)
+    values = cl.indicator_vector(cl.region_from_bounds(bounds, 2.5), g)
     sup = cl.Support(values)
     assert isinstance(sup.cols, slice) == (expect != "array")
     assert sup.size == np.count_nonzero(values) and (sup.size == 0) == (expect == "empty")

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -292,7 +291,7 @@ def test_dense_gramian_property(dim, N, data):
     """The dense Gramian is symmetric PSD and matches the apply column probes."""
     from cascade_lab.hum import assemble_dense_gramian
 
-    sys, T, dt, _ = data.draw(cascade_cases(dim, N, one_control_kind=True))
+    sys, T, dt, _ = data.draw(cascade_cases(dim, N))
     gram, seeds = _gramian(sys, T, K=data.draw(st.integers(1, sys.basis.K)), dt=dt)
     mat = assemble_dense_gramian(gram)
     assert np.array_equal(mat, mat.T)
@@ -323,7 +322,14 @@ def test_energy_of_refuses_a_batched_readout():
                 seeds.energy_of(bad)
 
 
-def test_mixed_control_kinds_rejected():
+@pytest.mark.parametrize("family", [cl.Hyperbolic(), cl.Dissipative(0.6)],
+                         ids=["leapfrog", "crank-nicolson"])
+def test_mixed_control_kinds_are_exact(family):
+    """A distributed and an end control in one system share one quadrature
+    rule and one ``extract``: the dense Gramian is the matrix of ``apply``
+    and the synthesized control's norm is its quadratic form."""
+    from cascade_lab.hum import assemble_dense_gramian
+
     grid = cl.build_grid([1.0], [40])
     op = cl.EllipticOperator(grid)
     basis = cl.spectral_basis(op, 6)
@@ -331,9 +337,25 @@ def test_mixed_control_kinds_rejected():
     omega = cl.region_from_bounds([[0.6, 0.8]], 1.0)
     coup = (((1, 2), O), ((2, 3), O))
     ctl = ((2, omega), (3, cl.BoundaryEnd("right", 1.0)))
-    sys = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 3, coup, ctl)
-    with pytest.raises(ValueError):
-        _gramian(sys, 1.0, K=4)
+    sys = cl.CascadeSystem(family, op, basis, 3, coup, ctl)
+    T = 3.0
+    dt = chained_dt(sys, T) if sys.is_hyperbolic else T / 100
+    gram, _ = _gramian(sys, T, K=6, dt=dt)
+    mat = assemble_dense_gramian(gram)
+    assert np.array_equal(mat, mat.T)
+    seeds = gram.seeds
+    cols = np.array([seeds.to_coords(gram.apply(E))
+                     for E in seeds.from_coords(np.eye(seeds.coord_dim))]).T
+    assert np.linalg.norm(cols - cols.T) <= 1e-12 * np.linalg.norm(cols)
+    assert np.linalg.norm(mat - cols) <= 1e-12 * np.linalg.norm(cols)
+
+    Y0 = cl.zero_state(sys)
+    for i in range(3):
+        Y0.w[i] = basis.modes[i]
+    res = cl.synthesize_control(sys, Y0, T, dt, 6, eps=0.0 if sys.is_hyperbolic else 1e-6,
+                                cg_tol=1e-10)
+    assert res.success
+    assert abs(res.control_norm_sq - res.gram_quadratic) <= 1e-10 * res.gram_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +409,7 @@ def test_synthesize_boundary_control_wave():
 
 
 def test_zero_coupling_stagnates_and_component1_keeps_energy():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cl.EmptySupportWarning)
-        sys = make_wave_cascade(n=60, K=10, c=0.0)
+    sys = make_wave_cascade(n=60, K=10, c=0.0)
     Y0 = cl.zero_state(sys)
     Y0.w[0] = sys.basis.modes[0]
     Y0.w[1] = 0.5 * sys.basis.modes[0]
@@ -425,9 +445,7 @@ def test_unreachable_tolerance_runs_out_of_budget():
 
 
 def test_rank_deficiency_is_the_failure_reason():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", cl.EmptySupportWarning)
-        sys = make_wave_cascade(n=40, K=6, c=0.0)
+    sys = make_wave_cascade(n=40, K=6, c=0.0)
     Y0 = cl.zero_state(sys)
     Y0.w[0] = sys.basis.modes[0]
     dt = chained_dt(sys, 3.0)
