@@ -61,7 +61,6 @@ from .hum import (
 from .analysis import (
     AdmissibilityReport,
     KalmanReport,
-    ObservabilityReport,
     admissibility_ratio,
     kalman_mode_test,
     observability_constants,

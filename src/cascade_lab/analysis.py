@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicableError
+from .errors import ConfigError, NotApplicableError
 from .dynamics import (
     CascadeSystem,
     Hyperbolic,
@@ -39,79 +39,53 @@ DENSE_SEED_LIMIT = 400
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ObservabilityReport:
-    """Spectrum of a filtered observability Gramian.
-
-    ``c1_est`` is filled for the control-observation functional, ``c2_est``
-    for the coupling-support velocity functional; both are smallest
-    eigenvalues in the seed inner product.
-    """
-
-    T: float
-    dt: float
-    K_filter: int
-    observation: str
-    eigenvalues: list
-    c1_est: float | None = None
-    c2_est: float | None = None
-    assembly: str = "batched-adjoint-march"
-
-    def to_dict(self):
-        return {
-            "T": self.T,
-            "dt": self.dt,
-            "K_filter": self.K_filter,
-            "observation": self.observation,
-            "eigenvalues": self.eigenvalues,
-            "c1_est": self.c1_est,
-            "c2_est": self.c2_est,
-            "assembly": self.assembly,
-        }
-
-
 def _single_equation_variant(sys, region):
     """N = 1 free-equation system observed through the given region."""
     indicator = Region(region.parts, tuple(1.0 for _ in region.parts), region.label or "coupling support")
     return CascadeSystem(sys.family, sys.op, sys.basis, 1, control=((1, indicator),))
 
 
-def observability_constants(sys, T, dt, K_filter, which="control"):
-    """Assemble a filtered Gramian densely and report its spectrum.
+def observability_constants(sys, t_grid, dt, K_filter):
+    """Spectra of the filtered observability Gramians, one report per horizon.
 
-    ``which`` selects the observation functional: "control" uses the system's
-    own control observations; "coupling" observes the velocity of the single
-    free equation on the (indicator) support of the first coupling region,
-    the second standard inequality. The seed dimension must stay within
-    DENSE_SEED_LIMIT.
+    The control functional observes through the system's own controls and
+    runs when it has one: ``eigenvalues`` and ``c1_est`` (``[]`` and None
+    without a control). The coupling functional, the second standard
+    inequality, observes the velocity of the single free equation on the
+    (indicator) support of the first coupling region and runs when the
+    system has a coupling: ``coupling_eigenvalues`` and ``c2_est``. Both
+    constants are smallest eigenvalues in the seed inner product. The larger
+    seed dimension must stay within DENSE_SEED_LIMIT; it is checked before
+    any march.
     """
-    if which == "coupling":
-        if not sys.coupling:
-            raise NotApplicableError("no coupling region available for the velocity functional")
-        target = _single_equation_variant(sys, sys.coupling[0][1])
-    elif which == "control":
-        if not sys.control:
-            raise NotApplicableError("system carries no control; the control observability "
-                                     "constant is undefined")
-        target = sys
-    else:
-        raise ValueError("which must be 'control' or 'coupling'")
-
-    seeds = SeedSpace(target, K_filter)
-    if seeds.dim > DENSE_SEED_LIMIT:
-        raise ValueError(f"seed dimension {seeds.dim} exceeds the dense limit {DENSE_SEED_LIMIT}")
-    gram = GramianOperator(seeds, T, dt)
-    mat = assemble_dense_gramian(gram)
-    eigs = np.linalg.eigvalsh(mat)
-    report = ObservabilityReport(
-        T=float(T), dt=float(dt), K_filter=int(K_filter),
-        observation=which, eigenvalues=[float(v) for v in eigs],
-    )
-    if which == "control":
-        report.c1_est = float(eigs[0])
-    else:
-        report.c2_est = float(eigs[0])
-    return report
+    seeds = {}
+    if sys.control:
+        seeds["control"] = SeedSpace(sys, K_filter)
+    if sys.coupling:
+        seeds["coupling"] = SeedSpace(_single_equation_variant(sys, sys.coupling[0][1]), K_filter)
+    if not seeds:
+        raise NotApplicableError("system carries no control; the control observability "
+                                 "constant is undefined")
+    dim = max(space.dim for space in seeds.values())
+    if dim > DENSE_SEED_LIMIT:
+        raise ConfigError(f"analysis.K {K_filter}: seed dimension {dim} exceeds the dense limit "
+                          f"{DENSE_SEED_LIMIT}")
+    reports = []
+    for T in t_grid:
+        eigs = {}
+        for name, space in seeds.items():
+            mat = assemble_dense_gramian(GramianOperator(space, T, dt))
+            eigs[name] = [float(v) for v in np.linalg.eigvalsh(mat)]
+        control = eigs.get("control", [])
+        entry = {"T": float(T), "dt": float(dt), "K_filter": int(K_filter),
+                 "observation": "control", "eigenvalues": control,
+                 "c1_est": control[0] if control else None, "c2_est": None,
+                 "assembly": "batched-adjoint-march"}
+        if "coupling" in eigs:
+            entry["c2_est"] = eigs["coupling"][0]
+            entry["coupling_eigenvalues"] = eigs["coupling"]
+        reports.append(entry)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +186,15 @@ def _ratio_or_none(lhs, rhs):
     return lhs / rhs
 
 
-def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
+# modes of the random forcing and data of each admissibility sample
+FORCED_MODES = 8
+
+
+def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0):
     """Observation-vs-energy ratios of randomly forced single-equation solves.
 
     For each refinement level n the free second-order equation is forced by a
-    random standing forcing in the lowest K_forcing modes (every mode of a
+    random standing forcing in the lowest FORCED_MODES modes (every mode of a
     level with fewer unknowns) and started from random data in the same
     modes; the ratio compares the time-integrated squared observation against
     e(0) + e(T) + int e dt + int ||f||^2 dt. Distributed observations are
@@ -237,9 +215,8 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
     for n_level in levels:
         grid = build_grid(sys.grid.extents, [n_level] * sys.grid.dim)
         op = EllipticOperator(grid)
-        K = min(K_forcing + 4, grid.n_total)
-        n_forced = min(K_forcing, grid.n_total)
-        basis = spectral_basis(op, K)
+        n_forced = min(FORCED_MODES, grid.n_total)
+        basis = spectral_basis(op, n_forced)
         one = CascadeSystem(Hyperbolic(), op, basis, 1, control=((1, template),))
         dt_lim = cfl_time_step(one)
         M = max(2, int(math.ceil(T / min(dt, dt_lim))))
@@ -261,11 +238,10 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0, K_forcing=8):
             amp = rng.standard_normal(n_forced)
             freq = rng.uniform(0.0, 2.0 * math.pi, n_forced)
             phase = rng.uniform(0.0, 2.0 * math.pi, n_forced)
-            lowmodes = basis.modes[:n_forced]
-            w0 = (coeff_w @ lowmodes)[None, :]
-            v0 = (coeff_v @ lowmodes)[None, :]
+            w0 = (coeff_w @ basis.modes)[None, :]
+            v0 = (coeff_v @ basis.modes)[None, :]
             profile = np.cos(freq[None, :] * t_nodes[:, None] + phase[None, :]) * amp[None, :]
-            forcing = (profile @ lowmodes)[:, None, :]
+            forcing = (profile @ basis.modes)[:, None, :]
             initial = SystemState(0.0, w0.copy(), v0.copy())
             solve(one, initial, None, T, dt_level, visit, forcing)
             lhs = quadrature(one, obs, obs, weights)

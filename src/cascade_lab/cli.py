@@ -22,13 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    DENSE_SEED_LIMIT,
-    ObservabilityReport,
-    admissibility_ratio,
-    kalman_mode_test,
-    observability_constants,
-)
+from .analysis import admissibility_ratio, kalman_mode_test, observability_constants
 from .config import build_experiment, config_hash, load_config
 from .dynamics import (
     ControlSignal,
@@ -37,7 +31,7 @@ from .dynamics import (
     solve,
     step_count,
 )
-from .errors import CascadeLabError, ConfigError, NotApplicableError
+from .errors import CascadeLabError, ConfigError
 from .geometry import Support, default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
 from .operators import BoundaryEnd, verify_coupling_bounds, verify_operator_coercivity
@@ -61,8 +55,8 @@ def write_report(out_dir, payload):
     return path
 
 
-def write_spectra_csv(out_dir, eigenvalues, name="spectra.csv"):
-    path = os.path.join(out_dir, name)
+def write_spectra_csv(out_dir, eigenvalues):
+    path = os.path.join(out_dir, "spectra.csv")
     with _open_w(path) as fh:
         fh.write("index,eigenvalue\n")
         for i, lam in enumerate(eigenvalues, start=1):
@@ -110,8 +104,8 @@ def write_control_csv(out_dir, signal, sys):
     return path
 
 
-def write_state_csv(out_dir, state, name="initial_state.csv"):
-    path = os.path.join(out_dir, name)
+def write_state_csv(out_dir, state):
+    path = os.path.join(out_dir, "initial_state.csv")
     tails = [f",{idx}," for idx in range(state.w.shape[1])]
     with _open_w(path) as fh:
         fh.write(STATE_HEADER + "\n")
@@ -294,31 +288,13 @@ def _cmd_observability(args):
     exp = build_experiment(load_config(args.config))
     t_grid = exp.analysis.get("t_grid", [exp.T])
     K = exp.analysis.get("K", min(exp.K_filter, 5))
-    # the largest Gramian is the control functional's, or without a control
-    # the coupling functional's on one equation
-    seeds = SeedSpace(exp.sys, K)
-    dim = seeds.dim if exp.sys.controls else seeds.dim // exp.sys.N
-    if dim > DENSE_SEED_LIMIT:
-        raise ConfigError(f"analysis.K {K}: seed dimension {dim} exceeds the dense limit "
-                          f"{DENSE_SEED_LIMIT}")
-    reports, notes = [], []
-    for T in t_grid:
-        try:
-            entry = observability_constants(exp.sys, T, exp.dt, K, which="control").to_dict()
-        except NotApplicableError as exc:
-            if not exp.coupling_regions:
-                raise
-            entry = ObservabilityReport(T, exp.dt, K, "control", []).to_dict()
-            notes = [f"c1_est is null: {exc}"]
-        if exp.coupling_regions:
-            rep2 = observability_constants(exp.sys, T, exp.dt, K, which="coupling")
-            entry["c2_est"] = rep2.c2_est
-            entry["coupling_eigenvalues"] = rep2.eigenvalues
-        reports.append(entry)
+    reports = observability_constants(exp.sys, t_grid, exp.dt, K)
     out = _out_dir(exp, args)
     payload = _base_report(exp, "observability")
     payload["observability"] = reports
-    payload["notes"] += notes
+    if not exp.sys.control:
+        payload["notes"].append("c1_est is null: system carries no control; the control "
+                                "observability constant is undefined")
     payload["verdict"] = "pass"
     write_report(out, payload)
     write_spectra_csv(out, reports[-1]["eigenvalues"])
@@ -354,10 +330,8 @@ def _cmd_sweep(args):
     payload["sweep"] = sweep.to_dict()
     payload["verdict"] = "fail" if sweep.partial else "pass"
     write_report(out, payload)
-    best = sweep.results[-1]
-    if best.control is not None:
-        write_control_csv(out, best.control, exp.sys)
-        write_state_csv(out, exp.Y0)
+    write_control_csv(out, sweep.results[-1].control, exp.sys)
+    write_state_csv(out, exp.Y0)
     print(f"sweep-eps: slope {sweep.slope:.3f} over {len(sweep.eps_list)} eps values "
           f"({'partial' if sweep.partial else 'complete'}) -> {out}")
     return 2 if sweep.partial else 0

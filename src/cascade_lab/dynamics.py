@@ -235,19 +235,16 @@ class SystemState:
     w: np.ndarray
     wp: np.ndarray | None = None
 
-    def copy(self):
-        return SystemState(self.t, self.w.copy(), None if self.wp is None else self.wp.copy())
-
     def member(self, i):
         """Batch member i of a state with one batch axis, as an unbatched view."""
         return SystemState(self.t, self.w[i], None if self.wp is None else self.wp[i])
 
 
-def zero_state(sys, t=0.0):
+def zero_state(sys):
     shape = (sys.N, sys.grid.n_total)
     w = np.zeros(shape, dtype=sys.state_dtype)
     wp = np.zeros(shape, dtype=np.float64) if sys.is_hyperbolic else None
-    return SystemState(t, w, wp)
+    return SystemState(0.0, w, wp)
 
 
 def _check_state(sys, state):

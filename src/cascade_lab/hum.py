@@ -211,10 +211,10 @@ class SeedSpace:
         res = math.sqrt(float(np.real(np.vdot(state.w - rec, state.w - rec))) * self.sys.grid.hvol)
         return X, float(res)
 
-    def state_from_seed(self, X, t=0.0):
+    def state_from_seed(self, X):
         if self.hyperbolic:
-            return SystemState(t, self.synth(X[..., 0]), self.synth(X[..., 1]))
-        return SystemState(t, self.synth(X).astype(self.sys.state_dtype))
+            return SystemState(0.0, self.synth(X[..., 0]), self.synth(X[..., 1]))
+        return SystemState(0.0, self.synth(X).astype(self.sys.state_dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +531,7 @@ class _Synthesis:
         self.gram = GramianOperator(self.seeds, T, dt)
 
         X0, self.projection_residual = self.seeds.project_state(Y0)
-        self.Y0f = self.seeds.state_from_seed(X0, t=0.0)
+        self.Y0f = self.seeds.state_from_seed(X0)
         self.initial_energy = energy(sys, self.Y0f).total
         free_readout, free = self.gram.forward_with_control(None, initial=self.Y0f)
         # minus the free terminal readout: a solved system cancels it

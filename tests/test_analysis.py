@@ -12,7 +12,7 @@ from cascade_lab.analysis import (
     observability_constants,
 )
 
-from conftest import make_single_free, make_wave_cascade
+from conftest import make_heat_cascade, make_single_free, make_wave_cascade
 
 
 def _full_observation_system(n=50, K=6):
@@ -28,17 +28,16 @@ def _full_observation_system(n=50, K=6):
 
 def test_constant_close_to_half_period_average():
     sys = _full_observation_system()
-    rep = observability_constants(sys, 2.0, 0.0125, 3, which="control")
-    assert abs(rep.c1_est - 1.0) <= 0.1
-    assert rep.eigenvalues == sorted(rep.eigenvalues)
-    assert rep.c1_est >= -1e-12
+    (rep,) = observability_constants(sys, [2.0], 0.0125, 3)
+    assert abs(rep["c1_est"] - 1.0) <= 0.1
+    assert rep["eigenvalues"] == sorted(rep["eigenvalues"])
+    assert rep["c1_est"] >= -1e-12
 
 
 def test_constant_nondecreasing_when_T_doubles():
     sys = _full_observation_system()
-    r1 = observability_constants(sys, 1.0, 0.0125, 3, which="control")
-    r2 = observability_constants(sys, 2.0, 0.0125, 3, which="control")
-    assert r2.c1_est >= r1.c1_est - 1e-12
+    r1, r2 = observability_constants(sys, [1.0, 2.0], 0.0125, 3)
+    assert r2["c1_est"] >= r1["c1_est"] - 1e-12
 
 
 def test_control_and_coupling_functionals_coincide_on_same_region():
@@ -51,17 +50,43 @@ def test_control_and_coupling_functionals_coincide_on_same_region():
     # coupling pathway: single-equation variant built from a 2-component system
     omega = cl.region_from_bounds([[0.6, 0.9]], 1.0)
     sys2 = cl.CascadeSystem(cl.Hyperbolic(), op, basis, 2, (((1, 2), O),), ((2, omega),))
-    r1 = observability_constants(sys_ctl, 1.5, 0.0125, 4, which="control")
-    r2 = observability_constants(sys2, 1.5, 0.0125, 4, which="coupling")
-    assert abs(r1.c1_est - r2.c2_est) <= 1e-10 * max(abs(r1.c1_est), 1.0)
+    (r1,) = observability_constants(sys_ctl, [1.5], 0.0125, 4)
+    (r2,) = observability_constants(sys2, [1.5], 0.0125, 4)
+    assert abs(r1["c1_est"] - r2["c2_est"]) <= 1e-10 * max(abs(r1["c1_est"]), 1.0)
 
 
 def test_dense_limit_enforced():
     # seed dimension 2 * N * K = 404, above DENSE_SEED_LIMIT; refused before any march
     sys = make_wave_cascade(n=120, K=101)
     assert 2 * sys.N * 101 > DENSE_SEED_LIMIT
-    with pytest.raises(ValueError, match="seed dimension 404 exceeds the dense limit"):
-        observability_constants(sys, 1.0, 0.01, 101, which="control")
+    with pytest.raises(cl.ConfigError, match="analysis.K 101: seed dimension 404 exceeds the "
+                                             "dense limit 400") as info:
+        observability_constants(sys, [1.0], 0.01, 101)
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("make", [make_wave_cascade, make_heat_cascade], ids=["wave", "heat"])
+def test_horizons_of_one_call_equal_separate_calls(make):
+    sys = make(n=30, K=4)
+    dt = 0.025
+    together = observability_constants(sys, [0.5, 1.0, 1.5], dt, 3)
+    apart = [observability_constants(sys, [T], dt, 3)[0] for T in (0.5, 1.0, 1.5)]
+    assert together == apart
+    assert all(set(entry) >= {"c1_est", "c2_est", "coupling_eigenvalues"} for entry in together)
+
+
+def test_coupling_without_control_reports_only_c2():
+    full = make_wave_cascade(n=30, K=4)
+    sys = cl.CascadeSystem(full.family, full.op, full.basis, 2, full.coupling)
+    (entry,) = observability_constants(sys, [1.5], 0.025, 3)
+    assert entry["c1_est"] is None and entry["eigenvalues"] == []
+    assert entry["c2_est"] > 0
+    assert entry["c2_est"] == entry["coupling_eigenvalues"][0]
+
+
+def test_no_coupling_and_no_control_is_not_applicable():
+    with pytest.raises(cl.NotApplicableError, match="carries no control"):
+        observability_constants(make_single_free(n=30, K=4), [1.0], 0.025, 3)
 
 
 def test_rayleigh_lower_bound_of_reported_constant():
@@ -69,14 +94,14 @@ def test_rayleigh_lower_bound_of_reported_constant():
     from cascade_lab.hum import GramianOperator, SeedSpace
 
     T, dt = 1.5, 0.0125
-    rep = observability_constants(sys, T, dt, 3, which="control")
+    (rep,) = observability_constants(sys, [T], dt, 3)
     seeds = SeedSpace(sys, 3)
     gram = GramianOperator(seeds, T, dt)
     rng = np.random.default_rng(6)
     for _ in range(10):
         X = seeds.random(rng)
         ray = np.real(seeds.inner(gram.apply(X), X)) / seeds.norm(X) ** 2
-        assert ray >= rep.c1_est - 1e-10
+        assert ray >= rep["c1_est"] - 1e-10
 
 
 # ---------------------------------------------------------------------------

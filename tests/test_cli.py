@@ -664,8 +664,6 @@ def test_subcommands_needing_a_control_exit_1_without_one(demo_dir, tmp_path, ca
 def test_analyses_refuse_a_system_without_control():
     exp = cl.build_experiment(demo_configs()["strip_square.json"])
     with pytest.raises(cl.NotApplicableError, match="no control"):
-        cl.observability_constants(exp.sys, 1.0, exp.dt, 2, which="control")
-    with pytest.raises(cl.NotApplicableError, match="no control"):
         cl.admissibility_ratio(exp.sys, 1, 1.0, exp.dt, [10])
     with pytest.raises(cl.NotApplicableError, match="no control"):
         cl.synthesize_control(exp.sys, exp.Y0, 1.0, exp.dt, 2)
