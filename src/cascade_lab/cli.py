@@ -1,17 +1,21 @@
 """Command-line surface: one experiment per invocation, reproducible outputs.
 
-Every subcommand reads a JSON config, writes ``report.json`` plus CSV artifacts
-to the output directory, prints a one-line summary and exits with 0 (verdict
-pass / success), 2 (verdict fail: GCC miss, failed synthesis, replay mismatch) or
-1 (usage or config errors, malformed replay artifacts). CSV floats carry 17
-significant digits with LF endings, so identical configs and seeds reproduce
-byte-identical artifacts.
+Every subcommand that takes ``--config`` runs through ``_run``: it reads the
+JSON config, writes its CSV artifacts and ``report.json`` (whose ``artifacts``
+map lists them) to the output directory, prints a one-line summary and exits
+with 0 (verdict pass / success) or 2 (verdict fail: GCC miss, failed
+synthesis, partial sweep, rank-deficient Kalman test). ``replay`` exits 2 on
+a mismatch. Exit 1 is a usage or config
+error, an unreadable input file or a malformed replay artifact. CSV floats
+carry 17 significant digits with LF endings, so identical configs and seeds
+reproduce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import admissibility_ratio, kalman_mode_test, observability_constants
-from .config import build_experiment, config_hash, load_config
+from .config import build_experiment, config_hash, load_config, read_text
 from .dynamics import (
     ControlSignal,
     SystemState,
@@ -127,9 +131,27 @@ def write_trajectory_csv(out_dir, snapshots):
     return path
 
 
-def _base_report(exp, subcommand):
-    return {
-        "subcommand": subcommand,
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
+def _run(args, name, body):
+    """The one frame of every subcommand that takes ``--config``.
+
+    Builds the experiment and the report skeleton (config echo and hash,
+    resolved T/dt/K_filter/steps, versions, build notes), then calls
+    ``body(exp, payload, args)``, which fills its report sections and returns
+    (ok, summary, writers): the verdict as a bool, the text of the stdout
+    line, and the artifacts as (writer, *arguments) tuples. Only then is the
+    output directory made, so a config error or a refusal writes nothing.
+    Each writer is called with the directory first; ``report.json`` lists the
+    files in its ``artifacts`` map, keyed by file stem, and is written last.
+    Prints ``<name>: <summary> -> <out>`` and returns 0 on pass, 2 on fail.
+    """
+    exp = build_experiment(load_config(args.config))
+    payload = {
+        "subcommand": name,
         "config": exp.cfg,
         "config_hash": config_hash(exp.cfg),
         "resolved": {"T": exp.T, "dt": exp.dt, "K_filter": exp.K_filter,
@@ -141,17 +163,15 @@ def _base_report(exp, subcommand):
         },
         "notes": list(exp.notes),
     }
-
-
-def _out_dir(exp, args):
+    ok, summary, writers = body(exp, payload, args)
     out = args.out or exp.cfg.get("output_dir") or "runs/latest"
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
+    files = [os.path.basename(write(out, *data)) for write, *data in writers]
+    payload["artifacts"] = {os.path.splitext(f)[0]: f for f in files}
+    payload["verdict"] = "pass" if ok else "fail"
+    write_report(out, payload)
+    print(f"{name}: {summary} -> {out}")
+    return 0 if ok else 2
 
 
 def _gcc_horizon(exp, regions):
@@ -183,87 +203,64 @@ def _gcc_entries(exp):
     return entries
 
 
-def _cmd_gcc(args):
-    exp = build_experiment(load_config(args.config))
+def _gcc(exp, payload, args):
     if not exp.coupling_regions + exp.control_regions:
         raise ConfigError("gcc needs at least one coupling or distributed control region")
-    reports = _gcc_entries(exp)
-    verdict = all(r["verdict"] == "pass" for r in reports)
-    out = _out_dir(exp, args)
-    payload = _base_report(exp, "gcc")
-    payload["gcc"] = reports
-    payload["verdict"] = "pass" if verdict else "fail"
-    write_report(out, payload)
-    print(f"gcc: {'pass' if verdict else 'fail'} "
-          f"({sum(r['rays_hit'] for r in reports)}/{sum(r['rays_total'] for r in reports)} rays hit) "
-          f"-> {out}")
-    return 0 if verdict else 2
+    reports = payload["gcc"] = _gcc_entries(exp)
+    ok = all(r["verdict"] == "pass" for r in reports)
+    summary = (f"{'pass' if ok else 'fail'} ({sum(r['rays_hit'] for r in reports)}/"
+               f"{sum(r['rays_total'] for r in reports)} rays hit)")
+    return ok, summary, []
 
 
-def _coupling_bounds(exp):
-    """Coupling-bound certificates of every coupling region, each over
-    ``operators.COUPLING_SAMPLES`` random fields; `check` and the `control`
-    report share them."""
-    return [verify_coupling_bounds(region, exp.grid, seed=exp.seed)
-            for region in exp.coupling_regions]
+def _hypotheses(exp):
+    """The coercivity constant and the coupling-bound certificate of every
+    coupling region, each over ``operators.COUPLING_SAMPLES`` random fields;
+    `check` and the `control` report share them."""
+    return {
+        "coercivity_constant": verify_operator_coercivity(exp.basis),
+        "coupling": [verify_coupling_bounds(region, exp.grid, seed=exp.seed).to_dict()
+                     for region in exp.coupling_regions],
+    }
 
 
-def _cmd_check(args):
-    exp = build_experiment(load_config(args.config))
-    lam1 = verify_operator_coercivity(exp.basis)
-    couplings = _coupling_bounds(exp)
+def _check(exp, payload, args):
+    hyp = _hypotheses(exp)
+    lam1 = hyp["coercivity_constant"]
     boundary = any(isinstance(c, BoundaryEnd) for c in exp.sys.controls.values())
     default_levels = [exp.grid.n[0], 2 * exp.grid.n[0]] if boundary else [exp.grid.n[0]]
     adm = admissibility_ratio(exp.sys, exp.analysis.get("n_samples", 5), min(exp.T, 1.0), exp.dt,
                               exp.analysis.get("levels", default_levels), seed=exp.seed)
     slack_tol = -1e-9
-    coupling_ok = all(c.slack_bound >= slack_tol and c.slack_coercivity >= slack_tol
-                      for c in couplings)
+    coupling_ok = all(c["slack_bound"] >= slack_tol and c["slack_coercivity"] >= slack_tol
+                      for c in hyp["coupling"])
     ratios_ok = all(math.isfinite(r) for r in adm.max_ratios)
     if adm.observation == "distributed" and exp.control_regions:
         bound = max(max(r.amplitudes) for r in exp.control_regions) ** 2
         ratios_ok &= all(r <= bound * (1 + 1e-9) + 1e-12 for r in adm.max_ratios)
-    verdict = lam1 > 0 and coupling_ok and ratios_ok
-    out = _out_dir(exp, args)
-    payload = _base_report(exp, "check")
+    ok = lam1 > 0 and coupling_ok and ratios_ok
     payload["hypotheses"] = {
-        "coercivity_constant": lam1,
-        "coupling": [c.to_dict() for c in couplings],
+        **hyp,
         "admissibility_ratios": adm.max_ratios,
         "admissibility": adm.to_dict(),
         "flags": {"coercivity": lam1 > 0, "coupling": coupling_ok, "admissibility": ratios_ok},
         "notes": ["multiplier bounds certified in the base space only; "
                   "smoothness-scale boundedness is untested"],
     }
-    payload["verdict"] = "pass" if verdict else "fail"
-    write_report(out, payload)
-    write_spectra_csv(out, exp.basis.eigenvalues)
-    print(f"check: {'pass' if verdict else 'fail'} "
-          f"(coercivity {lam1:.6g}, max admissibility ratio "
-          f"{max(adm.max_ratios):.4g}) -> {out}")
-    return 0 if verdict else 2
+    summary = (f"{'pass' if ok else 'fail'} (coercivity {lam1:.6g}, "
+               f"max admissibility ratio {max(adm.max_ratios):.4g})")
+    return ok, summary, [(write_spectra_csv, exp.basis.eigenvalues)]
 
 
-def _quick_hypotheses(exp):
-    return {
-        "coercivity_constant": verify_operator_coercivity(exp.basis),
-        "coupling": [c.to_dict() for c in _coupling_bounds(exp)],
-    }
-
-
-def _cmd_control(args):
-    exp = build_experiment(load_config(args.config))
+def _control(exp, payload, args):
     result = synthesize_control(exp.sys, exp.Y0, exp.T, exp.dt, exp.K_filter,
                                 eps=exp.eps, cg_tol=exp.cg_tol, max_iter=exp.max_iter)
-    out = _out_dir(exp, args)
-    payload = _base_report(exp, "control")
     payload["hum"] = result.to_dict()
-    payload["hypotheses"] = _quick_hypotheses(exp)
+    payload["hypotheses"] = _hypotheses(exp)
     payload["gcc"] = _gcc_entries(exp)
-    payload["verdict"] = "pass" if result.success else "fail"
-    paths = {"control": write_control_csv(out, result.control, exp.sys),
-             "initial_state": write_state_csv(out, result.initial_state),
-             "spectra": write_spectra_csv(out, exp.basis.eigenvalues)}
+    writers = [(write_control_csv, result.control, exp.sys),
+               (write_state_csv, result.initial_state),
+               (write_spectra_csv, exp.basis.eigenvalues)]
     if args.snapshots:
         nodes = {round(t / exp.dt) for t in np.linspace(0.0, exp.T, args.snapshots + 1)}
         snapshots = []
@@ -273,68 +270,45 @@ def _cmd_control(args):
                 snapshots.append((n * exp.dt, y.copy()))
 
         solve(exp.sys, exp.Y0, result.control, exp.T, exp.dt, visit)
-        paths["trajectory"] = write_trajectory_csv(out, snapshots)
-    payload["artifacts"] = {k: os.path.basename(v) for k, v in paths.items()}
-    write_report(out, payload)
+        writers.append((write_trajectory_csv, snapshots))
     ratio = (result.terminal_energy_filtered / result.initial_energy
              if result.initial_energy > 0 else 0.0)
-    print(f"control: {'pass' if result.success else 'fail'} "
-          f"(filtered terminal/initial energy {ratio:.3e}, "
-          f"{result.refinement_passes} refinement passes) -> {out}")
-    return 0 if result.success else 2
+    summary = (f"{'pass' if result.success else 'fail'} "
+               f"(filtered terminal/initial energy {ratio:.3e}, "
+               f"{result.refinement_passes} refinement passes)")
+    return result.success, summary, writers
 
 
-def _cmd_observability(args):
-    exp = build_experiment(load_config(args.config))
+def _observability(exp, payload, args):
     t_grid = exp.analysis.get("t_grid", [exp.T])
     K = exp.analysis.get("K", min(exp.K_filter, 5))
-    reports = observability_constants(exp.sys, t_grid, exp.dt, K)
-    out = _out_dir(exp, args)
-    payload = _base_report(exp, "observability")
-    payload["observability"] = reports
+    reports = payload["observability"] = observability_constants(exp.sys, t_grid, exp.dt, K)
     if not exp.sys.control:
         payload["notes"].append("c1_est is null: system carries no control; the control "
                                 "observability constant is undefined")
-    payload["verdict"] = "pass"
-    write_report(out, payload)
-    write_spectra_csv(out, reports[-1]["eigenvalues"])
     c1 = reports[-1]["c1_est"]
-    print(f"observability: c1_est {'null' if c1 is None else f'{c1:.6g}'} "
-          f"at T={t_grid[-1]:g} -> {out}")
-    return 0
+    summary = f"c1_est {'null' if c1 is None else f'{c1:.6g}'} at T={t_grid[-1]:g}"
+    return True, summary, [(write_spectra_csv, reports[-1]["eigenvalues"])]
 
 
-def _cmd_kalman(args):
-    exp = build_experiment(load_config(args.config))
-    K = exp.analysis.get("K", exp.K_filter)
-    report = kalman_mode_test(exp.sys, K)
-    out = _out_dir(exp, args)
-    payload = _base_report(exp, "kalman")
+def _kalman(exp, payload, args):
+    report = kalman_mode_test(exp.sys, exp.analysis.get("K", exp.K_filter))
     payload["kalman"] = report.to_dict()
-    payload["verdict"] = "pass" if report.full_rank else "fail"
-    write_report(out, payload)
-    write_spectra_csv(out, exp.basis.eigenvalues)
-    print(f"kalman: {'full rank' if report.full_rank else 'rank deficient'} "
-          f"over {len(report.modes)} modes -> {out}")
-    return 0 if report.full_rank else 2
+    summary = (f"{'full rank' if report.full_rank else 'rank deficient'} "
+               f"over {len(report.modes)} modes")
+    return report.full_rank, summary, [(write_spectra_csv, exp.basis.eigenvalues)]
 
 
-def _cmd_sweep(args):
-    exp = build_experiment(load_config(args.config))
+def _sweep(exp, payload, args):
     if not exp.eps_list:
         raise ConfigError("sweep-eps needs hum.eps_list in the config")
     sweep = epsilon_sweep(exp.sys, exp.Y0, exp.T, exp.dt, exp.K_filter,
                           exp.eps_list, cg_tol=exp.cg_tol, max_iter=exp.max_iter)
-    out = _out_dir(exp, args)
-    payload = _base_report(exp, "sweep-eps")
     payload["sweep"] = sweep.to_dict()
-    payload["verdict"] = "fail" if sweep.partial else "pass"
-    write_report(out, payload)
-    write_control_csv(out, sweep.results[-1].control, exp.sys)
-    write_state_csv(out, exp.Y0)
-    print(f"sweep-eps: slope {sweep.slope:.3f} over {len(sweep.eps_list)} eps values "
-          f"({'partial' if sweep.partial else 'complete'}) -> {out}")
-    return 2 if sweep.partial else 0
+    summary = (f"slope {sweep.slope:.3f} over {len(sweep.eps_list)} eps values "
+               f"({'partial' if sweep.partial else 'complete'})")
+    return not sweep.partial, summary, [(write_control_csv, sweep.results[-1].control, exp.sys),
+                                        (write_state_csv, exp.Y0)]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +376,7 @@ def _read_control_csv(path, exp):
     offsets = np.concatenate([[0], np.cumsum((M + 1) * widths)])
     buf = np.zeros(offsets[-1], dtype=sys.state_dtype)
     seen = np.zeros(buf.shape, dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_text(path) as fh:
         header = fh.readline().rstrip("\r\n")
         if header != SERIES_HEADER:
             raise _malformed(path, 1, f"header {header!r}, expected {SERIES_HEADER!r}")
@@ -465,7 +439,7 @@ def _read_state_csv(path, exp):
     state = SystemState(0.0, np.zeros((N, n_total), dtype=exp.sys.state_dtype),
                         np.zeros((N, n_total)) if exp.sys.is_hyperbolic else None)
     seen = np.zeros((len(kinds), N, n_total), dtype=bool)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = ",".join(next(reader, []))
         if header != STATE_HEADER:
@@ -511,18 +485,27 @@ def _cmd_replay(args):
         if not os.path.exists(path):
             print(f"replay: missing {os.path.basename(path)} in {run_dir}", file=_sys.stderr)
             return 1
-    with open(report_path, "r", encoding="utf-8") as fh:
+    with read_text(report_path) as fh:
         try:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed {report_path}: {exc}") from None
-    if "hum" not in report:
+    if not isinstance(report, dict):
+        raise ConfigError(f"malformed {report_path}: not a JSON object")
+    # a sweep-eps directory holds the control of its last eps
+    where = "hum" if "hum" in report else "sweep.runs[-1]" if "sweep" in report else None
+    if where is None:
         print("replay: report carries no control synthesis", file=_sys.stderr)
         return 1
-    stored = report["hum"]
     needed = ("terminal_energy_full", "terminal_energy_filtered")
-    if "config" not in report or not all(key in stored for key in needed):
-        raise ConfigError(f"malformed {report_path}: needs config and hum.{', hum.'.join(needed)}")
+    try:
+        stored = report["hum"] if where == "hum" else report["sweep"]["runs"][-1]
+        complete = "config" in report and all(isinstance(stored[key], float) for key in needed)
+    except (KeyError, IndexError, TypeError):
+        complete = False
+    if not complete:
+        raise ConfigError(f"malformed {report_path}: needs config and "
+                          f"{', '.join(f'{where}.{key}' for key in needed)} as numbers")
     exp = build_experiment(report["config"])
     signal = _read_control_csv(control_path, exp)
     initial = _read_state_csv(state_path, exp)
@@ -677,20 +660,20 @@ def _parser():
         p.add_argument("--config", required=True, help="experiment JSON config")
         p.add_argument("--out", default=None, help="output directory override")
 
-    for name, fn, helptext in (
-        ("gcc", _cmd_gcc, "exact billiard-ray geometric control condition per region"),
-        ("check", _cmd_check, "coercivity, coupling-bound and admissibility checks"),
-        ("control", _cmd_control, "synthesize a null control and verify by re-simulation"),
-        ("observability", _cmd_observability, "filtered observability constants"),
-        ("kalman", _cmd_kalman, "per-mode rank test for constant couplings"),
-        ("sweep-eps", _cmd_sweep, "penalized synthesis over a decreasing eps list"),
+    for name, body, helptext in (
+        ("gcc", _gcc, "exact billiard-ray geometric control condition per region"),
+        ("check", _check, "coercivity, coupling-bound and admissibility checks"),
+        ("control", _control, "synthesize a null control and verify by re-simulation"),
+        ("observability", _observability, "filtered observability constants"),
+        ("kalman", _kalman, "per-mode rank test for constant couplings"),
+        ("sweep-eps", _sweep, "penalized synthesis over a decreasing eps list"),
     ):
         p = sub.add_parser(name, help=helptext)
         with_config(p)
         if name == "control":
             p.add_argument("--snapshots", type=int, default=0,
                            help="write trajectory.csv with this many snapshots")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=functools.partial(_run, name=name, body=body))
 
     p = sub.add_parser("replay", help="re-simulate a stored run and compare energies")
     p.add_argument("directory", help="run directory with report.json and CSVs")
@@ -710,7 +693,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CascadeLabError, FileNotFoundError) as exc:
+    except (CascadeLabError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ generator recorded in the config itself.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -80,9 +81,20 @@ def _check_keys(obj, allowed, where):
     _require(not unknown, f"unknown keys {sorted(unknown)} in {where}")
 
 
+@contextlib.contextmanager
+def read_text(path, newline=None):
+    """``path`` opened for UTF-8 text reading. Bytes that do not decode raise
+    ConfigError naming the file, wherever in the file they sit."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def load_config(path):
     """The parsed JSON of a config file; ``build_experiment`` checks it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with read_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:

@@ -15,6 +15,42 @@ def pytest_configure(config):
     configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cascade-lab-hypothesis"))
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TREE_AT_START = pytest.StashKey[set]()
+
+
+def _repo_tree():
+    """Every path under the repository, relative to it, apart from .git and
+    the interpreter's bytecode caches."""
+    paths = set()
+    for root, dirs, files in os.walk(REPO):
+        dirs[:] = [d for d in dirs if d not in (".git", "__pycache__")]
+        rel = os.path.relpath(root, REPO)
+        paths.update(os.path.normpath(os.path.join(rel, name))
+                     for name in dirs + files if not name.endswith(".pyc"))
+    return paths
+
+
+def pytest_sessionstart(session):
+    session.config.stash[TREE_AT_START] = _repo_tree()
+
+
+def pytest_sessionfinish(session):
+    """Fail the run when a test wrote into, or deleted from, the repository
+    tree; every such path is named."""
+    before, after = session.config.stash[TREE_AT_START], _repo_tree()
+    if before == after:
+        return
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    reporter.write_line("")
+    reporter.write_sep("=", "the tests changed the repository tree", red=True)
+    for path in sorted(after - before):
+        reporter.write_line(f"appeared: {path}", red=True)
+    for path in sorted(before - after):
+        reporter.write_line(f"vanished: {path}", red=True)
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
 @pytest.fixture
 def grid1d():
     return cl.build_grid([1.0], [60])

@@ -1,8 +1,13 @@
 """The CSV artifacts: the control.csv row layout (support columns only), its
-bounded-memory reader, and replay's rejection of malformed artifacts."""
+bounded-memory reader, replay of `control` and `sweep-eps` directories and its
+rejection of malformed or unreadable artifacts, and CSV bytes that do not
+depend on the BLAS thread count."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -163,6 +168,14 @@ def test_boundary_control_row_needs_index_0(tmp_path, kind, component):
         _read_control_csv(path, exp)
 
 
+def _json_value(key, value):
+    """Set the value of ``key`` on its line of an indented JSON file."""
+    def edit(lines):
+        j = next(j for j, line in enumerate(lines) if line.strip().startswith(f'"{key}":'))
+        lines[j] = f"{lines[j].split(':')[0]}: {value},"
+    return edit
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """One small wave run and one small heat run, produced by `control`. The
@@ -211,7 +224,10 @@ def runs(tmp_path_factory):
     ("heat", "initial_state.csv", _insert(2, lambda lines: "1,wp,0,0,0"),
      "line 2: kind 'wp' is not one of w"),
     ("wave", "report.json", lambda lines: lines.insert(0, "{"), "malformed"),
+    ("wave", "report.json", lambda lines: [lines.clear(), lines.append("5")], "not a JSON object"),
     ("wave", "report.json", lambda lines: lines.remove(next(x for x in lines if "energy_full" in x)),
+     "needs config and hum.terminal_energy_full"),
+    ("wave", "report.json", _json_value("terminal_energy_full", '"x"'),
      "needs config and hum.terminal_energy_full"),
 ])
 def test_replay_rejects_malformed_artifact(runs, tmp_path, capsys, run, name, edit, message):
@@ -280,3 +296,107 @@ def test_state_csv_bitwise_roundtrip(tmp_path, kind):
     assert (state.wp is None) == (exp.Y0.wp is None)
     if state.wp is not None:
         assert state.wp.tobytes() == exp.Y0.wp.tobytes()
+
+
+def _scale_median_sample(path, factor):
+    """Scale value_re of the control.csv line whose magnitude is the median
+    one; the rest of the file keeps its bytes."""
+    header, *rows = path.read_text().splitlines()
+    values = [abs(float(row.split(",")[3])) for row in rows]
+    j = int(np.argsort(values)[len(values) // 2])
+    t, k, i, re, im = rows[j].split(",")
+    rows[j] = ",".join([t, k, i, repr(float(re) * factor), im])
+    path.write_text("\n".join([header] + rows) + "\n")
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """A `sweep-eps` run directory of the heat demo."""
+    root = tmp_path_factory.mktemp("sweep")
+    cfg = root / "heat.json"
+    cfg.write_text(json.dumps(demo_configs()["demo_heat_cascade.json"]))
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+def test_sweep_eps_directory_replays(sweep, tmp_path, capsys):
+    """sweep-eps writes the control of its last eps; replay checks it against
+    that run's stored energies. A 1% change of the median-magnitude sample
+    fails."""
+    out = tmp_path / "sweep"
+    shutil.copytree(sweep, out)
+    report = json.loads((out / "report.json").read_text())
+    assert "hum" not in report and report["sweep"]["runs"][-1]["eps"] == 1e-6
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert float(capsys.readouterr().out.rsplit(" ", 1)[1].rstrip(")\n")) <= 1e-9
+    _scale_median_sample(out / "control.csv", 1.01)
+    assert main(["replay", str(out)]) == 2
+
+
+@pytest.mark.parametrize("block", [5, [], {"runs": []}, {"runs": [3]}, {"runs": [{}]},
+                                   {"runs": [{"terminal_energy_full": "x",
+                                              "terminal_energy_filtered": 0.0}]}])
+def test_replay_rejects_a_malformed_sweep_block(sweep, tmp_path, capsys, block):
+    out = tmp_path / "sweep"
+    shutil.copytree(sweep, out)
+    report = json.loads((out / "report.json").read_text())
+    report["sweep"] = block
+    (out / "report.json").write_text(json.dumps(report))
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {out / 'report.json'}: needs config and "
+                          "sweep.runs[-1].terminal_energy_full") and err.count("\n") == 1
+
+
+def test_report_without_a_control_is_not_replayed(runs, tmp_path, capsys):
+    out = tmp_path / "wave"
+    shutil.copytree(runs / "wave", out)
+    report = json.loads((out / "report.json").read_text())
+    del report["hum"]
+    (out / "report.json").write_text(json.dumps(report))
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == "replay: report carries no control synthesis\n"
+
+
+def _one_error_line_naming(err, path):
+    return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("name", ["report.json", "control.csv", "initial_state.csv"])
+def test_replay_of_a_file_that_is_not_utf8_exits_1(runs, tmp_path, capsys, name):
+    """A 0xff byte, here in the middle of the file (past the first block of
+    control.csv), is one error line naming the file, not a traceback."""
+    out = tmp_path / "wave"
+    shutil.copytree(runs / "wave", out)
+    data = (out / name).read_bytes()
+    (out / name).write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    assert main(["replay", str(out)]) == 1
+    assert _one_error_line_naming(capsys.readouterr().err, out / name)
+
+
+def test_replay_of_a_directory_named_control_csv_exits_1(runs, tmp_path, capsys):
+    out = tmp_path / "wave"
+    shutil.copytree(runs / "wave", out)
+    (out / "control.csv").unlink()
+    (out / "control.csv").mkdir()
+    assert main(["replay", str(out)]) == 1
+    assert _one_error_line_naming(capsys.readouterr().err, out / "control.csv")
+
+
+def test_wave_artifacts_do_not_depend_on_the_thread_count(tmp_path):
+    """The wave demo's `control` CSVs are byte-equal at 1 and 2 BLAS
+    threads; each run is its own interpreter, so the setting takes hold."""
+    cfg = tmp_path / "wave.json"
+    cfg.write_text(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    src = os.path.dirname(os.path.dirname(cl.__file__))
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "cascade_lab.cli", "control", "--config", str(cfg),
+                "--out", str(tmp_path / threads)]
+        procs.append(subprocess.Popen(argv, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL))
+    assert [p.wait() for p in procs] == [0, 0]
+    for name in ("control.csv", "initial_state.csv", "spectra.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

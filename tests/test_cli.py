@@ -694,10 +694,30 @@ def test_every_subcommand_on_every_demo_exits_cleanly(tmp_path, capsys, name, co
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == ""
-        notes = json.loads((out / "report.json").read_text())["notes"]
-        assert (ZERO_COUPLING_NOTE in notes) == (name == "zero_coupling.json")
+        report = json.loads((out / "report.json").read_text())
+        assert (ZERO_COUPLING_NOTE in report["notes"]) == (name == "zero_coupling.json")
+        # the artifacts map lists every file the run wrote besides the report
+        written = sorted(set(os.listdir(out)) - {"report.json"})
+        assert report["artifacts"] == {os.path.splitext(f)[0]: f for f in written}
+        assert written or command == "gcc"
     if command == "control":
         assert main(["replay", str(out)]) in (0, 1, 2)
+
+
+def test_config_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert main(["check", "--config", str(tmp_path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    """A UTF-16 byte-order mark (0xff 0xfe) does not decode as UTF-8."""
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(demo_configs()[WAVE]).encode())
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_subcommand_usage_error():
