@@ -54,9 +54,10 @@ def observability_constants(sys, t_grid, dt, K_filter):
     inequality, observes the velocity of the single free equation on the
     (indicator) support of the first coupling region and runs when the
     system has a coupling: ``coupling_eigenvalues`` and ``c2_est``. Both
-    constants are smallest eigenvalues in the seed inner product. The larger
-    seed dimension must stay within DENSE_SEED_LIMIT; it is checked before
-    any march.
+    constants are smallest eigenvalues in the seed coordinates. The larger
+    seed dimension, the number of real coordinates and so the order of the
+    Gramian, must stay within DENSE_SEED_LIMIT; it is checked before any
+    march.
     """
     seeds = {}
     if sys.control:

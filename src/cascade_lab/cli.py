@@ -481,10 +481,6 @@ def _cmd_replay(args):
     report_path = os.path.join(run_dir, "report.json")
     control_path = os.path.join(run_dir, "control.csv")
     state_path = os.path.join(run_dir, "initial_state.csv")
-    for path in (report_path, control_path, state_path):
-        if not os.path.exists(path):
-            print(f"replay: missing {os.path.basename(path)} in {run_dir}", file=_sys.stderr)
-            return 1
     with read_text(report_path) as fh:
         try:
             report = json.load(fh)
@@ -495,8 +491,7 @@ def _cmd_replay(args):
     # a sweep-eps directory holds the control of its last eps
     where = "hum" if "hum" in report else "sweep.runs[-1]" if "sweep" in report else None
     if where is None:
-        print("replay: report carries no control synthesis", file=_sys.stderr)
-        return 1
+        raise ConfigError(f"{report_path} carries no control synthesis")
     needed = ("terminal_energy_full", "terminal_energy_filtered")
     try:
         stored = report["hum"] if where == "hum" else report["sweep"]["runs"][-1]

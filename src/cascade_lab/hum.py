@@ -7,13 +7,15 @@ composition is the HUM Gramian. Seeds are restricted to the lowest K modes per
 component because non-propagating discrete high frequencies ruin uniform
 observability on any fixed grid; the filter is part of every reported result.
 
-The seed-space representation of a forward terminal state is chosen as the
-plain spectral readout (position coefficients plus the staggered leapfrog
-velocity for the second-order family, the terminal coefficients for the
-first-order one). With the sampling conventions of :mod:`cascade_lab.dynamics`
-this readout is the exact discrete adjoint of the control injection, so
+Seeds live in one representation, real coordinates that are orthonormal for
+the energy pairing (see ``SeedSpace``). A forward terminal state is read out
+in the same coordinates: sqrt(lambda_j) times the position coefficients plus
+the staggered leapfrog velocity for the second-order family, the terminal
+coefficients for the first-order one. With the sampling conventions of
+:mod:`cascade_lab.dynamics` this readout is the exact discrete adjoint of
+the control injection, so
 
-    <G X, Y>_seed  =  sum_n w_n <obs_n(X), obs_n(Y)>_G
+    (G x) . y  =  sum_n w_n <obs_n(x), obs_n(y)>_G
 
 holds to round-off, the Gramian is symmetric positive semidefinite by
 construction, and an accurate solve drives the measured filtered terminal
@@ -21,11 +23,12 @@ energy to the residual level rather than to O(dt^2).
 
 The seed space has at most a few hundred real coordinates, so the Gramian is
 assembled densely by one batched adjoint march over an orthonormal seed basis
-(``GramianOperator.march_adjoint``, whose visitor reduces each sample into G)
-and solved through one symmetric eigendecomposition; the matrix-free
-``GramianOperator.apply`` stays as the independent cross-check. Second-order
-synthesis solves G X = b exactly (eps = 0 allowed); the first-order family
-uses the penalized form (G + eps I) X = b, whose terminal norm scales like
+(``GramianOperator.march_adjoint`` seeded by the identity, whose visitor
+reduces each sample into G) and solved through one symmetric
+eigendecomposition; the matrix-free ``GramianOperator.apply`` stays as the
+independent cross-check. Second-order synthesis solves G x = b exactly
+(eps = 0 allowed); the first-order family uses the penalized form
+(G + eps I) x = b, whose terminal norm scales like
 sqrt(eps) under null controllability; ``epsilon_sweep`` fits that exponent
 from one eigendecomposition shared by every eps. Every synthesis is verified
 by re-simulation, and a sweep verifies all its eps at once: the solved seeds
@@ -69,12 +72,14 @@ from .geometry import Support
 
 @dataclass(frozen=True)
 class SeedSpace:
-    """Filtered adjoint-seed coordinates.
+    """Filtered adjoint seeds in real orthonormal coordinates.
 
-    Second-order family: real coefficients of shape (N, K, 2), slot 0 the
-    position coordinate (weighted by lambda_j in the inner product, the natural
-    energy pairing) and slot 1 the velocity coordinate. First-order family:
-    one complex (real when theta = 0) coefficient per component and mode.
+    A seed is a real vector of ``dim`` coordinates (leading batch axes
+    allowed), ordered by component, then mode, then slot. The slots of mode j
+    are (sqrt(lambda_j) position, velocity) for the second-order family, so
+    that the plain dot product is the energy pairing; (Re, Im) of the
+    coefficient for a complex first-order family; the coefficient alone for a
+    real one.
     """
 
     sys: CascadeSystem
@@ -97,87 +102,36 @@ class SeedSpace:
         return self.sys.basis.modes[: self.K]
 
     @property
-    def shape(self):
-        """Shape of one seed or readout, (N, K, 2) or (N, K)."""
-        return (self.sys.N, self.K, 2) if self.hyperbolic else (self.sys.N, self.K)
+    def _slots(self):
+        """Real coordinates per component and mode."""
+        return 2 if self.hyperbolic or self.sys.state_dtype == np.complex128 else 1
 
     @property
     def dim(self):
-        return self.sys.N * self.K * (2 if self.hyperbolic else 1)
+        """Number of real coordinates, the order of the Gramian."""
+        return self.sys.N * self.K * self._slots
 
-    @property
-    def coord_dim(self):
-        """Real dimension: complex seed spaces count twice."""
-        return self.dim * (2 if self.sys.state_dtype == np.complex128 else 1)
-
-    def to_coords(self, X):
-        """Real coordinates of X in the orthonormal basis ``from_coords(I)``.
-
-        Entry p is Re <X, E_p> in the seed inner product; X may carry leading
-        batch axes.
-        """
-        batch = X.shape[: X.ndim - len(self.shape)]
-        if self.hyperbolic:
-            root = np.sqrt(self.eigenvalues)
-            c = np.stack([root * X[..., 0], X[..., 1]], axis=-1)
-        elif self.sys.state_dtype == np.complex128:
-            c = np.stack([np.real(X), np.imag(X)], axis=-1)
-        else:
-            c = X
-        return c.reshape(batch + (self.coord_dim,))
-
-    def from_coords(self, x):
-        """Seed with real coordinates x (..., coord_dim); inverse of to_coords."""
-        x = np.asarray(x, dtype=np.float64)
-        batch = x.shape[:-1]
-        if self.hyperbolic:
-            c = x.reshape(batch + (self.sys.N, self.K, 2))
-            return np.stack([c[..., 0] / np.sqrt(self.eigenvalues), c[..., 1]], axis=-1)
-        if self.sys.state_dtype == np.complex128:
-            c = x.reshape(batch + (self.sys.N, self.K, 2))
-            return c[..., 0] + 1j * c[..., 1]
-        return x.reshape(batch + (self.sys.N, self.K)).copy()
-
-    def zeros(self):
-        return np.zeros(self.shape, dtype=self.sys.state_dtype)
-
-    def random(self, rng):
-        x = rng.standard_normal(self.shape)
-        if self.sys.state_dtype == np.complex128:
-            x = x + 1j * rng.standard_normal(self.shape)
-        return x
-
-    def inner(self, X, Y):
-        """Seed inner product; complex Hermitian for the first-order family."""
-        if self.hyperbolic:
-            lam = self.eigenvalues[None, :]
-            return float(np.sum(lam * X[..., 0] * Y[..., 0]) + np.sum(X[..., 1] * Y[..., 1]))
-        return complex(np.vdot(Y, X))
-
-    def norm(self, X):
-        return math.sqrt(max(np.real(self.inner(X, X)), 0.0))
-
-    def energy_of(self, X):
+    def energy_of(self, x):
         """Natural filtered energy of one seed/readout (per-component list, total)."""
-        if X.shape != self.shape:
-            raise ValueError(f"seed of shape {X.shape} != {self.shape}")
-        if self.hyperbolic:
-            lam = self.eigenvalues[None, :]
-            per = 0.5 * (np.sum(lam * X[..., 0] ** 2, axis=1) + np.sum(X[..., 1] ** 2, axis=1))
-        else:
-            per = 0.5 * np.sum(np.abs(X) ** 2, axis=1)
-        per = [float(v) for v in per]
+        if x.shape != (self.dim,):
+            raise ValueError(f"seed of shape {x.shape} != ({self.dim},)")
+        per = [float(v) for v in 0.5 * np.sum(x.reshape(self.sys.N, -1) ** 2, axis=1)]
         return per, float(sum(per))
 
-    # -- conversions ----------------------------------------------------------
-
-    def adjoint_terminal_levels(self, X, dt):
+    def adjoint_terminal_levels(self, x, dt):
         """Backward starting data of the adjoint encoding the seed functional."""
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"seed coordinates of shape {x.shape}: the last axis must be "
+                             f"dim = {self.dim}")
+        c = x.reshape(x.shape[:-1] + (self.sys.N, self.K, self._slots))
         if self.hyperbolic:
-            phi_M = self.synth(X[..., 1])
-            phi_M1 = phi_M + dt * self.synth(self.eigenvalues[None, :] * X[..., 0])
+            phi_M = self.synth(c[..., 1])
+            pos = c[..., 0] / np.sqrt(self.eigenvalues)
+            phi_M1 = phi_M + dt * self.synth(self.eigenvalues * pos)
             return phi_M, phi_M1
-        return self.synth(X)
+        if self._slots == 2:
+            return self.synth(c[..., 0] + 1j * c[..., 1])
+        return self.synth(c[..., 0])
 
     def synth(self, coeffs):
         return np.tensordot(coeffs, self.modes, axes=([-1], [0]))
@@ -186,35 +140,27 @@ class SeedSpace:
         return np.tensordot(fields, self.modes, axes=([-1], [1])) * self.sys.grid.hvol
 
     def readout(self, levels, dt):
-        """Seed-space representation of a forward terminal state."""
+        """Coordinates of a forward terminal state (leading batch axes allowed)."""
         if self.hyperbolic:
             y_m1, y_m = levels
-            pos = self.proj(y_m)
-            svel = self.proj(y_m - y_m1) / dt
-            return np.stack([pos, svel], axis=-1)
-        return self.proj(levels)
+            coef = self.proj(y_m)
+            c = np.stack([np.sqrt(self.eigenvalues) * coef, self.proj(y_m - y_m1) / dt], axis=-1)
+        else:
+            c = coef = self.proj(levels)
+            if self._slots == 2:
+                c = np.stack([coef.real, coef.imag], axis=-1)
+        return c.reshape(coef.shape[:-2] + (self.dim,))
 
-    def project_state(self, state):
-        """Project a SystemState onto the filter space; returns (X, residual)."""
-        basis = self.sys.basis
+    def filtered(self, state):
+        """(state projected onto the filter space, L2 norm of what it drops)."""
+        hvol = self.sys.grid.hvol
+        w = self.synth(self.proj(state.w))
         if self.hyperbolic:
-            X = np.stack([self.proj(state.w), self.proj(state.wp)], axis=-1)
-            rec_w = self.synth(X[..., 0])
-            rec_wp = self.synth(X[..., 1])
-            res = math.sqrt(
-                (np.sum((state.w - rec_w) ** 2) + np.sum((state.wp - rec_wp) ** 2))
-                * self.sys.grid.hvol
-            )
-            return X, float(res)
-        X = self.proj(state.w)
-        rec = self.synth(X)
-        res = math.sqrt(float(np.real(np.vdot(state.w - rec, state.w - rec))) * self.sys.grid.hvol)
-        return X, float(res)
-
-    def state_from_seed(self, X):
-        if self.hyperbolic:
-            return SystemState(0.0, self.synth(X[..., 0]), self.synth(X[..., 1]))
-        return SystemState(0.0, self.synth(X).astype(self.sys.state_dtype))
+            wp = self.synth(self.proj(state.wp))
+            res = math.sqrt((np.sum((state.w - w) ** 2) + np.sum((state.wp - wp) ** 2)) * hvol)
+            return SystemState(0.0, w, wp), res
+        res = math.sqrt(float(np.real(np.vdot(state.w - w, state.w - w))) * hvol)
+        return SystemState(0.0, w.astype(self.sys.state_dtype)), res
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +172,11 @@ class SeedSpace:
 class GramianOperator:
     """Matrix-free HUM Gramian on the filtered seed space.
 
-    apply(X) runs the backward adjoint solve seeded by X, feeds the recorded
-    observations back as the control of a forward solve from rest, and returns
-    the seed-space readout of the terminal state. Synthesis solves with the
-    dense matrix of ``assemble_dense_gramian``; apply stays as its independent
-    matrix-free cross-check. ``sys`` is the seed space's (forward) system and
+    apply(x) runs the backward adjoint solve seeded by coordinates x, feeds
+    the recorded observations back as the control of a forward solve from
+    rest, and returns the coordinates of the terminal state. Synthesis solves
+    with the dense matrix of ``assemble_dense_gramian``; apply stays as its
+    independent matrix-free cross-check. ``sys`` is the seed space's (forward) system and
     ``sys_adj`` its transposed orientation.
     """
 
@@ -246,41 +192,42 @@ class GramianOperator:
         if self.sys.is_hyperbolic:
             _check_cfl(self.sys, self.dt)
 
-    def march_adjoint(self, X, visit):
-        """Seed the adjoint march with X (leading batch axes allowed) and run it.
+    def march_adjoint(self, x, visit):
+        """Seed the adjoint march with coordinates x (leading batch axes
+        allowed) and run it.
 
         visit(n, field) sees the adjoint field behind sample n (a leapfrog
         level, or a Crank-Nicolson midpoint value) as it is made. The field
         is a reused buffer, valid only during the call: copy what is kept.
         """
-        start = self.seeds.adjoint_terminal_levels(X, self.dt)
+        start = self.seeds.adjoint_terminal_levels(x, self.dt)
         if self.seeds.hyperbolic:
             _hyp_adjoint(self.sys_adj, *start, self.M, self.dt, visit)
         else:
             _cn_adjoint(self.sys_adj, start, self.M, self.dt, visit)
 
-    def observations_of(self, X):
-        """The ControlSignal of adjoint observations seeded by X.
+    def observations_of(self, x):
+        """The ControlSignal of adjoint observations seeded by coordinates x.
 
-        X may carry leading batch axes; values[k] is (M + 1, *batch[, n_support]),
+        x may carry leading batch axes; values[k] is (M + 1, *batch[, n_support]),
         exactly 0 wherever ``weights`` is 0.
         """
-        batch = X.shape[: X.ndim - len(self.seeds.shape)]
+        batch = x.shape[:-1]
         obs, visit = _observation_recorder(self.sys_adj, self.weights, batch,
                                            _adjoint_phase(self.sys_adj))
-        self.march_adjoint(X, visit)
+        self.march_adjoint(x, visit)
         return ControlSignal(self.dt * np.arange(self.M + 1), obs, batch)
 
     def forward_with_control(self, signal, initial=None):
-        """(seed-space readout, terminal SystemState) of the forward march from
+        """(readout coordinates, terminal SystemState) of the forward march from
         ``initial`` (rest by default) under ``signal``; a batched signal gives
         a batched readout and terminal state."""
         init = initial if initial is not None else zero_state(self.sys)
         levels, terminal = solve(self.sys, init, signal, self.T, self.dt)
         return self.seeds.readout(levels, self.dt), terminal
 
-    def apply(self, X):
-        return self.forward_with_control(self.observations_of(X))[0]
+    def apply(self, x):
+        return self.forward_with_control(self.observations_of(x))[0]
 
 
 # observation columns gathered per rank-k update of G; small, to bound peak memory
@@ -288,22 +235,22 @@ _GRAMIAN_BLOCK_COLUMNS = 512
 
 
 def assemble_dense_gramian(gram):
-    """Dense Gramian in the orthonormal seed basis ``from_coords(I)``.
+    """Dense Gramian in the seed coordinates.
 
-    One batched adjoint march seeded by every basis vector at once; each
-    sample's observations O_n are reduced on the fly into
-    G += w_n O_n O_n^T with the weights ``gram.weights`` and the grid volume
-    for distributed observations, the bilinear form ``quadrature`` defines,
-    so no trajectory is kept. ``extract`` writes each sample's observation
+    One batched adjoint march seeded by every coordinate vector at once
+    (the rows of the identity); each sample's observations O_n are reduced
+    on the fly into G += w_n O_n O_n^T with the weights ``gram.weights`` and
+    the grid volume for distributed observations, the bilinear form
+    ``quadrature`` defines, so no trajectory is kept. ``extract`` writes each sample's observation
     columns (a distributed control's support) straight into one preallocated
     block, where they are scaled by sqrt(w_n), times sqrt(hvol) when
-    distributed; a full block is reduced into G by one product. Complex seed spaces count as real spaces of twice
-    the dimension, with observations split into real and imaginary parts;
-    the unimodular Crank-Nicolson phase factor drops out of Re <a, b>.
+    distributed; a full block is reduced into G by one product. Complex
+    observations are split into real and imaginary parts, matching the
+    (Re, Im) coordinate slots; the unimodular Crank-Nicolson phase factor
+    drops out of Re <a, b>.
     """
     seeds, sys_adj, weights = gram.seeds, gram.sys_adj, gram.weights
-    basis = seeds.from_coords(np.eye(seeds.coord_dim))
-    dim = basis.shape[0]
+    dim = seeds.dim
     is_complex = sys_adj.state_dtype == np.complex128
     # (k, column count, scale, end control?)
     parts = [(k, ctl.size, sys_adj.grid.hvol, False) if isinstance(ctl, Support)
@@ -342,7 +289,7 @@ def assemble_dense_gramian(gram):
         if width >= _GRAMIAN_BLOCK_COLUMNS:
             flush()
 
-    gram.march_adjoint(basis, visit)
+    gram.march_adjoint(np.eye(dim), visit)
     flush()
     return 0.5 * (mat + mat.T)
 
@@ -530,12 +477,11 @@ class _Synthesis:
         self.seeds = SeedSpace(sys, K_filter)
         self.gram = GramianOperator(self.seeds, T, dt)
 
-        X0, self.projection_residual = self.seeds.project_state(Y0)
-        self.Y0f = self.seeds.state_from_seed(X0)
+        self.Y0f, self.projection_residual = self.seeds.filtered(Y0)
         self.initial_energy = energy(sys, self.Y0f).total
         free_readout, free = self.gram.forward_with_control(None, initial=self.Y0f)
         # minus the free terminal readout: a solved system cancels it
-        self.b = self.seeds.to_coords(-free_readout)
+        self.b = -free_readout
         self.free_norm = state_l2_norm(sys, free)
         self.free_energy = energy(sys, free).total
         self.spectrum = GramianSpectrum(assemble_dense_gramian(self.gram))
@@ -551,8 +497,7 @@ class _Synthesis:
             max_iter = DEFAULT_REFINEMENT_PASSES
         sols = [self.spectrum.solve(self.b, eps, cg_tol, max_iter) for eps in eps_list]
 
-        X = self.seeds.from_coords(np.stack([sol.x for sol in sols]))
-        signals = self.gram.observations_of(X)
+        signals = self.gram.observations_of(np.stack([sol.x for sol in sols]))
         readouts, terminals = self.gram.forward_with_control(signals, initial=self.Y0f)
         wall_time = self.setup_time + time.perf_counter() - t0
         return [self._result(eps, sol, signals.member(i), readouts[i], terminals.member(i),
@@ -603,7 +548,7 @@ def synthesize_control(sys, Y0, T, dt, K_filter, eps=0.0, cg_tol=1e-8, max_iter=
     Second-order family: exact HUM (eps = 0 allowed). First-order family:
     penalized HUM, eps > 0 required. Y0 is projected onto the filter space
     (the discarded residual is reported); the right-hand side is minus the
-    seed-space representation of the free terminal state, so an accurate
+    readout coordinates of the free terminal state, so an accurate
     solve cancels the filtered terminal state of the re-simulated controlled
     system. ``cg_tol`` gates the relative residual of the direct solve and
     ``max_iter`` caps the refinement passes allowed to reach it.

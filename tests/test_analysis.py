@@ -65,6 +65,21 @@ def test_dense_limit_enforced():
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("theta,K,refused", [(0.7, 101, True), (0.0, 200, False)],
+                         ids=["complex 2NK=404", "real NK=400"])
+def test_dense_limit_counts_real_coordinates(theta, K, refused):
+    """The limit bounds the order of the Gramian, the number of real seed
+    coordinates: 2 N K for a complex first-order family, N K for a real one."""
+    sys = make_heat_cascade(n=K, K=K, theta=theta)
+    if refused:
+        with pytest.raises(cl.ConfigError, match=f"analysis.K {K}: seed dimension 404 exceeds "
+                                                  "the dense limit 400"):
+            observability_constants(sys, [0.002], 0.001, K)
+    else:
+        (entry,) = observability_constants(sys, [0.002], 0.001, K)
+        assert len(entry["eigenvalues"]) == DENSE_SEED_LIMIT
+
+
 @pytest.mark.parametrize("make", [make_wave_cascade, make_heat_cascade], ids=["wave", "heat"])
 def test_horizons_of_one_call_equal_separate_calls(make):
     sys = make(n=30, K=4)
@@ -99,8 +114,8 @@ def test_rayleigh_lower_bound_of_reported_constant():
     gram = GramianOperator(seeds, T, dt)
     rng = np.random.default_rng(6)
     for _ in range(10):
-        X = seeds.random(rng)
-        ray = np.real(seeds.inner(gram.apply(X), X)) / seeds.norm(X) ** 2
+        X = rng.standard_normal(seeds.dim)
+        ray = (gram.apply(X) @ X) / (X @ X)
         assert ray >= rep["c1_est"] - 1e-10
 
 

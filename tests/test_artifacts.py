@@ -356,11 +356,28 @@ def test_report_without_a_control_is_not_replayed(runs, tmp_path, capsys):
     del report["hum"]
     (out / "report.json").write_text(json.dumps(report))
     assert main(["replay", str(out)]) == 1
-    assert capsys.readouterr().err == "replay: report carries no control synthesis\n"
+    assert capsys.readouterr().err == f"error: {out / 'report.json'} carries no control synthesis\n"
 
 
 def _one_error_line_naming(err, path):
     return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("name", ["report.json", "control.csv", "initial_state.csv", None],
+                         ids=["report.json", "control.csv", "initial_state.csv", "empty directory"])
+def test_replay_of_a_missing_file_exits_1(runs, tmp_path, capsys, name):
+    """A missing artifact is one error line naming it; an empty directory
+    names its report.json, the first file replay reads."""
+    out = tmp_path / "wave"
+    if name is None:
+        out.mkdir()
+        missing = out / "report.json"
+    else:
+        shutil.copytree(runs / "wave", out)
+        missing = out / name
+        missing.unlink()
+    assert main(["replay", str(out)]) == 1
+    assert _one_error_line_naming(capsys.readouterr().err, missing)
 
 
 @pytest.mark.parametrize("name", ["report.json", "control.csv", "initial_state.csv"])

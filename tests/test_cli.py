@@ -73,8 +73,11 @@ def test_replay_detects_perturbed_control(demo_dir, tmp_path):
     assert main(["replay", out]) == 2
 
 
-def test_replay_empty_directory_fails(tmp_path):
+def test_replay_empty_directory_fails(tmp_path, capsys):
     assert main(["replay", str(tmp_path / "nothing")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "nothing" / "report.json") in err
 
 
 def test_gcc_pass_and_fail_exit_codes(demo_dir, tmp_path):
@@ -524,6 +527,9 @@ _DENSE_WAVE = _all(_set(["domain", "n"], [120]), _set(["hum", "K_filter"], 120),
     ("sweep-eps", _entry("hum", "eps_list", [1e-2, 1e-3, 0]), EPS_LIST_MESSAGE),
     ("sweep-eps", _entry("hum", "eps_list", [1e-2, 1e-3, -1]), EPS_LIST_MESSAGE),
     ("observability", _DENSE_WAVE, "analysis.K 120: seed dimension 480 exceeds the dense limit 400"),
+    ("observability", _heat(_set(["domain", "n"], [101]), _set(["family", "theta"], 0.7),
+                            _set(["hum", "K_filter"], 101), _entry("analysis", "K", 101)),
+     "analysis.K 101: seed dimension 404 exceeds the dense limit 400"),
 ])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, command, change, message):
     """Values of the right type that no subcommand can run with are config

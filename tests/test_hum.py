@@ -80,7 +80,7 @@ def _observation_quadrature(gram, X, Y):
 def test_gramian_zero_seed_zero_output():
     sys = make_wave_cascade(n=40, K=8)
     gram, seeds = _gramian(sys, 1.0)
-    GX = gram.apply(seeds.zeros())
+    GX = gram.apply(np.zeros(seeds.dim))
     assert np.all(GX == 0.0)
 
 
@@ -96,15 +96,15 @@ def test_gramian_symmetry_psd_and_pairing(maker, kwargs):
     gram, seeds = _gramian(sys, T, dt=dt)
     rng = np.random.default_rng(3)
     for _ in range(6):
-        X, Y = seeds.random(rng), seeds.random(rng)
+        X, Y = rng.standard_normal(seeds.dim), rng.standard_normal(seeds.dim)
         GX, GY = gram.apply(X), gram.apply(Y)
-        gxy = np.real(seeds.inner(GX, Y))
-        gyx = np.real(seeds.inner(GY, X))
+        gxy = GX @ Y
+        gyx = GY @ X
         assert abs(gxy - gyx) <= 1e-8 * max(abs(gxy), abs(gyx))
         # independently computed double-adjoint quadrature
         quad = _observation_quadrature(gram, X, Y)
         assert abs(gxy - quad) <= 1e-8 * max(abs(gxy), abs(quad))
-        ray = np.real(seeds.inner(GX, X)) / seeds.norm(X) ** 2
+        ray = (GX @ X) / (X @ X)
         assert ray >= -1e-12
 
 
@@ -120,8 +120,8 @@ def test_gramian_pairing_boundary_controls():
         step = dt if dt is not None else chained_dt(sys, T)
         gram, seeds = _gramian(sys, T, K=6, dt=step)
         for _ in range(4):
-            X, Y = seeds.random(rng), seeds.random(rng)
-            gxy = np.real(seeds.inner(gram.apply(X), Y))
+            X, Y = rng.standard_normal(seeds.dim), rng.standard_normal(seeds.dim)
+            gxy = gram.apply(X) @ Y
             quad = _observation_quadrature(gram, X, Y)
             assert abs(gxy - quad) <= 1e-8 * max(abs(gxy), abs(quad), 1e-300)
 
@@ -144,7 +144,7 @@ def test_observations_vanish_where_the_sample_weight_is_zero(family, control):
     zero = gram.weights == 0.0
     assert np.flatnonzero(zero).tolist() == ([0, M] if sys.is_hyperbolic else [M])
     rng = np.random.default_rng(5)
-    X = np.stack([seeds.random(rng) for _ in range(3)])
+    X = rng.standard_normal((3, seeds.dim))
     (arr,) = gram.observations_of(X).values.values()
     assert arr.shape[:2] == (M + 1, 3)
     assert np.all(arr[zero] == 0.0)
@@ -161,9 +161,10 @@ def test_gramian_full_domain_coercivity_half_period():
     dt = T / int(math.ceil(T / (0.25 * cl.cfl_time_step(sys))))
     gram, seeds = _gramian(sys, T, K=3, dt=dt)
     for j in range(3):
-        X = seeds.zeros()
-        X[0, j, 0] = 1.0 / math.sqrt(seeds.eigenvalues[j])
-        ray = np.real(seeds.inner(gram.apply(X), X))
+        # unit position coordinate of mode j: the mode at amplitude 1/sqrt(lambda_j)
+        X = np.zeros(seeds.dim)
+        X[2 * j] = 1.0
+        ray = gram.apply(X) @ X
         assert abs(ray - T / 2) <= 0.1 * (T / 2)
 
 
@@ -182,10 +183,8 @@ def test_gramian_smallest_eigenvalue_monotone_in_T():
 
 
 def _probe_matrix(gram):
-    """Dense Gramian from one matrix-free apply per orthonormal basis seed."""
-    seeds = gram.seeds
-    basis = seeds.from_coords(np.eye(seeds.coord_dim))
-    cols = np.array([seeds.to_coords(gram.apply(E)) for E in basis]).T
+    """Dense Gramian from one matrix-free apply per coordinate vector."""
+    cols = np.array([gram.apply(e) for e in np.eye(gram.seeds.dim)]).T
     return 0.5 * (cols + cols.T)
 
 
@@ -218,7 +217,7 @@ def test_dense_gramian_matches_column_probes(name, make, T, dt, K):
     sys = make()
     gram, seeds = _gramian(sys, T, K=K, dt=dt)
     mat = assemble_dense_gramian(gram)
-    assert mat.shape == (seeds.coord_dim,) * 2
+    assert mat.shape == (seeds.dim,) * 2
     probes = _probe_matrix(gram)
     assert np.linalg.norm(mat - probes) <= 1e-12 * np.linalg.norm(probes), name
 
@@ -227,9 +226,7 @@ def _concatenated_gramian(gram):
     """Dense Gramian the list-based way: extract each sample's observations,
     concatenate the pieces and reduce them with one product whenever 512 or
     more columns are gathered."""
-    seeds, sys_adj = gram.seeds, gram.sys_adj
-    basis = seeds.from_coords(np.eye(seeds.coord_dim))
-    dim = basis.shape[0]
+    sys_adj, dim = gram.sys_adj, gram.seeds.dim
     weights = gram.weights
     parts = [(k, sys_adj.grid.hvol if isinstance(ctl, cl.Support) else 1.0)
              for k, ctl in sys_adj.controls.items()]
@@ -252,7 +249,7 @@ def _concatenated_gramian(gram):
         if sum(piece.shape[1] for piece in block) >= 512:
             flush()
 
-    gram.march_adjoint(basis, visit)
+    gram.march_adjoint(np.eye(dim), visit)
     flush()
     return 0.5 * (mat + mat.T), flushes
 
@@ -301,25 +298,67 @@ def test_dense_gramian_property(dim, N, data):
     assert np.linalg.norm(mat - probes) <= 1e-12 * np.linalg.norm(probes)
 
 
-def test_seed_coordinates_roundtrip_orthonormal():
+@pytest.mark.parametrize("maker,kwargs", [
+    (make_wave_cascade, dict(n=30, K=5)),
+    (make_heat_cascade, dict(n=30, K=5)),
+    (make_heat_cascade, dict(n=30, K=5, theta=0.7)),
+], ids=["wave", "real heat", "complex heat"])
+def test_readout_energy_is_the_energy_of_the_projected_fields(maker, kwargs):
+    """The coordinates are orthonormal for the natural filtered energy: 0.5 |x|^2
+    of a readout is the lambda-weighted energy of the projected position and
+    velocity (second order), or 0.5 sum |c|^2 of the projected field."""
+    sys = maker(**kwargs)
+    seeds = SeedSpace(sys, 4)
     rng = np.random.default_rng(8)
-    for sys in (make_wave_cascade(n=30, K=5), make_heat_cascade(n=30, K=5, theta=0.7)):
-        seeds = SeedSpace(sys, 4)
-        X, Y = seeds.random(rng), seeds.random(rng)
-        x, y = seeds.to_coords(X), seeds.to_coords(Y)
-        assert np.allclose(seeds.from_coords(x), X, rtol=1e-14, atol=1e-14)
-        assert abs(x @ y - np.real(seeds.inner(X, Y))) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+    modes, hvol, dt = sys.basis.modes[:4], sys.grid.hvol, 0.01
+
+    def field():
+        y = rng.standard_normal((sys.N, sys.grid.n_total))
+        return y + 1j * rng.standard_normal(y.shape) if sys.state_dtype == np.complex128 else y
+
+    def coef(y):
+        return (y @ modes.T) * hvol
+
+    if sys.is_hyperbolic:
+        levels = (field(), field())
+        lam = sys.basis.eigenvalues[:4]
+        pos, vel = coef(levels[1]), coef(levels[1] - levels[0]) / dt
+        expected = 0.5 * np.sum(lam * pos ** 2 + vel ** 2, axis=1)
+    else:
+        levels = field()
+        expected = 0.5 * np.sum(np.abs(coef(levels)) ** 2, axis=1)
+    x = seeds.readout(levels, dt)
+    assert x.shape == (seeds.dim,)
+    per, total = seeds.energy_of(x)
+    assert np.allclose(per, expected, rtol=1e-13, atol=0.0)
+    assert abs(total - expected.sum()) <= 1e-13 * expected.sum()
 
 
 def test_energy_of_refuses_a_batched_readout():
     for sys in (make_wave_cascade(n=30, K=5), make_heat_cascade(n=30, K=5, theta=0.7)):
         seeds = SeedSpace(sys, 4)
-        X = seeds.random(np.random.default_rng(9))
+        X = np.random.default_rng(9).standard_normal(seeds.dim)
         per, total = seeds.energy_of(X)
         assert len(per) == sys.N and total > 0.0
-        for bad in (np.stack([X, X]), X[None], X[:, :3]):
+        for bad in (np.stack([X, X]), X[None], X[:3]):
             with pytest.raises(ValueError, match="seed of shape"):
                 seeds.energy_of(bad)
+
+
+@pytest.mark.parametrize("maker,kwargs", [
+    (make_wave_cascade, dict(n=30, K=5)),
+    (make_heat_cascade, dict(n=30, K=5, theta=0.7)),
+], ids=["wave", "complex heat"])
+def test_misshaped_seed_coordinates_are_refused(maker, kwargs):
+    """Seeds are flat coordinate vectors: a wrong length or the (N, K, 2)
+    array of a structured seed raises a ValueError naming dim."""
+    sys = maker(**kwargs)
+    gram, seeds = _gramian(sys, 0.2, K=4, dt=0.002)
+    for bad in (np.zeros(seeds.dim + 1), np.zeros((3, seeds.dim - 1)),
+                np.zeros((sys.N, 4, 2))):
+        for call in (gram.observations_of, gram.apply):
+            with pytest.raises(ValueError, match=f"the last axis must be dim = {seeds.dim}"):
+                call(bad)
 
 
 @pytest.mark.parametrize("family", [cl.Hyperbolic(), cl.Dissipative(0.6)],
@@ -343,9 +382,7 @@ def test_mixed_control_kinds_are_exact(family):
     gram, _ = _gramian(sys, T, K=6, dt=dt)
     mat = assemble_dense_gramian(gram)
     assert np.array_equal(mat, mat.T)
-    seeds = gram.seeds
-    cols = np.array([seeds.to_coords(gram.apply(E))
-                     for E in seeds.from_coords(np.eye(seeds.coord_dim))]).T
+    cols = np.array([gram.apply(e) for e in np.eye(gram.seeds.dim)]).T
     assert np.linalg.norm(cols - cols.T) <= 1e-12 * np.linalg.norm(cols)
     assert np.linalg.norm(mat - cols) <= 1e-12 * np.linalg.norm(cols)
 
@@ -524,7 +561,7 @@ def test_synthesis_is_a_batch_of_one_bitwise(name):
     (direct,) = synthesis.run([eps], exp.cg_tol, max_iter)
     # the unbatched marches of the solved seed
     x = synthesis.spectrum.solve(synthesis.b, eps, exp.cg_tol, max_iter).x
-    signal = synthesis.gram.observations_of(synthesis.seeds.from_coords(x))
+    signal = synthesis.gram.observations_of(x)
     _, terminal = synthesis.gram.forward_with_control(signal, initial=synthesis.Y0f)
     assert res.control.batch == direct.control.batch == signal.batch == ()
     for k, values in signal.values.items():
@@ -556,8 +593,8 @@ def test_2d_dissipative_synthesis_and_pairing():
     seeds = SeedSpace(phase, 6)
     gram = GramianOperator(seeds, 0.2, 0.002)
     rng = np.random.default_rng(4)
-    X, Y = seeds.random(rng), seeds.random(rng)
-    gxy = np.real(seeds.inner(gram.apply(X), Y))
+    X, Y = rng.standard_normal(seeds.dim), rng.standard_normal(seeds.dim)
+    gxy = gram.apply(X) @ Y
     quad = _observation_quadrature(gram, X, Y)
     assert abs(gxy - quad) <= 1e-8 * max(abs(gxy), abs(quad))
 
