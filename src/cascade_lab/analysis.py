@@ -102,9 +102,6 @@ class KalmanReport:
     N: int
     full_rank: bool
 
-    def to_dict(self):
-        return {"modes": self.modes, "N": self.N, "full_rank": self.full_rank}
-
 
 def _constant_amplitude_on_domain(region, grid):
     values = indicator_vector(region, grid)
@@ -170,14 +167,6 @@ class AdmissibilityReport:
     max_ratios: list
     skipped: int
     observation: str
-
-    def to_dict(self):
-        return {
-            "levels": self.levels,
-            "max_ratios": self.max_ratios,
-            "skipped": self.skipped,
-            "observation": self.observation,
-        }
 
 
 def _ratio_or_none(lhs, rhs):

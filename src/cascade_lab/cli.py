@@ -8,13 +8,15 @@ synthesis, partial sweep, rank-deficient Kalman test). ``replay`` exits 2 on
 a mismatch. Exit 1 is a usage or config
 error, an unreadable input file or a malformed replay artifact. CSV floats
 carry 17 significant digits with LF endings, so identical configs and seeds
-reproduce byte-identical artifacts.
+reproduce byte-identical artifacts. The row keys of ``control.csv`` and
+``initial_state.csv`` are defined once each, by a layout that the writer and
+replay's one reader both walk, so replay reads the rows in written order.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -77,57 +79,70 @@ def _write_rows(fh, head, tails, row):
     imaginary parts with 17 significant digits. The row is listed on its own,
     so a whole array never becomes one Python list."""
     fh.write("".join([f"{head}{tail}{re:.17g},{im:.17g}\n"
-                      for tail, re, im in zip(tails, row.real.tolist(), row.imag.tolist())]))
+                      for tail, re, im in zip(tails, row.real.tolist(), row.imag.tolist(),
+                                              strict=True)]))
 
 
-def _csv_indices(sys, k):
-    """The index column of component k's rows in ``control.csv``: the grid
-    indices of a distributed control's support, ascending, or [0] for an end
-    control."""
-    ctl = sys.controls[k]
-    return ctl.indices.tolist() if isinstance(ctl, Support) else [0]
+def _control_layout(sys, t):
+    """The row keys of ``control.csv`` for the time nodes ``t``, as (head,
+    tails) groups: component, then time node, then index. A distributed
+    control has one row per support column, whose index is the grid index; a
+    boundary control is one column with index 0."""
+    times = [fmt_float(x) for x in t.tolist()]
+    for k in sorted(sys.controls):
+        ctl = sys.controls[k]
+        tails = [f",{k},{i}," for i in (ctl.indices.tolist() if isinstance(ctl, Support) else [0])]
+        for ts in times:
+            yield ts, tails
+
+
+def _state_layout(N, n_total, hyperbolic):
+    """The row keys of ``initial_state.csv``, as (head, tails) groups:
+    component, then kind (``w``, then ``wp`` in the hyperbolic family), then
+    index."""
+    tails = [f",{idx}," for idx in range(n_total)]
+    for i in range(N):
+        for kind in ("w", "wp") if hyperbolic else ("w",):
+            yield f"{i + 1},{kind}", tails
 
 
 def write_control_csv(out_dir, signal, sys):
-    """``control.csv`` of a control of ``sys``: component, then time node,
-    then index. A distributed control has one row per support column, whose
-    index is the grid index; a boundary control is one column with index 0."""
+    """``control.csv`` of a control of ``sys``, in the rows of ``_control_layout``."""
     path = os.path.join(out_dir, "control.csv")
-    times = [fmt_float(t) for t in signal.t.tolist()]
+    rows = (row for k in sorted(signal.values)
+            for row in signal.values[k].reshape(len(signal.t), -1))
     with _open_w(path) as fh:
         fh.write(SERIES_HEADER + "\n")
-        for k in sorted(signal.values):
-            indices = _csv_indices(sys, k)
-            rows = signal.values[k].reshape(len(times), -1)
-            if rows.shape[1] != len(indices):
-                raise ValueError(f"component {k}: {rows.shape[1]} control columns "
-                                 f"for {len(indices)} support columns")
-            tails = [f",{k},{i}," for i in indices]
-            for ts, row in zip(times, rows):
-                _write_rows(fh, ts, tails, row)
+        for (head, tails), row in zip(_control_layout(sys, signal.t), rows, strict=True):
+            _write_rows(fh, head, tails, row)
     return path
 
 
 def write_state_csv(out_dir, state):
+    """``initial_state.csv`` of ``state``, in the rows of ``_state_layout``."""
     path = os.path.join(out_dir, "initial_state.csv")
-    tails = [f",{idx}," for idx in range(state.w.shape[1])]
+    N, n_total = state.w.shape
+    rows = (state.w if state.wp is None
+            else np.stack([state.w, state.wp], axis=1).reshape(2 * N, n_total))
     with _open_w(path) as fh:
         fh.write(STATE_HEADER + "\n")
-        for i in range(state.w.shape[0]):
-            _write_rows(fh, f"{i + 1},w", tails, state.w[i])
-            if state.wp is not None:
-                _write_rows(fh, f"{i + 1},wp", tails, state.wp[i])
+        for (head, tails), row in zip(_state_layout(N, n_total, state.wp is not None), rows,
+                                      strict=True):
+            _write_rows(fh, head, tails, row)
     return path
 
 
 def write_trajectory_csv(out_dir, snapshots):
+    """``trajectory.csv``: snapshot time, then component, then index."""
     path = os.path.join(out_dir, "trajectory.csv")
+    N, n_total = snapshots[0][1].shape if snapshots else (0, 0)
+    tails = [[f",{i + 1},{idx}," for idx in range(n_total)] for i in range(N)]
     with _open_w(path) as fh:
         fh.write(SERIES_HEADER + "\n")
         for t, w in snapshots:
             ts = fmt_float(t)
-            for i, row in enumerate(w):
-                _write_rows(fh, ts, [f",{i + 1},{idx}," for idx in range(row.shape[0])], row)
+            for component_tails, row in zip(tails, w, strict=True):
+                _write_rows(fh, ts, component_tails, row)
     return path
 
 
@@ -242,7 +257,7 @@ def _check(exp, payload, args):
     payload["hypotheses"] = {
         **hyp,
         "admissibility_ratios": adm.max_ratios,
-        "admissibility": adm.to_dict(),
+        "admissibility": dataclasses.asdict(adm),
         "flags": {"coercivity": lam1 > 0, "coupling": coupling_ok, "admissibility": ratios_ok},
         "notes": ["multiplier bounds certified in the base space only; "
                   "smoothness-scale boundedness is untested"],
@@ -269,7 +284,7 @@ def _control(exp, payload, args):
             if n in nodes:
                 snapshots.append((n * exp.dt, y.copy()))
 
-        solve(exp.sys, exp.Y0, result.control, exp.T, exp.dt, visit)
+        solve(exp.sys, result.initial_state, result.control, exp.T, exp.dt, visit)
         writers.append((write_trajectory_csv, snapshots))
     ratio = (result.terminal_energy_filtered / result.initial_energy
              if result.initial_energy > 0 else 0.0)
@@ -293,7 +308,7 @@ def _observability(exp, payload, args):
 
 def _kalman(exp, payload, args):
     report = kalman_mode_test(exp.sys, exp.analysis.get("K", exp.K_filter))
-    payload["kalman"] = report.to_dict()
+    payload["kalman"] = dataclasses.asdict(report)
     summary = (f"{'full rank' if report.full_rank else 'rank deficient'} "
                f"over {len(report.modes)} modes")
     return report.full_rank, summary, [(write_spectra_csv, exp.basis.eigenvalues)]
@@ -316,8 +331,8 @@ def _sweep(exp, payload, args):
 # ---------------------------------------------------------------------------
 
 
-# control.csv is parsed this many lines at a time, so replay's peak memory
-# stays bounded however large the file is, a full-domain control included
+# a replay artifact is parsed this many lines at a time, so replay's peak
+# memory stays bounded however large the file is, a full-domain control included
 REPLAY_BLOCK_LINES = 4096
 
 
@@ -325,155 +340,89 @@ def _malformed(path, line, what):
     return ConfigError(f"malformed {path}, line {line}: {what}")
 
 
-def _parse_block(lines, path, first_line):
-    """The lines as a (len(lines), 5) float array; ConfigError at the first
-    line that is not five comma-separated numbers (blank lines included)."""
+def _values(texts):
+    """The lines as a (len(texts), 2) float array, or None when one of them
+    is not two comma-separated finite numbers (blank lines included)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an all-blank block warns "no data"
-            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if block.shape == (len(lines), 5):
-            return block
+            block = np.loadtxt(texts, delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):
-        pass
+        return None
+    return block if block.shape == (len(texts), 2) and np.isfinite(block).all() else None
 
-    def parses(line):
-        try:
-            return np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape == (1, 5)
-        except ValueError:
-            return False
 
-    j = next((j for j, line in enumerate(lines) if not line.strip() or not parses(line)), 0)
-    raise _malformed(path, first_line + j,
-                     f"expected five comma-separated numbers, got {lines[j].rstrip()!r}")
+def _read_rows(path, header, layout, dtype):
+    """The values of a CSV artifact written through ``layout``, flat, in its
+    row order.
+
+    ``layout`` is a list of (head, tails) groups; each line must start with
+    the next key, head + tail, and carry value_re,value_im, finite, with
+    value_im 0 when ``dtype`` is real. The file is read REPLAY_BLOCK_LINES
+    lines at a time into one preallocated array and the keys are generated
+    as they are needed, so memory stays bounded. A wrong header, a line that
+    does not start with its key (a row out of order included), a bad value,
+    an extra line or a missing one raises ConfigError naming the line.
+    """
+    out = np.empty(sum(len(tails) for _, tails in layout), dtype=dtype)
+    keys = (head + tail for head, tails in layout for tail in tails)
+    filled = 0
+    with read_text(path) as fh:
+        first = fh.readline().rstrip("\r\n")
+        if first != header:
+            raise _malformed(path, 1, f"header {first!r}, expected {header!r}")
+        line = 2
+        while lines := list(itertools.islice(fh, REPLAY_BLOCK_LINES)):
+            block = list(itertools.islice(keys, len(lines)))
+            if not all(map(str.startswith, lines, block)) or len(block) < len(lines):
+                j = next((j for j, (text, key) in enumerate(zip(lines, block))
+                          if not text.startswith(key)), len(block))
+                expected = (f"a row starting {block[j]!r}" if j < len(block)
+                            else "end of file")
+                raise _malformed(path, line + j,
+                                 f"expected {expected}, got {lines[j].rstrip()!r}")
+            texts = [text[len(key):] for text, key in zip(lines, block)]
+            values = _values(texts)
+            if values is None:
+                j = next((j for j, text in enumerate(texts) if _values([text]) is None), 0)
+                raise _malformed(path, line + j, f"expected two finite numbers after "
+                                 f"{block[j]!r}, got {lines[j].rstrip()!r}")
+            re, im = values.T
+            if np.iscomplexobj(out):
+                out.real[filled:filled + len(lines)] = re
+                out.imag[filled:filled + len(lines)] = im
+            elif im.any():
+                j = int(np.flatnonzero(im)[0])
+                raise _malformed(path, line + j,
+                                 f"value_im {fmt_float(im[j])} is not 0 in a real family")
+            else:
+                out[filled:filled + len(lines)] = re
+            filled += len(lines)
+            line += len(lines)
+    if filled < len(out):
+        raise _malformed(path, line, f"expected a row starting {next(keys)!r}, got end of file")
+    return out
 
 
 def _read_control_csv(path, exp):
-    """Read control.csv block by block into the replay's ControlSignal.
-
-    Every (component, time node, index) of the controlled components must
-    appear exactly once, in any order, where a distributed control lists the
-    grid indices of its support only, and value_im is 0 in a real family;
-    anything else, a grid index off the support included, raises ConfigError
-    naming the first offending line.
-    """
-    M = step_count(exp.T, exp.dt)
+    """The ControlSignal that ``write_control_csv`` wrote for ``exp``."""
     sys = exp.sys
+    t = exp.dt * np.arange(step_count(exp.T, exp.dt) + 1)
+    flat = _read_rows(path, SERIES_HEADER, list(_control_layout(sys, t)), sys.state_dtype)
     comps = sorted(sys.controls)
-    columns = [_csv_indices(sys, k) for k in comps]
-    # an index column holds 0..n_total-1 for a distributed control, 0 for an
-    # end control; lookup maps it to its column, -1 off the support, and the
-    # trailing slot (components outside the controlled set) takes no index
-    spans = np.array([sys.grid.n_total if isinstance(sys.controls[k], Support) else 1
-                      for k in comps] + [0])
-    starts = np.concatenate([[0], np.cumsum(spans)])
-    lookup = np.full(starts[-1] + 1, -1)
-    for s, cols in enumerate(columns):
-        lookup[starts[s] + np.array(cols, dtype=np.intp)] = np.arange(len(cols))
-    # a trailing NaN entry absorbs components outside the controlled set
-    ks = np.array(comps + [np.nan])
-    widths = np.array([len(cols) for cols in columns] + [0])
-    offsets = np.concatenate([[0], np.cumsum((M + 1) * widths)])
-    buf = np.zeros(offsets[-1], dtype=sys.state_dtype)
-    seen = np.zeros(buf.shape, dtype=bool)
-    with read_text(path) as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != SERIES_HEADER:
-            raise _malformed(path, 1, f"header {header!r}, expected {SERIES_HEADER!r}")
-        line = 2
-        while lines := list(itertools.islice(fh, REPLAY_BLOCK_LINES)):
-            t, comp, idx, re, im = _parse_block(lines, path, line).T
-            slot = np.minimum(np.searchsorted(ks, comp), len(columns))
-            span = spans[slot]
-            steps = t / exp.dt
-            n = np.rint(steps)
-            in_range = (idx >= 0) & (idx < span) & (idx == np.floor(idx))
-            col = lookup[np.where(in_range, starts[slot] + idx, -1).astype(np.intp)]
-            checks = (
-                (ks[slot] == comp, lambda j: f"component {comp[j]:g} is not controlled"),
-                ((np.abs(steps - n) <= 1e-9) & (n >= 0) & (n <= M),
-                 lambda j: f"t={t[j]:.17g} is not a time node n*dt, n in 0..{M}"),
-                (in_range, lambda j: f"index {idx[j]:g} outside 0..{span[j] - 1}"),
-                (col >= 0, lambda j: f"index {idx[j]:g} is off the control support of "
-                                     f"component {comp[j]:g}"),
-                (np.isfinite(re) & np.isfinite(im), lambda j: "value is not finite"),
-                (np.iscomplexobj(buf) | (im == 0),
-                 lambda j: f"value_im {im[j]:.17g} is not 0 in a real family"),
-            )
-            valid = np.logical_and.reduce([ok for ok, _ in checks])
-            rows = np.flatnonzero(valid)
-            flat = (offsets[slot] + n * widths[slot] + col)[rows].astype(np.intp)
-            repeat = np.ones(flat.shape, dtype=bool)
-            repeat[np.unique(flat, return_index=True)[1]] = False
-            bad = ~valid
-            bad[rows[repeat | seen[flat]]] = True
-            if bad.any():
-                j = int(np.argmax(bad))
-                what = next((why(j) for ok, why in checks if not ok[j]),
-                            "repeats an earlier (component, t, index)")
-                raise _malformed(path, line + j, what)
-            seen[flat] = True
-            if np.iscomplexobj(buf):
-                buf.real[flat] = re
-                buf.imag[flat] = im
-            else:
-                buf[flat] = re
-            line += len(lines)
-    if not seen.all():
-        first = int(np.argmin(seen))
-        s = int(np.searchsorted(offsets, first, side="right")) - 1
-        n, i = divmod(first - int(offsets[s]), int(widths[s]))
-        raise ConfigError(f"malformed {path}: no row for component {comps[s]}, "
-                          f"t={fmt_float(n * exp.dt)}, index {columns[s][i]}")
-    vals = {k: buf[offsets[s]:offsets[s + 1]].reshape((M + 1,) + sys.signal_shape(k))
-            for s, k in enumerate(comps)}
-    return ControlSignal(exp.dt * np.arange(M + 1), vals)
+    shapes = [(len(t),) + sys.signal_shape(k) for k in comps]
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+    return ControlSignal(t, {k: part.reshape(shape)
+                             for k, part, shape in zip(comps, parts, shapes)})
 
 
 def _read_state_csv(path, exp):
-    """Read initial_state.csv; every (component, kind, index) must appear
-    exactly once, with kind ``wp`` only in the hyperbolic family and value_im
-    0 in a real family."""
-    N, n_total = exp.sys.N, exp.grid.n_total
-    kinds = ("w", "wp") if exp.sys.is_hyperbolic else ("w",)
-    state = SystemState(0.0, np.zeros((N, n_total), dtype=exp.sys.state_dtype),
-                        np.zeros((N, n_total)) if exp.sys.is_hyperbolic else None)
-    seen = np.zeros((len(kinds), N, n_total), dtype=bool)
-    with read_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = ",".join(next(reader, []))
-        if header != STATE_HEADER:
-            raise _malformed(path, 1, f"header {header!r}, expected {STATE_HEADER!r}")
-        for row in reader:
-            try:
-                comp, kind, idx, re, im = row
-                i, idx, v = int(comp) - 1, int(idx), complex(float(re), float(im))
-            except ValueError:
-                raise _malformed(path, reader.line_num,
-                                 f"expected {STATE_HEADER}, got {','.join(row)!r}") from None
-            if not 0 <= i < N:
-                what = f"component {comp} outside 1..{N}"
-            elif kind not in kinds:
-                what = f"kind {kind!r} is not one of {', '.join(kinds)}"
-            elif not 0 <= idx < n_total:
-                what = f"index {idx} outside 0..{n_total - 1}"
-            elif not np.isfinite(v):
-                what = "value is not finite"
-            elif v.imag != 0 and not np.iscomplexobj(state.w):
-                what = f"value_im {im} is not 0 in a real family"
-            elif seen[kinds.index(kind), i, idx]:
-                what = "repeats an earlier (component, kind, index)"
-            else:
-                seen[kinds.index(kind), i, idx] = True
-                target = state.w if kind == "w" else state.wp
-                target[i, idx] = v if np.iscomplexobj(target) else v.real
-                continue
-            raise _malformed(path, reader.line_num, what)
-    if not seen.all():
-        s, i, idx = np.unravel_index(int(np.argmin(seen)), seen.shape)
-        raise ConfigError(f"malformed {path}: no row for component {i + 1}, "
-                          f"kind {kinds[s]}, index {idx}")
-    return state
+    """The initial SystemState that ``write_state_csv`` wrote for ``exp``."""
+    N, n_total, hyperbolic = exp.sys.N, exp.grid.n_total, exp.sys.is_hyperbolic
+    flat = _read_rows(path, STATE_HEADER, list(_state_layout(N, n_total, hyperbolic)),
+                      exp.sys.state_dtype)
+    rows = flat.reshape(N, 1 + hyperbolic, n_total)
+    return SystemState(0.0, rows[:, 0].copy(), rows[:, 1].copy() if hyperbolic else None)
 
 
 def _cmd_replay(args):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -427,30 +427,9 @@ class HumResult:
     gramian: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "success": self.success,
-            "stagnated": self.stagnated,
-            "failure_reason": self.failure_reason,
-            "refinement_passes": self.refinement_passes,
-            "residual_history": self.residual_history,
-            "gramian": self.gramian,
-            "eps": self.eps,
-            "T": self.T,
-            "dt": self.dt,
-            "K_filter": self.K_filter,
-            "initial_energy": self.initial_energy,
-            "terminal_energy_filtered": self.terminal_energy_filtered,
-            "terminal_energy_full": self.terminal_energy_full,
-            "terminal_energy_filtered_per_component": self.terminal_energy_filtered_per_component,
-            "terminal_energy_full_per_component": self.terminal_energy_full_per_component,
-            "terminal_state_norm": self.terminal_state_norm,
-            "free_terminal_norm": self.free_terminal_norm,
-            "free_terminal_energy": self.free_terminal_energy,
-            "projection_residual": self.projection_residual,
-            "control_norm_sq": self.control_norm_sq,
-            "gram_quadratic": self.gram_quadratic,
-            "wall_time": self.wall_time,
-        }
+        """Every field but the control and the two states, which go to CSV."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("control", "terminal_state", "initial_state")}
 
 
 def _check_eps(sys, eps):

@@ -164,7 +164,8 @@ def test_boundary_control_row_needs_index_0(tmp_path, kind, component):
     bad = next(n for n, line in enumerate(lines, start=1) if line.split(",")[1] == str(component))
     _edit_field(bad, 2, "1")(lines)
     (tmp_path / "control.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(cl.ConfigError, match=f"line {bad}: index 1 outside 0..0"):
+    with pytest.raises(cl.ConfigError, match=f"line {bad}: expected a row starting "
+                                             f"'0,{component},0,', got '0,{component},1,"):
         _read_control_csv(path, exp)
 
 
@@ -193,43 +194,89 @@ def runs(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("run,name,edit,message", [
-    ("wave", "control.csv", _edit_field(2, 1, "1"), "line 2: component 1 is not controlled"),
-    ("wave", "control.csv", _edit_field(2, 2, "999"), "line 2: index 999 outside 0..59"),
-    ("wave", "control.csv", _edit_field(9000, 2, "999"), "line 9000: index 999 outside 0..59"),
-    ("wave", "control.csv", _edit_field(2, 0, "99"), "line 2: t=99 is not a time node"),
-    ("wave", "control.csv", _edit_field(2, 2, "x"), "line 2: expected five comma-separated"),
-    ("wave", "control.csv", _edit_field(2, 2, "-1"), "line 2: index -1 outside 0..59"),
-    ("wave", "control.csv", _edit_field(2, 2, "1.5"), "line 2: index 1.5 outside 0..59"),
-    ("wave", "control.csv", _edit_field(5000, 3, "nan"), "line 5000: value is not finite"),
-    ("wave", "control.csv", _insert(3, lambda lines: lines[1]), "line 3: repeats an earlier"),
-    ("wave", "control.csv", _insert(6000, lambda lines: lines[1]), "line 6000: repeats an earlier"),
+def _swap(line):
+    def edit(lines):
+        lines[line - 1], lines[line] = lines[line], lines[line - 1]
+    return edit
+
+
+# (run, file, edit, the fault it makes, the message replay must print); the
+# fault names the test case
+MALFORMED = [
+    ("wave", "control.csv", _edit_field(2, 1, "1"), "line 2: component 1 is not controlled",
+     "line 2: expected a row starting '0,2,42,', got '0,1,42,0,0'"),
+    ("wave", "control.csv", _edit_field(2, 2, "999"), "line 2: index 999 outside 0..59",
+     "line 2: expected a row starting '0,2,42,', got '0,2,999,0,0'"),
+    ("wave", "control.csv", _edit_field(9000, 2, "999"), "line 9000: index 999 outside 0..59",
+     "line 9000: expected a row starting '11.041769041769042,2,52,', "
+     "got '11.041769041769042,2,999,"),
+    ("wave", "control.csv", _edit_field(2, 0, "99"), "line 2: t=99 is not a time node",
+     "line 2: expected a row starting '0,2,42,', got '99,2,42,0,0'"),
+    ("wave", "control.csv", _edit_field(2, 2, "x"), "line 2: expected five comma-separated",
+     "line 2: expected a row starting '0,2,42,', got '0,2,x,0,0'"),
+    ("wave", "control.csv", _edit_field(2, 2, "-1"), "line 2: index -1 outside 0..59",
+     "line 2: expected a row starting '0,2,42,', got '0,2,-1,0,0'"),
+    ("wave", "control.csv", _edit_field(2, 2, "1.5"), "line 2: index 1.5 outside 0..59",
+     "line 2: expected a row starting '0,2,42,', got '0,2,1.5,0,0'"),
+    ("wave", "control.csv", _edit_field(5000, 3, "nan"), "line 5000: value is not finite",
+     "line 5000: expected two finite numbers after '6.1326781326781328,2,48,', "
+     "got '6.1326781326781328,2,48,nan,0'"),
+    ("wave", "control.csv", _insert(3, lambda lines: lines[1]), "line 3: repeats an earlier",
+     "line 3: expected a row starting '0,2,43,', got '0,2,42,0,0'"),
+    ("wave", "control.csv", _insert(6000, lambda lines: lines[1]), "line 6000: repeats an earlier",
+     "line 6000: expected a row starting '7.3562653562653564,2,52,', got '0,2,42,0,0'"),
     ("wave", "control.csv", _edit_field(2, 2, "0"),
-     "line 2: index 0 is off the control support of component 2"),
+     "line 2: index 0 is off the control support of component 2",
+     "line 2: expected a row starting '0,2,42,', got '0,2,0,0,0'"),
     ("wave", "control.csv", _edit_field(5000, 2, "0"),
-     "line 5000: index 0 is off the control support of component 2"),
-    ("wave", "control.csv", lambda lines: lines.pop(4), "no row for component 2, t=0, index 45"),
-    ("wave", "control.csv", _insert(4, lambda lines: ""), "line 4: expected five comma-separated"),
-    ("wave", "control.csv", _edit_field(1, 0, "time"), "line 1: header"),
+     "line 5000: index 0 is off the control support of component 2",
+     "line 5000: expected a row starting '6.1326781326781328,2,48,', "
+     "got '6.1326781326781328,2,0,"),
+    ("wave", "control.csv", lambda lines: lines.pop(4), "no row for component 2, t=0, index 45",
+     "line 5: expected a row starting '0,2,45,', got '0,2,46,0,0'"),
+    ("wave", "control.csv", _insert(4, lambda lines: ""), "line 4: expected five comma-separated",
+     "line 4: expected a row starting '0,2,44,', got ''"),
+    ("wave", "control.csv", _edit_field(1, 0, "time"), "line 1: header", "line 1: header"),
     ("wave", "control.csv", _edit_field(5, 4, "5.0"),
+     "line 5: value_im 5 is not 0 in a real family",
      "line 5: value_im 5 is not 0 in a real family"),
-    ("wave", "initial_state.csv", _edit_field(2, 0, "3"), "line 2: component 3 outside 1..2"),
-    ("wave", "initial_state.csv", _edit_field(2, 1, "v"), "line 2: kind 'v' is not one of w, wp"),
-    ("wave", "initial_state.csv", _edit_field(2, 2, "999"), "line 2: index 999 outside 0..59"),
-    ("wave", "initial_state.csv", _edit_field(2, 2, "x"), "line 2: expected component,kind"),
-    ("wave", "initial_state.csv", _insert(3, lambda lines: lines[1]), "line 3: repeats an earlier"),
-    ("wave", "initial_state.csv", lambda lines: lines.pop(), "no row for component 2, kind wp"),
+    ("wave", "control.csv", _swap(5000), "line 5000: swapped with line 5001",
+     "line 5000: expected a row starting '6.1326781326781328,2,48,', "
+     "got '6.1326781326781328,2,49,"),
+    ("wave", "control.csv", lambda lines: lines.append(lines[1]), "line 9782: after the last row",
+     "line 9782: expected end of file, got '0,2,42,0,0'"),
+    ("wave", "initial_state.csv", _edit_field(2, 0, "3"), "line 2: component 3 outside 1..2",
+     "line 2: expected a row starting '1,w,0,', got '3,w,0,"),
+    ("wave", "initial_state.csv", _edit_field(2, 1, "v"),
+     "line 2: kind 'v' is not one of w, wp",
+     "line 2: expected a row starting '1,w,0,', got '1,v,0,"),
+    ("wave", "initial_state.csv", _edit_field(2, 2, "999"), "line 2: index 999 outside 0..59",
+     "line 2: expected a row starting '1,w,0,', got '1,w,999,"),
+    ("wave", "initial_state.csv", _edit_field(2, 2, "x"), "line 2: expected component,kind",
+     "line 2: expected a row starting '1,w,0,', got '1,w,x,"),
+    ("wave", "initial_state.csv", _insert(3, lambda lines: lines[1]),
+     "line 3: repeats an earlier",
+     "line 3: expected a row starting '1,w,1,', got '1,w,0,"),
+    ("wave", "initial_state.csv", lambda lines: lines.pop(), "no row for component 2, kind wp",
+     "line 241: expected a row starting '2,wp,59,', got end of file"),
     ("wave", "initial_state.csv", _edit_field(3, 4, "7.0"),
-     "line 3: value_im 7.0 is not 0 in a real family"),
+     "line 3: value_im 7.0 is not 0 in a real family",
+     "line 3: value_im 7 is not 0 in a real family"),
     ("heat", "initial_state.csv", _insert(2, lambda lines: "1,wp,0,0,0"),
-     "line 2: kind 'wp' is not one of w"),
-    ("wave", "report.json", lambda lines: lines.insert(0, "{"), "malformed"),
-    ("wave", "report.json", lambda lines: [lines.clear(), lines.append("5")], "not a JSON object"),
+     "line 2: kind 'wp' is not one of w",
+     "line 2: expected a row starting '1,w,0,', got '1,wp,0,0,0'"),
+    ("wave", "report.json", lambda lines: lines.insert(0, "{"), "malformed", "malformed"),
+    ("wave", "report.json", lambda lines: [lines.clear(), lines.append("5")],
+     "not a JSON object", "not a JSON object"),
     ("wave", "report.json", lambda lines: lines.remove(next(x for x in lines if "energy_full" in x)),
-     "needs config and hum.terminal_energy_full"),
+     "needs config and hum.terminal_energy_full", "needs config and hum.terminal_energy_full"),
     ("wave", "report.json", _json_value("terminal_energy_full", '"x"'),
-     "needs config and hum.terminal_energy_full"),
-])
+     "needs config and hum.terminal_energy_full", "needs config and hum.terminal_energy_full"),
+]
+
+
+@pytest.mark.parametrize("run,name,edit,message", [(r, n, e, m) for r, n, e, _, m in MALFORMED],
+                         ids=[f"{r}-{n}-{e.__name__}-{fault}" for r, n, e, fault, _ in MALFORMED])
 def test_replay_rejects_malformed_artifact(runs, tmp_path, capsys, run, name, edit, message):
     out = tmp_path / run
     shutil.copytree(runs / run, out)
@@ -239,7 +286,7 @@ def test_replay_rejects_malformed_artifact(runs, tmp_path, capsys, run, name, ed
     path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
-    assert name in err and message in err
+    assert _one_error_line_naming(err, path) and message in err
 
 
 def test_full_grid_control_csv_fails_replay(runs, tmp_path, capsys):
@@ -259,7 +306,7 @@ def test_full_grid_control_csv_fails_replay(runs, tmp_path, capsys):
     path.write_text("\n".join([header] + full) + "\n")
     assert main(["replay", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "control.csv, line 2: index 0 is off the control support of component 2" in err
+    assert "control.csv, line 2: expected a row starting '0,2,42,', got '0,2,0,0,0'" in err
 
 
 @pytest.mark.parametrize("run,sampling", [("wave", "node"), ("heat", "interval")])

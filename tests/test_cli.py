@@ -817,6 +817,24 @@ def test_control_snapshots_write_trajectory(demo_dir, tmp_path):
         assert sorted(set(times)) == [n * dt for n in nodes]
 
 
+@pytest.mark.parametrize("make", [_small_wave, lambda *dirs: _small_heat(*dirs, theta=0.7)],
+                         ids=["wave", "complex heat"])
+def test_trajectory_starts_at_the_stored_initial_state(demo_dir, tmp_path, make):
+    """The t=0 rows of trajectory.csv are the filtered initial state that
+    initial_state.csv stores and replay starts from, digit for digit."""
+    path, cfg = make(demo_dir, tmp_path)
+    assert main(["control", "--config", str(path), "--snapshots", "2"]) == 0
+    out = cfg["output_dir"]
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        start = [line.split(",", 1)[1] for line in fh.read().splitlines()[1:]
+                 if line.startswith("0,")]
+    with open(os.path.join(out, "initial_state.csv")) as fh:
+        w = [line.replace(",w,", ",", 1) for line in fh.read().splitlines()[1:]
+             if line.split(",")[1] == "w"]
+    assert len(start) == 2 * cfg["domain"]["n"][0]
+    assert start == w
+
+
 def test_sweep_eps_subcommand(demo_dir, tmp_path):
     with open(demo_dir / "demo_heat_cascade.json") as fh:
         cfg = json.load(fh)
