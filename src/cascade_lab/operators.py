@@ -47,45 +47,75 @@ def _subtract_neighbours(out, src):
     out[..., -1] = last
 
 
+def _check_buffer(name, buf, w, other=None):
+    """Refuse a buffer of ``EllipticOperator.stencil`` that shares memory
+    with w (or ``other``) or is not a C-contiguous array of w's shape."""
+    if np.may_share_memory(buf, w) or (other is not None and np.may_share_memory(buf, other)):
+        raise ValueError(f"stencil {name} must not share memory with its input or the output")
+    if buf.shape != w.shape or not buf.flags.c_contiguous:
+        raise ValueError(f"stencil {name} must be a C-contiguous array of shape {w.shape}")
+
+
 @dataclass(frozen=True)
 class EllipticOperator:
     """Matrix-free Dirichlet Laplacian on a Grid.
 
     ``matvec`` accepts any array whose last axis has length grid.n_total and
     applies the stencil row-wise, so stacked component arrays (N, n_total) are
-    handled in one call.
+    handled in one call. ``stencil`` is the same pass with its coefficients
+    as arguments: ``matvec`` is one case of it, a leapfrog step another.
     """
 
     grid: Grid
+
+    def stencil(self, w, diag, off, out=None, scratch=None, scale=np.multiply):
+        """diag * w minus, along each axis a, both neighbours of scale(w, off[a]).
+
+        A neighbour across a Dirichlet edge is absent. An off[a] of 1 takes w
+        as it stands (w * 1 and w / 1 are w). The scaled neighbours are formed
+        in ``scratch`` when it is given. ``out`` and ``scratch`` must be
+        C-contiguous arrays of w's shape that share memory neither with w nor
+        with each other: the last axis is done in flat passes, which a
+        non-contiguous buffer would take through a copy and lose. Every
+        operation is elementwise, so a batch member gets the bits of its
+        unbatched pass.
+        """
+        w = np.asarray(w)
+        if out is not None:
+            _check_buffer("output", out, w)
+        if scratch is not None:
+            _check_buffer("scratch", scratch, w, out)
+        g = self.grid
+        v = np.ascontiguousarray(w)
+        if g.dim == 2:  # rows along y, stacked along x
+            v, out, scratch = (None if a is None else a.reshape(w.shape[:-1] + g.n)
+                               for a in (v, out, scratch))
+        res = np.multiply(diag, v, out=out)
+        for a, k in enumerate(off):
+            src = v if k == 1 else scale(v, k, out=scratch)
+            if src is not v:
+                scratch = src
+            if a == g.dim - 1:
+                _subtract_neighbours(res, src)
+            else:  # the x axis of a 2D grid
+                res[..., 1:, :] -= src[..., :-1, :]
+                res[..., :-1, :] -= src[..., 1:, :]
+        return res.reshape(w.shape)
 
     def matvec(self, w, out=None):
         """A w, written into ``out`` when given.
 
         ``out`` must be a C-contiguous array of w's shape that shares no
-        memory with w. Results are bitwise those of the row-sliced stencil.
+        memory with w. Results are bitwise those of the row-sliced stencil:
+        (2w - w_left - w_right) / h^2 in 1D; in 2D each axis' neighbours are
+        divided by its h^2 before they are subtracted.
         """
-        g = self.grid
-        if out is not None:
-            if np.may_share_memory(out, w):
-                raise ValueError("matvec output must not share memory with its input")
-            if out.shape != np.shape(w) or not out.flags.c_contiguous:
-                raise ValueError(f"matvec output must be a C-contiguous array of shape {np.shape(w)}")
-        w = np.ascontiguousarray(w)
-        if g.dim == 1:
-            out = np.multiply(2.0, w, out=out)
-            _subtract_neighbours(out, w)
-            out /= g.h[0] ** 2
+        h2 = [h ** 2 for h in self.grid.h]
+        if len(h2) == 1:
+            out = self.stencil(w, 2.0, (1.0,), out)
+            out /= h2[0]
             return out
-        nx, ny = g.n
-        hx2, hy2 = g.h[0] ** 2, g.h[1] ** 2
-        v = w.reshape(w.shape[:-1] + (nx, ny))
-        out = np.multiply(2.0 / hx2 + 2.0 / hy2, v, out=None if out is None else out.reshape(v.shape))
-        scaled = v / hx2
-        out[..., 1:, :] -= scaled[..., :-1, :]
-        out[..., :-1, :] -= scaled[..., 1:, :]
-        np.divide(v, hy2, out=scaled)
-        _subtract_neighbours(out, scaled)
-        return out.reshape(w.shape)
+        return self.stencil(w, 2.0 / h2[0] + 2.0 / h2[1], h2, out, scale=np.divide)
 
     def quad_form(self, w):
         """<A w, w> in the discrete inner product (real part for complex w)."""

@@ -24,6 +24,7 @@ from cascade_lab.cli import (
 )
 from cascade_lab.config import build_experiment
 from cascade_lab.dynamics import ControlSignal, step_count
+from cascade_lab.hum import SeedSpace
 
 
 def _cfg(name, **changes):
@@ -379,6 +380,47 @@ def test_sweep_eps_directory_replays(sweep, tmp_path, capsys):
     assert float(capsys.readouterr().out.rsplit(" ", 1)[1].rstrip(")\n")) <= 1e-9
     _scale_median_sample(out / "control.csv", 1.01)
     assert main(["replay", str(out)]) == 2
+
+
+def test_sweep_eps_stores_the_initial_state_it_verified(sweep, tmp_path, capsys):
+    """initial_state.csv of a sweep-eps directory holds the filtered initial
+    state that the sweep marched from, as a control directory's does, and
+    replay starts from it."""
+    report = json.loads((sweep / "report.json").read_text())
+    exp = build_experiment(report["config"])
+    stored = _read_state_csv(sweep / "initial_state.csv", exp)
+    filtered, _ = SeedSpace(exp.sys, exp.K_filter).filtered(exp.Y0)
+    assert stored.w.tobytes() == filtered.w.tobytes()
+    out = tmp_path / "sweep"
+    shutil.copytree(sweep, out)
+    assert main(["replay", str(out)]) == 0
+
+
+@pytest.fixture(scope="module")
+def demos(tmp_path_factory):
+    """`control` run directories of the canned wave and heat demos."""
+    root = tmp_path_factory.mktemp("demos")
+    for name in ("wave", "heat"):
+        cfg = root / f"{name}.json"
+        cfg.write_text(json.dumps(demo_configs()[f"demo_{name}_cascade.json"]))
+        assert main(["control", "--config", str(cfg), "--out", str(root / name)]) in (0, 2)
+    return root
+
+
+@pytest.mark.parametrize("demo", ["wave", "heat"])
+@pytest.mark.parametrize("factor,code", [(1.01, 2), (1.0 + 1e-12, 0)], ids=["1%", "1e-12"])
+def test_replay_checks_the_goal_not_the_bits(demos, tmp_path, capsys, demo, factor, code):
+    """A 1% change of the median-magnitude control sample fails replay
+    through the full terminal energy; a round-off change of it passes, since
+    the filtered terminal energy is compared on the initial energy's scale."""
+    out = tmp_path / demo
+    shutil.copytree(demos / demo, out)
+    _scale_median_sample(out / "control.csv", factor)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == code
+    line = capsys.readouterr().out
+    full = float(line.split("full terminal energy mismatch ")[1].split()[0])
+    assert (full > 1e-9) == (code == 2)
 
 
 @pytest.mark.parametrize("block", [5, [], {"runs": []}, {"runs": [3]}, {"runs": [{}]},

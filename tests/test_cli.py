@@ -817,6 +817,17 @@ def test_control_snapshots_write_trajectory(demo_dir, tmp_path):
         assert sorted(set(times)) == [n * dt for n in nodes]
 
 
+@pytest.mark.parametrize("count", ["-1", "x"])
+def test_control_refuses_a_bad_snapshot_count(demo_dir, tmp_path, capsys, monkeypatch, count):
+    """A negative or non-integer --snapshots is a usage error, refused before
+    the experiment is built or any march runs."""
+    path, cfg = _small_wave(demo_dir, tmp_path)
+    monkeypatch.setattr(cl.cli, "synthesize_control", None)
+    assert main(["control", "--config", str(path), "--snapshots", count]) == 1
+    assert "--snapshots" in capsys.readouterr().err
+    assert not os.path.exists(cfg["output_dir"])
+
+
 @pytest.mark.parametrize("make", [_small_wave, lambda *dirs: _small_heat(*dirs, theta=0.7)],
                          ids=["wave", "complex heat"])
 def test_trajectory_starts_at_the_stored_initial_state(demo_dir, tmp_path, make):
