@@ -28,7 +28,7 @@ from .dynamics import (
     trapezoid_weights,
 )
 from .geometry import Region, build_grid, indicator_vector
-from .hum import GramianOperator, SeedSpace, assemble_dense_gramian
+from .hum import GramianOperator, GramianSpectrum, SeedSpace, assemble_dense_gramian
 from .operators import BoundaryEnd, EllipticOperator, spectral_basis
 
 DENSE_SEED_LIMIT = 400
@@ -48,22 +48,23 @@ def _single_equation_variant(sys, region):
 def observability_constants(sys, t_grid, dt, K_filter):
     """Spectra of the filtered observability Gramians, one report per horizon.
 
-    The control functional observes through the system's own controls and
-    runs when it has one: ``eigenvalues`` and ``c1_est`` (``[]`` and None
-    without a control). The coupling functional, the second standard
-    inequality, observes the velocity of the single free equation on the
-    (indicator) support of the first coupling region and runs when the
-    system has a coupling: ``coupling_eigenvalues`` and ``c2_est``. Both
-    constants are smallest eigenvalues in the seed coordinates. The larger
-    seed dimension, the number of real coordinates and so the order of the
-    Gramian, must stay within DENSE_SEED_LIMIT; it is checked before any
-    march.
+    Each functional reports the ``GramianSpectrum.summary()`` of its Gramian,
+    the ascending eigenvalues and, as its constant, the summary's lambda_min.
+    The control functional observes through the system's controls and runs when
+    it has one (``gramian``, ``eigenvalues``, ``c1_est``; ``[]`` and None
+    without). The coupling functional, the second standard inequality, observes
+    the velocity of the single free equation on the (indicator) support of the
+    first coupling region and runs when the system has a coupling
+    (``coupling_gramian``, ``coupling_eigenvalues``, ``c2_est``). The Gramian's
+    order, the larger seed dimension, must stay within DENSE_SEED_LIMIT; it is
+    checked before any march.
     """
     seeds = {}
     if sys.control:
-        seeds["control"] = SeedSpace(sys, K_filter)
+        seeds["gramian", "eigenvalues", "c1_est"] = SeedSpace(sys, K_filter)
     if sys.coupling:
-        seeds["coupling"] = SeedSpace(_single_equation_variant(sys, sys.coupling[0][1]), K_filter)
+        seeds["coupling_gramian", "coupling_eigenvalues", "c2_est"] = SeedSpace(
+            _single_equation_variant(sys, sys.coupling[0][1]), K_filter)
     if not seeds:
         raise NotApplicableError("system carries no control; the control observability "
                                  "constant is undefined")
@@ -73,18 +74,13 @@ def observability_constants(sys, t_grid, dt, K_filter):
                           f"{DENSE_SEED_LIMIT}")
     reports = []
     for T in t_grid:
-        eigs = {}
-        for name, space in seeds.items():
-            mat = assemble_dense_gramian(GramianOperator(space, T, dt))
-            eigs[name] = [float(v) for v in np.linalg.eigvalsh(mat)]
-        control = eigs.get("control", [])
         entry = {"T": float(T), "dt": float(dt), "K_filter": int(K_filter),
-                 "observation": "control", "eigenvalues": control,
-                 "c1_est": control[0] if control else None, "c2_est": None,
-                 "assembly": "batched-adjoint-march"}
-        if "coupling" in eigs:
-            entry["c2_est"] = eigs["coupling"][0]
-            entry["coupling_eigenvalues"] = eigs["coupling"]
+                 "eigenvalues": [], "c1_est": None, "c2_est": None}
+        for (block, eigenvalues, constant), space in seeds.items():
+            spectrum = GramianSpectrum(assemble_dense_gramian(GramianOperator(space, T, dt)))
+            entry[block] = spectrum.summary()
+            entry[eigenvalues] = spectrum.eigenvalues.tolist()
+            entry[constant] = entry[block]["lambda_min"]
         reports.append(entry)
     return reports
 

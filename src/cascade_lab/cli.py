@@ -38,7 +38,7 @@ from .dynamics import (
     solve,
     step_count,
 )
-from .errors import CascadeLabError, ConfigError
+from .errors import CascadeLabError, ConfigError, NotApplicableError
 from .geometry import Support, default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
 from .operators import BoundaryEnd, verify_coupling_bounds, verify_operator_coercivity
@@ -62,13 +62,17 @@ def write_report(out_dir, payload):
     return path
 
 
-def write_spectra_csv(out_dir, eigenvalues):
-    path = os.path.join(out_dir, "spectra.csv")
+def write_spectra_csv(out_dir, name, header, rows):
+    path = os.path.join(out_dir, name)
     with _open_w(path) as fh:
-        fh.write("index,eigenvalue\n")
-        for i, lam in enumerate(eigenvalues, start=1):
-            fh.write(f"{i},{fmt_float(lam)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     return path
+
+
+def _basis_spectrum(exp):
+    return write_spectra_csv, "spectra.csv", "index,eigenvalue", enumerate(exp.basis.eigenvalues, 1)
 
 
 SERIES_HEADER = "t,component,index,value_re,value_im"
@@ -241,31 +245,41 @@ def _hypotheses(exp):
 
 
 def _check(exp, payload, args):
+    """Coercivity, the coupling bounds and the admissibility ratios of every
+    control, each observed on its own with the same seed and levels."""
+    if not exp.sys.control:
+        raise NotApplicableError("system carries no control; the admissibility check observes "
+                                 "through each control")
     hyp = _hypotheses(exp)
     lam1 = hyp["coercivity_constant"]
     boundary = any(isinstance(c, BoundaryEnd) for c in exp.sys.controls.values())
     default_levels = [exp.grid.n[0], 2 * exp.grid.n[0]] if boundary else [exp.grid.n[0]]
-    adm = admissibility_ratio(exp.sys, exp.analysis.get("n_samples", 5), min(exp.T, 1.0), exp.dt,
-                              exp.analysis.get("levels", default_levels), seed=exp.seed)
+    levels = exp.analysis.get("levels", default_levels)
+    adm = []
+    ratios_ok = True
+    for k, kind in exp.sys.control:
+        report = admissibility_ratio(dataclasses.replace(exp.sys, control=((k, kind),)),
+                                     exp.analysis.get("n_samples", 5), min(exp.T, 1.0), exp.dt,
+                                     levels, seed=exp.seed)
+        # a distributed observation is bounded by its own squared amplitude
+        bound = math.inf if isinstance(kind, BoundaryEnd) else max(kind.amplitudes) ** 2
+        ratios_ok &= all(math.isfinite(r) and r <= bound * (1 + 1e-9) + 1e-12
+                         for r in report.max_ratios)
+        adm.append({**dataclasses.asdict(report), "component": k})
     slack_tol = -1e-9
     coupling_ok = all(c["slack_bound"] >= slack_tol and c["slack_coercivity"] >= slack_tol
                       for c in hyp["coupling"])
-    ratios_ok = all(math.isfinite(r) for r in adm.max_ratios)
-    if adm.observation == "distributed" and exp.control_regions:
-        bound = max(max(r.amplitudes) for r in exp.control_regions) ** 2
-        ratios_ok &= all(r <= bound * (1 + 1e-9) + 1e-12 for r in adm.max_ratios)
     ok = lam1 > 0 and coupling_ok and ratios_ok
     payload["hypotheses"] = {
         **hyp,
-        "admissibility_ratios": adm.max_ratios,
-        "admissibility": dataclasses.asdict(adm),
+        "admissibility": adm,
         "flags": {"coercivity": lam1 > 0, "coupling": coupling_ok, "admissibility": ratios_ok},
         "notes": ["multiplier bounds certified in the base space only; "
                   "smoothness-scale boundedness is untested"],
     }
-    summary = (f"{'pass' if ok else 'fail'} (coercivity {lam1:.6g}, "
-               f"max admissibility ratio {max(adm.max_ratios):.4g})")
-    return ok, summary, [(write_spectra_csv, exp.basis.eigenvalues)]
+    summary = (f"{'pass' if ok else 'fail'} (coercivity {lam1:.6g}, max admissibility ratio "
+               f"{max(r for a in adm for r in a['max_ratios']):.4g})")
+    return ok, summary, [_basis_spectrum(exp)]
 
 
 def _control(exp, payload, args):
@@ -276,7 +290,7 @@ def _control(exp, payload, args):
     payload["gcc"] = _gcc_entries(exp)
     writers = [(write_control_csv, result.control, exp.sys),
                (write_state_csv, result.initial_state),
-               (write_spectra_csv, exp.basis.eigenvalues)]
+               _basis_spectrum(exp)]
     if args.snapshots:
         nodes = {round(t / exp.dt) for t in np.linspace(0.0, exp.T, args.snapshots + 1)}
         snapshots = []
@@ -302,9 +316,24 @@ def _observability(exp, payload, args):
     if not exp.sys.control:
         payload["notes"].append("c1_est is null: system carries no control; the control "
                                 "observability constant is undefined")
+    rows = []
+    for entry in reports:
+        for functional, prefix, constant in (("control", "", "c1_est"),
+                                             ("coupling", "coupling_", "c2_est")):
+            gram = entry.get(prefix + "gramian")
+            if gram is None:
+                continue
+            rows += [(entry["T"], functional, i, lam)
+                     for i, lam in enumerate(entry[prefix + "eigenvalues"], 1)]
+            if gram["lambda_min"] <= gram["rank_threshold"]:
+                payload["notes"].append(
+                    f"{constant} at T={entry['T']:g} is numerically zero: lambda_min "
+                    f"{gram['lambda_min']:.3g} <= rank_threshold {gram['rank_threshold']:.3g} "
+                    f"(rank {gram['rank']} of {gram['dim']})")
     c1 = reports[-1]["c1_est"]
     summary = f"c1_est {'null' if c1 is None else f'{c1:.6g}'} at T={t_grid[-1]:g}"
-    return True, summary, [(write_spectra_csv, reports[-1]["eigenvalues"])]
+    return True, summary, [(write_spectra_csv, "gramian_spectra.csv",
+                            "T,functional,index,eigenvalue", rows)]
 
 
 def _kalman(exp, payload, args):
@@ -312,7 +341,7 @@ def _kalman(exp, payload, args):
     payload["kalman"] = dataclasses.asdict(report)
     summary = (f"{'full rank' if report.full_rank else 'rank deficient'} "
                f"over {len(report.modes)} modes")
-    return report.full_rank, summary, [(write_spectra_csv, exp.basis.eigenvalues)]
+    return report.full_rank, summary, [_basis_spectrum(exp)]
 
 
 def _sweep(exp, payload, args):

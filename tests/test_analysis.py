@@ -90,11 +90,28 @@ def test_horizons_of_one_call_equal_separate_calls(make):
     assert all(set(entry) >= {"c1_est", "c2_est", "coupling_eigenvalues"} for entry in together)
 
 
+def test_each_constant_is_the_lambda_min_of_its_gramian_summary():
+    from cascade_lab.hum import GramianOperator, GramianSpectrum, SeedSpace
+
+    sys = make_wave_cascade(n=30, K=4)
+    T, dt = 1.5, 0.025
+    (entry,) = observability_constants(sys, [T], dt, 3)
+    spectrum = GramianSpectrum(cl.assemble_dense_gramian(GramianOperator(SeedSpace(sys, 3), T, dt)))
+    assert entry["gramian"] == spectrum.summary()
+    assert entry["eigenvalues"] == spectrum.eigenvalues.tolist()
+    assert entry["c1_est"] == entry["gramian"]["lambda_min"] == entry["eigenvalues"][0]
+    coupling = entry["coupling_gramian"]
+    assert entry["c2_est"] == coupling["lambda_min"] == entry["coupling_eigenvalues"][0]
+    assert coupling["dim"] == len(entry["coupling_eigenvalues"]) == 2 * 3
+    assert not {"observation", "assembly"} & set(entry)
+
+
 def test_coupling_without_control_reports_only_c2():
     full = make_wave_cascade(n=30, K=4)
     sys = cl.CascadeSystem(full.family, full.op, full.basis, 2, full.coupling)
     (entry,) = observability_constants(sys, [1.5], 0.025, 3)
     assert entry["c1_est"] is None and entry["eigenvalues"] == []
+    assert "gramian" not in entry and entry["c2_est"] == entry["coupling_gramian"]["lambda_min"]
     assert entry["c2_est"] > 0
     assert entry["c2_est"] == entry["coupling_eigenvalues"][0]
 

@@ -491,18 +491,22 @@ def test_replay_of_a_directory_named_control_csv_exits_1(runs, tmp_path, capsys)
 
 
 def test_wave_artifacts_do_not_depend_on_the_thread_count(tmp_path):
-    """The wave demo's `control` CSVs are byte-equal at 1 and 2 BLAS
-    threads; each run is its own interpreter, so the setting takes hold."""
+    """The wave demo's `control` and `observability` CSVs are byte-equal at 1
+    and 2 BLAS threads; each run is its own interpreter, so the setting takes
+    hold."""
     cfg = tmp_path / "wave.json"
     cfg.write_text(json.dumps(demo_configs()["demo_wave_cascade.json"]))
     src = os.path.dirname(os.path.dirname(cl.__file__))
     procs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        argv = [sys.executable, "-m", "cascade_lab.cli", "control", "--config", str(cfg),
-                "--out", str(tmp_path / threads)]
-        procs.append(subprocess.Popen(argv, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL))
-    assert [p.wait() for p in procs] == [0, 0]
-    for name in ("control.csv", "initial_state.csv", "spectra.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    for command in ("control", "observability"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            argv = [sys.executable, "-m", "cascade_lab.cli", command, "--config", str(cfg),
+                    "--out", str(tmp_path / command / threads)]
+            procs.append(subprocess.Popen(argv, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL))
+    assert [p.wait() for p in procs] == [0, 0, 0, 0]
+    for command, name in [("control", "control.csv"), ("control", "initial_state.csv"),
+                          ("control", "spectra.csv"), ("observability", "gramian_spectra.csv")]:
+        one, two = (tmp_path / command / threads / name for threads in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()

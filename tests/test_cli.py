@@ -597,6 +597,30 @@ def test_integral_float_config_value_is_accepted():
     cl.build_experiment(cfg)
 
 
+def test_check_certifies_every_control(tmp_path):
+    """Mixed distributed/end controls: one admissibility entry per control,
+    each observed on its own with the same seed and levels, so each entry
+    equals the one of a check on that control alone."""
+    cfg = demo_configs()[WAVE]
+    cfg["domain"]["n"] = [40]
+    _mixed_controls(cfg)
+    hypotheses = {}
+    for name, controls in (("both", cfg["control"]), ("distributed", cfg["control"][:1]),
+                           ("end", cfg["control"][1:])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(cfg, control=controls)))
+        assert main(["check", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        hypotheses[name] = json.loads((tmp_path / name / "report.json").read_text())["hypotheses"]
+    both = hypotheses["both"]["admissibility"]
+    assert [(a["component"], a["observation"], a["levels"]) for a in both] == [
+        (2, "distributed", [40, 80]), (3, "end", [40, 80])]
+    assert "admissibility_ratios" not in hypotheses["both"]
+    assert hypotheses["end"]["admissibility"] == both[1:]
+    # a config without an end control checks one level by default
+    (alone,) = hypotheses["distributed"]["admissibility"]
+    assert alone["levels"] == [40] and alone["max_ratios"] == both[0]["max_ratios"][:1]
+
+
 def test_check_subcommand(demo_dir, tmp_path):
     path, cfg = _small_wave(demo_dir, tmp_path)
     assert main(["check", "--config", str(path)]) == 0
@@ -627,7 +651,7 @@ def test_kalman_subcommand_exit_codes(tmp_path, demo_dir):
     assert main(["kalman", "--config", str(path)]) == 2
 
 
-def test_observability_subcommand(demo_dir, tmp_path):
+def _small_observability(demo_dir, tmp_path, analysis):
     path = tmp_path / "obs.json"
     with open(demo_dir / "demo_wave_cascade.json") as fh:
         base = json.load(fh)
@@ -635,15 +659,52 @@ def test_observability_subcommand(demo_dir, tmp_path):
     base["hum"]["K_filter"] = 6
     base["time"]["T"] = 2.0
     base["time"]["dt"] = 0.0125
-    base["analysis"] = {"t_grid": [1.0, 2.0], "K": 3}
+    base["analysis"] = analysis
     base["output_dir"] = str(tmp_path / "obs")
     with open(path, "w") as fh:
         json.dump(base, fh)
+    return path
+
+
+def test_observability_subcommand(demo_dir, tmp_path):
+    path = _small_observability(demo_dir, tmp_path, {"t_grid": [1.0, 2.0], "K": 3})
     assert main(["observability", "--config", str(path)]) == 0
     with open(tmp_path / "obs" / "report.json") as fh:
         report = json.load(fh)
     ests = [entry["c1_est"] for entry in report["observability"]]
     assert ests[1] >= ests[0] - 1e-12
+
+
+def _spectrum_rows(path):
+    lines = path.read_text().splitlines()
+    assert lines[0] == "T,functional,index,eigenvalue"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_observability_gramian_block_is_the_control_report_block(demo_dir, tmp_path):
+    """At the control's own T and K, observability summarizes the Gramian
+    that `control` synthesizes with, and writes every eigenvalue of both
+    functionals to gramian_spectra.csv, not spectra.csv."""
+    path = _small_observability(demo_dir, tmp_path, {"t_grid": [2.0], "K": 6})
+    assert main(["observability", "--config", str(path)]) == 0
+    # the verdict does not matter here: at K = K_filter 6 the Gramian is
+    # near-singular (c1_est 3.8e-10) and refinement misses cg_tol
+    assert main(["control", "--config", str(path), "--out", str(tmp_path / "ctl")]) in (0, 2)
+    report = json.loads((tmp_path / "obs" / "report.json").read_text())
+    control = json.loads((tmp_path / "ctl" / "report.json").read_text())
+    (entry,) = report["observability"]
+    assert entry["gramian"] == control["hum"]["gramian"]
+    assert entry["gramian"]["dim"] == 24
+    assert entry["c1_est"] == entry["gramian"]["lambda_min"]
+    assert entry["c2_est"] == entry["coupling_gramian"]["lambda_min"]
+    assert report["artifacts"] == {"gramian_spectra": "gramian_spectra.csv"}
+    assert not (tmp_path / "obs" / "spectra.csv").exists()
+    rows = [(T, functional, int(i), float(lam)) for T, functional, i, lam
+            in _spectrum_rows(tmp_path / "obs" / "gramian_spectra.csv")]
+    assert rows == [("2", functional, i, lam)
+                    for functional, key in (("control", "eigenvalues"),
+                                            ("coupling", "coupling_eigenvalues"))
+                    for i, lam in enumerate(entry[key], 1)]
 
 
 def test_observability_without_control_reports_null_c1(demo_dir, tmp_path, capsys):
@@ -655,8 +716,29 @@ def test_observability_without_control_reports_null_c1(demo_dir, tmp_path, capsy
         report = json.load(fh)
     (entry,) = report["observability"]
     assert entry["c1_est"] is None and entry["eigenvalues"] == []
+    assert "gramian" not in entry
     assert entry["c2_est"] is not None
     assert any("carries no control" in note for note in report["notes"])
+    rows = _spectrum_rows(out / "gramian_spectra.csv")
+    assert [row[:3] for row in rows] == [["10", "coupling", str(i)] for i in range(1, 11)]
+    assert [float(row[3]) for row in rows] == entry["coupling_eigenvalues"]
+
+
+def test_observability_notes_a_numerically_zero_constant(demo_dir, tmp_path, capsys):
+    """Without the coupling, the uncontrolled component is unobserved: half of
+    the control Gramian's spectrum is zero, and the report says so."""
+    out = tmp_path / "zero"
+    assert main(["observability", "--config", str(demo_dir / "zero_coupling.json"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("observability: c1_est 0 at T=4 ")
+    report = json.loads((out / "report.json").read_text())
+    (entry,) = report["observability"]
+    gram = entry["gramian"]
+    assert entry["c1_est"] == gram["lambda_min"] <= gram["rank_threshold"]
+    assert (gram["rank"], gram["dim"]) == (10, 20)
+    assert (f"c1_est at T=4 is numerically zero: lambda_min {gram['lambda_min']:.3g} <= "
+            f"rank_threshold {gram['rank_threshold']:.3g} (rank 10 of 20)") in report["notes"]
+    assert not any("c2_est" in note for note in report["notes"])
 
 
 @pytest.mark.parametrize("command", ["check", "control"])
