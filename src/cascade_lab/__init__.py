@@ -1,11 +1,11 @@
 """Numerical laboratory for indirect null control of cascade-coupled systems.
 
 Builds desk-scale 1D/2D discretizations of cascade-coupled evolution systems
-(wave-like and heat/Schroedinger-like), certifies the structural hypotheses
-behind indirect controllability (coercivity, admissibility, coupling bounds,
-geometric control condition), and synthesizes null controls from a dense HUM
-Gramian over spectrally filtered adjoint seeds, assembled by one batched
-adjoint march and solved through its eigendecomposition.
+(wave-like and heat/Schroedinger-like), reports the closed-form coercivity and
+coupling bounds, checks admissibility and the geometric control condition,
+and synthesizes null controls from a dense HUM Gramian over spectrally
+filtered adjoint seeds, assembled by one batched adjoint march and solved
+through its eigendecomposition.
 """
 
 __version__ = "0.1.0"
@@ -26,12 +26,10 @@ from .geometry import (
 )
 from .operators import (
     BoundaryEnd,
-    CouplingBounds,
     EllipticOperator,
     SpectralBasis,
+    coupling_bounds,
     spectral_basis,
-    verify_coupling_bounds,
-    verify_operator_coercivity,
 )
 from .dynamics import (
     CascadeSystem,
@@ -70,6 +68,5 @@ from .errors import (
     CascadeLabError,
     CflViolationError,
     ConfigError,
-    HypothesisViolatedError,
     NotApplicableError,
 )

@@ -186,14 +186,17 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0):
     e(0) + e(T) + int e dt + int ||f||^2 dt. Distributed observations are
     pointwise bounded, so the ratio stays below the squared amplitude bound;
     end observations must merely stay bounded across levels. Degenerate
-    (zero-data, zero-forcing) samples are skipped.
+    (zero-data, zero-forcing) samples are skipped. The ratio observes through
+    the system's one control; a system with none or several is refused.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if not sys.control:
-        raise NotApplicableError("system carries no control; the admissibility check observes "
-                                 "through the first control")
-    template = sys.control[0][1]
+        raise NotApplicableError("system carries no control; the admissibility ratio needs one")
+    if len(sys.control) > 1:
+        raise NotApplicableError(f"system carries {len(sys.control)} controls; the admissibility "
+                                 "ratio observes through exactly one")
+    ((_, template),) = sys.control
     obs_name = "end" if isinstance(template, BoundaryEnd) else "distributed"
     rng = np.random.default_rng(seed)
     max_ratios = []

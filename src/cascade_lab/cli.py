@@ -3,15 +3,16 @@
 Every subcommand that takes ``--config`` runs through ``_run``: it reads the
 JSON config, writes its CSV artifacts and ``report.json`` (whose ``artifacts``
 map lists them) to the output directory, prints a one-line summary and exits
-with 0 (verdict pass / success) or 2 (verdict fail: GCC miss, failed
-synthesis, partial sweep, rank-deficient Kalman test). ``replay`` exits 2 on
-a mismatch of the full terminal energy (relative) or of the filtered one (on
-the scale of the initial energy). Exit 1 is a usage or config
-error, an unreadable input file or a malformed replay artifact. CSV floats
-carry 17 significant digits with LF endings, so identical configs and seeds
-reproduce byte-identical artifacts. The row keys of ``control.csv`` and
-``initial_state.csv`` are defined once each, by a layout that the writer and
-replay's one reader both walk, so replay reads the rows in written order.
+with 0 (verdict pass / success) or 2 (verdict fail: GCC miss, admissibility
+ratio over its bound, failed synthesis, partial sweep, rank-deficient Kalman
+test). ``replay`` exits 2 on a mismatch of the full terminal energy
+(relative) or of the filtered one (on the scale of the initial energy). Exit 1
+is a usage or config error, an unreadable input file or a malformed replay
+artifact. CSV floats carry 17 significant digits with LF endings, so identical
+configs and seeds reproduce byte-identical artifacts. The row keys of
+``control.csv`` and ``initial_state.csv`` are defined once each, by a layout
+that the writer and replay's one reader both walk, so replay reads the rows in
+written order.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .dynamics import (
 from .errors import CascadeLabError, ConfigError, NotApplicableError
 from .geometry import Support, default_horizon, gcc_check, interval_entry_time
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
-from .operators import BoundaryEnd, verify_coupling_bounds, verify_operator_coercivity
+from .operators import BoundaryEnd, coupling_bounds
 from .util import fmt_float
 
 
@@ -234,51 +235,44 @@ def _gcc(exp, payload, args):
 
 
 def _hypotheses(exp):
-    """The coercivity constant and the coupling-bound certificate of every
-    coupling region, each over ``operators.COUPLING_SAMPLES`` random fields;
-    `check` and the `control` report share them."""
+    """The closed-form coercivity constant (lambda_1) and the bounds of every
+    coupling region; `check` and the `control` report share them."""
     return {
-        "coercivity_constant": verify_operator_coercivity(exp.basis),
-        "coupling": [verify_coupling_bounds(region, exp.grid, seed=exp.seed).to_dict()
-                     for region in exp.coupling_regions],
+        "coercivity_constant": float(exp.basis.eigenvalues[0]),
+        "coupling": [coupling_bounds(region) for region in exp.coupling_regions],
     }
 
 
 def _check(exp, payload, args):
-    """Coercivity, the coupling bounds and the admissibility ratios of every
-    control, each observed on its own with the same seed and levels."""
+    """The admissibility ratios of every control, each observed on its own
+    with the same seed and levels, decide the verdict; the closed-form
+    constants are reported alongside."""
     if not exp.sys.control:
         raise NotApplicableError("system carries no control; the admissibility check observes "
                                  "through each control")
     hyp = _hypotheses(exp)
-    lam1 = hyp["coercivity_constant"]
     boundary = any(isinstance(c, BoundaryEnd) for c in exp.sys.controls.values())
     default_levels = [exp.grid.n[0], 2 * exp.grid.n[0]] if boundary else [exp.grid.n[0]]
     levels = exp.analysis.get("levels", default_levels)
     adm = []
-    ratios_ok = True
+    ok = True
     for k, kind in exp.sys.control:
         report = admissibility_ratio(dataclasses.replace(exp.sys, control=((k, kind),)),
                                      exp.analysis.get("n_samples", 5), min(exp.T, 1.0), exp.dt,
                                      levels, seed=exp.seed)
         # a distributed observation is bounded by its own squared amplitude
         bound = math.inf if isinstance(kind, BoundaryEnd) else max(kind.amplitudes) ** 2
-        ratios_ok &= all(math.isfinite(r) and r <= bound * (1 + 1e-9) + 1e-12
-                         for r in report.max_ratios)
+        ok &= all(math.isfinite(r) and r <= bound * (1 + 1e-9) + 1e-12
+                  for r in report.max_ratios)
         adm.append({**dataclasses.asdict(report), "component": k})
-    slack_tol = -1e-9
-    coupling_ok = all(c["slack_bound"] >= slack_tol and c["slack_coercivity"] >= slack_tol
-                      for c in hyp["coupling"])
-    ok = lam1 > 0 and coupling_ok and ratios_ok
     payload["hypotheses"] = {
         **hyp,
         "admissibility": adm,
-        "flags": {"coercivity": lam1 > 0, "coupling": coupling_ok, "admissibility": ratios_ok},
-        "notes": ["multiplier bounds certified in the base space only; "
+        "notes": ["multiplier bounds are the closed-form amplitudes, in the base space only; "
                   "smoothness-scale boundedness is untested"],
     }
-    summary = (f"{'pass' if ok else 'fail'} (coercivity {lam1:.6g}, max admissibility ratio "
-               f"{max(r for a in adm for r in a['max_ratios']):.4g})")
+    summary = (f"{'pass' if ok else 'fail'} (coercivity {hyp['coercivity_constant']:.6g}, "
+               f"max admissibility ratio {max(r for a in adm for r in a['max_ratios']):.4g})")
     return ok, summary, [_basis_spectrum(exp)]
 
 
@@ -652,7 +646,7 @@ def _parser():
 
     for name, body, helptext in (
         ("gcc", _gcc, "exact billiard-ray geometric control condition per region"),
-        ("check", _check, "coercivity, coupling-bound and admissibility checks"),
+        ("check", _check, "admissibility ratios, with closed-form coercivity and coupling bounds"),
         ("control", _control, "synthesize a null control and verify by re-simulation"),
         ("observability", _observability, "filtered observability constants"),
         ("kalman", _kalman, "per-mode rank test for constant couplings"),

@@ -53,8 +53,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CflViolationError
-from .geometry import Support
-from .operators import BoundaryEnd, EllipticOperator, SpectralBasis, indicator_vector
+from .geometry import Support, indicator_vector
+from .operators import BoundaryEnd, EllipticOperator, SpectralBasis
 
 # ---------------------------------------------------------------------------
 # families and the assembled system

@@ -17,10 +17,6 @@ class CflViolationError(CascadeLabError, ValueError):
         )
 
 
-class HypothesisViolatedError(CascadeLabError, ArithmeticError):
-    """A structural hypothesis failed on the assembled problem."""
-
-
 class NotApplicableError(CascadeLabError, ValueError):
     """Requested diagnostic is undefined for this configuration."""
 

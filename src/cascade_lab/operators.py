@@ -6,11 +6,13 @@ Its lowest eigenpairs, sampled sines in closed form, span the filtered spaces
 that every synthesis and observability estimate works in.
 
 Couplings are cascade (strictly upper-triangular) multiplication operators
-c * 1_O; controls are either distributed multipliers b * 1_omega or, in 1D, a
-Dirichlet value imposed at one end of the interval. The boundary pair uses the
-convention that makes injection and observation exactly adjoint in the discrete
-inner product: the imposed end value for control signal v is -gain * v, and the
-matching observation is the discrete outward normal derivative, -gain * w_end/h.
+c * 1_O, whose bound and coercivity constants are the largest and smallest
+amplitude in closed form. Controls are either distributed multipliers
+b * 1_omega or, in 1D, a Dirichlet value imposed at one end of the interval.
+The boundary pair uses the convention that makes injection and observation
+exactly adjoint in the discrete inner product: the imposed end value for
+control signal v is -gain * v, and the matching observation is the discrete
+outward normal derivative, -gain * w_end/h.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolatedError
-from .geometry import Grid, Region, indicator_vector
+from .geometry import Grid
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +212,6 @@ def spectral_basis(op, K):
     return SpectralBasis(grid, lam[order], modes)
 
 
-def verify_operator_coercivity(basis):
-    """Smallest eigenvalue of A; the coercivity constant |A u| >= c |u|."""
-    lam1 = float(basis.eigenvalues[0])
-    if lam1 <= 0:
-        raise HypothesisViolatedError(f"operator is not coercive: lambda_1 = {lam1}")
-    return lam1
-
-
 # ---------------------------------------------------------------------------
 # boundary end control
 # ---------------------------------------------------------------------------
@@ -239,63 +232,20 @@ class BoundaryEnd:
 
 
 # ---------------------------------------------------------------------------
-# structural hypothesis checks
+# coupling bounds
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CouplingBounds:
-    """Certified constants of one multiplier coupling c * 1_O.
+def coupling_bounds(region):
+    """The constants of one multiplier coupling C = c * 1_O, in closed form.
 
-    ``bound`` is the smallest beta with |Cw|^2 <= beta <Cw, w> (the max
-    amplitude, exact for a nonnegative multiplier); ``coercivity`` the largest
-    alpha with alpha |Pi w|^2 <= <Cw, w> where Pi is the plain indicator of the
-    support. ``slack_*`` are the minimal inequality slacks over random fields.
+    For c >= 0, which ``Region`` enforces, |Cw|^2 <= beta <Cw, w> holds with
+    beta the largest amplitude and alpha |Pi w|^2 <= <Cw, w> with alpha the
+    smallest, Pi the plain indicator of the support. Both sums run over
+    nonnegative terms, so there is nothing left to sample.
     """
-
-    bound: float
-    coercivity: float
-    support: Region
-    slack_bound: float
-    slack_coercivity: float
-
-    def to_dict(self):
-        return {
-            "bound": self.bound,
-            "coercivity": self.coercivity,
-            "support": self.support.label or "coupling support",
-            "slack_bound": self.slack_bound,
-            "slack_coercivity": self.slack_coercivity,
-        }
-
-
-# random fields per coupling-bound certificate
-COUPLING_SAMPLES = 100
-
-
-def verify_coupling_bounds(region, grid, n_samples=COUPLING_SAMPLES, seed=0):
-    """Certify the multiplier-coupling inequalities on random fields.
-
-    For Cw = c * 1_O * w with c >= 0 the sharp constants are known exactly
-    (max and min part amplitudes); the random fields only confirm nonnegative
-    slack of both inequalities at machine precision.
-    """
-    if any(a < 0 for a in region.amplitudes):
-        raise HypothesisViolatedError("coupling amplitude must be nonnegative")
-    c = indicator_vector(region, grid)
-    pi = indicator_vector(
-        Region(region.parts, tuple(1.0 for _ in region.parts), region.label), grid
-    )
-    beta = float(max(region.amplitudes))
-    alpha = float(min(region.amplitudes))
-    hvol = grid.hvol
-    rng = np.random.default_rng(seed)
-    slack_b = np.inf
-    slack_a = np.inf
-    for _ in range(n_samples):
-        w = rng.standard_normal(grid.n_total)
-        cw = c * w
-        quad = hvol * float(cw @ w)
-        slack_b = min(slack_b, beta * quad - hvol * float(cw @ cw))
-        slack_a = min(slack_a, quad - alpha * hvol * float((pi * w) @ (pi * w)))
-    return CouplingBounds(beta, alpha, region, float(slack_b), float(slack_a))
+    return {
+        "bound": float(max(region.amplitudes)),
+        "coercivity": float(min(region.amplitudes)),
+        "support": region.label or "coupling support",
+    }

@@ -398,16 +398,17 @@ def test_sweep_eps_stores_the_initial_state_it_verified(sweep, tmp_path, capsys)
 
 @pytest.fixture(scope="module")
 def demos(tmp_path_factory):
-    """`control` run directories of the canned wave and heat demos."""
+    """`control` run directories of the canned wave, heat and chain3 demos."""
     root = tmp_path_factory.mktemp("demos")
-    for name in ("wave", "heat"):
+    for name, demo in (("wave", "demo_wave_cascade.json"), ("heat", "demo_heat_cascade.json"),
+                       ("chain3", "chain3_single_control.json")):
         cfg = root / f"{name}.json"
-        cfg.write_text(json.dumps(demo_configs()[f"demo_{name}_cascade.json"]))
+        cfg.write_text(json.dumps(demo_configs()[demo]))
         assert main(["control", "--config", str(cfg), "--out", str(root / name)]) in (0, 2)
     return root
 
 
-@pytest.mark.parametrize("demo", ["wave", "heat"])
+@pytest.mark.parametrize("demo", ["wave", "heat", "chain3"])
 @pytest.mark.parametrize("factor,code", [(1.01, 2), (1.0 + 1e-12, 0)], ids=["1%", "1e-12"])
 def test_replay_checks_the_goal_not_the_bits(demos, tmp_path, capsys, demo, factor, code):
     """A 1% change of the median-magnitude control sample fails replay

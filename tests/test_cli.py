@@ -180,22 +180,15 @@ def test_every_gcc_and_analysis_key_changes_a_report(tmp_path, section, key):
 
 def test_analysis_n_samples_sets_only_the_admissibility_samples(tmp_path):
     """`analysis.n_samples` counts the admissibility samples; the coupling
-    certificates of `check` and of the `control` report both draw
-    COUPLING_SAMPLES random fields. A coupling with two amplitudes makes the
-    slacks depend on the number of fields."""
-    from cascade_lab.operators import COUPLING_SAMPLES
-
+    bounds of `check` and of the `control` report are the closed-form
+    amplitudes of the coupling region, which has two."""
     cfg = demo_configs()["demo_wave_cascade.json"]
     cfg["domain"]["n"] = [60]
     cfg["hum"]["K_filter"] = 10
     cfg["time"]["T"] = 3.0
     cfg["coupling"][0].update(boxes=[[[0.2, 0.3]], [[0.3, 0.4]]], amplitude=[1.0, 2.0])
     exp = cl.build_experiment(cfg)
-    region = exp.coupling_regions[0]
-    expected = cl.verify_coupling_bounds(region, exp.grid, COUPLING_SAMPLES, exp.seed).to_dict()
-    fewer = cl.verify_coupling_bounds(region, exp.grid, 10, exp.seed).to_dict()
-    assert fewer["slack_bound"] != expected["slack_bound"]
-    assert fewer["slack_coercivity"] != expected["slack_coercivity"]
+    expected = cl.coupling_bounds(exp.coupling_regions[0])
 
     hypotheses = {}
     for name, command, n_samples in [("a", "check", 2), ("b", "check", 10), ("c", "control", 10)]:
@@ -622,13 +615,20 @@ def test_check_certifies_every_control(tmp_path):
 
 
 def test_check_subcommand(demo_dir, tmp_path):
-    path, cfg = _small_wave(demo_dir, tmp_path)
-    assert main(["check", "--config", str(path)]) == 0
-    with open(os.path.join(cfg["output_dir"], "report.json")) as fh:
-        report = json.load(fh)
-    hyp = report["hypotheses"]
-    assert hyp["flags"]["coercivity"] and hyp["flags"]["coupling"]
-    assert hyp["coercivity_constant"] > 0
+    """The coupling constants are the closed-form amplitudes, so a large
+    amplitude cannot fail the check through round-off; the verdict is the
+    admissibility verdict alone."""
+    for amplitude in (1.0, 1e4):
+        coupling = [dict(demo_configs()[WAVE]["coupling"][0], amplitude=amplitude)]
+        (tmp_path / str(amplitude)).mkdir()
+        path, cfg = _small_wave(demo_dir, tmp_path / str(amplitude), coupling=coupling)
+        assert main(["check", "--config", str(path)]) == 0
+        with open(os.path.join(cfg["output_dir"], "report.json")) as fh:
+            hyp = json.load(fh)["hypotheses"]
+        assert "flags" not in hyp
+        assert hyp["coupling"] == [{"bound": amplitude, "coercivity": amplitude,
+                                    "support": "O_12"}]
+        assert hyp["coercivity_constant"] > 0
 
 
 def test_kalman_subcommand_exit_codes(tmp_path, demo_dir):
@@ -753,6 +753,13 @@ def test_analyses_refuse_a_system_without_control():
     exp = cl.build_experiment(demo_configs()["strip_square.json"])
     with pytest.raises(cl.NotApplicableError, match="no control"):
         cl.admissibility_ratio(exp.sys, 1, 1.0, exp.dt, [10])
+    # several controls are refused too, not read through the first one
+    mixed = demo_configs()[WAVE]
+    mixed["domain"]["n"] = [40]
+    _mixed_controls(mixed)
+    mixed = cl.build_experiment(mixed)
+    with pytest.raises(cl.NotApplicableError, match="2 controls"):
+        cl.admissibility_ratio(mixed.sys, 1, 1.0, mixed.dt, [40])
     with pytest.raises(cl.NotApplicableError, match="no control"):
         cl.synthesize_control(exp.sys, exp.Y0, 1.0, exp.dt, 2)
     op = cl.EllipticOperator(cl.build_grid([1.0], [20]))
