@@ -25,6 +25,7 @@ from .dynamics import (
     cfl_time_step,
     quadrature,
     solve,
+    step_count,
     trapezoid_weights,
 )
 from .geometry import Region, build_grid, indicator_vector
@@ -58,26 +59,38 @@ def observability_constants(sys, t_grid, dt, K_filter):
     (``coupling_gramian``, ``coupling_eigenvalues``, ``c2_est``). The Gramian's
     order, the larger seed dimension, must stay within DENSE_SEED_LIMIT; it is
     checked before any march.
+
+    One adjoint march to the longest horizon serves every horizon, each read
+    off as a partial sum, and both functionals: the free equation is
+    component 1 of the transposed cascade, so with a control its Gramian is
+    reduced from the control functional's march (see
+    ``assemble_dense_gramian``).
     """
-    seeds = {}
+    functionals = []
     if sys.control:
-        seeds["gramian", "eigenvalues", "c1_est"] = SeedSpace(sys, K_filter)
+        functionals.append((("gramian", "eigenvalues", "c1_est"), SeedSpace(sys, K_filter)))
     if sys.coupling:
-        seeds["coupling_gramian", "coupling_eigenvalues", "c2_est"] = SeedSpace(
-            _single_equation_variant(sys, sys.coupling[0][1]), K_filter)
-    if not seeds:
+        functionals.append((("coupling_gramian", "coupling_eigenvalues", "c2_est"), SeedSpace(
+            _single_equation_variant(sys, sys.coupling[0][1]), K_filter)))
+    if not functionals:
         raise NotApplicableError("system carries no control; the control observability "
                                  "constant is undefined")
-    dim = max(space.dim for space in seeds.values())
+    dim = max(space.dim for _, space in functionals)
     if dim > DENSE_SEED_LIMIT:
         raise ConfigError(f"analysis.K {K_filter}: seed dimension {dim} exceeds the dense limit "
                           f"{DENSE_SEED_LIMIT}")
+    steps = [step_count(T, dt) for T in t_grid]
+    grams = [GramianOperator(space, max(t_grid), dt) for _, space in functionals]
+    if len(grams) == 2:
+        per_horizon = assemble_dense_gramian(grams[0], steps, free=grams[1])
+    else:
+        per_horizon = [(mat,) for mat in assemble_dense_gramian(grams[0], steps)]
     reports = []
-    for T in t_grid:
+    for T, mats in zip(t_grid, per_horizon):
         entry = {"T": float(T), "dt": float(dt), "K_filter": int(K_filter),
                  "eigenvalues": [], "c1_est": None, "c2_est": None}
-        for (block, eigenvalues, constant), space in seeds.items():
-            spectrum = GramianSpectrum(assemble_dense_gramian(GramianOperator(space, T, dt)))
+        for ((block, eigenvalues, constant), _), mat in zip(functionals, mats):
+            spectrum = GramianSpectrum(mat)
             entry[block] = spectrum.summary()
             entry[eigenvalues] = spectrum.eigenvalues.tolist()
             entry[constant] = entry[block]["lambda_min"]

@@ -6,7 +6,8 @@ map lists them) to the output directory, prints a one-line summary and exits
 with 0 (verdict pass / success) or 2 (verdict fail: GCC miss, admissibility
 ratio over its bound, failed synthesis, partial sweep, rank-deficient Kalman
 test). ``replay`` exits 2 on a mismatch of the full terminal energy
-(relative) or of the filtered one (on the scale of the initial energy). Exit 1
+(relative) or of the filtered one (on the scale of the initial energy); its
+line also prints both mismatches of each component, which inform only. Exit 1
 is a usage or config error, an unreadable input file or a malformed replay
 artifact. CSV floats carry 17 significant digits with LF endings, so identical
 configs and seeds reproduce byte-identical artifacts. The row keys of
@@ -239,7 +240,7 @@ def _hypotheses(exp):
     coupling region; `check` and the `control` report share them."""
     return {
         "coercivity_constant": float(exp.basis.eigenvalues[0]),
-        "coupling": [coupling_bounds(region) for region in exp.coupling_regions],
+        "coupling": [coupling_bounds(region, exp.grid) for region in exp.coupling_regions],
     }
 
 
@@ -475,30 +476,53 @@ def _cmd_replay(args):
     if where is None:
         raise ConfigError(f"{report_path} carries no control synthesis")
     needed = ("terminal_energy_full", "terminal_energy_filtered")
+    per_component = tuple(f"{key}_per_component" for key in needed)
     try:
         stored = report["hum"] if where == "hum" else report["sweep"]["runs"][-1]
-        complete = "config" in report and all(isinstance(stored[key], float) for key in needed)
+        complete = ("config" in report and all(isinstance(stored[key], float) for key in needed)
+                    and all(isinstance(stored[key], list)
+                            and all(isinstance(v, float) for v in stored[key])
+                            for key in per_component))
     except (KeyError, IndexError, TypeError):
         complete = False
     if not complete:
         raise ConfigError(f"malformed {report_path}: needs config and "
-                          f"{', '.join(f'{where}.{key}' for key in needed)} as numbers")
+                          f"{', '.join(f'{where}.{key}' for key in needed)} as numbers and "
+                          f"{', '.join(f'{where}.{key}' for key in per_component)} as lists "
+                          "of numbers")
     exp = build_experiment(report["config"])
+    for key in per_component:
+        if len(stored[key]) != exp.sys.N:
+            raise ConfigError(f"malformed {report_path}: {where}.{key} holds "
+                              f"{len(stored[key])} entries for {exp.sys.N} components")
     signal = _read_control_csv(control_path, exp)
     initial = _read_state_csv(state_path, exp)
     seeds = SeedSpace(exp.sys, exp.K_filter)
     levels, terminal = solve(exp.sys, initial, signal, exp.T, exp.dt)
-    _, filt_total = seeds.energy_of(seeds.readout(levels, exp.dt))
-    full, stored_full = energy(exp.sys, terminal).total, stored["terminal_energy_full"]
-    full_mismatch = abs(full - stored_full) / max(abs(full), abs(stored_full), 1e-300)
-    filt_mismatch = (abs(filt_total - stored["terminal_energy_filtered"])
-                     / max(energy(exp.sys, initial).total, 1e-300))
+    filt, filt_total = seeds.energy_of(seeds.readout(levels, exp.dt))
+    full = energy(exp.sys, terminal)
+    scale = max(energy(exp.sys, initial).total, 1e-300)
+
+    def relative(a, b):
+        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+    full_mismatch = relative(full.total, stored["terminal_energy_full"])
+    filt_mismatch = abs(filt_total - stored["terminal_energy_filtered"]) / scale
+    full_per = [relative(a, b) for a, b in
+                zip(full.per_component, stored["terminal_energy_full_per_component"])]
+    filt_per = [abs(a - b) / scale for a, b in
+                zip(filt, stored["terminal_energy_filtered_per_component"])]
     mismatch = max(full_mismatch, filt_mismatch)
     ok = mismatch <= REPLAY_TOLERANCE
     print(f"replay: {'pass' if ok else 'fail'} (full terminal energy mismatch "
           f"{full_mismatch:.3e} relative, filtered {filt_mismatch:.3e} of the initial energy; "
+          f"per component full {_listed(full_per)}, filtered {_listed(filt_per)}; "
           f"max energy mismatch {mismatch:.3e})")
     return 0 if ok else 2
+
+
+def _listed(values):
+    return "[" + ", ".join(f"{v:.3e}" for v in values) + "]"
 
 
 # ---------------------------------------------------------------------------

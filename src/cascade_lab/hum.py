@@ -23,13 +23,18 @@ energy to the residual level rather than to O(dt^2).
 
 The seed space has at most a few hundred real coordinates, so the Gramian is
 assembled densely by one batched adjoint march over an orthonormal seed basis
-(``GramianOperator.march_adjoint`` seeded by the identity, whose visitor
-reduces each sample into G) and solved through one symmetric
+(``GramianOperator.march_adjoint`` seeded by rows of the identity, whose
+visitor reduces each sample into G) and solved through one symmetric
 eigendecomposition; the matrix-free ``GramianOperator.apply`` stays as the
-independent cross-check. Second-order synthesis solves G x = b exactly
-(eps = 0 allowed); the first-order family uses the penalized form
-(G + eps I) x = b, whose terminal norm scales like
-sqrt(eps) under null controllability; ``epsilon_sweep`` fits that exponent
+independent cross-check. In the transposed cascade nothing feeds component 1
+and a seed on component N never leaves it, so for N >= 2 the last
+component's seeds are not marched: their rows are filled from the free
+trajectories of the first component's seeds (see ``assemble_dense_gramian``).
+The same march yields the Gramian of every shorter horizon as a partial sum,
+and that of the free equation on component 1. Second-order synthesis solves
+G x = b exactly (eps = 0 allowed); the first-order family uses the penalized
+form (G + eps I) x = b, whose terminal norm scales like sqrt(eps) under null
+controllability; ``epsilon_sweep`` fits that exponent
 from one eigendecomposition shared by every eps. Every synthesis is verified
 by re-simulation, and a sweep verifies all its eps at once: the solved seeds
 go through one batched adjoint march and their controls through one batched
@@ -234,52 +239,39 @@ class GramianOperator:
 _GRAMIAN_BLOCK_COLUMNS = 512
 
 
-def assemble_dense_gramian(gram):
-    """Dense Gramian in the seed coordinates.
+def _gramian_sum(sys_adj, dim, weights):
+    """(add, total): the running sum G = sum_n w_n O_n O_n^T of one functional.
 
-    One batched adjoint march seeded by every coordinate vector at once
-    (the rows of the identity); each sample's observations O_n are reduced
-    on the fly into G += w_n O_n O_n^T with the weights ``gram.weights`` and
-    the grid volume for distributed observations, the bilinear form
-    ``quadrature`` defines, so no trajectory is kept. ``extract`` writes each sample's observation
-    columns (a distributed control's support) straight into one preallocated
-    block, where they are scaled by sqrt(w_n), times sqrt(hvol) when
-    distributed; a full block is reduced into G by one product. Complex
-    observations are split into real and imaginary parts, matching the
-    (Re, Im) coordinate slots; the unimodular Crank-Nicolson phase factor
-    drops out of Re <a, b>.
+    add(n, observe) reduces sample n, where observe(k, out) writes the
+    observations of control k of every seed into out (dim rows; rows it
+    leaves alone stay 0). ``extract`` output lands straight in one
+    preallocated block, scaled by sqrt(w_n), times sqrt(hvol) when
+    distributed; a full block is reduced into G by one product. total() is
+    0.5 (G + G^T) with the partial block's product added but not flushed, so
+    the sum goes on with the bits it would have had.
     """
-    seeds, sys_adj, weights = gram.seeds, gram.sys_adj, gram.weights
-    dim = seeds.dim
     is_complex = sys_adj.state_dtype == np.complex128
     # (k, column count, scale, end control?)
     parts = [(k, ctl.size, sys_adj.grid.hvol, False) if isinstance(ctl, Support)
              else (k, 1, 1.0, True) for k, ctl in sys_adj.controls.items()]
     # complex observations are formed as complex products first and split
     # after, so their parts carry the bits of the complex arithmetic
-    scratch = {k: np.empty((dim, n_cols), dtype=np.complex128)
+    scratch = {k: np.zeros((dim, n_cols), dtype=np.complex128)
                for k, n_cols, *_ in parts} if is_complex else None
     per_sample = (2 if is_complex else 1) * sum(p[1] for p in parts)
     # the block holds exactly the samples of one flush, so a full block is
-    # reduced as it stands
-    block = np.empty((dim, per_sample * -(-_GRAMIAN_BLOCK_COLUMNS // max(per_sample, 1))))
+    # reduced as it stands and every flush starts on the same column layout
+    block = np.zeros((dim, per_sample * -(-_GRAMIAN_BLOCK_COLUMNS // max(per_sample, 1))))
     mat = np.zeros((dim, dim))
     width = 0
 
-    def flush():
+    def add(n, observe):
         nonlocal mat, width
-        if width:
-            obs = block if width == block.shape[1] else np.ascontiguousarray(block[:, :width])
-            mat += obs @ obs.T
-            width = 0
-
-    def visit(n, fld):
-        nonlocal width
         if weights[n] == 0.0:
             return
         for k, n_cols, scale, end in parts:
             o = scratch[k] if is_complex else block[:, width:width + n_cols]
-            sys_adj.extract(k, fld, out=o[:, 0] if end else o)
+            observe(k, o[:, 0] if end else o)
             o *= math.sqrt(weights[n] * scale)
             if is_complex:
                 block[:, width:width + n_cols] = o.real
@@ -287,11 +279,88 @@ def assemble_dense_gramian(gram):
                 block[:, width:width + n_cols] = o.imag
             width += n_cols
         if width >= _GRAMIAN_BLOCK_COLUMNS:
-            flush()
+            mat += block @ block.T
+            width = 0
 
-    gram.march_adjoint(np.eye(dim), visit)
-    flush()
-    return 0.5 * (mat + mat.T)
+    def total():
+        m = mat
+        if width:
+            obs = np.ascontiguousarray(block[:, :width])
+            m = mat + obs @ obs.T
+        return 0.5 * (m + m.T)
+
+    return add, total
+
+
+def assemble_dense_gramian(gram, steps=None, free=None):
+    """Dense Gramian in the seed coordinates, from one batched adjoint march.
+
+    The march is seeded by rows of the identity; each sample's observations
+    O_n are reduced on the fly into G += w_n O_n O_n^T with the weights
+    ``gram.weights`` and the grid volume for distributed observations, the
+    bilinear form ``quadrature`` defines, so no trajectory is kept. Complex
+    observations are split into real and imaginary parts, matching the (Re,
+    Im) coordinate slots; the unimodular Crank-Nicolson phase factor drops
+    out of Re <a, b>.
+
+    For N >= 2 only the seeds of components 1..N-1 are marched. In the
+    transposed cascade nothing feeds component 1, and a seed on component N
+    never leaves it, so component 1 of the first dim // N seeds and component
+    N of the last dim // N seeds are the same free trajectories. The last
+    seeds' rows are therefore filled from the first seeds: the observation
+    of their component-1 field for a control on component N, exact zeros for
+    a control on a lower one. Every leapfrog operation is elementwise, so
+    these rows carry the bits of a full-identity march (a zero may differ in
+    sign); the Crank-Nicolson sine transform is a batched product, whose rows
+    keep their bits whatever rows sit beside them on the BLAS in use.
+
+    ``steps`` lists step counts M_j <= gram.M; G(M_j dt) is a partial sum of
+    the one march (the adjoint field s steps after its terminal data does
+    not depend on the horizon), read off as its last sample is reduced, and
+    bitwise the Gramian of its own march. ``free`` is the GramianOperator of
+    a single free equation on component 1's seeds (dim // N of them, same
+    family, dt and horizon); its Gramian is reduced from component 1 of the
+    marched seeds, in its own block. Returns G, a list with one G per entry
+    of ``steps`` when they are given, and with ``free`` a pair (G, free
+    Gramian) in place of each G.
+    """
+    seeds, sys_adj = gram.seeds, gram.sys_adj
+    dim, N = seeds.dim, sys_adj.N
+    per = dim // N
+    marched = dim - per if N > 1 else dim
+    add, total = _gramian_sum(sys_adj, dim, gram.weights)
+    totals = [total]
+    if free is not None:
+        if free.sys_adj.N != 1 or free.seeds.dim != per or free.M != gram.M:
+            raise ValueError("free must be one equation on component 1's seeds, over the same steps")
+        add_free, total_free = _gramian_sum(free.sys_adj, per, free.weights)
+        totals.append(total_free)
+    counts = [gram.M] if steps is None else list(steps)
+    if not all(2 <= m <= gram.M for m in counts):
+        raise ValueError(f"step counts {counts} outside 2..{gram.M}")
+    # the last weighted sample of horizon m: leapfrog weighs s = 1..m-1 steps
+    # after the terminal data, Crank-Nicolson s = 1..m
+    last = {}
+    for j, m in enumerate(counts):
+        last.setdefault(gram.M - m + seeds.hyperbolic, []).append(j)
+    out = [None] * len(counts)
+
+    def visit(n, fld):
+        def observe(k, o):
+            sys_adj.extract(k, fld, out=o[:marched])
+            if k == N and marched < dim:
+                reused = np.broadcast_to(fld[:per, :1], (per,) + fld.shape[1:])
+                sys_adj.extract(k, reused, out=o[marched:])
+
+        add(n, observe)
+        if free is not None:
+            add_free(n, lambda k, o: free.sys_adj.extract(k, fld[:per, :1], out=o))
+        for j in last.get(n, ()):
+            mats = tuple(t() for t in totals)
+            out[j] = mats if free is not None else mats[0]
+
+    gram.march_adjoint(np.eye(dim)[:marched], visit)
+    return out if steps is not None else out[0]
 
 
 # ---------------------------------------------------------------------------

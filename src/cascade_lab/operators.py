@@ -7,8 +7,9 @@ that every synthesis and observability estimate works in.
 
 Couplings are cascade (strictly upper-triangular) multiplication operators
 c * 1_O, whose bound and coercivity constants are the largest and smallest
-amplitude in closed form. Controls are either distributed multipliers
-b * 1_omega or, in 1D, a Dirichlet value imposed at one end of the interval.
+value of the multiplier on the grid nodes of its support, in closed form.
+Controls are either distributed multipliers b * 1_omega or, in 1D, a
+Dirichlet value imposed at one end of the interval.
 The boundary pair uses the convention that makes injection and observation
 exactly adjoint in the discrete inner product: the imposed end value for
 control signal v is -gain * v, and the matching observation is the discrete
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Grid
+from .geometry import Grid, Support, indicator_vector
 
 
 # ---------------------------------------------------------------------------
@@ -30,22 +31,27 @@ from .geometry import Grid
 # ---------------------------------------------------------------------------
 
 
-def _subtract_neighbours(out, src):
-    """out[..., i] -= src[..., i - 1], then out[..., i] -= src[..., i + 1],
-    along the last axis wherever that neighbour exists.
+def _subtract_neighbours(out, src, axis):
+    """out[i] -= src[i - 1], then out[i] -= src[i + 1], along ``axis`` (-1,
+    or -2 for the x axis of a 2D grid) wherever that neighbour exists.
 
-    Each subtraction is one flat shifted pass over the C-contiguous arrays.
-    The column a pass would wrongly update from the adjacent row is saved
-    before it and written back after, so every element sees the same
-    operations in the same order as the row-sliced form.
+    Each subtraction is one flat pass over the C-contiguous arrays, shifted
+    by the stride of the axis: 1 for the last axis, a row for the x axis.
+    The edge (the columns, or the rows) that a pass would wrongly update from
+    the adjacent field is saved before it and written back after, so every
+    element sees the same operations in the same order as the sliced form.
     """
+    if axis == -1:
+        shift, head, tail = 1, (..., 0), (..., -1)
+    else:
+        shift, head, tail = out.shape[-1], (..., 0, slice(None)), (..., -1, slice(None))
     flat_out, flat_src = out.reshape(-1), src.reshape(-1)
-    first = out[..., 0].copy()
-    flat_out[1:] -= flat_src[:-1]
-    out[..., 0] = first
-    last = out[..., -1].copy()
-    flat_out[:-1] -= flat_src[1:]
-    out[..., -1] = last
+    first = out[head].copy()
+    flat_out[shift:] -= flat_src[:-shift]
+    out[head] = first
+    last = out[tail].copy()
+    flat_out[:-shift] -= flat_src[shift:]
+    out[tail] = last
 
 
 def _check_buffer(name, buf, w, other=None):
@@ -76,7 +82,7 @@ class EllipticOperator:
         as it stands (w * 1 and w / 1 are w). The scaled neighbours are formed
         in ``scratch`` when it is given. ``out`` and ``scratch`` must be
         C-contiguous arrays of w's shape that share memory neither with w nor
-        with each other: the last axis is done in flat passes, which a
+        with each other: every axis is done in flat passes, which a
         non-contiguous buffer would take through a copy and lose. Every
         operation is elementwise, so a batch member gets the bits of its
         unbatched pass.
@@ -96,11 +102,7 @@ class EllipticOperator:
             src = v if k == 1 else scale(v, k, out=scratch)
             if src is not v:
                 scratch = src
-            if a == g.dim - 1:
-                _subtract_neighbours(res, src)
-            else:  # the x axis of a 2D grid
-                res[..., 1:, :] -= src[..., :-1, :]
-                res[..., :-1, :] -= src[..., 1:, :]
+            _subtract_neighbours(res, src, a - g.dim)
         return res.reshape(w.shape)
 
     def matvec(self, w, out=None):
@@ -236,16 +238,19 @@ class BoundaryEnd:
 # ---------------------------------------------------------------------------
 
 
-def coupling_bounds(region):
-    """The constants of one multiplier coupling C = c * 1_O, in closed form.
+def coupling_bounds(region, grid):
+    """The constants of one multiplier coupling C = c * 1_O on the grid, in closed form.
 
     For c >= 0, which ``Region`` enforces, |Cw|^2 <= beta <Cw, w> holds with
-    beta the largest amplitude and alpha |Pi w|^2 <= <Cw, w> with alpha the
-    smallest, Pi the plain indicator of the support. Both sums run over
-    nonnegative terms, so there is nothing left to sample.
+    beta the largest value of the multiplier on its grid support (the
+    ``Support`` that ``CascadeSystem`` builds for the coupling), and
+    alpha |Pi w|^2 <= <Cw, w> with alpha the smallest, Pi the plain indicator
+    of that support. Both sums run over nonnegative terms, so there is
+    nothing left to sample. A support without grid nodes reports 0.0 for both.
     """
+    amplitudes = Support(indicator_vector(region, grid)).amplitudes
     return {
-        "bound": float(max(region.amplitudes)),
-        "coercivity": float(min(region.amplitudes)),
+        "bound": float(amplitudes.max(initial=0.0)),
+        "coercivity": float(amplitudes.min()) if amplitudes.size else 0.0,
         "support": region.label or "coupling support",
     }

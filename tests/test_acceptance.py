@@ -292,7 +292,7 @@ def test_criterion_9_hypothesis_certification():
     coercivity_ok = abs(lam1 - math.pi**2) / math.pi**2 < 0.005
 
     region = cl.region_from_bounds([[0.3, 0.6]], 1.0, "O")
-    bounds = cl.coupling_bounds(region)
+    bounds = cl.coupling_bounds(region, g99)
     coupling_ok = bounds["bound"] == 1.0
 
     one = make_single_free(n=50, K=6)

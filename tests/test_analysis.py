@@ -90,6 +90,30 @@ def test_horizons_of_one_call_equal_separate_calls(make):
     assert all(set(entry) >= {"c1_est", "c2_est", "coupling_eigenvalues"} for entry in together)
 
 
+@pytest.mark.parametrize("make", [make_wave_cascade, make_heat_cascade], ids=["wave", "heat"])
+def test_one_adjoint_march_serves_every_horizon_and_both_functionals(make, monkeypatch):
+    """With a control and a coupling, a 3-horizon call marches the adjoint
+    once (the parent made one march per functional and horizon, six), with
+    the seeds of component 1 only; without a control the coupling functional
+    marches alone, once."""
+    from cascade_lab.hum import GramianOperator
+
+    batches = []
+    march = GramianOperator.march_adjoint
+    monkeypatch.setattr(GramianOperator, "march_adjoint",
+                        lambda self, x, visit: batches.append((self.M, x.shape)) or
+                        march(self, x, visit))
+    sys = make(n=30, K=4)
+    dt = 0.025
+    entries = observability_constants(sys, [1.0, 0.5, 1.5], dt, 3)
+    slots = 2 if sys.is_hyperbolic else 1
+    assert batches == [(60, (3 * slots, 2 * 3 * slots))]
+    assert [entry["T"] for entry in entries] == [1.0, 0.5, 1.5]
+    batches.clear()
+    observability_constants(dataclasses.replace(sys, control=()), [1.0, 0.5, 1.5], dt, 3)
+    assert batches == [(60, (3 * slots, 3 * slots))]
+
+
 def test_each_constant_is_the_lambda_min_of_its_gramian_summary():
     from cascade_lab.hum import GramianOperator, GramianSpectrum, SeedSpace
 

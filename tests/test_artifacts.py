@@ -290,6 +290,54 @@ def test_replay_rejects_malformed_artifact(runs, tmp_path, capsys, run, name, ed
     assert _one_error_line_naming(err, path) and message in err
 
 
+PER_COMPONENT = ["terminal_energy_full_per_component", "terminal_energy_filtered_per_component"]
+
+
+@pytest.mark.parametrize("key", PER_COMPONENT)
+@pytest.mark.parametrize("value,message", [
+    (None, "as lists of numbers"), ("x", "as lists of numbers"), ([1.0, "x"], "as lists of numbers"),
+    ([1.0], "holds 1 entries for 2 components")], ids=["missing", "string", "entry", "length"])
+def test_replay_rejects_a_malformed_per_component_list(runs, tmp_path, capsys, key, value,
+                                                       message):
+    out = tmp_path / "wave"
+    shutil.copytree(runs / "wave", out)
+    report = json.loads((out / "report.json").read_text())
+    if value is None:
+        del report["hum"][key]
+    else:
+        report["hum"][key] = value
+    (out / "report.json").write_text(json.dumps(report))
+    assert main(["replay", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert _one_error_line_naming(err, out / "report.json") and message in err
+
+
+def _per_component(line, name):
+    text = line.split(f"{name} [")[1].split("]")[0]
+    return [float(v) for v in text.split(", ")]
+
+
+def test_replay_prints_the_mismatch_of_each_component(runs, tmp_path, capsys):
+    """Each component's full (relative) and filtered (on the initial energy's
+    scale) mismatch is printed; a changed stored component shows in its own
+    entry only, and the verdict stays on the totals."""
+    out = tmp_path / "wave"
+    shutil.copytree(runs / "wave", out)
+    report = json.loads((out / "report.json").read_text())
+    hum = report["hum"]
+    hum["terminal_energy_full_per_component"][0] *= 2.0
+    hum["terminal_energy_filtered_per_component"][1] += 1e-3 * hum["initial_energy"]
+    (out / "report.json").write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert line.index("filtered") < line.index("per component") < line.index("max energy mismatch")
+    assert _per_component(line, "full") == [0.5, 0.0]
+    filtered = _per_component(line, "filtered")
+    assert filtered[0] == 0.0 and filtered[1] == pytest.approx(1e-3, rel=1e-3)
+    assert "max energy mismatch 0.000e+00" in line
+
+
 def test_full_grid_control_csv_fails_replay(runs, tmp_path, capsys):
     """A control.csv with a row for every grid index, the layout before
     control.csv listed support columns only, is malformed at its first row
@@ -492,22 +540,27 @@ def test_replay_of_a_directory_named_control_csv_exits_1(runs, tmp_path, capsys)
 
 
 def test_wave_artifacts_do_not_depend_on_the_thread_count(tmp_path):
-    """The wave demo's `control` and `observability` CSVs are byte-equal at 1
-    and 2 BLAS threads; each run is its own interpreter, so the setting takes
-    hold."""
-    cfg = tmp_path / "wave.json"
-    cfg.write_text(json.dumps(demo_configs()["demo_wave_cascade.json"]))
+    """The wave demo's `control` and `observability` CSVs, and the heat demo's
+    `sweep-eps` control, are byte-equal at 1 and 2 BLAS threads; each run is
+    its own interpreter, so the setting takes hold. The heat Gramian reuses
+    Crank-Nicolson trajectories across rows of a batched product, which holds
+    only while a row's bits do not depend on the rows beside it."""
+    for name in ("wave", "heat"):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps(demo_configs()[f"demo_{name}_cascade.json"]))
     src = os.path.dirname(os.path.dirname(cl.__file__))
     procs = []
-    for command in ("control", "observability"):
+    for command, demo in (("control", "wave"), ("observability", "wave"), ("sweep-eps", "heat")):
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads)
-            argv = [sys.executable, "-m", "cascade_lab.cli", command, "--config", str(cfg),
+            argv = [sys.executable, "-m", "cascade_lab.cli", command,
+                    "--config", str(tmp_path / f"{demo}.json"),
                     "--out", str(tmp_path / command / threads)]
             procs.append(subprocess.Popen(argv, env=env, cwd=tmp_path, stdout=subprocess.DEVNULL))
-    assert [p.wait() for p in procs] == [0, 0, 0, 0]
+    assert [p.wait() for p in procs] == [0] * 6
     for command, name in [("control", "control.csv"), ("control", "initial_state.csv"),
-                          ("control", "spectra.csv"), ("observability", "gramian_spectra.csv")]:
+                          ("control", "spectra.csv"), ("observability", "gramian_spectra.csv"),
+                          ("sweep-eps", "control.csv")]:
         one, two = (tmp_path / command / threads / name for threads in ("1", "2"))
         assert one.read_bytes() == two.read_bytes()

@@ -181,14 +181,15 @@ def test_every_gcc_and_analysis_key_changes_a_report(tmp_path, section, key):
 def test_analysis_n_samples_sets_only_the_admissibility_samples(tmp_path):
     """`analysis.n_samples` counts the admissibility samples; the coupling
     bounds of `check` and of the `control` report are the closed-form
-    amplitudes of the coupling region, which has two."""
+    multiplier values on the grid support of the coupling region, which has
+    two amplitudes."""
     cfg = demo_configs()["demo_wave_cascade.json"]
     cfg["domain"]["n"] = [60]
     cfg["hum"]["K_filter"] = 10
     cfg["time"]["T"] = 3.0
     cfg["coupling"][0].update(boxes=[[[0.2, 0.3]], [[0.3, 0.4]]], amplitude=[1.0, 2.0])
     exp = cl.build_experiment(cfg)
-    expected = cl.coupling_bounds(exp.coupling_regions[0])
+    expected = cl.coupling_bounds(exp.coupling_regions[0], exp.grid)
 
     hypotheses = {}
     for name, command, n_samples in [("a", "check", 2), ("b", "check", 10), ("c", "control", 10)]:

@@ -263,21 +263,96 @@ def _control_amplitude(sys, amplitude):
     return dataclasses.replace(sys, control=entries)
 
 
+def _chain3(family=None):
+    """A 3-component chain 1 -> 2 -> 3 controlled on component 3 only."""
+    sys = make_wave_cascade(n=40, K=6)
+    O23 = cl.region_from_bounds([[0.4, 0.6]], 2.0, "O23")
+    return dataclasses.replace(sys, family=family or sys.family, N=3,
+                               coupling=sys.coupling + (((2, 3), O23),),
+                               control=((3, sys.control[0][1]),))
+
+
+def _controlled_on_first(family=None):
+    """A 2-component cascade controlled on component 1 only: the seeds of
+    component 2 are never observed, so their rows of G are zero."""
+    sys = make_wave_cascade(n=40, K=6)
+    return dataclasses.replace(sys, family=family or sys.family, control=((1, sys.control[0][1]),))
+
+
+# the full-identity reference can leave -0.0 where the reused rows of the
+# last component hold +0.0, so these cases compare values only
+_VALUES_ONLY = {"chain3 controlled on 3", "chain3 cn theta 0.6", "controlled on 1 of 2"}
+
+
 @pytest.mark.parametrize("name,make,T,dt,K", [
     ("1d distributed", lambda: make_wave_cascade(n=40, K=6), 3.0, None, 5),
     ("1d end", _end_control_wave, 15.0, None, 6),
     ("cn theta 0.6", lambda: make_heat_cascade(n=40, K=6, theta=0.6), 0.2, 0.002, 5),
     ("2d", lambda: _square_system(cl.Hyperbolic()), 6.0, None, 4),
+    ("chain3 controlled on 3", _chain3, 3.0, None, 5),
+    ("chain3 cn theta 0.6", lambda: _chain3(cl.Dissipative(0.6)), 0.2, 0.002, 5),
+    ("controlled on 1 of 2", _controlled_on_first, 3.0, None, 5),
 ])
 def test_dense_gramian_matches_concatenated_assembly_bitwise(name, make, T, dt, K):
     from cascade_lab.hum import assemble_dense_gramian
 
     # an amplitude other than 1 makes the order of the two scalings show
-    gram, _ = _gramian(_control_amplitude(make(), 1.7), T, K=K, dt=dt)
+    gram, seeds = _gramian(_control_amplitude(make(), 1.7), T, K=K, dt=dt)
     expected, flushes = _concatenated_gramian(gram)
     # a full block and a partial last one
     assert len(flushes) >= 2 and flushes[-1] < flushes[0], name
-    assert assemble_dense_gramian(gram).tobytes() == expected.tobytes(), name
+    mat = assemble_dense_gramian(gram)
+    assert np.array_equal(mat, expected), name
+    if name not in _VALUES_ONLY:
+        assert mat.tobytes() == expected.tobytes(), name
+    if make is _controlled_on_first:
+        per = seeds.dim // 2
+        assert not mat[per:].any() and not mat[:, per:].any() and mat[:per, :per].any()
+
+
+def test_dense_gramian_marches_the_seeds_of_all_components_but_the_last(monkeypatch):
+    from cascade_lab.hum import assemble_dense_gramian
+
+    batches = []
+    march = GramianOperator.march_adjoint
+    monkeypatch.setattr(GramianOperator, "march_adjoint",
+                        lambda self, x, visit: batches.append(x.shape) or march(self, x, visit))
+    single = dataclasses.replace(make_single_free(n=30, K=4),
+                                 control=((1, cl.region_from_bounds([[0.3, 0.6]], 1.0)),))
+    for sys in (make_wave_cascade(n=30, K=4), _chain3(), single):
+        gram, seeds = _gramian(sys, 1.0, K=3)
+        batches.clear()
+        assemble_dense_gramian(gram)
+        marched = seeds.dim - seeds.dim // sys.N if sys.N > 1 else seeds.dim
+        assert batches == [(marched, seeds.dim)], sys.N
+
+
+@pytest.mark.parametrize("name,make,dt", [
+    ("leapfrog", lambda: make_wave_cascade(n=30, K=6), None),
+    ("cn real", lambda: make_heat_cascade(n=30, K=6), 0.002),
+    ("cn complex", lambda: make_heat_cascade(n=30, K=6, theta=0.6), 0.002),
+])
+def test_each_horizon_equals_its_own_assembly_bitwise(name, make, dt):
+    """G(T_j) read off one march to the longest horizon is bitwise the
+    Gramian of a march to T_j, and so is the free equation's Gramian reduced
+    from the same march; the horizons straddle full and partial blocks."""
+    from cascade_lab.analysis import _single_equation_variant
+    from cascade_lab.hum import assemble_dense_gramian
+
+    sys = _control_amplitude(make(), 1.7)
+    variant = _single_equation_variant(sys, sys.coupling[0][1])
+    T = 3.0 if sys.is_hyperbolic else 0.4
+    dt = dt if dt is not None else chained_dt(sys, T)
+    M = step_count(T, dt)
+    steps = [M, 2, M // 3, M // 2 + 1, M // 3]
+    K = 5
+    long = [GramianOperator(SeedSpace(s, K), T, dt) for s in (sys, variant)]
+    together = assemble_dense_gramian(long[0], steps, free=long[1])
+    assert len(together) == len(steps)
+    for m, mats in zip(steps, together):
+        for s, mat in zip((sys, variant), mats):
+            alone = assemble_dense_gramian(GramianOperator(SeedSpace(s, K), m * dt, dt))
+            assert mat.tobytes() == alone.tobytes(), (name, m, s.N)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -252,15 +252,15 @@ def test_coercivity_constant_2d_two_pi_squared():
     assert abs(lam1 - 2 * math.pi**2) / (2 * math.pi**2) < 0.02
 
 
-def test_coupling_bounds_indicator():
+def test_coupling_bounds_indicator(grid1d):
     r = cl.region_from_bounds([[0.3, 0.6]], 1.0, "O")
-    assert cl.coupling_bounds(r) == {"bound": 1.0, "coercivity": 1.0, "support": "O"}
+    assert cl.coupling_bounds(r, grid1d) == {"bound": 1.0, "coercivity": 1.0, "support": "O"}
 
 
 def test_coupling_bounds_constant_multiplier_equality(grid1d):
     # |Cw|^2 = 9 sum_O w^2 = 3 * <Cw, w> exactly for c = 3
     r = cl.region_from_bounds([[0.3, 0.6]], 3.0, "O")
-    bound = cl.coupling_bounds(r)["bound"]
+    bound = cl.coupling_bounds(r, grid1d)["bound"]
     assert bound == 3.0
     ind = cl.indicator_vector(r, grid1d)
     rng = np.random.default_rng(7)
@@ -271,11 +271,25 @@ def test_coupling_bounds_constant_multiplier_equality(grid1d):
     assert normsq == pytest.approx(bound * quad, rel=1e-12)
 
 
-def test_coupling_bounds_piecewise():
+def test_coupling_bounds_piecewise(grid1d):
     r = cl.region_from_bounds([[[0.1, 0.3]], [[0.5, 0.7]]], [2.0, 5.0])
-    res = cl.coupling_bounds(r)
+    res = cl.coupling_bounds(r, grid1d)
     assert res["bound"] == 5.0
     assert res["coercivity"] == 2.0
+
+
+def test_coupling_bounds_are_the_multiplier_on_the_grid(grid1d):
+    """A part covered by a larger-amplitude part holds no node of its own
+    amplitude: the multiplier is 2 on every support node, so alpha is 2, not
+    the smallest listed amplitude 1."""
+    r = cl.region_from_bounds([[[0.2, 0.4]], [[0.25, 0.3]]], [2.0, 1.0], "O")
+    assert np.array_equal(np.unique(cl.indicator_vector(r, grid1d)), [0.0, 2.0])
+    assert cl.coupling_bounds(r, grid1d) == {"bound": 2.0, "coercivity": 2.0, "support": "O"}
+
+
+def test_coupling_bounds_of_an_empty_support_are_zero(grid1d):
+    r = cl.region_from_bounds([[0.2, 0.4]], 0.0, "O")
+    assert cl.coupling_bounds(r, grid1d) == {"bound": 0.0, "coercivity": 0.0, "support": "O"}
 
 
 def test_coupling_bounds_negative_amplitude_rejected(grid1d):
