@@ -246,6 +246,8 @@ class SystemState:
 
     def member(self, i):
         """Batch member i of a state with one batch axis, as an unbatched view."""
+        if {a.ndim for a in (self.w, self.wp) if a is not None} != {3}:
+            raise ValueError(f"member needs exactly one batch axis: {self.w.shape}, {np.shape(self.wp)}")
         return SystemState(self.t, self.w[i], None if self.wp is None else self.wp[i])
 
 
@@ -295,6 +297,8 @@ class ControlSignal:
 
     def member(self, i):
         """Batch member i of a signal with one batch axis, as an unbatched view."""
+        if len(self.batch) != 1 or any(a.shape[1:2] != self.batch for a in self.values.values()):
+            raise ValueError(f"member needs exactly one batch axis in each sample: {self.batch}")
         return ControlSignal(self.t, {k: arr[:, i] for k, arr in self.values.items()})
 
 
@@ -386,14 +390,22 @@ def step_count(T, dt):
 
 def cfl_time_step(sys):
     """Largest admissible leapfrog step, 0.9 * 2 / sqrt(lambda_max)."""
-    _, lam_max = sys.op.eigenvalue_bounds()
-    return 0.9 * 2.0 / math.sqrt(lam_max)
+    return 0.9 * 2.0 / math.sqrt(sys.op.eigenvalues().max())
 
 
 def _check_cfl(sys, dt):
     dt_max = cfl_time_step(sys)
     if dt > dt_max * (1.0 + 1e-12):
         raise CflViolationError(dt, dt_max)
+
+
+def _check_forcing(sys, forcing, M):
+    """Refuse a forcing other than (M + 1, N, n_total); Crank-Nicolson also takes M rows."""
+    rows, shape = (M + 1,) if sys.is_hyperbolic else (M, M + 1), np.shape(forcing)
+    if forcing is not None and (len(shape) != 3 or shape[0] not in rows
+                                or shape[1:] != (sys.N, sys.grid.n_total)):
+        raise ValueError(f"forcing of shape {shape}, expected {' or '.join(map(str, rows))} "
+                         f"rows of (N, n_total) = {(sys.N, sys.grid.n_total)}")
 
 
 def _check_signal(sys, control, M, dt):
@@ -546,12 +558,9 @@ class _SineResolvent:
     """
 
     def __init__(self, op, kappa):
-        grid = op.grid
-        self._shape = grid.n
-        self._q = [op.axis_sine_matrix(a) for a in range(grid.dim)]
-        lam = op.axis_eigenvalues(0)
-        if grid.dim == 2:
-            lam = lam[:, None] + op.axis_eigenvalues(1)
+        self._shape = op.grid.n
+        self._q = [op.axis_sine_matrix(a) for a in range(op.grid.dim)]
+        lam = op.eigenvalues()
         self._denom = 1.0 + kappa * lam
         _require_finite(self._denom)
         # 1 + kappa lam at round-off level: I + kappa A is numerically singular
@@ -613,10 +622,7 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
         visit(0, y)
     for n in range(M):
         rhs = y - kappa * sys.apply_system(y)
-        if control is not None or forcing is not None:
-            extra = np.zeros_like(y)
-            _forcing_into(sys, extra, control, forcing, n)
-            rhs = rhs + (dt * phase) * extra
+        _forcing_into(sys, rhs, control, forcing, n, scale=dt * phase)
         y = _cn_solve_plus(sys, solver, kappa, rhs)
         if visit is not None:
             visit(n + 1, y)
@@ -673,6 +679,7 @@ def solve(sys, initial, control, T, dt, visit=None, forcing=None):
     _check_state(sys, initial)
     M = step_count(T, dt)
     _check_signal(sys, control, M, dt)
+    _check_forcing(sys, forcing, M)
     shape = (control.batch if control is not None else ()) + initial.w.shape
     w0 = np.broadcast_to(initial.w, shape)
     if sys.is_hyperbolic:
@@ -729,6 +736,7 @@ def adjoint_duality_quadrature(sys_adj, forcing, seed, T, dt):
     if not sys_adj.transposed:
         raise ValueError("pass the transposed system")
     M = step_count(T, dt)
+    _check_forcing(sys_adj, forcing, M)
     terms = np.zeros(M + 1)
     if sys_adj.is_hyperbolic:
         def visit(n, phi):

@@ -75,14 +75,13 @@ class EllipticOperator:
 
     grid: Grid
 
-    def stencil(self, w, diag, off, out=None, scratch=None, scale=np.multiply):
-        """diag * w minus, along each axis a, both neighbours of scale(w, off[a]).
+    def stencil(self, w, diag, off, out=None, scratch=None):
+        """diag * w minus, along each axis a, both neighbours of off[a] * w.
 
-        A neighbour across a Dirichlet edge is absent. An off[a] of 1 takes w
-        as it stands (w * 1 and w / 1 are w). The scaled neighbours are formed
-        in ``scratch`` when it is given. ``out`` and ``scratch`` must be
-        C-contiguous arrays of w's shape that share memory neither with w nor
-        with each other: every axis is done in flat passes, which a
+        A neighbour across a Dirichlet edge is absent. The scaled neighbours
+        are formed in ``scratch`` when it is given. ``out`` and ``scratch``
+        must be C-contiguous arrays of w's shape that share memory neither
+        with w nor with each other: every axis is done in flat passes, which a
         non-contiguous buffer would take through a copy and lose. Every
         operation is elementwise, so a batch member gets the bits of its
         unbatched pass.
@@ -99,26 +98,16 @@ class EllipticOperator:
                                for a in (v, out, scratch))
         res = np.multiply(diag, v, out=out)
         for a, k in enumerate(off):
-            src = v if k == 1 else scale(v, k, out=scratch)
-            if src is not v:
-                scratch = src
-            _subtract_neighbours(res, src, a - g.dim)
+            scratch = np.multiply(v, k, out=scratch)
+            _subtract_neighbours(res, scratch, a - g.dim)
         return res.reshape(w.shape)
 
     def matvec(self, w, out=None):
-        """A w, written into ``out`` when given.
-
-        ``out`` must be a C-contiguous array of w's shape that shares no
-        memory with w. Results are bitwise those of the row-sliced stencil:
-        (2w - w_left - w_right) / h^2 in 1D; in 2D each axis' neighbours are
-        divided by its h^2 before they are subtracted.
-        """
-        h2 = [h ** 2 for h in self.grid.h]
-        if len(h2) == 1:
-            out = self.stencil(w, 2.0, (1.0,), out)
-            out /= h2[0]
-            return out
-        return self.stencil(w, 2.0 / h2[0] + 2.0 / h2[1], h2, out, scale=np.divide)
+        """A w, the ``stencil`` with off[a] = 1/h_a^2 and diag 2 sum_a off[a],
+        written into ``out`` (C-contiguous, w's shape, no memory shared with w)
+        when given."""
+        inv_h2 = [1.0 / h**2 for h in self.grid.h]
+        return self.stencil(w, 2.0 * sum(inv_h2), inv_h2, out)
 
     def quad_form(self, w):
         """<A w, w> in the discrete inner product (real part for complex w)."""
@@ -127,17 +116,14 @@ class EllipticOperator:
 
     def axis_eigenvalues(self, a):
         """Closed-form eigenvalues of the 1D stencil along axis a, ascending."""
-        g = self.grid
-        h, L, m = g.h[a], g.extents[a], g.n[a]
-        k = np.arange(1, m + 1)
-        return (4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * L)) ** 2
+        h, L, m = self.grid.h[a], self.grid.extents[a], self.grid.n[a]
+        return (4.0 / h**2) * np.sin(np.arange(1, m + 1) * np.pi * h / (2.0 * L)) ** 2
 
-    def eigenvalue_bounds(self):
-        """(lambda_min, lambda_max) of the stencil, from the closed form."""
-        per_axis = [self.axis_eigenvalues(a) for a in range(self.grid.dim)]
-        lo = sum(ev[0] for ev in per_axis)
-        hi = sum(ev[-1] for ev in per_axis)
-        return float(lo), float(hi)
+    def eigenvalues(self):
+        """Closed-form eigenvalues of the stencil on the grid's shape: lam_i
+        in 1D and lam_i + mu_j in 2D, each axis' from ``axis_eigenvalues``."""
+        lam = self.axis_eigenvalues(0)
+        return lam if self.grid.dim == 1 else lam[:, None] + self.axis_eigenvalues(1)
 
     def axis_sine_matrix(self, a):
         """Symmetric orthonormal sine (DST-I) matrix Q of axis a.
@@ -156,13 +142,20 @@ class EllipticOperator:
         return _sine_matrix(self.grid.n[a])
 
 
+def _sine_rows(m, j):
+    """Rows j (1-based) of the m x m DST-I matrix sqrt(2/(m+1)) sin(j k pi/(m+1)),
+    evaluated as ``EllipticOperator.axis_sine_matrix`` states: a row's bits do
+    not depend on which rows are asked for with it."""
+    k = np.arange(1, m + 1)
+    one = np.longdouble(1)
+    angle = 4 * np.arctan(one) * (np.outer(j, k) % (2 * (m + 1))) / (m + 1)
+    return (np.sqrt(2 * one / (m + 1)) * np.sin(angle)).astype(np.float64)
+
+
 @functools.lru_cache(maxsize=16)
 def _sine_matrix(m):
     """The m x m matrix of ``EllipticOperator.axis_sine_matrix``."""
-    j = np.arange(1, m + 1)
-    one = np.longdouble(1)
-    angle = 4 * np.arctan(one) * (np.outer(j, j) % (2 * (m + 1))) / (m + 1)
-    q = (np.sqrt(2 * one / (m + 1)) * np.sin(angle)).astype(np.float64)
+    q = _sine_rows(m, np.arange(1, m + 1))
     q.flags.writeable = False
     return q
 
@@ -180,7 +173,6 @@ class SpectralBasis:
     (eigenvalue, j, k), so every downstream artifact is byte-reproducible.
     """
 
-    grid: Grid
     eigenvalues: np.ndarray
     modes: np.ndarray
 
@@ -194,24 +186,23 @@ def spectral_basis(op, K):
 
     On an interval or rectangle with the Dirichlet stencil the eigenvectors
     are the sampled sines sqrt(2/L) sin(j pi x / L) per axis (tensor products
-    in 2D), orthonormal in hvol * sum as they stand. Modes are ordered by
-    (eigenvalue, j, k), so a degenerate eigenspace always lists its members
-    in the same order, independent of any numerical eigensolver.
+    in 2D), orthonormal in hvol * sum as they stand: the rows of each axis'
+    ``axis_sine_matrix`` over sqrt(h_a), of which only the modes' rows are
+    evaluated. Modes are ordered by (eigenvalue, j, k), so a degenerate
+    eigenspace always lists its members in the same order, independent of
+    any numerical eigensolver.
     """
     grid = op.grid
-    n_total = grid.n_total
-    if not 1 <= K <= n_total:
-        raise ValueError(f"K must be in 1..{n_total}, got {K}")
+    if not 1 <= K <= grid.n_total:
+        raise ValueError(f"K must be in 1..{grid.n_total}, got {K}")
     idx = np.indices(grid.n).reshape(grid.dim, -1)
-    lam = sum(op.axis_eigenvalues(a)[idx[a]] for a in range(grid.dim))
+    lam = op.eigenvalues().reshape(-1)
     order = np.lexsort((*idx[::-1], lam))[:K]
     modes = np.ones((K, 1))
     for a in range(grid.dim):
-        L = grid.extents[a]
-        j = idx[a][order] + 1
-        factor = np.sqrt(2.0 / L) * np.sin(np.outer(j, grid.axis_nodes(a)) * (np.pi / L))
+        factor = _sine_rows(grid.n[a], idx[a][order] + 1) / np.sqrt(grid.h[a])
         modes = (modes[:, :, None] * factor[:, None, :]).reshape(K, -1)
-    return SpectralBasis(grid, lam[order], modes)
+    return SpectralBasis(lam[order], modes)
 
 
 # ---------------------------------------------------------------------------

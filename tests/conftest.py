@@ -143,19 +143,19 @@ def sliced_stencil(grid, w):
     """The Dirichlet stencil with every neighbour subtraction as a row slice:
     the reference that ``EllipticOperator.matvec`` must match bit for bit."""
     if grid.dim == 1:
-        out = 2.0 * w
-        out[..., 1:] -= w[..., :-1]
-        out[..., :-1] -= w[..., 1:]
-        out /= grid.h[0] ** 2
+        inv = 1.0 / grid.h[0] ** 2
+        out = (2.0 * inv) * w
+        out[..., 1:] -= w[..., :-1] * inv
+        out[..., :-1] -= w[..., 1:] * inv
         return out
     nx, ny = grid.n
-    hx2, hy2 = grid.h[0] ** 2, grid.h[1] ** 2
+    inv_x, inv_y = 1.0 / grid.h[0] ** 2, 1.0 / grid.h[1] ** 2
     v = w.reshape(w.shape[:-1] + (nx, ny))
-    out = (2.0 / hx2 + 2.0 / hy2) * v
-    out[..., 1:, :] -= v[..., :-1, :] / hx2
-    out[..., :-1, :] -= v[..., 1:, :] / hx2
-    out[..., :, 1:] -= v[..., :, :-1] / hy2
-    out[..., :, :-1] -= v[..., :, 1:] / hy2
+    out = (2.0 * inv_x + 2.0 * inv_y) * v
+    out[..., 1:, :] -= v[..., :-1, :] * inv_x
+    out[..., :-1, :] -= v[..., 1:, :] * inv_x
+    out[..., :, 1:] -= v[..., :, :-1] * inv_y
+    out[..., :, :-1] -= v[..., :, 1:] * inv_y
     return out.reshape(w.shape)
 
 

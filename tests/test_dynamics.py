@@ -22,6 +22,7 @@ from cascade_lab.dynamics import (
     step_count,
     trapezoid_weights,
 )
+from cascade_lab.operators import _sine_matrix
 
 from conftest import (
     cascade_cases,
@@ -710,6 +711,62 @@ def test_unbatched_routines_refuse_batched_input(family):
     for a, b in ((signal.values, signal.values), (one, signal.values), (signal.values, one)):
         with pytest.raises(ValueError, match="samples of shape"):
             quadrature(sys, a, b, weights)
+
+
+def test_member_refuses_input_without_one_batch_axis():
+    t = np.arange(3.0)
+    samples = np.arange(12.0).reshape(3, 4)
+    for signal in (cl.ControlSignal(t, {2: samples}),
+                   cl.ControlSignal(t, {2: samples}, (3,)),  # the batch axis is declared only
+                   cl.ControlSignal(t, {2: np.zeros((3, 2, 2, 4))}, (2, 2))):
+        with pytest.raises(ValueError, match="exactly one batch axis"):
+            signal.member(1)
+    for state in (cl.SystemState(0.0, np.zeros((2, 5)), np.zeros((2, 5))),
+                  cl.SystemState(0.0, np.zeros((3, 2, 5)), np.zeros((2, 5))),
+                  cl.SystemState(0.0, np.zeros((2, 3, 2, 5)))):
+        with pytest.raises(ValueError, match="exactly one batch axis"):
+            state.member(1)
+
+
+@pytest.mark.parametrize("family", ["hyperbolic", "dissipative"])
+def test_forcing_of_the_wrong_shape_is_refused(family):
+    """Both duality sides refuse a forcing that would broadcast over the
+    components or carry rows no march reads; every accepted shape runs."""
+    hyp = family == "hyperbolic"
+    sys = make_wave_cascade(n=40, K=4) if hyp else make_heat_cascade(n=40, K=4)
+    T = 0.2
+    dt = chained_dt(sys, T) if hyp else T / 20
+    M = step_count(T, dt)
+    rng = np.random.default_rng(45)
+    seed = _random_state(sys, rng)
+    adj = cl.adjoint_system(sys)
+    good = [M + 1] if hyp else [M, M + 1]
+    for rows in good:
+        forcing = rng.standard_normal((rows, 2, 40))
+        cl.solve(sys, cl.zero_state(sys), None, T, dt, forcing=forcing)
+        cl.adjoint_duality_quadrature(adj, forcing, seed, T, dt)
+    bad = [(M + 1, 40), (M + 7, 2, 40), (M - 1, 2, 40), (M + 1, 1, 40), (M + 1, 2, 39),
+           (2, M + 1, 2, 40), (M + 1, 2, 2, 40)] + ([(M, 2, 40)] if hyp else [])
+    for shape in bad:
+        forcing = np.ones(shape)
+        with pytest.raises(ValueError, match=rf"forcing of shape \({shape[0]}, "):
+            cl.solve(sys, cl.zero_state(sys), None, T, dt, forcing=forcing)
+        with pytest.raises(ValueError, match=rf"forcing of shape \({shape[0]}, "):
+            cl.adjoint_duality_quadrature(adj, forcing, seed, T, dt)
+
+
+def test_a_hyperbolic_run_builds_no_full_sine_table():
+    """The spectral basis evaluates only the sine rows its modes use, so a
+    wave run never builds an m x m sine table; the Crank-Nicolson resolvent
+    builds its own."""
+    _sine_matrix.cache_clear()
+    wave = cl.build_experiment(demo_configs()["demo_wave_cascade.json"])
+    assert wave.grid.n == (200,)
+    cl.solve(wave.sys, wave.Y0, None, wave.T, wave.dt)
+    assert _sine_matrix.cache_info().currsize == 0
+    heat = cl.build_experiment(demo_configs()["demo_heat_cascade.json"])
+    cl.solve(heat.sys, heat.Y0, None, heat.T, heat.dt)
+    assert _sine_matrix.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

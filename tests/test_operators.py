@@ -50,9 +50,8 @@ def test_matvec_matches_sliced_stencil_bitwise(extents, n, complex_, batch, cont
         w = wide[..., ::2]
     before = w.copy()
     expected = sliced_stencil(grid, w)
-    if not complex_:  # complex division by h^2 drops the sign of a zero
-        zeros = expected[expected == 0.0]
-        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+    zeros = expected.real[expected.real == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
     got = op.matvec(w)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
@@ -113,6 +112,28 @@ def test_axis_sine_matrix_is_built_once_per_length_and_read_only():
     one = np.longdouble(1)
     angle = 4 * np.arctan(one) * (np.outer(j, j) % 36) / 18
     assert np.array_equal(q, (np.sqrt(2 * one / 18) * np.sin(angle)).astype(np.float64))
+
+
+def test_spectral_basis_rows_are_the_sine_table():
+    """Each mode is the tensor product of sine-matrix rows over sqrt(h), bit for bit."""
+    op = cl.EllipticOperator(cl.build_grid([1.0], [200]))
+    modes = cl.spectral_basis(op, 30).modes
+    assert modes.tobytes() == (op.axis_sine_matrix(0)[:30] / np.sqrt(op.grid.h[0])).tobytes()
+    g = cl.build_grid([1.0, 1.0], [40, 40])
+    op = cl.EllipticOperator(g)
+    qx, qy = (op.axis_sine_matrix(a) / np.sqrt(g.h[a]) for a in range(2))
+    order = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2)]
+    for row, (j, k) in zip(cl.spectral_basis(op, 8).modes, order, strict=True):
+        assert row.tobytes() == np.outer(qx[j - 1], qy[k - 1]).ravel().tobytes()
+
+
+@pytest.mark.parametrize("extents,n", [([1.3], [40]), ([1.0, 0.7], [9, 6])])
+def test_eigenvalues_are_the_stencil_spectrum_on_the_grid_shape(extents, n):
+    g = cl.build_grid(extents, n)
+    lam = cl.EllipticOperator(g).eigenvalues()
+    assert lam.shape == g.n
+    brute = np.linalg.eigvalsh(dense_stencil(g))
+    assert np.allclose(np.sort(lam, axis=None), brute, rtol=1e-12, atol=0.0)
 
 
 def test_eigenvalues_2d_tensor_sum():
