@@ -81,13 +81,31 @@ SERIES_HEADER = "t,component,index,value_re,value_im"
 STATE_HEADER = "component,kind,index,value_re,value_im"
 
 
+@functools.lru_cache(maxsize=64)
+def _row_template(tails, is_complex):
+    """The %-template of a row with these ``tails``: per entry, its head, its
+    tail, then value_re and value_im, each with 17 significant digits, where
+    a real row's value_im is the literal 0. The tails are the layouts' keys,
+    commas and integers, so they hold no %."""
+    cell = "%.17g,%.17g\n" if is_complex else "%.17g,0\n"
+    return "".join(f"%s{tail}{cell}" for tail in tails)
+
+
 def _write_rows(fh, head, tails, row):
     """One line per entry of ``row``: ``head``, its tail, then the real and
-    imaginary parts with 17 significant digits. The row is listed on its own,
-    so a whole array never becomes one Python list."""
-    fh.write("".join([f"{head}{tail}{re:.17g},{im:.17g}\n"
-                      for tail, re, im in zip(tails, row.real.tolist(), row.imag.tolist(),
-                                              strict=True)]))
+    imaginary parts with 17 significant digits (a real row's imaginary part
+    is 0). ``tails`` is a tuple, so its template is made once. The row is
+    listed on its own, so a whole array never becomes one Python list."""
+    if len(tails) != row.shape[-1]:
+        raise ValueError(f"{len(tails)} row keys for {row.shape[-1]} values")
+    is_complex = np.iscomplexobj(row)
+    parts = 3 if is_complex else 2
+    args = [head] * (parts * len(tails))
+    if is_complex:
+        args[1::3], args[2::3] = row.real.tolist(), row.imag.tolist()
+    else:
+        args[1::2] = row.tolist()
+    fh.write(_row_template(tails, is_complex) % tuple(args))
 
 
 def _control_layout(sys, t):
@@ -98,7 +116,8 @@ def _control_layout(sys, t):
     times = [fmt_float(x) for x in t.tolist()]
     for k in sorted(sys.controls):
         ctl = sys.controls[k]
-        tails = [f",{k},{i}," for i in (ctl.indices.tolist() if isinstance(ctl, Support) else [0])]
+        indices = ctl.indices.tolist() if isinstance(ctl, Support) else [0]
+        tails = tuple(f",{k},{i}," for i in indices)
         for ts in times:
             yield ts, tails
 
@@ -107,7 +126,7 @@ def _state_layout(N, n_total, hyperbolic):
     """The row keys of ``initial_state.csv``, as (head, tails) groups:
     component, then kind (``w``, then ``wp`` in the hyperbolic family), then
     index."""
-    tails = [f",{idx}," for idx in range(n_total)]
+    tails = tuple(f",{idx}," for idx in range(n_total))
     for i in range(N):
         for kind in ("w", "wp") if hyperbolic else ("w",):
             yield f"{i + 1},{kind}", tails
@@ -143,7 +162,7 @@ def write_trajectory_csv(out_dir, snapshots):
     """``trajectory.csv``: snapshot time, then component, then index."""
     path = os.path.join(out_dir, "trajectory.csv")
     N, n_total = snapshots[0][1].shape if snapshots else (0, 0)
-    tails = [[f",{i + 1},{idx}," for idx in range(n_total)] for i in range(N)]
+    tails = [tuple(f",{i + 1},{idx}," for idx in range(n_total)) for i in range(N)]
     with _open_w(path) as fh:
         fh.write(SERIES_HEADER + "\n")
         for t, w in snapshots:

@@ -42,7 +42,8 @@ weighs the interior leapfrog nodes by dt and the two end samples by 0, and
 each Crank-Nicolson interval (its signals are piecewise constant per step) by
 dt and the final pad by 0. ``quadrature`` reduces observations with those
 weights, and ``CascadeSystem.extract`` is the one routine that forms an
-observation.
+observation: the selection of the observed values, then their scaling, two
+steps that the dense Gramian runs apart to scale a block of samples at once.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import CflViolationError
 from .geometry import Support, indicator_vector
-from .operators import BoundaryEnd, EllipticOperator, SpectralBasis
+from .operators import BoundaryEnd, EllipticOperator, SpectralBasis, _check_buffer
 
 # ---------------------------------------------------------------------------
 # families and the assembled system
@@ -166,9 +167,17 @@ class CascadeSystem:
     def couple(self, Y, out, scale=1.0):
         """Add scale * C Y, C the couplings of the current orientation, to
         ``out``; each coupling acts on its support columns only."""
+        _add_couplings(Y, out, self._coupling_terms(scale))
+
+    def _coupling_terms(self, scale):
+        """(destination row, source row, columns, scale * amplitudes) of each
+        coupling in the current orientation, the form ``_add_couplings``
+        applies; a march forms them once."""
+        terms = []
         for (i, j), sup in self.coupling_supports:
             dst, src = (j, i) if self.transposed else (i, j)
-            out[..., dst - 1, sup.cols] += (scale * sup.amplitudes) * Y[..., src - 1, sup.cols]
+            terms.append((dst - 1, src - 1, sup.cols, scale * sup.amplitudes))
+        return terms
 
     # -- control injection / observation -------------------------------------
 
@@ -195,12 +204,17 @@ class CascadeSystem:
         axes as ``out`` (or broadcastable).
         """
         self._check_fields(out)
+        _inject(out, self._injection(k, scale), value)
+
+    def _injection(self, k, scale):
+        """(row, columns, coefficient, divisor) of control k at ``scale``, the
+        form ``_inject`` applies: scale * b at the support columns with no
+        divisor, or scale * (-gain) at the end node over h^2. A march forms
+        it once."""
         ctl = self._control(k)
         if isinstance(ctl, Support):
-            out[..., k - 1, ctl.cols] += scale * ctl.amplitudes * value
-        else:
-            out[..., k - 1, self._end_index(ctl)] += (scale * (-ctl.gain) * value
-                                                      / self.grid.h[0] ** 2)
+            return k - 1, ctl.cols, scale * ctl.amplitudes, None
+        return k - 1, self._end_index(ctl), scale * (-ctl.gain), self.grid.h[0] ** 2
 
     def extract(self, k, Y, velocity=None, out=None):
         """Observation of component k of the fields Y (..., N, n_total).
@@ -209,15 +223,47 @@ class CascadeSystem:
         distributed control, (...) for an end control, written into ``out``
         when given. A distributed control observes ``velocity`` instead of Y
         when one is given (the forward second-order readout); an end control
-        always observes Y.
+        always observes Y. It is ``_scale`` of ``_select``, the two steps
+        that a caller reducing many samples at once may run apart.
         """
         self._check_fields(Y)
+        fld = Y if velocity is None or not isinstance(self._control(k), Support) else velocity
+        return self._scale(k, self._select(k, fld[..., k - 1, :]), out)
+
+    def _select(self, k, field, out=None):
+        """The raw values that control k observes in one component's
+        ``field`` (..., n_total): its support columns, (..., n_support), or
+        its end node, (...); copied into ``out`` when given."""
+        ctl = self._control(k)
+        cols = ctl.cols if isinstance(ctl, Support) else self._end_index(ctl)
+        vals = field[..., cols]
+        if out is None:
+            return vals
+        out[...] = vals
+        return out
+
+    def _scale(self, k, values, out=None):
+        """The observation of control k from its ``_select`` values, of any
+        leading shape: times the amplitudes for a distributed control,
+        -gain * value / h for an end control."""
         ctl = self._control(k)
         if isinstance(ctl, Support):
-            fld = Y if velocity is None else velocity
-            return np.multiply(ctl.amplitudes, fld[..., k - 1, ctl.cols], out=out)
-        obs = np.multiply(-ctl.gain, Y[..., k - 1, self._end_index(ctl)], out=out)
+            return np.multiply(ctl.amplitudes, values, out=out)
+        obs = np.multiply(-ctl.gain, values, out=out)
         return np.divide(obs, self.grid.h[0], out=out)
+
+
+def _add_couplings(Y, out, terms):
+    """Add each coupling term of ``CascadeSystem._coupling_terms`` to ``out``."""
+    for dst, src, cols, coef in terms:
+        out[..., dst, cols] += coef * Y[..., src, cols]
+
+
+def _inject(out, term, value):
+    """Add the ``CascadeSystem._injection`` ``term`` of ``value`` to ``out``."""
+    row, cols, coef, divisor = term
+    add = coef * value
+    out[..., row, cols] += add if divisor is None else add / divisor
 
 
 def adjoint_system(sys):
@@ -425,13 +471,25 @@ def _check_signal(sys, control, M, dt):
 # ---------------------------------------------------------------------------
 
 
+def _forcing(sys, control, forcing, scale=1.0):
+    """add(out, n), which adds scale * s^n, the control and raw forcing of
+    node (or interval) n, to ``out``. Each control's injection at ``scale``
+    is formed here, once per march."""
+    terms = [] if control is None else [(sys._injection(k, scale), arr)
+                                        for k, arr in control.values.items()]
+
+    def add(out, n):
+        for term, arr in terms:
+            _inject(out, term, arr[n])
+        if forcing is not None:
+            out += scale * forcing[n]
+
+    return add
+
+
 def _forcing_into(sys, out, control, forcing, n, scale=1.0):
     """Add scale * s^n, the control and raw forcing of node (or interval) n, to ``out``."""
-    if control is not None:
-        for k, arr in control.values.items():
-            sys.inject(out, k, arr[n], scale)
-    if forcing is not None:
-        out += scale * forcing[n]
+    _forcing(sys, control, forcing, scale)(out, n)
 
 
 def _observation_recorder(sys, weights, batch, factor=1.0):
@@ -456,13 +514,15 @@ def _leapfrog(sys, prev, cur, nodes, dt, control=None, forcing=None, visit=None)
     s the control and forcing of the node, from each of ``nodes`` but the
     last, forward or backward in time.
 
-    Each step is fused. With c_a = dt^2 / h_a^2 per axis, one ``stencil``
-    call forms 2 y_cur - dt^2 A y_cur = (2 - 2 sum c_a) y_cur + sum c_a
+    Each step is fused. With c_a = dt^2 / h_a^2 per axis, one stencil pass
+    forms 2 y_cur - dt^2 A y_cur = (2 - 2 sum c_a) y_cur + sum c_a
     (neighbours) in y_next, its scaled neighbours in the idle buffer ``acc``.
     Then y_prev is subtracted, the couplings add -dt^2 C y_cur on their
-    support columns and the control and forcing add dt^2 s through
-    ``inject``. No scalar division and no allocation of a level is made per
-    step.
+    support columns and the control and forcing add dt^2 s. What does not
+    change from step to step is done once per march: the buffers are checked
+    once for the unchecked stencil kernel, and the -dt^2 c coupling and
+    dt^2 b (or dt^2 (-gain)) injection coefficients are formed once. No
+    scalar division and no allocation of a level is made per step.
 
     ``cur`` is the level at nodes[0] and ``prev`` the one before it; both are
     copied, never written. ``visit(n, y_prev, y_cur, y_next)``, when given,
@@ -477,11 +537,17 @@ def _leapfrog(sys, prev, cur, nodes, dt, control=None, forcing=None, visit=None)
     y_prev = np.array(prev, dtype=float, order="C")
     y_cur = np.array(cur, dtype=float, order="C")
     y_next, acc = np.empty_like(y_cur), np.empty_like(y_cur)
+    # every level is written as an output once the three rotate
+    for buf in (y_prev, y_next):
+        _check_buffer("output", buf, y_cur, y_cur.dtype)
+    _check_buffer("scratch", acc, y_cur, y_cur.dtype, y_next)
+    couplings = sys._coupling_terms(-dt2)
+    add_forcing = _forcing(sys, control, forcing, dt2)
     for n in nodes[:-1]:
-        sys.op.stencil(y_cur, diag, off, y_next, acc)
+        sys.op._stencil(y_cur, diag, off, y_next, acc)
         y_next -= y_prev
-        sys.couple(y_cur, y_next, -dt2)
-        _forcing_into(sys, y_next, control, forcing, n, scale=dt2)
+        _add_couplings(y_cur, y_next, couplings)
+        add_forcing(y_next, n)
         if visit is not None:
             visit(n, y_prev, y_cur, y_next)
         y_prev, y_cur, y_next = y_cur, y_next, y_prev
@@ -589,16 +655,16 @@ class _SineResolvent:
         return self._transform(coeffs).reshape(rhs.shape)
 
 
-def _cn_solve_plus(sys, solver, kappa, rhs):
-    """Solve (I + kappa (A + C)) y = rhs via cascade back-substitution."""
+def _cn_solve_plus(sys, solver, couplings, rhs):
+    """Solve (I + kappa (A + C)) y = rhs via cascade back-substitution;
+    ``couplings`` are the system's ``_coupling_terms(kappa)``."""
     y = np.empty_like(rhs)
     order = range(sys.N, 0, -1) if not sys.transposed else range(1, sys.N + 1)
     for comp in order:
         r = rhs[..., comp - 1, :].copy()
-        for (i, j), sup in sys.coupling_supports:
-            dst, src = (j, i) if sys.transposed else (i, j)
-            if dst == comp:
-                r[..., sup.cols] -= kappa * sup.amplitudes * y[..., src - 1, sup.cols]
+        for dst, src, cols, coef in couplings:
+            if dst == comp - 1:
+                r[..., cols] -= coef * y[..., src, cols]
         y[..., comp - 1, :] = solver.solve(r)
     return y
 
@@ -617,13 +683,15 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
     kappa = 0.5 * dt * phase
     solver = _SineResolvent(sys.op, kappa if theta != 0.0 else float(np.real(kappa)))
 
+    couplings = sys._coupling_terms(kappa)
+    add_forcing = _forcing(sys, control, forcing, dt * phase)
     y = w0.astype(sys.state_dtype)
     if visit is not None:
         visit(0, y)
     for n in range(M):
         rhs = y - kappa * sys.apply_system(y)
-        _forcing_into(sys, rhs, control, forcing, n, scale=dt * phase)
-        y = _cn_solve_plus(sys, solver, kappa, rhs)
+        add_forcing(rhs, n)
+        y = _cn_solve_plus(sys, solver, couplings, rhs)
         if visit is not None:
             visit(n + 1, y)
     return y
@@ -646,9 +714,10 @@ def _cn_adjoint(sys, phi_T, M, dt, visit=None):
     """
     kappa_bar = 0.5 * dt * _adjoint_phase(sys)
     solver = _SineResolvent(sys.op, kappa_bar if sys.theta != 0.0 else float(np.real(kappa_bar)))
+    couplings = sys._coupling_terms(kappa_bar)
     phi = phi_T.astype(sys.state_dtype)
     for n in range(M - 1, -1, -1):
-        psi = _cn_solve_plus(sys, solver, kappa_bar, phi)
+        psi = _cn_solve_plus(sys, solver, couplings, phi)
         if visit is not None:
             visit(n, psi)
         phi = 2.0 * psi - phi

@@ -23,10 +23,14 @@ energy to the residual level rather than to O(dt^2).
 
 The seed space has at most a few hundred real coordinates, so the Gramian is
 assembled densely by one batched adjoint march over an orthonormal seed basis
-(``GramianOperator.march_adjoint`` seeded by rows of the identity, whose
-visitor reduces each sample into G) and solved through one symmetric
-eigendecomposition; the matrix-free ``GramianOperator.apply`` stays as the
-independent cross-check. In the transposed cascade nothing feeds component 1
+(``GramianOperator.march_adjoint`` seeded by rows of the identity) and solved
+through one symmetric eigendecomposition; the matrix-free
+``GramianOperator.apply`` stays as the independent cross-check. The march's
+visitor only records the raw values each weighted sample observes. Once per
+block of samples the record is scaled into observations, with the
+arithmetic of ``extract``, and flushed into G by one product: record, scale
+and flush (see ``_gramian_sum``), so a sample costs one copy per control in
+Python. In the transposed cascade nothing feeds component 1
 and a seed on component N never leaves it, so for N >= 2 the last
 component's seeds are not marched: their rows are filled from the free
 trajectories of the first component's seeds (see ``assemble_dense_gramian``).
@@ -239,53 +243,80 @@ class GramianOperator:
 _GRAMIAN_BLOCK_COLUMNS = 512
 
 
-def _gramian_sum(sys_adj, dim, weights):
+def _gramian_sum(sys_adj, dim, weights, rows=None):
     """(add, total): the running sum G = sum_n w_n O_n O_n^T of one functional.
 
-    add(n, observe) reduces sample n, where observe(k, out) writes the
-    observations of control k of every seed into out (dim rows; rows it
-    leaves alone stay 0). ``extract`` output lands straight in one
-    preallocated block, scaled by sqrt(w_n), times sqrt(hvol) when
-    distributed; a full block is reduced into G by one product. total() is
-    0.5 (G + G^T) with the partial block's product added but not flushed, so
-    the sum goes on with the bits it would have had.
+    The sum is kept in three steps: record, scale and flush.
+    - Record: add(n, record) takes sample n, where record(k, out) copies the
+      raw values that control k observes (``CascadeSystem._select``) of every
+      seed into out, dim rows. rows[k] (all dim by default) is how many
+      leading rows it writes; the rest of control k's rows of O_n are 0. The
+      values go into a (dim, S, n_cols) record per control, S the samples of
+      one block, with nothing else done per sample.
+    - Scale: once per block, the recorded samples of each control get the
+      observation arithmetic in one pass each: ``CascadeSystem._scale``, then
+      sqrt(w_n), times sqrt(hvol) when distributed, then the split of a
+      complex observation into real and imaginary parts. These are the
+      operations of ``extract`` and sqrt(w_n scale) per value, in that order,
+      so every value keeps its bits.
+    - Flush: the scaled block, columns ordered by sample, control and part,
+      is reduced into G by one product as soon as it is full.
+    total() is 0.5 (G + G^T) with the partial block scaled and its product
+    added but not flushed; the raw record is left alone, so the sum goes on
+    with the bits it would have had.
     """
     is_complex = sys_adj.state_dtype == np.complex128
-    # (k, column count, scale, end control?)
+    # (k, column count, scale, end control?, rows written)
     parts = [(k, ctl.size, sys_adj.grid.hvol, False) if isinstance(ctl, Support)
              else (k, 1, 1.0, True) for k, ctl in sys_adj.controls.items()]
-    # complex observations are formed as complex products first and split
-    # after, so their parts carry the bits of the complex arithmetic
-    scratch = {k: np.zeros((dim, n_cols), dtype=np.complex128)
-               for k, n_cols, *_ in parts} if is_complex else None
+    parts = [(*p, dim if rows is None else rows[p[0]]) for p in parts]
     per_sample = (2 if is_complex else 1) * sum(p[1] for p in parts)
     # the block holds exactly the samples of one flush, so a full block is
     # reduced as it stands and every flush starts on the same column layout
-    block = np.zeros((dim, per_sample * -(-_GRAMIAN_BLOCK_COLUMNS // max(per_sample, 1))))
+    n_samples = -(-_GRAMIAN_BLOCK_COLUMNS // max(per_sample, 1))
+    records = {k: np.zeros((dim, n_samples, n_cols), dtype=sys_adj.state_dtype)
+               for k, n_cols, *_ in parts}
+    recorded_weights = np.zeros(n_samples)
+    block = np.zeros((dim, n_samples, per_sample))
     mat = np.zeros((dim, dim))
-    width = 0
+    filled = 0
 
-    def add(n, observe):
-        nonlocal mat, width
+    def scaled():
+        """The recorded samples, scaled into the block: its first columns."""
+        col = 0
+        for k, n_cols, scale, _, r in parts:
+            root = np.sqrt(recorded_weights[:filled] * scale)[:, None]
+            raw, dst = records[k][:r, :filled], block[:r, :filled, col:col + n_cols]
+            if is_complex:
+                o = sys_adj._scale(k, raw)
+                o *= root
+                dst[...] = o.real
+                col += n_cols
+                block[:r, :filled, col:col + n_cols] = o.imag
+            else:
+                sys_adj._scale(k, raw, out=dst)
+                dst *= root
+            col += n_cols
+        return block.reshape(dim, -1)[:, :filled * per_sample]
+
+    def add(n, record):
+        nonlocal mat, filled
         if weights[n] == 0.0:
             return
-        for k, n_cols, scale, end in parts:
-            o = scratch[k] if is_complex else block[:, width:width + n_cols]
-            observe(k, o[:, 0] if end else o)
-            o *= math.sqrt(weights[n] * scale)
-            if is_complex:
-                block[:, width:width + n_cols] = o.real
-                width += n_cols
-                block[:, width:width + n_cols] = o.imag
-            width += n_cols
-        if width >= _GRAMIAN_BLOCK_COLUMNS:
-            mat += block @ block.T
-            width = 0
+        for k, _, _, end, _ in parts:
+            slot = records[k][:, filled]
+            record(k, slot[:, 0] if end else slot)
+        recorded_weights[filled] = weights[n]
+        filled += 1
+        if filled == n_samples:
+            obs = scaled()
+            mat += obs @ obs.T
+            filled = 0
 
     def total():
         m = mat
-        if width:
-            obs = np.ascontiguousarray(block[:, :width])
+        if filled:
+            obs = np.ascontiguousarray(scaled())
             m = mat + obs @ obs.T
         return 0.5 * (m + m.T)
 
@@ -328,7 +359,9 @@ def assemble_dense_gramian(gram, steps=None, free=None):
     dim, N = seeds.dim, sys_adj.N
     per = dim // N
     marched = dim - per if N > 1 else dim
-    add, total = _gramian_sum(sys_adj, dim, gram.weights)
+    # a control on a lower component leaves the last seeds' rows at 0
+    rows = {k: dim if k == N else marched for k in sys_adj.controls}
+    add, total = _gramian_sum(sys_adj, dim, gram.weights, rows)
     totals = [total]
     if free is not None:
         if free.sys_adj.N != 1 or free.seeds.dim != per or free.M != gram.M:
@@ -346,15 +379,14 @@ def assemble_dense_gramian(gram, steps=None, free=None):
     out = [None] * len(counts)
 
     def visit(n, fld):
-        def observe(k, o):
-            sys_adj.extract(k, fld, out=o[:marched])
+        def record(k, o):
+            sys_adj._select(k, fld[:, k - 1], out=o[:marched])
             if k == N and marched < dim:
-                reused = np.broadcast_to(fld[:per, :1], (per,) + fld.shape[1:])
-                sys_adj.extract(k, reused, out=o[marched:])
+                sys_adj._select(k, fld[:per, 0], out=o[marched:])
 
-        add(n, observe)
+        add(n, record)
         if free is not None:
-            add_free(n, lambda k, o: free.sys_adj.extract(k, fld[:per, :1], out=o))
+            add_free(n, lambda k, o: free.sys_adj._select(k, fld[:per, 0], out=o))
         for j in last.get(n, ()):
             mats = tuple(t() for t in totals)
             out[j] = mats if free is not None else mats[0]

@@ -54,13 +54,16 @@ def _subtract_neighbours(out, src, axis):
     out[tail] = last
 
 
-def _check_buffer(name, buf, w, other=None):
+def _check_buffer(name, buf, w, dtype, other=None):
     """Refuse a buffer of ``EllipticOperator.stencil`` that shares memory
-    with w (or ``other``) or is not a C-contiguous array of w's shape."""
+    with w (or ``other``), is not a C-contiguous array of w's shape, or is
+    not of the result dtype."""
     if np.may_share_memory(buf, w) or (other is not None and np.may_share_memory(buf, other)):
         raise ValueError(f"stencil {name} must not share memory with its input or the output")
     if buf.shape != w.shape or not buf.flags.c_contiguous:
         raise ValueError(f"stencil {name} must be a C-contiguous array of shape {w.shape}")
+    if buf.dtype != dtype:
+        raise ValueError(f"stencil {name} must be of the result dtype {dtype}, not {buf.dtype}")
 
 
 @dataclass(frozen=True)
@@ -80,26 +83,34 @@ class EllipticOperator:
 
         A neighbour across a Dirichlet edge is absent. The scaled neighbours
         are formed in ``scratch`` when it is given. ``out`` and ``scratch``
-        must be C-contiguous arrays of w's shape that share memory neither
-        with w nor with each other: every axis is done in flat passes, which a
-        non-contiguous buffer would take through a copy and lose. Every
-        operation is elementwise, so a batch member gets the bits of its
-        unbatched pass.
+        must be C-contiguous arrays of w's shape and of the result dtype
+        that share memory neither with w nor with each other: every axis is
+        done in flat passes, which a non-contiguous buffer would take through
+        a copy and lose. Every operation is elementwise, so a batch member
+        gets the bits of its unbatched pass.
         """
         w = np.asarray(w)
-        if out is not None:
-            _check_buffer("output", out, w)
-        if scratch is not None:
-            _check_buffer("scratch", scratch, w, out)
+        if out is not None or scratch is not None:
+            dtype = np.result_type(w, diag, *off)
+            if out is not None:
+                _check_buffer("output", out, w, dtype)
+            if scratch is not None:
+                _check_buffer("scratch", scratch, w, dtype, out)
+        return self._stencil(w, diag, off, out, scratch)
+
+    def _stencil(self, w, diag, off, out, scratch):
+        """``stencil`` without its checks, for a caller that checked its
+        buffers once (see ``_check_buffer``) and reuses them."""
         g = self.grid
+        dim = g.dim
         v = np.ascontiguousarray(w)
-        if g.dim == 2:  # rows along y, stacked along x
+        if dim == 2:  # rows along y, stacked along x
             v, out, scratch = (None if a is None else a.reshape(w.shape[:-1] + g.n)
                                for a in (v, out, scratch))
         res = np.multiply(diag, v, out=out)
         for a, k in enumerate(off):
             scratch = np.multiply(v, k, out=scratch)
-            _subtract_neighbours(res, scratch, a - g.dim)
+            _subtract_neighbours(res, scratch, a - dim)
         return res.reshape(w.shape)
 
     def matvec(self, w, out=None):

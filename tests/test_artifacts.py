@@ -4,6 +4,7 @@ rejection of malformed or unreadable artifacts, and CSV bytes that do not
 depend on the BLAS thread count."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -21,6 +22,7 @@ from cascade_lab.cli import (
     main,
     write_control_csv,
     write_state_csv,
+    write_trajectory_csv,
 )
 from cascade_lab.config import build_experiment
 from cascade_lab.dynamics import ControlSignal, step_count
@@ -123,6 +125,76 @@ def test_control_csv_layout_and_bitwise_roundtrip(tmp_path, kind):
         got = back.values[k]
         assert got.dtype == arr.dtype and got.shape == arr.shape
         assert got.tobytes() == arr.tobytes()
+
+
+# the 17-significant-digit rule at its edges: signed zeros, the smallest
+# subnormal and normal, decimals with no exact binary form, an integer past
+# 2^53 and the largest finite float
+EDGE_VALUES = (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e16, -1.5e-7,
+               1.7976931348623157e308)
+
+
+def _edge_values(shape, dtype):
+    """An array of ``shape`` that cycles through EDGE_VALUES; a complex one
+    takes them in reverse order as its imaginary parts."""
+    n = math.prod(shape)
+    real = np.resize(np.array(EDGE_VALUES), n)
+    if dtype != np.complex128:
+        return real.reshape(shape)
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = real, np.resize(np.array(EDGE_VALUES[::-1]), n)
+    return out.reshape(shape)
+
+
+def _g17(v):
+    """value_re,value_im of one entry, each by the f"{v:.17g}" rule."""
+    return f"{float(np.real(v)):.17g},{float(np.imag(v)):.17g}"
+
+
+@pytest.mark.parametrize("kind", ["mixed", "complex mixed"])
+def test_csv_writers_follow_the_17g_rule_on_edge_values(tmp_path, kind):
+    """control.csv (distributed and end rows), initial_state.csv and
+    trajectory.csv write every value by the f"{v:.17g}" rule, a real row's
+    value_im as 0, with LF endings."""
+    cfg = _small("mixed")
+    if kind == "complex mixed":  # the same controls on the heat demo at theta = 0.6
+        cfg = dict(_small("complex"), N=3, control=cfg["control"])
+    exp = build_experiment(cfg)
+    dtype = exp.sys.state_dtype
+    assert (dtype == np.complex128) == (kind == "complex mixed")
+    assert sorted(isinstance(c, cl.BoundaryEnd) for c in exp.sys.controls.values()) == [False, True]
+
+    M = step_count(exp.T, exp.dt)
+    signal = ControlSignal(exp.dt * np.arange(M + 1),
+                           {k: _edge_values((M + 1,) + exp.sys.signal_shape(k), dtype)
+                            for k in exp.sys.controls})
+    expected = ["t,component,index,value_re,value_im"]
+    for k in sorted(signal.values):
+        for t, row in zip(signal.t, signal.values[k].reshape(M + 1, -1)):
+            expected += [f"{float(t):.17g},{k},{i},{_g17(v)}"
+                         for i, v in zip(_csv_indices(exp, k), row, strict=True)]
+    with open(write_control_csv(tmp_path, signal, exp.sys), "rb") as fh:
+        assert fh.read() == ("\n".join(expected) + "\n").encode("ascii")
+
+    N, n = exp.sys.N, exp.grid.n_total
+    w = _edge_values((N, n), dtype)
+    wp = None if dtype == np.complex128 else _edge_values((N, n), dtype)[::-1].copy()
+    state = cl.SystemState(0.0, w, wp)
+    expected = ["component,kind,index,value_re,value_im"]
+    for i in range(N):
+        for name, fields in (("w", w), ("wp", wp)):
+            if fields is not None:
+                expected += [f"{i + 1},{name},{j},{_g17(v)}" for j, v in enumerate(fields[i])]
+    with open(write_state_csv(tmp_path, state), "rb") as fh:
+        assert fh.read() == ("\n".join(expected) + "\n").encode("ascii")
+
+    snapshots = [(t, np.roll(w, shift)) for t, shift in ((0.0, 0), (1 / 3, 1), (2.5, 5))]
+    expected = ["t,component,index,value_re,value_im"]
+    for t, fields in snapshots:
+        expected += [f"{t:.17g},{i + 1},{j},{_g17(v)}"
+                     for i in range(N) for j, v in enumerate(fields[i])]
+    with open(write_trajectory_csv(tmp_path, snapshots), "rb") as fh:
+        assert fh.read() == ("\n".join(expected) + "\n").encode("ascii")
 
 
 def test_control_csv_reader_memory_is_bounded(tmp_path):

@@ -976,3 +976,62 @@ def test_stencil_refuses_unfit_or_aliased_buffers(name):
     for o, s, message in bad:
         with pytest.raises(ValueError, match=message):
             op.stencil(w, 1.5, [-0.25] * sys.grid.dim, o, s)
+
+
+@pytest.mark.parametrize("name", ["1d", "2d"])
+def test_stencil_refuses_a_buffer_of_another_dtype(name):
+    """A buffer must hold the result dtype: a float32 one would round a
+    float64 result to single precision, a float64 one cannot hold a complex
+    result. Both are refused with the other buffer faults' ValueError."""
+    sys = _stencil_system(name)
+    op, n, off = sys.op, sys.grid.n_total, [-0.25] * sys.grid.dim
+    w = np.random.default_rng(47).standard_normal((3, 2, n))
+    z = w + 1j * w[::-1]
+    single, double, complex_ = (np.empty(w.shape, dtype=d)
+                                for d in (np.float32, np.float64, np.complex128))
+    bad = [(w, single, None, "output must be of the result dtype float64, not float32"),
+           (w, double.copy(), single, "scratch must be of the result dtype float64, not float32"),
+           (z, double, None, "output must be of the result dtype complex128, not float64"),
+           (z, complex_.copy(), double, "scratch must be of the result dtype complex128, not float64")]
+    for v, o, s, message in bad:
+        with pytest.raises(ValueError, match=message):
+            op.stencil(v, 1.5, off, o, s)
+    with pytest.raises(ValueError, match="output must be of the result dtype float64"):
+        op.matvec(w, out=single)
+    assert np.array_equal(op.stencil(z, 1.5, off, complex_, complex_.copy()), op.stencil(z, 1.5, off))
+
+
+@pytest.mark.parametrize("march", ["forward", "adjoint"])
+def test_leapfrog_checks_its_buffers_once_per_march(monkeypatch, march):
+    """The stencil buffers of a leapfrog march are checked once, not per
+    step: a march of 500 steps makes as many ``_check_buffer`` calls as one
+    of 50."""
+    import cascade_lab.dynamics
+    import cascade_lab.operators
+
+    calls = []
+    check = cascade_lab.operators._check_buffer
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return check(*args, **kwargs)
+
+    # wherever a module holds its own reference to the function
+    for module in (cascade_lab.operators, cascade_lab.dynamics):
+        monkeypatch.setattr(module, "_check_buffer", spy, raising=False)
+    sys = make_wave_cascade(n=30, K=4)
+    rng = np.random.default_rng(48)
+    counts = []
+    for M in (50, 500):
+        calls.clear()
+        dt = 1e-3
+        if march == "forward":
+            w0, wp0 = rng.standard_normal((2, sys.N, sys.grid.n_total))
+            control = cl.ControlSignal(dt * np.arange(M + 1),
+                                       {2: rng.standard_normal((M + 1,) + sys.signal_shape(2))})
+            _hyp_forward(sys, w0, wp0, control, None, M, dt)
+        else:
+            phi_M, phi_M1 = rng.standard_normal((2, 3, sys.N, sys.grid.n_total))
+            _hyp_adjoint(cl.adjoint_system(sys), phi_M, phi_M1, M, dt)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts

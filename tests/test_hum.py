@@ -279,6 +279,21 @@ def _controlled_on_first(family=None):
     return dataclasses.replace(sys, family=family or sys.family, control=((1, sys.control[0][1]),))
 
 
+def _mixed_controls():
+    """A 3-component chain with a distributed control on component 2 and an
+    end control on component 3, so every sample has two parts."""
+    sys = _chain3()
+    return dataclasses.replace(sys, control=((2, sys.control[0][1]),
+                                             (3, cl.BoundaryEnd("left", 1.0))))
+
+
+def _end_controlled_cascade():
+    """The 2-component heat cascade at theta = 0.6 under an end control of
+    gain 2.5 on component 2, whose reused rows are the free trajectories'."""
+    sys = make_heat_cascade(n=40, K=6, theta=0.6)
+    return dataclasses.replace(sys, control=((2, cl.BoundaryEnd("right", 2.5)),))
+
+
 # the full-identity reference can leave -0.0 where the reused rows of the
 # last component hold +0.0, so these cases compare values only
 _VALUES_ONLY = {"chain3 controlled on 3", "chain3 cn theta 0.6", "controlled on 1 of 2"}
@@ -292,6 +307,8 @@ _VALUES_ONLY = {"chain3 controlled on 3", "chain3 cn theta 0.6", "controlled on 
     ("chain3 controlled on 3", _chain3, 3.0, None, 5),
     ("chain3 cn theta 0.6", lambda: _chain3(cl.Dissipative(0.6)), 0.2, 0.002, 5),
     ("controlled on 1 of 2", _controlled_on_first, 3.0, None, 5),
+    ("mixed distributed and end", _mixed_controls, 3.0, None, 5),
+    ("cn end gain 2.5", _end_controlled_cascade, 0.2, 0.0005, 5),
 ])
 def test_dense_gramian_matches_concatenated_assembly_bitwise(name, make, T, dt, K):
     from cascade_lab.hum import assemble_dense_gramian
@@ -331,13 +348,14 @@ def test_dense_gramian_marches_the_seeds_of_all_components_but_the_last(monkeypa
     ("leapfrog", lambda: make_wave_cascade(n=30, K=6), None),
     ("cn real", lambda: make_heat_cascade(n=30, K=6), 0.002),
     ("cn complex", lambda: make_heat_cascade(n=30, K=6, theta=0.6), 0.002),
+    ("cn complex mid-block", lambda: make_heat_cascade(n=40, K=6, theta=0.6), 0.002),
 ])
 def test_each_horizon_equals_its_own_assembly_bitwise(name, make, dt):
     """G(T_j) read off one march to the longest horizon is bitwise the
     Gramian of a march to T_j, and so is the free equation's Gramian reduced
     from the same march; the horizons straddle full and partial blocks."""
     from cascade_lab.analysis import _single_equation_variant
-    from cascade_lab.hum import assemble_dense_gramian
+    from cascade_lab.hum import _GRAMIAN_BLOCK_COLUMNS, assemble_dense_gramian
 
     sys = _control_amplitude(make(), 1.7)
     variant = _single_equation_variant(sys, sys.coupling[0][1])
@@ -345,6 +363,12 @@ def test_each_horizon_equals_its_own_assembly_bitwise(name, make, dt):
     dt = dt if dt is not None else chained_dt(sys, T)
     M = step_count(T, dt)
     steps = [M, 2, M // 3, M // 2 + 1, M // 3]
+    if name.endswith("mid-block"):
+        # Crank-Nicolson weighs one sample per step, of 2 * support columns:
+        # this horizon ends half a block after the first flush
+        per_block = -(-_GRAMIAN_BLOCK_COLUMNS // (2 * sys.controls[2].size))
+        steps = [per_block + per_block // 2, M]
+        assert per_block < steps[0] < min(2 * per_block, M)
     K = 5
     long = [GramianOperator(SeedSpace(s, K), T, dt) for s in (sys, variant)]
     together = assemble_dense_gramian(long[0], steps, free=long[1])
