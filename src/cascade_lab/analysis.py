@@ -225,7 +225,7 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0):
         dt_level = T / M
         t_nodes = dt_level * np.arange(M + 1)
         weights = trapezoid_weights(M, dt_level)
-        obs, record = _observation_recorder(one, weights, ())
+        record, observations = _observation_recorder(one, weights, ())
         energies = np.zeros(M + 1)
 
         def visit(n, y, vel):
@@ -246,6 +246,7 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0):
             forcing = (profile @ basis.modes)[:, None, :]
             initial = SystemState(0.0, w0.copy(), v0.copy())
             solve(one, initial, None, T, dt_level, visit, forcing)
+            obs = observations()
             lhs = quadrature(one, obs, obs, weights)
             e_int = float(weights @ energies)
             f_sq = np.sum(forcing[:, 0, :] ** 2, axis=1) * grid.hvol

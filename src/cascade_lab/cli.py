@@ -41,7 +41,7 @@ from .dynamics import (
     step_count,
 )
 from .errors import CascadeLabError, ConfigError, NotApplicableError
-from .geometry import Support, default_horizon, gcc_check, interval_entry_time
+from .geometry import Support, default_horizon, gcc_check
 from .hum import SeedSpace, epsilon_sweep, synthesize_control
 from .operators import BoundaryEnd, coupling_bounds
 from .util import fmt_float
@@ -230,18 +230,11 @@ def _gcc_horizon(exp, regions):
 
 def _gcc_entries(exp):
     """Exact GCC report entries, one per coupling and distributed control
-    region, over ``gcc.n_rays`` lattice rays at the ``_gcc_horizon``; in 1D
-    each entry also carries the closed-form worst entry time."""
+    region, over ``gcc.n_rays`` lattice rays at the ``_gcc_horizon``."""
     regions = exp.coupling_regions + exp.control_regions
     n_rays = exp.gcc.get("n_rays", 402 if exp.grid.dim == 1 else 648)
     horizon = _gcc_horizon(exp, regions)
-    entries = []
-    for region in regions:
-        entry = gcc_check(region, exp.grid.extents, horizon, n_rays).to_dict()
-        if exp.grid.dim == 1:
-            entry["worst_entry_time_exact"] = interval_entry_time(region, exp.grid.extents[0])
-        entries.append(entry)
-    return entries
+    return [gcc_check(region, exp.grid.extents, horizon, n_rays).to_dict() for region in regions]
 
 
 def _gcc(exp, payload, args):

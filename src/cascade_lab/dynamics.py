@@ -41,9 +41,10 @@ therefore owns the time quadrature of the control norm: ``sample_weights``
 weighs the interior leapfrog nodes by dt and the two end samples by 0, and
 each Crank-Nicolson interval (its signals are piecewise constant per step) by
 dt and the final pad by 0. ``quadrature`` reduces observations with those
-weights, and ``CascadeSystem.extract`` is the one routine that forms an
-observation: the selection of the observed values, then their scaling, two
-steps that the dense Gramian runs apart to scale a block of samples at once.
+weights. Every march observes one way: its visitor copies the observed
+values of each weighted sample (``CascadeSystem._select``) into preallocated
+rows, scaled once (``_scale``) per block in the dense Gramian and after the
+march in ``_observation_recorder``; ``extract`` is the one-off composition.
 """
 
 from __future__ import annotations
@@ -161,13 +162,8 @@ class CascadeSystem:
         Y = np.asarray(Y)
         self._check_fields(Y)
         out = self.op.matvec(Y, out)
-        self.couple(Y, out)
+        _add_couplings(Y, out, self._coupling_terms(1.0))
         return out
-
-    def couple(self, Y, out, scale=1.0):
-        """Add scale * C Y, C the couplings of the current orientation, to
-        ``out``; each coupling acts on its support columns only."""
-        _add_couplings(Y, out, self._coupling_terms(scale))
 
     def _coupling_terms(self, scale):
         """(destination row, source row, columns, scale * amplitudes) of each
@@ -216,19 +212,18 @@ class CascadeSystem:
             return k - 1, ctl.cols, scale * ctl.amplitudes, None
         return k - 1, self._end_index(ctl), scale * (-ctl.gain), self.grid.h[0] ** 2
 
-    def extract(self, k, Y, velocity=None, out=None):
+    def extract(self, k, Y, velocity=None):
         """Observation of component k of the fields Y (..., N, n_total).
 
         The exact discrete adjoint of ``inject``: (..., n_support) for a
-        distributed control, (...) for an end control, written into ``out``
-        when given. A distributed control observes ``velocity`` instead of Y
-        when one is given (the forward second-order readout); an end control
-        always observes Y. It is ``_scale`` of ``_select``, the two steps
-        that a caller reducing many samples at once may run apart.
+        distributed control, (...) for an end control. A distributed control
+        observes ``velocity`` instead of Y when one is given (the forward
+        second-order readout); an end control always observes Y. The one-off
+        composition ``_scale`` of ``_select``, two steps a march runs apart.
         """
         self._check_fields(Y)
         fld = Y if velocity is None or not isinstance(self._control(k), Support) else velocity
-        return self._scale(k, self._select(k, fld[..., k - 1, :]), out)
+        return self._scale(k, self._select(k, fld[..., k - 1, :]))
 
     def _select(self, k, field, out=None):
         """The raw values that control k observes in one component's
@@ -487,26 +482,44 @@ def _forcing(sys, control, forcing, scale=1.0):
     return add
 
 
-def _forcing_into(sys, out, control, forcing, n, scale=1.0):
-    """Add scale * s^n, the control and raw forcing of node (or interval) n, to ``out``."""
-    _forcing(sys, control, forcing, scale)(out, n)
+def _observation_recorder(sys, weights, batch):
+    """(visit, observations) of the controls of ``sys`` over a march.
 
-
-def _observation_recorder(sys, weights, batch, factor=1.0):
-    """(arrays, visit): zeroed arrays[k] of shape (len(weights), *batch[, n_support])
-    per controlled component, and the march hook visit(n, field, velocity=None)
-    that stores factor * sys.extract(k, field, velocity) as sample n wherever
-    weights[n] is nonzero. For Crank-Nicolson midpoints the factor is the
-    phase e^{i theta}."""
-    arrays = {k: np.zeros((len(weights),) + batch + sys.signal_shape(k), dtype=sys.state_dtype)
-              for k in sys.controls}
+    The march hook visit(n, field, velocity=None) refuses a field that is not
+    (*batch, N, n_total) and, at a sample of nonzero weight, copies what each
+    control k selects (``_select`` of component k, of ``velocity`` for a
+    distributed control when given) into preallocated raw rows.
+    observations() scales the record once, in place into arrays[k] of shape
+    (len(weights), *batch[, n_support]): ``_scale`` then the phase e^{i
+    theta} (1 for the second-order family), per value the operations of
+    e^{i theta} ``extract``. It resets the unweighted rows to +0.0 and
+    returns the arrays; the raw record is kept.
+    """
+    idle = np.asarray(weights) == 0.0
+    shape = batch + (sys.N, sys.grid.n_total)
+    phase = _adjoint_phase(sys)
+    # (k, distributed?, raw rows, observation rows)
+    parts = [(k, isinstance(ctl, Support),
+              *(np.zeros((len(weights),) + batch + sys.signal_shape(k), dtype=sys.state_dtype)
+                for _ in range(2)))
+             for k, ctl in sys.controls.items()]
 
     def visit(n, fld, velocity=None):
+        if fld.shape != shape:
+            raise ValueError(f"field of shape {fld.shape} visited by a recorder of batch "
+                             f"{batch}, expected {shape}")
         if weights[n] != 0.0:
-            for k, arr in arrays.items():
-                arr[n] = factor * sys.extract(k, fld, velocity)
+            for k, distributed, raw, _ in parts:
+                src = velocity if distributed and velocity is not None else fld
+                sys._select(k, src[..., k - 1, :], out=raw[n, ...])
 
-    return arrays, visit
+    def observations():
+        for k, _, raw, obs in parts:
+            np.multiply(phase, sys._scale(k, raw, out=obs), out=obs)
+            obs[idle] = 0.0
+        return {k: obs for k, _, _, obs in parts}
+
+    return visit, observations
 
 
 def _leapfrog(sys, prev, cur, nodes, dt, control=None, forcing=None, visit=None):
@@ -552,7 +565,7 @@ def _leapfrog(sys, prev, cur, nodes, dt, control=None, forcing=None, visit=None)
             visit(n, y_prev, y_cur, y_next)
         y_prev, y_cur, y_next = y_cur, y_next, y_prev
     sys.apply_system(y_cur, acc)
-    _forcing_into(sys, acc, control, forcing, nodes[-1], scale=-1.0)
+    _forcing(sys, control, forcing, -1.0)(acc, nodes[-1])
     return y_prev, y_cur, acc
 
 
@@ -568,7 +581,7 @@ def _hyp_forward(sys, w0, wp0, control, forcing, M, dt, visit=None):
     written.
     """
     acc = sys.apply_system(w0)
-    _forcing_into(sys, acc, control, forcing, 0, scale=-1.0)
+    _forcing(sys, control, forcing, -1.0)(acc, 0)
     if visit is not None:
         visit(0, w0, wp0)
     y1 = w0 + dt * wp0 - 0.5 * (dt * dt) * acc
@@ -675,21 +688,24 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
     Control samples and raw forcing are interval values (entry n acts on
     [t_n, t_{n+1})). The state may carry leading batch axes, (..., N,
     n_total); a control signal carries the same batch axes, one control per
-    member, and forcing acts on every member alike. Returns the terminal
-    field y^M; ``visit(n, y_n)``, when given, sees every node as it is made.
+    member, and forcing acts on every member alike; coupling and forcing
+    terms are formed once per march. Returns the terminal field y^M;
+    ``visit(n, y_n)``, when given, sees every node as it is made.
     """
     theta = sys.theta
     phase = np.exp(-1j * theta) if theta != 0.0 else 1.0
     kappa = 0.5 * dt * phase
     solver = _SineResolvent(sys.op, kappa if theta != 0.0 else float(np.real(kappa)))
 
-    couplings = sys._coupling_terms(kappa)
+    couplings, system_couplings = sys._coupling_terms(kappa), sys._coupling_terms(1.0)
     add_forcing = _forcing(sys, control, forcing, dt * phase)
     y = w0.astype(sys.state_dtype)
     if visit is not None:
         visit(0, y)
     for n in range(M):
-        rhs = y - kappa * sys.apply_system(y)
+        ay = sys.op.matvec(y)
+        _add_couplings(y, ay, system_couplings)
+        rhs = y - kappa * ay
         add_forcing(rhs, n)
         y = _cn_solve_plus(sys, solver, couplings, rhs)
         if visit is not None:
@@ -784,6 +800,7 @@ def forward_duality_pairing(sys, forcing, seed, T, dt):
     terminal pairing functional determined by the seed. No adjoint solve is
     involved, so this side is independent of adjoint code paths.
     """
+    _check_state(sys, seed)
     hvol = sys.grid.hvol
     levels, _ = solve(sys, zero_state(sys), None, T, dt, forcing=forcing)
     if sys.is_hyperbolic:
@@ -800,14 +817,18 @@ def adjoint_duality_quadrature(sys_adj, forcing, seed, T, dt):
     weights plus a dt/2-weighted first sample for leapfrog, and midpoint values
     for Crank-Nicolson. Each sample's pairing is reduced as the backward march
     makes it, so only one scalar per step is kept, and the scalars are summed
-    forward in time.
+    forward in time. Like ``solve`` it refuses a batched seed and a leapfrog
+    step above the CFL bound.
     """
     if not sys_adj.transposed:
         raise ValueError("pass the transposed system")
+    _check_state(sys_adj, seed)
     M = step_count(T, dt)
     _check_forcing(sys_adj, forcing, M)
     terms = np.zeros(M + 1)
     if sys_adj.is_hyperbolic:
+        _check_cfl(sys_adj, dt)
+
         def visit(n, phi):
             if n < M:
                 terms[n] = np.sum(forcing[n] * phi)

@@ -7,8 +7,9 @@ boundary bands, full domain) while keeping indicator evaluation exact.
 
 The geometric control condition (GCC) is tested on a deterministic lattice of
 speed-one rays with specular wall reflection: a region passes at horizon T when
-every lattice ray enters it before T. Axis-parallel directions are always part
-of the lattice because they are the canonical counterexamples (strips). First
+every lattice ray enters it before T and, in 1D, T exceeds the exact worst entry
+time over all starts. Axis-parallel directions are always part of the lattice
+because they are the canonical counterexamples (strips). First
 entry times are computed in closed form by unfolding the billiard: each
 coordinate moves as x0 + v*t on the unfolded line, the folded coordinate lies
 in an open interval during a periodic set of open time windows, and a ray
@@ -268,8 +269,11 @@ class GccReport:
     max_hit_time_among_hitters: float | None
     worst_ray: RayState | None
     verdict: bool
+    worst_entry_time_exact: float | None = None
 
     def to_dict(self):
+        exact = {} if self.worst_entry_time_exact is None else {
+            "worst_entry_time_exact": self.worst_entry_time_exact}
         return {
             "region": self.region_label,
             "horizon": self.horizon,
@@ -280,6 +284,7 @@ class GccReport:
             "worst_ray_position": list(self.worst_ray.position) if self.worst_ray else None,
             "worst_ray_direction": list(self.worst_ray.direction) if self.worst_ray else None,
             "verdict": "pass" if self.verdict else "fail",
+            **exact,
         }
 
 
@@ -383,7 +388,9 @@ def gcc_check(region, extents, T, n_rays):
     closed form and passes when each one enters before T. A ray aimed at a
     corner is followed like any other: a corner is a right angle, where the
     reflections off its two walls commute, so the ray leaves it with both
-    components reversed, as the limit of its neighbours on either side.
+    components reversed, as the limit of its neighbours on either side. In
+    1D T must also exceed ``interval_entry_time``, the worst over all starts,
+    which the report carries: the lattice may miss the worst start.
     """
     extents = tuple(float(L) for L in np.atleast_1d(extents))
     if T <= 0:
@@ -400,6 +407,7 @@ def gcc_check(region, extents, T, n_rays):
     if rays_hit < len(entry):
         miss = int(np.argmin(hit))
         worst = RayState(tuple(positions[miss]), tuple(directions[miss]))
+    exact = interval_entry_time(region, extents[0]) if len(extents) == 1 else None
     return GccReport(
         region_label=region.label or "region",
         horizon=float(T),
@@ -408,7 +416,8 @@ def gcc_check(region, extents, T, n_rays):
         min_hit_time=float(hit_times.min()) if rays_hit else None,
         max_hit_time_among_hitters=float(hit_times.max()) if rays_hit else None,
         worst_ray=worst,
-        verdict=rays_hit == len(entry),
+        verdict=rays_hit == len(entry) and (exact is None or T > exact),
+        worst_entry_time_exact=exact,
     )
 
 
@@ -427,19 +436,13 @@ def interval_entry_time(region, length):
 def default_horizon(regions, extents):
     """Default control horizon: 1.5 x the summed per-region worst entry times.
 
-    In 2D each region contributes the max over the per-axis projected sweep
-    times; this is only a heuristic default for configs that leave T unset.
+    Each region contributes the max over the axes of its projected sweep
+    time 2 max(lo, L - hi), in 1D its ``interval_entry_time``; in 2D this is
+    only a heuristic default for configs that leave T unset.
     """
     total = 0.0
     for region in regions:
-        if len(extents) == 1:
-            total += interval_entry_time(region, extents[0])
-        else:
-            per_axis = []
-            for a, L in enumerate(extents):
-                r = region.clipped(tuple(extents))
-                lo = min(p.lo[a] for p in r.parts)
-                hi = max(p.hi[a] for p in r.parts)
-                per_axis.append(2.0 * max(lo, L - hi))
-            total += max(per_axis)
+        r = region.clipped(tuple(extents))
+        total += max(2.0 * max(min(p.lo[a] for p in r.parts), L - max(p.hi[a] for p in r.parts))
+                     for a, L in enumerate(extents))
     return 1.5 * total

@@ -25,23 +25,24 @@ The seed space has at most a few hundred real coordinates, so the Gramian is
 assembled densely by one batched adjoint march over an orthonormal seed basis
 (``GramianOperator.march_adjoint`` seeded by rows of the identity) and solved
 through one symmetric eigendecomposition; the matrix-free
-``GramianOperator.apply`` stays as the independent cross-check. The march's
-visitor only records the raw values each weighted sample observes. Once per
-block of samples the record is scaled into observations, with the
-arithmetic of ``extract``, and flushed into G by one product: record, scale
-and flush (see ``_gramian_sum``), so a sample costs one copy per control in
-Python. In the transposed cascade nothing feeds component 1
-and a seed on component N never leaves it, so for N >= 2 the last
-component's seeds are not marched: their rows are filled from the free
-trajectories of the first component's seeds (see ``assemble_dense_gramian``).
+``GramianOperator.apply`` stays as the independent cross-check. Every march
+observes one way: its visitor selects the raw values of each weighted sample
+and the record is scaled once, with the arithmetic of ``extract``. The dense
+Gramian scales a block of samples at a time and flushes it into G by one
+product (``_gramian_sum``), so a sample costs one copy per control in Python;
+the verification march (``observations_of``) scales its record after the
+march (``dynamics._observation_recorder``). In the transposed cascade nothing
+feeds component 1 and a seed on component N never leaves it, so for N >= 2
+the last component's seeds are not marched: their rows are filled from the
+free trajectories of the first component's seeds (``assemble_dense_gramian``).
 The same march yields the Gramian of every shorter horizon as a partial sum,
 and that of the free equation on component 1. Second-order synthesis solves
 G x = b exactly (eps = 0 allowed); the first-order family uses the penalized
 form (G + eps I) x = b, whose terminal norm scales like sqrt(eps) under null
-controllability; ``epsilon_sweep`` fits that exponent
-from one eigendecomposition shared by every eps. Every synthesis is verified
-by re-simulation, and a sweep verifies all its eps at once: the solved seeds
-go through one batched adjoint march and their controls through one batched
+controllability; ``epsilon_sweep`` fits that exponent from one
+eigendecomposition shared by every eps. Every synthesis is verified by
+re-simulation, and a sweep verifies all its eps at once: the solved seeds go
+through one batched adjoint march and their controls through one batched
 forward march, whatever the number of eps.
 """
 
@@ -57,7 +58,6 @@ from .dynamics import (
     CascadeSystem,
     ControlSignal,
     SystemState,
-    _adjoint_phase,
     _cn_adjoint,
     _hyp_adjoint,
     _observation_recorder,
@@ -222,10 +222,9 @@ class GramianOperator:
         exactly 0 wherever ``weights`` is 0.
         """
         batch = x.shape[:-1]
-        obs, visit = _observation_recorder(self.sys_adj, self.weights, batch,
-                                           _adjoint_phase(self.sys_adj))
+        visit, observations = _observation_recorder(self.sys_adj, self.weights, batch)
         self.march_adjoint(x, visit)
-        return ControlSignal(self.dt * np.arange(self.M + 1), obs, batch)
+        return ControlSignal(self.dt * np.arange(self.M + 1), observations(), batch)
 
     def forward_with_control(self, signal, initial=None):
         """(readout coordinates, terminal SystemState) of the forward march from

@@ -10,11 +10,6 @@ from hypothesis import strategies as st
 import cascade_lab as cl
 
 
-def pytest_configure(config):
-    # Hypothesis caches under ./.hypothesis by default; keep the working tree clean
-    configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cascade-lab-hypothesis"))
-
-
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREE_AT_START = pytest.StashKey[set]()
 
@@ -31,8 +26,12 @@ def _repo_tree():
     return paths
 
 
-def pytest_sessionstart(session):
-    session.config.stash[TREE_AT_START] = _repo_tree()
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Snapshot the tree before any plugin's own configure hook can write to
+    it, then move Hypothesis's cache, by default ./.hypothesis, out of it."""
+    config.stash[TREE_AT_START] = _repo_tree()
+    configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "cascade-lab-hypothesis"))
 
 
 def pytest_sessionfinish(session):

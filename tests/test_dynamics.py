@@ -13,7 +13,7 @@ from cascade_lab.dynamics import (
     _cn_adjoint,
     _cn_forward,
     _SineResolvent,
-    _forcing_into,
+    _forcing,
     _hyp_adjoint,
     _hyp_forward,
     _observation_recorder,
@@ -362,7 +362,7 @@ def test_adjoint_zero_seed_zero_observations():
     sys = cl.adjoint_system(make_wave_cascade(n=40, K=6))
     dt = chained_dt(sys, 1.0)
     M = step_count(1.0, dt)
-    obs, record = _observation_recorder(sys, trapezoid_weights(M, dt), ())
+    record, observations = _observation_recorder(sys, trapezoid_weights(M, dt), ())
     visited = []
 
     def visit(n, phi):
@@ -373,7 +373,7 @@ def test_adjoint_zero_seed_zero_observations():
     zero = np.zeros((2, 40))
     initial = _hyp_adjoint(sys, zero, zero.copy(), M, dt, visit)
     assert visited == list(range(M, -1, -1))
-    assert all(np.all(arr == 0.0) for arr in obs.values())
+    assert all(np.all(arr == 0.0) for arr in observations().values())
     assert np.all(initial.w == 0.0) and np.all(initial.wp == 0.0)
 
 
@@ -392,8 +392,9 @@ def test_adjoint_observation_single_mode_time_average():
     seed.w[0] = sys.basis.modes[0]
     adj = cl.adjoint_system(sys)
     weights = trapezoid_weights(M, dt)
-    obs, visit = _observation_recorder(adj, weights, ())
+    visit, observations = _observation_recorder(adj, weights, ())
     _hyp_adjoint(adj, *_adjoint_levels_from_seed(adj, seed, dt), M, dt, visit)
+    obs = observations()
     assert quadrature(sys, obs, obs, weights) == pytest.approx(math.pi * math.sqrt(lam), rel=2e-3)
 
 
@@ -603,8 +604,10 @@ def test_batched_adjoint_marches_match_single_marches():
 
     def march(fn, sys, start, steps, step):
         """Observations of component 2 and the t = 0 data of one (batched) march."""
-        obs, visit = _observation_recorder(sys, trapezoid_weights(steps, step), start[0].shape[:-2])
-        return obs[2], fn(sys, *start, steps, step, visit)
+        visit, observations = _observation_recorder(sys, trapezoid_weights(steps, step),
+                                                    start[0].shape[:-2])
+        initial = fn(sys, *start, steps, step, visit)
+        return observations()[2], initial
 
     obs, initial = march(_hyp_adjoint, wave, (a, b), M, dt)
     for i in range(3):
@@ -847,7 +850,7 @@ def _fused_step(sys, y_prev, y_cur, dt, control, forcing, n):
     for (i, j), sup in sys.coupling_supports:
         dst, src = (j, i) if sys.transposed else (i, j)
         y_next[..., dst - 1, sup.cols] += (-dt2 * sup.amplitudes) * y_cur[..., src - 1, sup.cols]
-    _forcing_into(sys, y_next, control, forcing, n, scale=dt2)
+    _forcing(sys, control, forcing, dt2)(y_next, n)
     return y_next
 
 
@@ -856,7 +859,7 @@ def _reference_forward(sys, w0, wp0, control, forcing, M, dt, step=_fused_step):
     (n, y, velocity) triples and the returned (y^{M-1}, y^M, velocity)."""
     dt2 = dt * dt
     acc = -sliced_apply_system(sys, w0)
-    _forcing_into(sys, acc, control, forcing, 0)
+    _forcing(sys, control, forcing)(acc, 0)
     seen = [(0, w0.copy(), wp0.copy())]
     y_prev = w0.copy()
     y_cur = w0 + dt * wp0 + 0.5 * dt2 * acc
@@ -865,7 +868,7 @@ def _reference_forward(sys, w0, wp0, control, forcing, M, dt, step=_fused_step):
         seen.append((n, y_cur, (y_next - y_prev) / (2.0 * dt)))
         y_prev, y_cur = y_cur, y_next
     acc = -sliced_apply_system(sys, y_cur)
-    _forcing_into(sys, acc, control, forcing, M)
+    _forcing(sys, control, forcing)(acc, M)
     vel_T = (y_cur - y_prev) / dt + 0.5 * dt * acc
     seen.append((M, y_cur, vel_T))
     return seen, (y_prev, y_cur, vel_T)
@@ -887,7 +890,7 @@ def _reference_adjoint(sys, phi_M, phi_M1, M, dt, step=_fused_step):
 def _textbook_step(sys, y_prev, y_cur, dt, control, forcing, n):
     """The textbook recurrence 2 y - y_prev + dt^2 (s - (A + C) y), in that order."""
     acc = -sliced_apply_system(sys, y_cur)
-    _forcing_into(sys, acc, control, forcing, n)
+    _forcing(sys, control, forcing)(acc, n)
     return 2.0 * y_cur - y_prev + (dt * dt) * acc
 
 
@@ -1035,3 +1038,135 @@ def test_leapfrog_checks_its_buffers_once_per_march(monkeypatch, march):
             _hyp_adjoint(cl.adjoint_system(sys), phi_M, phi_M1, M, dt)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0, counts
+
+
+# ---------------------------------------------------------------------------
+# one observation rule: select per sample, scale once
+# ---------------------------------------------------------------------------
+
+
+def _observed_cascade(family, transposed=True):
+    """A 3-component cascade with a distributed control on component 2 and
+    a left-end control of gain 1.7 on component 3."""
+    grid = cl.build_grid([1.0], [30])
+    op = cl.EllipticOperator(grid)
+    sys = cl.CascadeSystem(family, op, cl.spectral_basis(op, 4), 3,
+                           (((1, 2), cl.region_from_bounds([[0.2, 0.4]], 1.0)),),
+                           ((2, cl.region_from_bounds([[0.6, 0.9]], 1.3)),
+                            (3, cl.BoundaryEnd("left", 1.7))))
+    return cl.adjoint_system(sys) if transposed else sys
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("name", ["leapfrog forward", "leapfrog adjoint", "cn theta=0",
+                                  "cn theta=0.6"])
+def test_observation_recorder_matches_per_sample_extract_bitwise(name, batch):
+    """The recorder's observations are e^{i theta} extract of each weighted
+    sample bit for bit, for distributed and end controls alike; every
+    unweighted row is +0.0, and the raw record outlives each scaling, so a
+    second march through the same recorder gives its own samples."""
+    family = (cl.Hyperbolic() if name.startswith("leapfrog")
+              else cl.Dissipative(0.6 if name.endswith("0.6") else 0.0))
+    sys = _observed_cascade(family, transposed=name != "leapfrog forward")
+    M, dt = 12, 0.01
+    weights = sample_weights(sys, M, dt)
+    weights[5] = 0.0  # a zero weight inside the march too
+    phase = np.exp(1j * sys.theta) if sys.theta != 0.0 else 1.0
+    shape = batch + (sys.N, sys.grid.n_total)
+    complex_ = sys.state_dtype == np.complex128
+    visit, observations = _observation_recorder(sys, weights, batch)
+    rng = np.random.default_rng(49)
+    for march in range(2):
+        expected = {k: np.zeros((M + 1,) + batch + sys.signal_shape(k), dtype=sys.state_dtype)
+                    for k in sys.controls}
+        for n in range(M + 1):
+            fld = signed_zero_fields(shape, rng, complex_)
+            velocity = rng.standard_normal(shape) if name == "leapfrog forward" else None
+            visit(n, fld, velocity)
+            if weights[n] != 0.0:
+                for k in sys.controls:
+                    # np.multiply, not *: numpy's scalar arithmetic may round a
+                    # complex product of a 0-d end sample unlike its array loop
+                    expected[k][n] = np.multiply(phase, sys.extract(k, fld, velocity))
+        for _ in range(2):
+            got = observations()
+            assert got.keys() == expected.keys()
+            for k, arr in got.items():
+                assert arr.dtype == expected[k].dtype
+                assert arr.tobytes() == expected[k].tobytes(), (march, k)
+                idle = arr[weights == 0.0]
+                assert idle.size and not np.signbit(idle.view(np.float64)).any(), k
+
+
+@pytest.mark.parametrize("built,visited", [((3,), (2, 30)), ((), (3, 2, 30))])
+def test_observation_recorder_refuses_a_batch_mismatch(built, visited):
+    """A field whose leading axes are not the recorder's batch is refused,
+    whether it would broadcast into every member or fail to fit one."""
+    sys = cl.adjoint_system(make_wave_cascade(n=30, K=4))
+    visit, _ = _observation_recorder(sys, sample_weights(sys, 10, 0.01), built)
+    with pytest.raises(ValueError, match=rf"shape \({visited[0]}, .*batch \({built and 3}"):
+        visit(4, np.ones(visited))
+
+
+def test_no_march_calls_a_one_off_per_step(monkeypatch):
+    """Every march calls ``apply_system`` and ``extract`` as often at 200
+    steps as at 20: the per-step work goes through terms formed once."""
+    calls = []
+    for name in ("apply_system", "extract"):
+        method = getattr(cl.CascadeSystem, name)
+
+        def spy(self, *args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(cl.CascadeSystem, name, spy)
+    rng = np.random.default_rng(50)
+    counts = {}
+    for family in (cl.Hyperbolic(), cl.Dissipative(0.0), cl.Dissipative(0.6)):
+        sys = _observed_cascade(family, transposed=False)
+        adj = cl.adjoint_system(sys)
+        state = _random_state(sys, rng)
+        for M in (20, 200):
+            dt = 1e-3
+            control = cl.ControlSignal(dt * np.arange(M + 1), {
+                k: rng.standard_normal((M + 1,) + sys.signal_shape(k)) for k in sys.controls})
+            visit, _ = _observation_recorder(sys, sample_weights(sys, M, dt), ())
+            visit_adj, _ = _observation_recorder(adj, sample_weights(adj, M, dt), ())
+            calls.clear()
+            cl.solve(sys, state, control, M * dt, dt, visit)
+            if sys.is_hyperbolic:
+                _hyp_adjoint(adj, state.w, state.wp, M, dt, visit_adj)
+            else:
+                _cn_adjoint(adj, state.w, M, dt, visit_adj)
+            counts.setdefault(family, []).append(len(calls))
+    assert counts[cl.Hyperbolic()][0] == counts[cl.Hyperbolic()][1] == 3, counts
+    assert all(c == [0, 0] for f, c in counts.items() if f != cl.Hyperbolic()), counts
+
+
+@pytest.mark.parametrize("family", ["hyperbolic", "dissipative"])
+def test_duality_sides_refuse_what_solve_refuses(family):
+    """Both duality sides refuse a batched seed, which each would otherwise
+    reduce to one number summed over the members, and the adjoint side
+    refuses a leapfrog step above the CFL bound, as the forward side does."""
+    hyp = family == "hyperbolic"
+    sys = make_wave_cascade(n=40, K=4) if hyp else make_heat_cascade(n=40, K=4)
+    adj = cl.adjoint_system(sys)
+    T = 0.2
+    dt = chained_dt(sys, T) if hyp else T / 20
+    M = step_count(T, dt)
+    rng = np.random.default_rng(51)
+    forcing = rng.standard_normal((M + 1, 2, 40))
+    seed = _random_state(sys, rng)
+    batched = cl.SystemState(T, np.stack([seed.w] * 3),
+                             None if seed.wp is None else np.stack([seed.wp] * 3))
+    for side, s in ((cl.forward_duality_pairing, sys), (cl.adjoint_duality_quadrature, adj)):
+        assert math.isfinite(side(s, forcing, seed, T, dt))
+        with pytest.raises(ValueError, match="state shape"):
+            side(s, forcing, batched, T, dt)
+    if hyp:
+        fast = 1.52 * cl.cfl_time_step(sys)
+        M_fast = 20
+        forcing = rng.standard_normal((M_fast + 1, 2, 40))
+        for side, s in ((cl.forward_duality_pairing, sys), (cl.adjoint_duality_quadrature, adj)):
+            with pytest.raises(cl.CflViolationError):
+                side(s, forcing, seed, M_fast * fast, fast)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_lab as cl
+from cascade_lab.cli import demo_configs
+from cascade_lab.config import build_experiment
 from cascade_lab.geometry import _ray_lattice, ray_entry_times
 
 from conftest import lattice_worst_entry_1d
@@ -122,6 +124,28 @@ def test_gcc_1d_worst_time_matches_reflection_arithmetic():
     assert abs(rep.max_hit_time_among_hitters - 0.8) <= 1e-12
     assert rep.max_hit_time_among_hitters <= cl.interval_entry_time(r, 1.0) + 1e-12
     assert rep.min_hit_time <= rep.max_hit_time_among_hitters
+
+
+@pytest.mark.parametrize("T", [1.404, 1.405, 1.4065])
+def test_gcc_1d_fails_below_the_exact_worst_time_that_every_lattice_ray_beats(T):
+    """The lattice's start nearest the edge 0.7033 sits at 0.7, so every one
+    of its rays enters by 1.4033, but a start at the edge heading away enters
+    only at the closed-form 1.4066: the 1D verdict fails up to that time and
+    passes beyond it, and the report carries the time it compared."""
+    r = cl.region_from_bounds([[0.7033, 0.9]], 1.0, "omega")
+    exact = cl.interval_entry_time(r, 1.0)
+    assert exact == 2.0 * 0.7033
+    rep = cl.gcc_check(r, (1.0,), T, 402)
+    assert rep.rays_hit == rep.rays_total == 402
+    assert abs(rep.max_hit_time_among_hitters - lattice_worst_entry_1d(0.7033, 0.9, 402)) <= 1e-12
+    assert rep.max_hit_time_among_hitters < T <= exact
+    assert not rep.verdict
+    d = rep.to_dict()
+    assert d["verdict"] == "fail" and d["worst_entry_time_exact"] == exact
+    assert list(d)[-2:] == ["verdict", "worst_entry_time_exact"]
+    assert cl.gcc_check(r, (1.0,), 1.4067, 402).verdict
+    band = cl.region_from_bounds([[[0.7033, 0.9], [0.0, 1.0]]], 1.0)
+    assert "worst_entry_time_exact" not in cl.gcc_check(band, (1.0, 1.0), T, 648).to_dict()
 
 
 def test_gcc_vertical_strip_fails_in_square():
@@ -325,6 +349,20 @@ def test_default_horizon_sums_regions():
     r2 = cl.region_from_bounds([[0.7, 0.9]], 1.0)
     # 1.5 * (2*0.6 + 2*0.7)
     assert cl.default_horizon([r1, r2], (1.0,)) == pytest.approx(1.5 * (1.2 + 1.4))
+
+
+def test_default_horizon_in_1d_sums_the_exact_worst_times_bitwise():
+    """In 1D the per-axis sweep time is ``interval_entry_time``, bit for
+    bit, on the regions of every 1D demo."""
+    for name, cfg in demo_configs().items():
+        exp = build_experiment(cfg)
+        regions = exp.coupling_regions + exp.control_regions
+        if exp.grid.dim == 1 and regions:
+            (L,) = exp.grid.extents
+            exact = 0.0
+            for region in regions:
+                exact += cl.interval_entry_time(region, L)
+            assert cl.default_horizon(regions, exp.grid.extents) == 1.5 * exact, name
 
 
 def test_gcc_report_serializes_flat():
