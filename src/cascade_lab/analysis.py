@@ -196,9 +196,11 @@ def admissibility_ratio(sys, n_samples, T, dt, levels, seed=0):
     random standing forcing in the lowest FORCED_MODES modes (every mode of a
     level with fewer unknowns) and started from random data in the same
     modes; the ratio compares the time-integrated squared observation against
-    e(0) + e(T) + int e dt + int ||f||^2 dt. Distributed observations are
-    pointwise bounded, so the ratio stays below the squared amplitude bound;
-    end observations must merely stay bounded across levels. Degenerate
+    e(0) + e(T) + int e dt + int ||f||^2 dt. A distributed observation is
+    bounded, so its ratio is at most 2 beta^2, beta its largest amplitude
+    (measured maxima stay near 0.65 beta^2); `check` states that bound
+    instead of sampling it. An end observation must merely stay bounded
+    across levels. Degenerate
     (zero-data, zero-forcing) samples are skipped. The ratio observes through
     the system's one control; a system with none or several is refused.
     """

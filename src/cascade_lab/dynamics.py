@@ -664,21 +664,29 @@ class _SineResolvent:
         if not np.can_cast(rhs.dtype, dtype):
             raise ValueError(f"{rhs.dtype} right-hand side for a {dtype} matrix")
         _require_finite(rhs)
+        return self._solve(rhs)
+
+    def _solve(self, rhs):
+        """``solve`` without its checks, for a march that checks the field it
+        starts from and the one it returns (a non-finite value, once made,
+        reaches every node of every later step)."""
         coeffs = self._transform(rhs.reshape(rhs.shape[:-1] + self._shape)) / self._denom
         return self._transform(coeffs).reshape(rhs.shape)
 
 
 def _cn_solve_plus(sys, solver, couplings, rhs):
     """Solve (I + kappa (A + C)) y = rhs via cascade back-substitution;
-    ``couplings`` are the system's ``_coupling_terms(kappa)``."""
+    ``couplings`` are the system's ``_coupling_terms(kappa)``. The couplings
+    are subtracted inside ``rhs``, a buffer the calling march owns, which is
+    left overwritten."""
     y = np.empty_like(rhs)
     order = range(sys.N, 0, -1) if not sys.transposed else range(1, sys.N + 1)
     for comp in order:
-        r = rhs[..., comp - 1, :].copy()
+        r = rhs[..., comp - 1, :]
         for dst, src, cols, coef in couplings:
             if dst == comp - 1:
                 r[..., cols] -= coef * y[..., src, cols]
-        y[..., comp - 1, :] = solver.solve(r)
+        y[..., comp - 1, :] = solver._solve(r)
     return y
 
 
@@ -688,9 +696,11 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
     Control samples and raw forcing are interval values (entry n acts on
     [t_n, t_{n+1})). The state may carry leading batch axes, (..., N,
     n_total); a control signal carries the same batch axes, one control per
-    member, and forcing acts on every member alike; coupling and forcing
-    terms are formed once per march. Returns the terminal field y^M;
-    ``visit(n, y_n)``, when given, sees every node as it is made.
+    member, and forcing acts on every member alike; the stencil, coupling and
+    forcing terms and the A y buffers are formed once per march. The start
+    field and the returned field are checked for non-finite values, once
+    each. Returns the terminal field y^M; ``visit(n, y_n)``, when given, sees
+    every node as it is made.
     """
     theta = sys.theta
     phase = np.exp(-1j * theta) if theta != 0.0 else 1.0
@@ -699,17 +709,21 @@ def _cn_forward(sys, w0, control, forcing, M, dt, visit=None):
 
     couplings, system_couplings = sys._coupling_terms(kappa), sys._coupling_terms(1.0)
     add_forcing = _forcing(sys, control, forcing, dt * phase)
+    diag, off = sys.op.coefficients()
     y = w0.astype(sys.state_dtype)
+    _require_finite(y)
+    ay, scratch = np.empty(y.shape, y.dtype), np.empty(y.shape, y.dtype)
     if visit is not None:
         visit(0, y)
     for n in range(M):
-        ay = sys.op.matvec(y)
+        sys.op._stencil(y, diag, off, ay, scratch)
         _add_couplings(y, ay, system_couplings)
         rhs = y - kappa * ay
         add_forcing(rhs, n)
         y = _cn_solve_plus(sys, solver, couplings, rhs)
         if visit is not None:
             visit(n + 1, y)
+    _require_finite(y)
     return y
 
 
@@ -726,17 +740,20 @@ def _cn_adjoint(sys, phi_T, M, dt, visit=None):
     psi^{n+1/2} = (M+^*)^{-1} phi^{n+1} equals (phi^n + phi^{n+1})/2 exactly and
     carries the observation for interval n (times the phase e^{i theta}).
     ``phi_T`` may carry leading batch axes; ``visit(n, psi)``, when given, sees
-    every midpoint value as it is made.
+    every midpoint value as it is made. Like the forward march it checks its
+    start and returned fields once each.
     """
     kappa_bar = 0.5 * dt * _adjoint_phase(sys)
     solver = _SineResolvent(sys.op, kappa_bar if sys.theta != 0.0 else float(np.real(kappa_bar)))
     couplings = sys._coupling_terms(kappa_bar)
     phi = phi_T.astype(sys.state_dtype)
+    _require_finite(phi)
     for n in range(M - 1, -1, -1):
-        psi = _cn_solve_plus(sys, solver, couplings, phi)
+        psi = _cn_solve_plus(sys, solver, couplings, phi.copy())
         if visit is not None:
             visit(n, psi)
         phi = 2.0 * psi - phi
+    _require_finite(phi)
     return phi
 
 

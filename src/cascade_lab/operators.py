@@ -114,11 +114,14 @@ class EllipticOperator:
         return res.reshape(w.shape)
 
     def matvec(self, w, out=None):
-        """A w, the ``stencil`` with off[a] = 1/h_a^2 and diag 2 sum_a off[a],
-        written into ``out`` (C-contiguous, w's shape, no memory shared with w)
-        when given."""
+        """A w, the ``stencil`` with the ``coefficients`` of A, written into
+        ``out`` (C-contiguous, w's shape, no memory shared with w) when given."""
+        return self.stencil(w, *self.coefficients(), out)
+
+    def coefficients(self):
+        """(diag, off) of A for ``stencil``: off[a] = 1/h_a^2, diag = 2 sum_a off[a]."""
         inv_h2 = [1.0 / h**2 for h in self.grid.h]
-        return self.stencil(w, 2.0 * sum(inv_h2), inv_h2, out)
+        return 2.0 * sum(inv_h2), inv_h2
 
     def quad_form(self, w):
         """<A w, w> in the discrete inner product (real part for complex w)."""

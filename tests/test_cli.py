@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -179,15 +180,16 @@ def test_every_gcc_and_analysis_key_changes_a_report(tmp_path, section, key):
 
 
 def test_analysis_n_samples_sets_only_the_admissibility_samples(tmp_path):
-    """`analysis.n_samples` counts the admissibility samples; the coupling
-    bounds of `check` and of the `control` report are the closed-form
-    multiplier values on the grid support of the coupling region, which has
-    two amplitudes."""
+    """`analysis.n_samples` counts the admissibility samples of an end
+    control; the coupling bounds of `check` and of the `control` report are
+    the closed-form multiplier values on the grid support of the coupling
+    region, which has two amplitudes."""
     cfg = demo_configs()["demo_wave_cascade.json"]
     cfg["domain"]["n"] = [60]
     cfg["hum"]["K_filter"] = 10
     cfg["time"]["T"] = 3.0
     cfg["coupling"][0].update(boxes=[[[0.2, 0.3]], [[0.3, 0.4]]], amplitude=[1.0, 2.0])
+    _boundary_wave(cfg)
     exp = cl.build_experiment(cfg)
     expected = cl.coupling_bounds(exp.coupling_regions[0], exp.grid)
 
@@ -564,13 +566,14 @@ def _mixed_controls(cfg):
     pytest.param("control", _mixed_controls, id="mixed-controls-control"),
     pytest.param("observability", _mixed_controls, id="mixed-controls-observability"),
     pytest.param("sweep-eps", _mixed_controls, id="mixed-controls-sweep-eps"),
-    pytest.param("check", _all(_set(["domain", "n"], [5]), _set(["hum", "K_filter"], 5)),
-                 id="check-at-n-5"),
+    pytest.param("check", _all(_set(["domain", "n"], [5]), _set(["hum", "K_filter"], 5),
+                               _boundary_wave), id="check-at-n-5"),
 ])
 def test_formerly_crashing_config_runs(tmp_path, capsys, command, change):
     """Accepted configs that once ended in a raw traceback run to a verdict:
     a synthesis or Gramian with mixed distributed/end controls, and check's
-    admissibility ratios on a level with fewer unknowns than forcing modes."""
+    end-control admissibility ratios on a level with fewer unknowns than
+    forcing modes."""
     cfg = demo_configs()[WAVE]
     cfg["domain"]["n"] = [40]
     change(cfg)
@@ -592,9 +595,10 @@ def test_integral_float_config_value_is_accepted():
 
 
 def test_check_certifies_every_control(tmp_path):
-    """Mixed distributed/end controls: one admissibility entry per control,
-    each observed on its own with the same seed and levels, so each entry
-    equals the one of a check on that control alone."""
+    """Mixed distributed/end controls: one admissibility entry per control.
+    The distributed entry is the closed-form bound 2 beta^2; the end entry,
+    observed on its own, equals the one of a check on the end control alone,
+    and the distributed one that of a check on the distributed control alone."""
     cfg = demo_configs()[WAVE]
     cfg["domain"]["n"] = [40]
     _mixed_controls(cfg)
@@ -606,13 +610,69 @@ def test_check_certifies_every_control(tmp_path):
         assert main(["check", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         hypotheses[name] = json.loads((tmp_path / name / "report.json").read_text())["hypotheses"]
     both = hypotheses["both"]["admissibility"]
-    assert [(a["component"], a["observation"], a["levels"]) for a in both] == [
-        (2, "distributed", [40, 80]), (3, "end", [40, 80])]
+    assert both[0] == {"component": 2, "observation": "distributed", "ratio_bound": 2.0}
+    assert [(a["component"], a["observation"], a["levels"]) for a in both[1:]] == [
+        (3, "end", [40, 80])]
     assert "admissibility_ratios" not in hypotheses["both"]
     assert hypotheses["end"]["admissibility"] == both[1:]
-    # a config without an end control checks one level by default
-    (alone,) = hypotheses["distributed"]["admissibility"]
-    assert alone["levels"] == [40] and alone["max_ratios"] == both[0]["max_ratios"][:1]
+    assert hypotheses["distributed"]["admissibility"] == both[:1]
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("check marched a distributed control")
+
+
+@pytest.mark.parametrize("control,analysis", [
+    (None, {}),
+    ({"component": 2, "kind": "distributed", "boxes": [[[0.7, 0.8]], [[0.8, 0.9]]],
+      "amplitude": [1.5, 0.5]}, {"n_samples": 3, "levels": [30]}),
+], ids=["wave-demo", "two-amplitudes"])
+def test_check_states_the_distributed_bound_without_a_march(tmp_path, capsys, monkeypatch,
+                                                            control, analysis):
+    """A config with only distributed controls makes no admissibility call
+    and no march: it passes with the bound 2 max(amplitude)^2 and the note
+    that proves it, and notes each sampling key it was given as ignored."""
+    for module in (cl.cli, cl.analysis, cl.dynamics):
+        for name in ("admissibility_ratio", "solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _raise)
+    cfg = demo_configs()[WAVE]
+    if control is not None:
+        cfg["control"] = [control]
+    cfg["analysis"] = analysis
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    bound = 2.0 * (1.5 if control else 1.0) ** 2
+    assert f"admissibility bound {bound:.4g})" in capsys.readouterr().out
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["verdict"] == "pass"
+    assert report["hypotheses"]["admissibility"] == [
+        {"component": 2, "observation": "distributed", "ratio_bound": bound}]
+    assert any(note.startswith("a distributed control's admissibility ratio is at most "
+                               "2 beta^2") for note in report["hypotheses"]["notes"])
+    assert [note for note in report["notes"] if "is ignored" in note] == [
+        f"analysis.{key} is ignored: no end control, so no admissibility ratio is sampled"
+        for key in analysis]
+
+
+def test_check_samples_an_end_control_as_the_library_routine_does(tmp_path):
+    """The end entry of a mixed config is `admissibility_ratio` on that
+    control alone, at the default levels (n, 2n), n_samples 5, horizon
+    min(T, 1) and the config seed; its values are pinned."""
+    cfg = demo_configs()[WAVE]
+    cfg["domain"]["n"] = [40]
+    _mixed_controls(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    entry = json.loads((tmp_path / "run" / "report.json").read_text())["hypotheses"][
+        "admissibility"][1]
+    exp = cl.build_experiment(cfg)
+    alone = dataclasses.replace(exp.sys, control=exp.sys.control[1:])
+    direct = cl.admissibility_ratio(alone, 5, min(exp.T, 1.0), exp.dt, [40, 80], seed=exp.seed)
+    assert entry == {**dataclasses.asdict(direct), "component": 3}
+    assert entry["max_ratios"] == [0.671049222337363, 0.6980895079901286]
 
 
 def test_check_subcommand(demo_dir, tmp_path):

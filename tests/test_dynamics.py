@@ -337,6 +337,29 @@ def test_component_solver_rejects_non_finite_matrix_and_complex_rhs():
         _SineResolvent(op, 0.001).solve(np.ones(20) + 1j)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_crank_nicolson_marches_reject_non_finite_values(theta):
+    """The marches solve unchecked and check the field they start from and
+    the one they return: a NaN in one node of a raw forcing, or an inf in
+    one node of a start field, still raises the solver's error."""
+    sys = make_heat_cascade(n=20, K=4, theta=theta)
+    M = step_count(0.1, 0.005)
+    forcing = np.zeros((M, sys.N, sys.grid.n_total))
+    forcing[M // 2, 0, 7] = np.nan
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        cl.solve(sys, cl.zero_state(sys), None, 0.1, 0.005, forcing=forcing)
+    start = np.zeros((sys.N, sys.grid.n_total))
+    start[1, 7] = np.inf
+
+    def never(*args):
+        pytest.fail("a march visited a non-finite start")
+
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        _cn_forward(sys, start, None, None, M, 0.005, never)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        _cn_adjoint(cl.adjoint_system(sys), start, M, 0.005, never)
+
+
 @pytest.mark.parametrize("extent,n,kappa", [(4.0, 3, -0.5), (3.0, 2, -1.0)])
 def test_component_solver_singular_matrix_raises(extent, n, kappa):
     # h = 1: zero diagonal with off-diagonals 1/2 (n = 3), or [[-1, 1], [1, -1]] (n = 2)
