@@ -289,6 +289,10 @@ def _check(exp, payload, args):
                      "its largest amplitude on the grid: with trapezoid weights w_n, velocities "
                      "v_n and energies e_n, numerator <= beta^2 sum w_n |v_n|^2 <= 2 beta^2 sum "
                      "w_n e_n <= 2 beta^2 x denominator; its entry is that bound, not sampled")
+    if ratios and not exp.sys.is_hyperbolic:
+        notes.append("an end control's admissibility ratios are sampled on the free "
+                     "second-order equation w'' + A w = f with that control, not on this "
+                     "config's first-order family")
     if not ratios:
         payload["notes"] += [f"analysis.{key} is ignored: no end control, so no admissibility "
                              "ratio is sampled" for key in ("n_samples", "levels")

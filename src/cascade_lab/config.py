@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from random import Random
 
 import numpy as np
 
@@ -217,6 +218,18 @@ def _initial_entries(entries, N, hyperbolic, base_seed):
     return out
 
 
+def _standard_normals(rng, n):
+    """n standard normals by Box-Muller, one pair per two ``rng.random()``
+    draws: ``random()`` is the one stream the standard library keeps across
+    Python versions for a given seed."""
+    out = np.empty(n + n % 2)
+    for i in range(0, n, 2):
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        angle = 2.0 * math.pi * rng.random()
+        out[i], out[i + 1] = radius * math.cos(angle), radius * math.sin(angle)
+    return out[:n]
+
+
 def _initial_state(sys, entries):
     state = zero_state(sys)
     basis = sys.basis
@@ -224,10 +237,10 @@ def _initial_state(sys, entries):
     for k, random, terms in entries:
         if random is not None:
             norm, sub = random
-            rng = np.random.default_rng(sub)
+            rng = Random(sub)
             if sys.is_hyperbolic:
-                a = rng.standard_normal(K_filter)
-                b = rng.standard_normal(K_filter)
+                a = _standard_normals(rng, K_filter)
+                b = _standard_normals(rng, K_filter)
                 lam = basis.eigenvalues[:K_filter]
                 scale = math.sqrt(float(lam @ a**2 + b @ b))
                 if scale > 0:
@@ -236,9 +249,9 @@ def _initial_state(sys, entries):
                 state.w[k - 1] = a @ basis.modes[:K_filter]
                 state.wp[k - 1] = b @ basis.modes[:K_filter]
             else:
-                c = rng.standard_normal(K_filter)
+                c = _standard_normals(rng, K_filter)
                 if sys.state_dtype == np.complex128:
-                    c = c + 1j * rng.standard_normal(K_filter)
+                    c = c + 1j * _standard_normals(rng, K_filter)
                 scale = math.sqrt(float(np.real(np.vdot(c, c))))
                 if scale > 0:
                     c = c * (norm / scale)

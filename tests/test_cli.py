@@ -1,14 +1,17 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
+from random import Random
 
 import numpy as np
 import pytest
 
 import cascade_lab as cl
 from cascade_lab.cli import demo_configs, main
-from cascade_lab.config import config_hash
+from cascade_lab.config import _standard_normals, config_hash
+from cascade_lab.util import canonical_json, sha256_hex
 
 
 @pytest.fixture
@@ -675,6 +678,28 @@ def test_check_samples_an_end_control_as_the_library_routine_does(tmp_path):
     assert entry["max_ratios"] == [0.671049222337363, 0.6980895079901286]
 
 
+@pytest.mark.parametrize("demo,noted", [(HEAT, True), (WAVE, False)], ids=["heat", "wave"])
+def test_check_names_the_sampled_equation_of_a_first_order_config(tmp_path, capsys, demo,
+                                                                  noted):
+    """An end control's ratios are sampled on the second-order single
+    equation whatever the config's family; a first-order config's report says
+    so in one note, and the verdict and summary line are those of the sample."""
+    cfg = demo_configs()[demo]
+    cfg["domain"]["n"] = [40]
+    cfg["control"] = [{"component": 2, "kind": "boundary", "end": "right"}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    ratios = report["hypotheses"]["admissibility"][0]["max_ratios"]
+    assert f"max admissibility ratio {max(ratios):.4g}) -> " in capsys.readouterr().out
+    assert report["verdict"] == "pass"
+    sampled = [note for note in report["hypotheses"]["notes"] if "second-order" in note]
+    assert sampled == (["an end control's admissibility ratios are sampled on the free "
+                        "second-order equation w'' + A w = f with that control, not on this "
+                        "config's first-order family"] if noted else [])
+
+
 def test_check_subcommand(demo_dir, tmp_path):
     """The coupling constants are the closed-form amplitudes, so a large
     amplitude cannot fail the check through round-off; the verdict is the
@@ -899,6 +924,17 @@ def test_config_rejects_bad_region(tmp_path):
     assert main(["control", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("text", ['{"label":"omega"}', '{"label":"\u03c9 \u2013 \u00e9"}'],
+                         ids=["ascii", "non-ascii"])
+def test_sha256_hex_is_the_hashlib_digest(text):
+    assert sha256_hex(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_config_hash_of_every_demo_is_the_hashlib_digest():
+    for cfg in demo_configs().values():
+        assert config_hash(cfg) == hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
+
+
 def test_config_hash_stable_under_reordering():
     cfg = json.loads(json.dumps(demo_configs()["demo_wave_cascade.json"]))
     reordered = dict(reversed(list(cfg.items())))
@@ -1036,3 +1072,77 @@ def test_random_initial_data_is_seeded(tmp_path, demo_dir):
     assert np.array_equal(e1.Y0.wp, e2.Y0.wp)
     energy = cl.energy(e1.sys, e1.Y0)
     assert math.isclose(2 * energy.total, 1.0, rel_tol=1e-9)
+
+
+def _random_data(demo, seed, norm=1.0, K_filter=6, theta=None):
+    """The experiment of a small demo whose component 1 starts from seeded
+    random data (component 2 from rest)."""
+    cfg = demo_configs()[demo]
+    cfg["domain"]["n"] = [40]
+    cfg["hum"]["K_filter"] = K_filter
+    if theta is not None:
+        cfg["family"]["theta"] = theta
+    cfg["initial"] = [{"component": 1, "random": {"norm": norm, "seed": seed}}]
+    return cl.build_experiment(cfg)
+
+
+FAMILIES = [(WAVE, None), (HEAT, None), (HEAT, 0.7)]
+FAMILY_IDS = ["hyperbolic", "real-dissipative", "complex-dissipative"]
+
+
+def test_random_initial_data_differs_between_seeds():
+    for demo, theta in FAMILIES:
+        e7, e8 = (_random_data(demo, seed, theta=theta) for seed in (7, 8))
+        assert not np.array_equal(e7.Y0.w, e8.Y0.w)
+
+
+@pytest.mark.parametrize("demo,theta", FAMILIES, ids=FAMILY_IDS)
+def test_random_initial_data_has_the_requested_norm(demo, theta):
+    exp = _random_data(demo, 11, norm=1.5, theta=theta)
+    assert math.isclose(math.sqrt(2 * cl.energy(exp.sys, exp.Y0).total), 1.5, rel_tol=1e-12)
+
+
+# the first four standard normals of seed 7: Box-Muller on random.Random(7).random()
+SEED_7_NORMALS = [0.5161661633565218, 0.7184721151690002, 1.3031666217102853,
+                  0.6377679767768651]
+
+
+@pytest.mark.parametrize("demo,theta", FAMILIES, ids=FAMILY_IDS)
+def test_random_initial_data_is_pinned(demo, theta):
+    """Seed 7 with two retained modes: the modal coefficients are the pinned
+    normals times one positive factor, drawn position then velocity and real
+    then imaginary part. A change of stream fails here rather than silently
+    changing every random-data run."""
+    assert _standard_normals(Random(7), 4).tolist() == pytest.approx(SEED_7_NORMALS,
+                                                                      rel=1e-14)
+    exp = _random_data(demo, 7, K_filter=2, theta=theta)
+    if exp.sys.is_hyperbolic:
+        fields = [exp.Y0.w[0], exp.Y0.wp[0]]
+    elif theta:
+        fields = [exp.Y0.w[0].real, exp.Y0.w[0].imag]
+    else:
+        fields = [exp.Y0.w[0]]
+    modes = exp.sys.basis.modes[:2].T
+    coeffs = np.concatenate([np.linalg.lstsq(modes, f, rcond=None)[0] for f in fields])
+    factor = coeffs[0] / SEED_7_NORMALS[0]
+    assert factor > 0
+    assert coeffs.tolist() == pytest.approx([factor * z for z in SEED_7_NORMALS[:coeffs.size]],
+                                            rel=1e-12)
+
+
+def test_replay_starts_from_the_stored_state_of_a_random_data_run(demo_dir, tmp_path):
+    """replay reads initial_state.csv, not the config's random data, so a run
+    whose config now draws other data (as a run directory written under an
+    earlier generator does) still replays."""
+    random_initial = [{"component": 1, "random": {"norm": 1.0, "seed": 7}}]
+    path, cfg = _small_wave(demo_dir, tmp_path, initial=random_initial)
+    assert main(["control", "--config", str(path)]) == 0
+    report_path = os.path.join(cfg["output_dir"], "report.json")
+    with open(report_path) as fh:
+        report = json.load(fh)
+    report["config"]["initial"][0]["random"]["seed"] = 8
+    with open(report_path, "w") as fh:
+        json.dump(report, fh)
+    assert not np.array_equal(cl.build_experiment(report["config"]).Y0.w,
+                              cl.build_experiment(cfg).Y0.w)
+    assert main(["replay", cfg["output_dir"]]) == 0

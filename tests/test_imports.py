@@ -2,6 +2,14 @@
 
 Each case runs in a fresh interpreter, because the test process itself has
 long since imported the test tools and whatever they pull in.
+
+A run is one process, so what it imports is paid on every run. Two loads did
+almost no work and are guarded against: ``hashlib`` maps OpenSSL (through
+``_hashlib``) for the one config hash, which the interpreter's builtin SHA-256
+computes alike; and ``numpy.random`` (with ``secrets``, which imports
+``hashlib``) drew a few dozen seeded normals, which ``random.Random`` gives.
+Only ``check`` on an end control still loads ``numpy.random``: its sampled
+admissibility ratios keep numpy's generator.
 """
 
 import json
@@ -21,19 +29,16 @@ from cascade_lab.cli import main
 for argv, code in json.loads(sys.argv[1]):
     if main(argv) != code:
         raise SystemExit(f"{argv} did not exit {code}")
-top = {m.split(".")[0] for m in set(sys.modules) - before
-       if getattr(sys.modules[m], "__file__", None)}
-print(json.dumps(sorted(top - set(sys.stdlib_module_names) - {"numpy", "cascade_lab"})))
+print(json.dumps({m: bool(getattr(sys.modules[m], "__file__", None))
+                  for m in set(sys.modules) - before}))
 """
 
 
-def _foreign_modules_after(tmp_path, runs):
+def _modules_loaded_by(tmp_path, runs):
     """Run CLI invocations (name, subcommand, config, exit code) in one fresh
-    interpreter and return the top-level packages they loaded from files,
-    apart from numpy, cascade_lab and the standard library. (numpy's compiled
-    extensions also register file-less helper modules; those are skipped.) A
-    ``replay`` run takes no config; its name is the run directory it
-    replays."""
+    interpreter and return the modules they loaded, each mapped to whether it
+    came from a file. A ``replay`` run takes no config; its name is the run
+    directory it replays."""
     argvs = []
     for name, command, cfg, code in runs:
         if command == "replay":
@@ -47,6 +52,15 @@ def _foreign_modules_after(tmp_path, runs):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _foreign_modules_after(tmp_path, runs):
+    """The top-level packages the runs loaded from files, apart from numpy,
+    cascade_lab and the standard library. (numpy's compiled extensions also
+    register file-less helper modules; those are skipped.)"""
+    top = {m.split(".")[0] for m, from_file in _modules_loaded_by(tmp_path, runs).items()
+           if from_file}
+    return sorted(top - set(sys.stdlib_module_names) - {"numpy", "cascade_lab"})
 
 
 def _config(name, **sections):
@@ -91,3 +105,25 @@ def test_heat_runs_load_no_package_beyond_numpy(tmp_path):
                                                ("heat_control", "replay", None, 0),
                                                ("heat_square", "control", heat_square, 0)])
     assert loaded == []
+
+
+def _random_initial(cfg):
+    cfg["initial"] = [{"component": e["component"], "random": {"norm": 1.0, "seed": 5 + k}}
+                      for k, e in enumerate(cfg["initial"])]
+    return cfg
+
+
+def test_runs_on_random_data_load_neither_openssl_nor_numpy_random(tmp_path):
+    wave = _random_initial(json.loads(json.dumps(WAVE)))
+    heat = _random_initial(_config("demo_heat_cascade.json", family={"theta": 0.7},
+                                   domain={"n": [40]}, hum={"K_filter": 6},
+                                   time={"T": 0.2, "dt": 0.004}))
+    heat["hum"]["eps_list"] = [1e-2, 1e-3, 1e-4]
+    square = _random_initial(json.loads(json.dumps(SQUARE)))
+    loaded = _modules_loaded_by(tmp_path, [("wave_control", "control", wave, 0),
+                                           ("wave_control", "replay", None, 0),
+                                           ("heat_sweep", "sweep-eps", heat, 0),
+                                           ("square_gcc", "gcc", square, 0),
+                                           ("square_check", "check", square, 0),
+                                           ("square_obs", "observability", square, 0)])
+    assert sorted({"_hashlib", "hashlib", "secrets", "numpy.random"} & set(loaded)) == []
